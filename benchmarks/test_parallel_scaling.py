@@ -14,7 +14,6 @@ overhead bound are asserted and the table is reported for the record.
 
 import json
 import os
-import pickle
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +21,6 @@ from _helpers import sample_mask
 
 from repro.core import DataSpaceClassifier, ShellFeatureExtractor, classify_sequence
 from repro.data import make_cosmology_sequence
-from repro.parallel import SharedVolumeArena
 from repro.utils.timing import Timer
 
 
@@ -99,64 +97,3 @@ def test_parallel_scaling(benchmark):
         print("single-core host: speedup assertions skipped")
         assert timings[2] < 2.5 * timings[1]
 
-
-def test_shm_transport_ipc_win(benchmark):
-    """Shared-memory volume transport vs per-task pickling.
-
-    The pickle path ships every voxel of every step through the IPC pipe
-    inside its task payload; the shm path parks the voxels in a named
-    segment once and ships a ~100-byte handle.  The payload reduction is
-    deterministic, so it is asserted; wall-clock is reported for the
-    record (on laptop-scale 48^3 volumes the win is modest — it grows
-    with volume size toward the paper's 256^3 configuration).
-    """
-    clf, sequence = build_workload()
-
-    # Per-task IPC payload, measured exactly as Pool would pickle it.
-    vol = sequence[0]
-    pickle_payload = len(pickle.dumps((clf, vol)))
-    with SharedVolumeArena() as arena:
-        shm_payload = len(pickle.dumps((clf, arena.share(vol))))
-    voxel_bytes = vol.data.nbytes
-    reduction = 1.0 - shm_payload / pickle_payload
-
-    timings = {}
-    results = {}
-    for transport in ("pickle", "shm"):
-        with Timer() as t:
-            results[transport] = classify_sequence(
-                clf, sequence, workers=2, backend="process", transport=transport
-            )
-        timings[transport] = t.elapsed
-
-    benchmark.pedantic(
-        lambda: classify_sequence(clf, sequence, workers=2, backend="process",
-                                  transport="shm"),
-        rounds=3, iterations=1,
-    )
-    benchmark.extra_info["pickle_payload_bytes"] = pickle_payload
-    benchmark.extra_info["shm_payload_bytes"] = shm_payload
-
-    print(f"\nVolume transport, per-task IPC payload ({len(sequence)} steps, "
-          f"{voxel_bytes} voxel bytes each):")
-    print(f"{'transport':>10} {'payload B':>12} {'seconds':>9}")
-    for transport in ("pickle", "shm"):
-        payload = pickle_payload if transport == "pickle" else shm_payload
-        print(f"{transport:>10} {payload:>12} {timings[transport]:>9.2f}")
-    print(f"payload reduction: {reduction:.1%}")
-
-    _write_bench("shm_transport", {
-        "steps": len(sequence),
-        "voxel_bytes_per_step": voxel_bytes,
-        "pickle_payload_bytes": pickle_payload,
-        "shm_payload_bytes": shm_payload,
-        "payload_reduction": reduction,
-        "seconds_pickle": timings["pickle"],
-        "seconds_shm": timings["shm"],
-    })
-
-    # identical certainty fields through either transport
-    for a, b in zip(results["pickle"], results["shm"]):
-        assert np.allclose(a, b)
-    # the shm payload must drop (almost) the whole voxel block per task
-    assert shm_payload <= pickle_payload - int(0.9 * voxel_bytes)

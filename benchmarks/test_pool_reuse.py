@@ -4,8 +4,9 @@ pool exists to delete, measured.
 Two machine-relative ratios, both gated by a committed baseline:
 
 - ``speedup_pool_reuse``: a pipeline that issues many short maps (one
-  per stage per chunk) pays a full process-pool spawn per map on the
-  per-map backend; the resident :class:`WorkerPool` pays it once.  The
+  per stage per chunk) without a caller's pool pays a full pool spawn
+  per map, since each map opens its own :class:`WorkerPool`; a resident
+  pool passed to every map pays it once.  The
   ratio is spawn overhead amortisation, so it holds on any host —
   including single-core runners.
 - ``speedup_pipelined``: an end-to-end ``classify -> tfs -> render`` run

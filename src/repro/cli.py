@@ -58,7 +58,6 @@ from repro.features import (
     feature_descriptor,
 )
 from repro.metrics import feature_retention
-from repro.parallel.pool import WorkerPool
 from repro.render.camera import Camera
 from repro.render.raycast import ALPHA_CUTOFF
 from repro.run import (
@@ -201,16 +200,11 @@ def cmd_classify(args) -> int:
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
     backend = "process" if args.workers > 1 else "serial"
-    pool = WorkerPool(workers=args.workers) if args.pool and args.workers > 1 else None
-    try:
-        results = classify_sequence(
-            classifier, sequence, workers=args.workers, backend=backend,
-            retry=args.retries, on_error=args.on_error, mode=args.mode,
-            prune=args.prune, cache=args.cache, pool=pool,
-        )
-    finally:
-        if pool is not None:
-            pool.close()
+    results = classify_sequence(
+        classifier, sequence, workers=args.workers, backend=backend,
+        retry=args.retries, on_error=args.on_error, mode=args.mode,
+        prune=args.prune, cache=args.cache,
+    )
     print(f"shell radius: {radius}  mode: {args.mode}"
           f"{'  prune' if args.prune else ''}{'  cache' if args.cache else ''}")
     print(f"{'step':>6} {'selected':>9} {'retention':>10}")
@@ -257,18 +251,13 @@ def cmd_render(args) -> int:
         fast_options = {"ert_alpha": args.ert_alpha, "cell": args.cell}
         if args.tiles is not None:
             fast_options["tile"] = args.tiles
-    pool = WorkerPool(workers=args.workers) if args.pool and args.workers > 1 else None
-    try:
-        images = render_sequence(
-            sequence, [tf_for(vol) for vol in sequence], camera=camera,
-            shading=not args.no_shading, workers=args.workers, backend=backend,
-            transport=args.transport, retry=args.retries, on_error=args.on_error,
-            mode="fast" if args.fast else "exact", fast_options=fast_options,
-            cache=args.cache, pool=pool,
-        )
-    finally:
-        if pool is not None:
-            pool.close()
+    images = render_sequence(
+        sequence, [tf_for(vol) for vol in sequence], camera=camera,
+        shading=not args.no_shading, workers=args.workers, backend=backend,
+        retry=args.retries, on_error=args.on_error,
+        mode="fast" if args.fast else "exact", fast_options=fast_options,
+        cache=args.cache,
+    )
     for vol, image in zip(sequence, images):
         if image is None:
             print(f"step {vol.time}: FAILED (skipped)")
@@ -572,10 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "default cache root (~/.cache/repro/shared)")
     p.add_argument("--out", help="directory for per-step certainty .npy files")
     p.add_argument("--workers", type=_positive_int, default=1)
-    p.add_argument("--pool", action="store_true",
-                   help="dispatch onto a resident worker pool: the trained "
-                        "network is broadcast to each worker once instead "
-                        "of riding in every task payload")
     _add_farm_options(p)
     p.set_defaults(func=cmd_classify)
 
@@ -590,8 +575,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--elevation", type=float, default=20.0)
     p.add_argument("--no-shading", action="store_true")
     p.add_argument("--workers", type=_positive_int, default=1)
-    p.add_argument("--transport", choices=["auto", "pickle", "shm"], default="auto",
-                   help="how volume payloads reach pool workers")
     p.add_argument("--fast", action="store_true",
                    help="tile-decomposed renderer with empty-space skipping "
                         "and early ray termination (bit-identical to the "
@@ -613,10 +596,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "cache root (~/.cache/repro/shared)")
     p.add_argument("--format", choices=["ppm", "png"], default="ppm",
                    help="frame file format")
-    p.add_argument("--pool", action="store_true",
-                   help="dispatch onto a resident worker pool: the camera "
-                        "(and a shared TF) are broadcast to each worker "
-                        "once instead of riding in every task payload")
     _add_farm_options(p)
     p.set_defaults(func=cmd_render)
 

@@ -6,14 +6,12 @@ picklable, so a run over hundreds of steps fans out per time step:
 steps"*.  These helpers wire the core engines to the
 :mod:`repro.parallel.executor` task farm and the renderer.
 
-Volume payload transport is selectable: ``transport="pickle"`` ships the
-whole ``Volume`` through the IPC pipe per task (simple, works
-everywhere); ``transport="shm"`` parks each step's voxels in
-:mod:`multiprocessing.shared_memory` once and ships only a tiny handle
-(:mod:`repro.parallel.shm`); ``"auto"`` picks shm whenever the map will
-actually fan out to processes.  Retry/timeout/degraded-mode behaviour
-forwards to the task farm (``retry=`` / ``on_error=``) — with
-``on_error="skip"`` a failed step's slot holds ``None``.
+Each task pickles its own step's ``Volume`` into the worker pipe; the
+invariants every task shares (a classifier, an IATF, the camera) are
+broadcast once per worker when the caller passes a resident pool.
+Retry/timeout/degraded-mode behaviour forwards to the task farm
+(``retry=`` / ``on_error=``) — with ``on_error="skip"`` a failed step's
+slot holds ``None``.
 """
 
 from __future__ import annotations
@@ -34,28 +32,12 @@ from repro.obs import get_metrics
 from repro.parallel.bricking import content_digest
 from repro.parallel.executor import TaskError, map_timesteps, will_use_processes
 from repro.parallel.pool import WorkerPool
-from repro.parallel.shm import HAS_SHARED_MEMORY, OpenSharedVolume, SharedVolumeArena
 from repro.render.camera import Camera
 from repro.render.fastcast import render_volume_fast
 from repro.render.image import Image
 from repro.render.raycast import render_volume
 from repro.transfer.tf1d import TransferFunction1D
 from repro.volume.grid import Volume, VolumeSequence
-
-_TRANSPORTS = ("auto", "pickle", "shm")
-
-
-def _use_shm(transport: str, backend: str, workers, n_items: int) -> bool:
-    if transport not in _TRANSPORTS:
-        raise ValueError(f"unknown transport {transport!r}; expected one of {_TRANSPORTS}")
-    if transport == "pickle":
-        return False
-    fan_out = will_use_processes(backend, workers, n_items)
-    if transport == "shm":
-        if not HAS_SHARED_MEMORY:
-            raise RuntimeError("transport='shm' requested but shared memory is unavailable")
-        return fan_out
-    return fan_out and HAS_SHARED_MEMORY
 
 
 def _resolve_cache(cache, backend: str, kind: str):
@@ -152,14 +134,6 @@ def _classify_one(payload) -> tuple:
     return result, classifier.last_fast_stats
 
 
-def _classify_one_shm(payload) -> tuple:
-    classifier, handle, opts = payload
-    classifier.last_fast_stats = None
-    with OpenSharedVolume(handle) as volume:
-        result = classifier.classify(volume, **opts)
-    return result, classifier.last_fast_stats
-
-
 _CLASSIFY_STAT_KEYS = ("voxels", "blocks_total", "blocks_pruned",
                        "cache_hits", "cache_misses")
 
@@ -193,16 +167,14 @@ def _unwrap_classify(outcome) -> list:
 
 def classify_sequence(classifier: DataSpaceClassifier, sequence: VolumeSequence,
                       workers: int | None = None, backend: str = "auto",
-                      transport: str = "auto", retry=None,
-                      on_error: str = "raise", mode: str = "exact",
+                      retry=None, on_error: str = "raise", mode: str = "exact",
                       prune: bool = False, cache=None,
                       pool: WorkerPool | None = None) -> list[np.ndarray]:
     """Classify every step of a sequence, optionally in parallel.
 
-    The classifier is a few kilobytes of weights and rides in every task;
-    the voxels travel by ``transport`` — shared memory when the map fans
-    out (each worker sees only its own step, the cluster deployment
-    pattern of Sec. 8, without re-pickling the volume per task).
+    Each task carries its own step's volume (each worker sees only its
+    own step, the cluster deployment pattern of Sec. 8) and the
+    classifier, a few kilobytes of weights.
 
     ``mode``/``prune`` forward to :meth:`DataSpaceClassifier.classify`.
     ``cache`` enables temporal-coherence reuse across steps:
@@ -219,10 +191,10 @@ def classify_sequence(classifier: DataSpaceClassifier, sequence: VolumeSequence,
       results back into the parent's ``classify.*`` counters.
 
     ``pool`` dispatches the map onto a resident
-    :class:`~repro.parallel.pool.WorkerPool` instead of a fresh process
-    pool, and broadcasts the classifier so its weights cross each worker
-    pipe once per run instead of once per task.  Composes with both
-    transports and the shared cache.
+    :class:`~repro.parallel.pool.WorkerPool` instead of one opened for
+    this call, and broadcasts the classifier so its weights cross each
+    worker pipe once per run instead of once per task.  Composes with the
+    shared cache.
     """
     cache, shared, backend = _resolve_cache(cache, backend, "hit state")
     fan_out = will_use_processes(backend, workers, len(sequence))
@@ -233,18 +205,10 @@ def classify_sequence(classifier: DataSpaceClassifier, sequence: VolumeSequence,
     with get_metrics().span("pipeline.classify_sequence", steps=len(sequence),
                             mode=mode, prune=bool(prune),
                             cached=cache is not None, shared_cache=shared):
-        if _use_shm(transport, backend, workers, len(sequence)):
-            with SharedVolumeArena() as arena:
-                payloads = [(task_classifier, arena.share(vol), o)
-                            for vol, o in zip(sequence, opts)]
-                outcome = map_timesteps(_classify_one_shm, payloads, workers=workers,
-                                        backend=backend, retry=retry, on_error=on_error,
-                                        pool=pool)
-        else:
-            payloads = [(task_classifier, vol, o) for vol, o in zip(sequence, opts)]
-            outcome = map_timesteps(_classify_one, payloads, workers=workers,
-                                    backend=backend, retry=retry, on_error=on_error,
-                                    pool=pool)
+        payloads = [(task_classifier, vol, o) for vol, o in zip(sequence, opts)]
+        outcome = map_timesteps(_classify_one, payloads, workers=workers,
+                                backend=backend, retry=retry, on_error=on_error,
+                                pool=pool)
     return _unwrap_classify(outcome)
 
 
@@ -261,9 +225,7 @@ def generate_sequence_tfs(iatf: AdaptiveTransferFunction, sequence: VolumeSequen
     """Generate the adaptive TF for every step of a sequence.
 
     This is the "create an IATF … and send [it] to parallel systems or
-    remote machines for rendering" workflow of Sec. 4.2.3.  (TF
-    generation reads only each step's histogram, so payloads stay on the
-    pickle path — the result, not the volume, dominates here.)  ``pool``
+    remote machines for rendering" workflow of Sec. 4.2.3.  ``pool``
     reuses a resident worker pool and broadcasts the IATF once per
     worker.
     """
@@ -350,13 +312,6 @@ def _render_one(payload):
                           cache, sig)
 
 
-def _render_one_shm(payload):
-    handle, tf, camera, step, shading, mode, fast_opts, cache, sig = payload
-    with OpenSharedVolume(handle) as volume:
-        return _render_cached(volume, tf, camera, step, shading, mode,
-                              fast_opts, cache, sig)
-
-
 def _unwrap_render(outcome) -> list:
     """Split (image, stats) task tuples; total the frame-cache counters.
 
@@ -386,8 +341,7 @@ def _unwrap_render(outcome) -> list:
 def render_sequence(sequence: VolumeSequence, tfs, camera: Camera | None = None,
                     step: float = 1.0, shading: bool = True,
                     workers: int | None = None, backend: str = "auto",
-                    transport: str = "auto", retry=None,
-                    on_error: str = "raise", mode: str = "exact",
+                    retry=None, on_error: str = "raise", mode: str = "exact",
                     fast_options: dict | None = None, cache=None,
                     pool: WorkerPool | None = None) -> list:
     """Render every step with its own transfer function.
@@ -456,21 +410,11 @@ def render_sequence(sequence: VolumeSequence, tfs, camera: Camera | None = None,
     with get_metrics().span("pipeline.render_sequence", steps=len(sequence),
                             mode=mode, cached=cache is not None,
                             shared_cache=shared):
-        if _use_shm(transport, backend, workers, len(sequence)):
-            with SharedVolumeArena() as arena:
-                payloads = [(arena.share(vol), tf, task_camera, step, shading,
-                             mode, fast_opts, c, sig)
-                            for vol, tf, c in zip(sequence, task_tfs, caches)]
-                outcome = map_timesteps(_render_one_shm, payloads, workers=workers,
-                                        backend=backend, retry=retry, on_error=on_error,
-                                        pool=pool)
-        else:
-            payloads = [(vol, tf, task_camera, step, shading, mode, fast_opts,
-                         c, sig)
-                        for vol, tf, c in zip(sequence, task_tfs, caches)]
-            outcome = map_timesteps(_render_one, payloads, workers=workers,
-                                    backend=backend, retry=retry, on_error=on_error,
-                                    pool=pool)
+        payloads = [(vol, tf, task_camera, step, shading, mode, fast_opts, c, sig)
+                    for vol, tf, c in zip(sequence, task_tfs, caches)]
+        outcome = map_timesteps(_render_one, payloads, workers=workers,
+                                backend=backend, retry=retry, on_error=on_error,
+                                pool=pool)
     return _unwrap_render(outcome)
 
 
@@ -519,9 +463,7 @@ def run_pipelined(sequence: VolumeSequence, classifier: DataSpaceClassifier | No
     broadcast once per worker) is the intended fast path; without one,
     ``workers > 1`` builds a private pool for the call, and otherwise the
     chains run serially interleaved (step-by-step) in-process — same
-    outputs, bounded memory.  Payloads travel by pickle (compose with
-    :func:`classify_sequence`'s shm transport by using the barrier
-    helpers instead when volumes dominate).  Failures follow
+    outputs, bounded memory.  Failures follow
     ``on_error="raise"`` semantics: the first chain to exhaust its
     retries raises :class:`~repro.parallel.executor.TaskError`.
     """

@@ -214,7 +214,7 @@ class FeatureTracker:
         Spatial ``(bz, by, bx)`` brick interior for the bricked engine
         (``None`` = one brick per timestep for 4D growth, one brick per
         volume for streaming steps).
-    workers / chunksize:
+    workers:
         Fan per-brick labeling through the task farm when the bricked
         engine is selected (``workers`` > 1 uses the process backend).
     matcher:
@@ -235,8 +235,7 @@ class FeatureTracker:
 
     def __init__(self, connectivity: int = 1, opacity_threshold: float = 0.05,
                  engine: str = "scipy", brick_shape=None,
-                 workers: int | None = None, chunksize: int = 1,
-                 matcher=None) -> None:
+                 workers: int | None = None, matcher=None) -> None:
         if not 0.0 <= opacity_threshold < 1.0:
             raise ValueError(
                 f"opacity_threshold must be in [0, 1), got {opacity_threshold}"
@@ -250,7 +249,6 @@ class FeatureTracker:
         if self.brick_shape is not None and len(self.brick_shape) != 3:
             raise ValueError(f"brick_shape must be (bz, by, bx), got {brick_shape}")
         self.workers = workers
-        self.chunksize = int(chunksize)
         self.matcher = matcher
 
     @property
@@ -304,7 +302,7 @@ class FeatureTracker:
             grown = grow_bricked(
                 stack, [tuple(seed)], connectivity=self.connectivity,
                 brick_shape=brick4d, workers=self.workers,
-                backend=self._farm_backend, chunksize=self.chunksize,
+                backend=self._farm_backend,
             )
         else:
             grown = grow_4d(criteria, [tuple(seed)], connectivity=self.connectivity)
@@ -459,7 +457,7 @@ class FeatureTracker:
             return grow_bricked(
                 criterion, seed_mask, connectivity=connectivity,
                 brick_shape=self.brick_shape, workers=self.workers,
-                backend=self._farm_backend, chunksize=self.chunksize,
+                backend=self._farm_backend,
             )
         return grow_bricked(criterion, seed_mask, connectivity=connectivity)
 

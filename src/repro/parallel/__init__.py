@@ -5,12 +5,13 @@ The paper's large-data story has two halves this package reproduces:
 - *"the processing of each time step is completely independent of other
   time steps, it is feasible and desirable to employ a large PC cluster"*
   (Sec. 8) — :mod:`repro.parallel.executor` is that per-timestep task farm:
-  ``multiprocessing`` with a deterministic serial fallback, per-task retry
-  with exponential backoff and timeouts, structured :class:`TaskError`
-  failures (or an ``on_error="skip"`` degraded mode), deterministic fault
-  injection for CI (:mod:`repro.parallel.faults`), and shared-memory
-  volume transport so big steps are not pickled per task
-  (:mod:`repro.parallel.shm`).
+  every fan-out runs on a :class:`WorkerPool` of resident processes
+  (:mod:`repro.parallel.pool`), beside a deterministic serial fallback.
+  It adds per-task retry with exponential backoff and timeouts,
+  structured :class:`TaskError` failures (or an ``on_error="skip"``
+  degraded mode), crash respawn, and deterministic fault injection for
+  CI (:mod:`repro.parallel.faults`).  Payloads travel by pickle;
+  invariants shared by every task are broadcast to each worker once.
 - *"when the volume size is large … not all the data can fit in core"*
   (Sec. 4.2.2) — :mod:`repro.parallel.bricking` decomposes volumes into
   ghost-padded bricks for streaming.
@@ -29,36 +30,24 @@ from repro.parallel.executor import (
     RetryPolicy,
     TaskError,
     TaskFailure,
-    TimestepExecutor,
     map_timesteps,
     will_use_processes,
 )
 from repro.parallel.faults import FaultInjector, InjectedFault, parse_fault_spec
 from repro.parallel.pool import BroadcastRef, PoolError, PoolFuture, WorkerPool
-from repro.parallel.shm import (
-    HAS_SHARED_MEMORY,
-    OpenSharedVolume,
-    SharedVolumeArena,
-    SharedVolumeHandle,
-)
 from repro.parallel.streaming import sequence_step_stems, stream_map, stream_map_parallel
 
 __all__ = [
     "Brick",
     "BroadcastRef",
     "FaultInjector",
-    "HAS_SHARED_MEMORY",
     "InjectedFault",
     "MapResult",
-    "OpenSharedVolume",
     "PoolError",
     "PoolFuture",
     "RetryPolicy",
-    "SharedVolumeArena",
-    "SharedVolumeHandle",
     "TaskError",
     "TaskFailure",
-    "TimestepExecutor",
     "WorkerPool",
     "assemble_bricks",
     "axis_chunks",

@@ -5,8 +5,10 @@ embarrassingly parallel across time steps.  :func:`map_timesteps` maps a
 picklable function over a sequence of work items with three backends:
 
 - ``"serial"`` — in-process loop, the deterministic reference;
-- ``"process"`` — :class:`multiprocessing.Pool`, the cluster stand-in
-  (one Python process per worker ≙ one cluster node);
+- ``"process"`` — a :class:`~repro.parallel.pool.WorkerPool`, the
+  cluster stand-in (one Python process per worker ≙ one cluster node):
+  the caller's resident pool when one is passed, otherwise a pool the
+  map opens for itself and closes on return;
 - ``"auto"`` — processes when more than one worker is requested and the
   payload count justifies the fork cost, otherwise serial.
 
@@ -20,9 +22,9 @@ without:
 
 - each task runs under a :class:`RetryPolicy`: failed attempts are
   retried with exponential backoff, and a per-attempt timeout bounds
-  stragglers (in the process backend the parent abandons the attempt at
-  the deadline; the serial backend checks the clock cooperatively after
-  the call returns);
+  stragglers (on a pool the parent abandons the attempt at the
+  deadline; the serial backend checks the clock cooperatively after the
+  call returns);
 - when retries are exhausted the failure surfaces as a structured
   :class:`TaskError` carrying the item index, attempt count, and the
   remote traceback — or, with ``on_error="skip"``, the map degrades
@@ -37,9 +39,7 @@ without:
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
-import threading
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -65,7 +65,8 @@ class RetryPolicy:
         Per-attempt wall-clock budget in seconds (``None`` = unbounded).
         Process backend: the parent stops waiting at the deadline and
         schedules the attempt as failed (the worker slot frees up when
-        the stuck call eventually returns).  Serial backend: checked
+        the stuck call eventually returns, or when the pool closes and
+        kills the worker).  Serial backend: checked
         after the call returns, so an in-process attempt cannot be
         preempted — an overlong attempt is *converted* to a timeout
         failure for policy purposes.
@@ -149,7 +150,8 @@ class MapResult:
     elapsed:
         Total wall-clock seconds for the whole map.
     backend:
-        The backend actually used (``"serial"`` or ``"process"``).
+        The backend actually used: ``"serial"``, ``"process"`` (a pool
+        opened for this map) or ``"pool"`` (the caller's pool).
     workers:
         Worker count actually used.
     item_times:
@@ -203,8 +205,9 @@ def _resolve_workers(workers: int | None) -> int:
 def will_use_processes(backend: str, workers: int | None, n_items: int) -> bool:
     """Whether :func:`map_timesteps` would fan out to processes.
 
-    Exported so payload-transport decisions (pickle vs shared memory in
-    :mod:`repro.core.pipeline`) can be made before building payloads.
+    Exported so payload decisions (broadcasting invariants onto a pool in
+    :mod:`repro.core.pipeline`, tile sizes in :mod:`repro.render.fastcast`)
+    can be made before building payloads.
     """
     if backend not in ("auto", "serial", "process"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -212,36 +215,29 @@ def will_use_processes(backend: str, workers: int | None, n_items: int) -> bool:
     return backend == "process" or (backend == "auto" and resolved > 1 and n_items > 1)
 
 
-def _run_chunk(payloads) -> list[tuple]:
-    """Worker-side runner: execute a chunk of attempts, never raise.
+def _run_attempt(fn, item, attempt: int, injector, fault_index: int) -> tuple:
+    """Run one attempt of one task; never raise.
 
-    Each payload is ``(fn, index, item, attempt, injector, fault_index)``;
-    each outcome is ``(index, ok, result, elapsed, error)`` where ``error``
-    is ``None`` or ``(type_name, message, formatted_traceback)``.
-    ``fault_index`` is the index the injector is consulted with — it
-    differs from ``index`` when the caller numbers tasks across several
-    maps (``fault_index_offset``).  Catching here keeps one bad item from
-    poisoning its chunk-mates and carries the *remote* traceback back
-    across the process boundary as plain text.
+    Returns ``(ok, result, elapsed, error)`` where ``error`` is ``None``
+    or ``(type_name, message, formatted_traceback)``.  ``fault_index`` is
+    the index the injector is consulted with — it differs from the item's
+    own index when the caller numbers tasks across several maps
+    (``fault_index_offset``).  Catching here carries the *remote*
+    traceback back across the process boundary as plain text.
     """
-    outcomes = []
-    for fn, index, item, attempt, injector, fault_index in payloads:
-        start = time.perf_counter()
-        try:
-            if injector is not None:
-                injector.maybe_raise(fault_index, attempt)
-            result = fn(item)
-            outcomes.append((index, True, result, time.perf_counter() - start, None))
-        except Exception as exc:  # noqa: BLE001 - the farm owns error policy
-            outcomes.append((
-                index, False, None, time.perf_counter() - start,
-                (type(exc).__name__, str(exc), traceback.format_exc()),
-            ))
-    return outcomes
+    start = time.perf_counter()
+    try:
+        if injector is not None:
+            injector.maybe_raise(fault_index, attempt)
+        result = fn(item)
+    except Exception as exc:  # noqa: BLE001 - the farm owns error policy
+        return (False, None, time.perf_counter() - start,
+                (type(exc).__name__, str(exc), traceback.format_exc()))
+    return True, result, time.perf_counter() - start, None
 
 
 class _MapState:
-    """Bookkeeping shared by the serial and process schedulers."""
+    """Bookkeeping shared by the serial and pool schedulers."""
 
     def __init__(self, n: int, policy: RetryPolicy, on_error: str) -> None:
         self.results: list = [None] * n
@@ -282,9 +278,8 @@ def _map_serial(fn, items, state: _MapState, injector, fault_offset: int = 0) ->
     for index, item in enumerate(items):
         attempt = 1
         while True:
-            (_, ok, result, elapsed, error) = _run_chunk(
-                [(fn, index, item, attempt, injector, index + fault_offset)]
-            )[0]
+            ok, result, elapsed, error = _run_attempt(
+                fn, item, attempt, injector, index + fault_offset)
             if ok and policy.timeout is not None and elapsed > policy.timeout:
                 ok, error = False, _timeout_error(policy.timeout)
             if ok:
@@ -298,110 +293,15 @@ def _map_serial(fn, items, state: _MapState, injector, fault_offset: int = 0) ->
             attempt += 1
 
 
-def _next_wakeup(pending, in_flight) -> float | None:
-    """Seconds until the next backoff-eligibility or attempt deadline.
-
-    ``None`` means there is no clock-driven event to wait for — only a
-    completion callback can make progress, so the caller may block
-    indefinitely on its wake event.
-    """
-    marks = [eligible_at for _, _, eligible_at in pending]
-    marks += [t["deadline"] for t in in_flight if t["deadline"] is not None]
-    if not marks:
-        return None
-    return max(0.0, min(marks) - time.monotonic())
-
-
-def _map_process(fn, items, state: _MapState, injector, workers: int,
-                 chunksize: int, ctx, fault_offset: int = 0) -> None:
-    policy = state.policy
-    # Pending entries are (indices, attempt, eligible_at); initial chunks
-    # honour ``chunksize``, retries go back as single-item chunks so each
-    # item keeps its own attempt counter and backoff clock.
-    pending: list[tuple[tuple[int, ...], int, float]] = [
-        (tuple(range(start, min(start + chunksize, len(items)))), 1, 0.0)
-        for start in range(0, len(items), chunksize)
-    ]
-    in_flight: list[dict] = []
-    # Completion is event-driven: apply_async callbacks (which run on the
-    # pool's result-handler thread) set ``wake``, and the scheduler sleeps
-    # on it bounded by the nearest backoff/deadline clock tick.  Clearing
-    # *before* the scan keeps the order race-free — a callback that fires
-    # mid-scan re-sets the event and the next wait returns immediately.
-    wake = threading.Event()
-    signal = lambda _result: wake.set()
-    with ctx.Pool(processes=workers) as pool:
-        while pending or in_flight:
-            wake.clear()
-            now = time.monotonic()
-            progressed = False
-            still_waiting = []
-            for indices, attempt, eligible_at in pending:
-                if eligible_at > now:
-                    still_waiting.append((indices, attempt, eligible_at))
-                    continue
-                payloads = [(fn, i, items[i], attempt, injector, i + fault_offset)
-                            for i in indices]
-                handle = pool.apply_async(_run_chunk, (payloads,),
-                                          callback=signal, error_callback=signal)
-                deadline = (None if policy.timeout is None
-                            else now + policy.timeout * len(indices))
-                in_flight.append({"handle": handle, "indices": indices,
-                                  "attempt": attempt, "deadline": deadline})
-                progressed = True
-            pending = still_waiting
-
-            remaining = []
-            for task in in_flight:
-                if task["handle"].ready():
-                    progressed = True
-                    try:
-                        outcomes = task["handle"].get()
-                    except Exception as exc:  # result transport failed
-                        outcomes = [
-                            (i, False, None, 0.0,
-                             (type(exc).__name__, str(exc), traceback.format_exc()))
-                            for i in task["indices"]
-                        ]
-                    for index, ok, result, elapsed, error in outcomes:
-                        if ok:
-                            state.succeed(index, result, elapsed)
-                        else:
-                            delay = state.fail(index, task["attempt"], elapsed, error)
-                            if delay is not None:
-                                pending.append(
-                                    ((index,), task["attempt"] + 1,
-                                     time.monotonic() + delay)
-                                )
-                elif task["deadline"] is not None and now > task["deadline"]:
-                    # Abandon the attempt: schedule the items as timed out.
-                    # The worker finishes (or hangs) on its own; its late
-                    # result is simply never read.
-                    progressed = True
-                    for index in task["indices"]:
-                        delay = state.fail(index, task["attempt"], 0.0,
-                                           _timeout_error(policy.timeout))
-                        if delay is not None:
-                            pending.append(
-                                ((index,), task["attempt"] + 1,
-                                 time.monotonic() + delay)
-                            )
-                else:
-                    remaining.append(task)
-            in_flight = remaining
-            if not progressed:
-                wake.wait(_next_wakeup(pending, in_flight))
-
-
 def _map_pool(fn, items, state: _MapState, injector, pool,
               fault_offset: int = 0) -> None:
-    """Run a map on a resident :class:`~repro.parallel.pool.WorkerPool`.
+    """Run a map on a :class:`~repro.parallel.pool.WorkerPool`.
 
     The pool calls ``state.fail`` for every failed attempt, so retry
     accounting, counters, and ``on_error`` semantics are *the same
-    object* as the serial/process backends — ``on_error="raise"``
-    surfaces as :class:`TaskError` out of ``pool.wait`` and the
-    ``finally`` cancels the rest of the map.
+    object* as the serial backend — ``on_error="raise"`` surfaces as
+    :class:`TaskError` out of ``pool.wait`` and the ``finally`` cancels
+    the rest of the map.
     """
     futures = [
         pool.submit(fn, item, index=index, retry=state.policy,
@@ -418,8 +318,18 @@ def _map_pool(fn, items, state: _MapState, injector, pool,
             state.succeed(future.index, future.value, future.elapsed)
 
 
+def _as_policy(retry: RetryPolicy | int | None) -> RetryPolicy:
+    """Normalize a ``retry=`` argument: a policy, a bare int of retries
+    (``RetryPolicy(max_retries=n)``), or ``None`` for no retries."""
+    if retry is None:
+        return RetryPolicy()
+    if isinstance(retry, int):
+        return RetryPolicy(max_retries=retry)
+    return retry
+
+
 def map_timesteps(fn, items, workers: int | None = None, backend: str = "auto",
-                  chunksize: int = 1, retry: RetryPolicy | int | None = None,
+                  retry: RetryPolicy | int | None = None,
                   on_error: str = "raise",
                   inject_faults: FaultInjector | dict | None = None,
                   fault_index_offset: int = 0, pool=None) -> MapResult:
@@ -452,17 +362,15 @@ def map_timesteps(fn, items, workers: int | None = None, backend: str = "auto",
         map it lands in.
     pool:
         A resident :class:`repro.parallel.pool.WorkerPool`.  When given
-        and the backend decision would fan out, tasks dispatch onto the
-        pool's already-spawned workers instead of building (and tearing
-        down) a fresh ``multiprocessing.Pool`` — one spawn cost per run,
-        not per map.  Payloads may embed
+        and the backend decision fans out, tasks dispatch onto the
+        pool's already-spawned workers — one spawn cost per run, not per
+        map — and payloads may embed
         :class:`~repro.parallel.pool.BroadcastRef` placeholders for
-        objects previously registered via ``pool.broadcast``.
-        ``chunksize`` is ignored on this path (the pool schedules single
-        items; its per-attempt timeout equals ``chunksize=1`` semantics).
-        Serial maps (``backend="serial"``, or ``"auto"`` deciding
-        against fan-out) never touch the pool, so their payloads must
-        not contain broadcast refs.
+        objects previously registered via ``pool.broadcast``.  Without
+        one, a fan-out opens a pool of ``workers`` processes for this map
+        and closes it on return.  Serial maps (``backend="serial"``, or
+        ``"auto"`` deciding against fan-out) never touch the pool, so
+        their payloads must not contain broadcast refs.
     """
     items = list(items)
     workers = _resolve_workers(workers)
@@ -471,16 +379,9 @@ def map_timesteps(fn, items, workers: int | None = None, backend: str = "auto",
         workers = min(workers, len(items))
     if backend not in ("auto", "serial", "process"):
         raise ValueError(f"unknown backend {backend!r}")
-    if chunksize < 1:
-        raise ValueError(f"chunksize must be >= 1, got {chunksize}")
     if on_error not in ("raise", "skip"):
         raise ValueError(f"on_error must be 'raise' or 'skip', got {on_error!r}")
-    if retry is None:
-        policy = RetryPolicy()
-    elif isinstance(retry, int):
-        policy = RetryPolicy(max_retries=retry)
-    else:
-        policy = retry
+    policy = _as_policy(retry)
     injector = as_injector(inject_faults)
     use_process = backend == "process" or (
         backend == "auto" and workers > 1 and len(items) > 1
@@ -500,69 +401,11 @@ def map_timesteps(fn, items, workers: int | None = None, backend: str = "auto",
         elif not use_process:
             _map_serial(fn, items, state, injector, fault_index_offset)
         else:
-            ctx = (mp.get_context("fork") if hasattr(os, "fork")
-                   else mp.get_context("spawn"))
-            _map_process(fn, items, state, injector, workers, chunksize, ctx,
-                         fault_index_offset)
+            from repro.parallel.pool import WorkerPool  # pool imports this module
+
+            with WorkerPool(workers=workers) as own_pool:
+                _map_pool(fn, items, state, injector, own_pool, fault_index_offset)
         elapsed = time.perf_counter() - start
     return MapResult(state.results, elapsed, used_backend, used_workers,
                      item_times=state.item_times, failures=state.failures,
                      retries=state.retries)
-
-
-class TimestepExecutor:
-    """Reusable executor bound to a worker count, backend, and retry policy.
-
-    Convenience wrapper for pipelines that issue several maps (classify all
-    steps, then render all steps) with consistent configuration, while
-    accumulating simple utilization statistics.
-    """
-
-    def __init__(self, workers: int | None = None, backend: str = "auto",
-                 retry: RetryPolicy | int | None = None,
-                 on_error: str = "raise", pool=None) -> None:
-        self.workers = _resolve_workers(workers)
-        if backend not in ("auto", "serial", "process"):
-            raise ValueError(f"unknown backend {backend!r}")
-        if on_error not in ("raise", "skip"):
-            raise ValueError(f"on_error must be 'raise' or 'skip', got {on_error!r}")
-        self.backend = backend
-        self.retry = retry
-        self.on_error = on_error
-        self.pool = pool
-        self.maps_run = 0
-        self.items_processed = 0
-        self.total_elapsed = 0.0
-        self.total_retries = 0
-        self.total_failures = 0
-
-    def map_result(self, fn, items, chunksize: int = 1,
-                   inject_faults: FaultInjector | dict | None = None,
-                   fault_index_offset: int = 0) -> MapResult:
-        """Map and return the full :class:`MapResult` (stats accumulated).
-
-        ``inject_faults`` and ``fault_index_offset`` are forwarded to
-        :func:`map_timesteps` verbatim, so a caller that numbers tasks
-        globally across several maps (the resumable pipeline runner) can
-        adopt the executor without losing its fault schedule.
-        """
-        outcome = map_timesteps(
-            fn, items, workers=self.workers, backend=self.backend,
-            chunksize=chunksize, retry=self.retry, on_error=self.on_error,
-            inject_faults=inject_faults, fault_index_offset=fault_index_offset,
-            pool=self.pool,
-        )
-        self.maps_run += 1
-        self.items_processed += len(outcome.results)
-        self.total_elapsed += outcome.elapsed
-        self.total_retries += outcome.retries
-        self.total_failures += len(outcome.failures)
-        return outcome
-
-    def map(self, fn, items, chunksize: int = 1,
-            inject_faults: FaultInjector | dict | None = None,
-            fault_index_offset: int = 0) -> list:
-        """Map and return just the results (stats recorded on the side)."""
-        return self.map_result(fn, items, chunksize=chunksize,
-                               inject_faults=inject_faults,
-                               fault_index_offset=fault_index_offset).results

@@ -1,28 +1,28 @@
-"""Persistent worker-pool runtime: one spawn cost per run, not per map.
+"""Persistent worker-pool runtime: the one way work leaves the process.
 
-Every :func:`repro.parallel.executor.map_timesteps` call with the process
-backend used to build and tear down a fresh ``multiprocessing.Pool`` —
-acceptable for one long map, pure overhead for a pipeline that issues a
-map per stage (classify all steps, generate TFs, render all steps).  A
-:class:`WorkerPool` keeps the workers resident instead:
+Every fan-out of :func:`repro.parallel.executor.map_timesteps` runs on a
+:class:`WorkerPool` — the caller's, or one the map opens and closes for
+itself.  A pipeline that issues a map per stage (classify all steps,
+generate TFs, render all steps) passes one resident pool to all of them
+and pays the spawn cost once per run, not per map:
 
 - **lazy spawn**: workers fork/spawn on the first dispatched task, never
   before, so constructing a pool is free;
 - **reuse**: ``map_timesteps(pool=...)``, ``classify_sequence(pool=...)``,
-  ``render_sequence(pool=...)`` and the pipelined
-  :class:`~repro.run.runner.PipelineRunner` all dispatch onto the same
-  resident workers;
+  ``render_sequence(pool=...)``, the pipelined
+  :class:`~repro.run.runner.PipelineRunner` and the serve daemon all
+  dispatch onto the same resident workers;
 - **crash detection + respawn**: a worker that dies mid-task (OOM kill,
   segfault, the fault injector's SIGKILL crash mode) is detected through
   its process sentinel, the attempt it carried fails as a structured
   ``WorkerCrash`` error that flows through the *existing* retry policy,
   and a fresh worker takes its slot;
 - **digest-keyed broadcast**: :meth:`WorkerPool.broadcast` pickles a
-  heavy invariant (a trained network, a camera, per-run parameters)
-  exactly once and ships the blob to each worker at most once; task
-  payloads carry a ~50-byte :class:`BroadcastRef` instead of re-pickling
-  the object per task (respawned workers transparently re-receive the
-  blobs they need);
+  heavy invariant (a trained network, a camera, the volume every tile of
+  a frame samples) exactly once and ships the blob to each worker at
+  most once; task payloads carry a ~50-byte :class:`BroadcastRef`
+  instead of re-pickling the object per task (respawned workers
+  transparently re-receive the blobs they need);
 - **futures**: :meth:`WorkerPool.submit` returns a :class:`PoolFuture`
   with done-callbacks, which is what lets the pipelined runner overlap
   ``render(t)`` of early steps with ``classify(t')`` of late ones.
@@ -38,7 +38,7 @@ from a shared queue by a worker that crashes pre-acknowledgement would
 be lost silently).  Retry bookkeeping stays in the caller via the
 ``on_attempt_fail`` hook — :func:`map_timesteps` passes its ``_MapState``
 so counters, backoff, and ``on_error`` semantics are byte-identical to
-the per-map pool backend.
+the serial backend.
 """
 
 from __future__ import annotations
@@ -56,13 +56,16 @@ import traceback
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing import connection
+from typing import Any
 
 from repro.obs import get_metrics
 from repro.parallel.executor import (
     RetryPolicy,
     TaskError,
     TaskFailure,
+    _as_policy,
     _resolve_workers,
+    _run_attempt,
     _timeout_error,
 )
 
@@ -132,19 +135,13 @@ def _worker_main(conn) -> None:
             continue
         # ("task", task_id, fn, item, attempt, injector, fault_index)
         _, task_id, fn, item, attempt, injector, fault_index = message
-        start = time.perf_counter()
+        ok, result, elapsed, error = _run_attempt(
+            lambda payload: fn(resolve_broadcasts(payload, broadcasts)),
+            item, attempt, injector, fault_index)
         try:
-            if injector is not None:
-                injector.maybe_raise(fault_index, attempt)
-            result = fn(resolve_broadcasts(item, broadcasts))
-            outcome = (task_id, True, result, time.perf_counter() - start, None)
-        except Exception as exc:  # noqa: BLE001 - the pool owns error policy
-            outcome = (task_id, False, None, time.perf_counter() - start,
-                       (type(exc).__name__, str(exc), traceback.format_exc()))
-        try:
-            conn.send(outcome)
+            conn.send((task_id, ok, result, elapsed, error))
         except Exception as exc:  # noqa: BLE001 - unpicklable result
-            conn.send((task_id, False, None, time.perf_counter() - start,
+            conn.send((task_id, False, None, elapsed,
                        (type(exc).__name__, f"result transport failed: {exc}",
                         traceback.format_exc())))
     conn.close()
@@ -207,7 +204,7 @@ class _Task:
 
     __slots__ = ("task_id", "fn", "item", "index", "attempt", "injector",
                  "fault_index", "policy", "on_fail", "future", "refs",
-                 "deadline", "abandoned", "cancelled")
+                 "deadline", "cancelled")
 
     def __init__(self, task_id, fn, item, index, injector, fault_index,
                  policy, on_fail, future, refs):
@@ -223,19 +220,26 @@ class _Task:
         self.future = future
         self.refs = refs
         self.deadline = None      # per-attempt wall deadline while dispatched
-        self.abandoned = False    # timed out / cancelled while on a worker
         self.cancelled = False
 
 
 class _WorkerSlot:
-    """One resident worker process plus its duplex pipe and send ledger."""
+    """One resident worker process plus its duplex pipe and send ledger.
 
-    __slots__ = ("process", "conn", "busy", "sent_digests")
+    ``abandoned`` marks the attempt running in ``busy`` as one the parent
+    stopped waiting for (timed out or cancelled): its result is dropped
+    when it arrives, and :meth:`WorkerPool.close` kills the worker instead
+    of joining it.  The flag lives on the slot, not the task,
+    because a timed-out task may already be retrying on another worker.
+    """
+
+    __slots__ = ("process", "conn", "busy", "abandoned", "sent_digests")
 
     def __init__(self, process, conn):
         self.process = process
         self.conn = conn
         self.busy: _Task | None = None
+        self.abandoned = False
         self.sent_digests: set = set()
 
 
@@ -246,10 +250,8 @@ class WorkerPool:
     ----------
     workers:
         Resident worker count (default: cores - 1, same as the farm).
-    context:
-        A ``multiprocessing`` context; defaults to fork where available
-        (cheap, shares the parent's pages) and spawn elsewhere — the
-        same policy as :func:`map_timesteps`.
+        Workers fork where available (cheap, shares the parent's pages)
+        and spawn elsewhere.
 
     Use as a context manager (or call :meth:`close`) so the resident
     workers are reaped deterministically::
@@ -260,12 +262,11 @@ class WorkerPool:
             out = map_timesteps(fn2, payloads2, pool=pool)    # map 2: no respawn
     """
 
-    def __init__(self, workers: int | None = None, context=None) -> None:
+    def __init__(self, workers: int | None = None) -> None:
         self.workers = _resolve_workers(workers)
-        if context is None:
-            context = (mp.get_context("fork") if hasattr(os, "fork")
-                       else mp.get_context("spawn"))
-        self._ctx = context
+        # Typed Any: the stubs' BaseContext (what a str method yields) lacks
+        # the ``Process`` attribute every concrete context has.
+        self._ctx: Any = mp.get_context("fork" if hasattr(os, "fork") else "spawn")
         self._slots: list[_WorkerSlot] = []
         self._ready: deque[_Task] = deque()
         self._delayed: list = []            # heap of (eligible_at, seq, task)
@@ -342,12 +343,7 @@ class WorkerPool:
         """
         if self._closed:
             raise PoolError("cannot submit to a closed pool")
-        if retry is None:
-            policy = RetryPolicy()
-        elif isinstance(retry, int):
-            policy = RetryPolicy(max_retries=retry)
-        else:
-            policy = retry
+        policy = _as_policy(retry)
         if on_attempt_fail is None:
             on_attempt_fail = self._default_fail_handler(policy)
         refs: set = set()
@@ -417,7 +413,7 @@ class WorkerPool:
         for slot in self._slots:
             task = slot.busy
             if task is not None and id(task.future) in pending:
-                task.abandoned = True
+                slot.abandoned = True
                 task.cancelled = True
                 self._finalize_cancel(task)
 
@@ -537,9 +533,9 @@ class WorkerPool:
             except (EOFError, OSError):
                 # Death with a partial write: the sentinel pass handles it.
                 return
-            task = slot.busy
-            slot.busy = None
-            if task is None or task.task_id != task_id or task.abandoned:
+            task, abandoned = slot.busy, slot.abandoned
+            slot.busy, slot.abandoned = None, False
+            if task is None or task.task_id != task_id or abandoned:
                 continue   # stale result of an abandoned/timed-out attempt
             if ok:
                 task.future.attempts = task.attempt
@@ -558,7 +554,7 @@ class WorkerPool:
             self._slots.remove(slot)
         self.respawns += 1
         get_metrics().counter("pool.respawns").inc()
-        if task is None or task.abandoned or task.cancelled:
+        if task is None or slot.abandoned or task.cancelled:
             return
         error = ("WorkerCrash",
                  f"worker pid {slot.process.pid} died with exitcode {exitcode} "
@@ -574,7 +570,6 @@ class WorkerPool:
             return
         task.attempt += 1
         task.deadline = None
-        task.abandoned = False
         if delay > 0:
             self._seq += 1
             heapq.heappush(self._delayed, (time.monotonic() + delay, self._seq, task))
@@ -584,12 +579,12 @@ class WorkerPool:
     def _expire_timeouts(self, now: float) -> None:
         for slot in self._slots:
             task = slot.busy
-            if (task is None or task.abandoned or task.deadline is None
+            if (task is None or slot.abandoned or task.deadline is None
                     or now <= task.deadline):
                 continue
             # Abandon the attempt; the slot frees when the stuck call
-            # eventually returns (same semantics as the per-map backend).
-            task.abandoned = True
+            # eventually returns, or when close() kills the worker.
+            slot.abandoned = True
             self._attempt_failed(task, 0.0, _timeout_error(task.policy.timeout))
 
     def _promote_delayed(self, now: float) -> None:
@@ -602,11 +597,20 @@ class WorkerPool:
     # Lifecycle
     # ------------------------------------------------------------------ #
     def close(self, timeout: float = 5.0) -> None:
-        """Stop and reap the resident workers (idempotent)."""
+        """Stop and reap the resident workers (idempotent).
+
+        A worker still running an abandoned attempt (timed out or
+        cancelled) is killed at once instead of joined: nothing will
+        read its result, and waiting out the stuck call would add up to
+        ``timeout`` seconds to every map that abandoned an attempt.
+        """
         if self._closed:
             return
         self._closed = True
         for slot in self._slots:
+            if slot.abandoned:
+                slot.process.kill()
+                continue
             try:
                 slot.conn.send(("stop",))
             except (BrokenPipeError, OSError):
@@ -663,11 +667,8 @@ class PoolDispatcher:
     grows threads (see :meth:`WorkerPool.prespawn`).
     """
 
-    def __init__(self, workers: int | None = None, context=None,
-                 pool: WorkerPool | None = None, prespawn: bool = False) -> None:
-        self._pool = pool if pool is not None else WorkerPool(workers=workers,
-                                                              context=context)
-        self._own_pool = pool is None
+    def __init__(self, workers: int | None = None, prespawn: bool = False) -> None:
+        self._pool = WorkerPool(workers=workers)
         self._jobs: queue.SimpleQueue = queue.SimpleQueue()
         self._closed = False
         self._thread = threading.Thread(target=self._run, daemon=True,
@@ -718,8 +719,7 @@ class PoolDispatcher:
         self._closed = True
         self._jobs.put(None)
         self._thread.join(timeout)
-        if self._own_pool:
-            self._pool.close()
+        self._pool.close()
 
     def __enter__(self) -> "PoolDispatcher":
         return self

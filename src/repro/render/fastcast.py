@@ -9,8 +9,10 @@ shell.  This module is the fast path, three ideas deep:
 1. **Tile decomposition.**  The image plane splits into square tiles,
    each rendered independently and dispatched through the
    :mod:`repro.parallel.executor` task farm — the same fan-out unit the
-   classify/tracking fast paths use, with the volume (and gradient or
-   RGBA stacks) riding shared memory so per-tile payloads stay tiny.
+   classify/tracking fast paths use.  A fanned-out frame opens a
+   :class:`~repro.parallel.pool.WorkerPool` and broadcasts the volume
+   (and gradient or RGBA stacks) to each worker once, so per-tile
+   payloads carry only rays and a few references.
 2. **Macro-cell empty-space skipping.**  A per-cell min/max summary
    (:func:`repro.volume.pyramid.minmax_pool`, dilated one cell so every
    trilinear footprint is covered) certifies, per macro cell, whether
@@ -46,12 +48,7 @@ from scipy import ndimage
 
 from repro.obs import get_metrics
 from repro.parallel.executor import map_timesteps, will_use_processes
-from repro.parallel.shm import (
-    HAS_SHARED_MEMORY,
-    OpenSharedArray,
-    SharedArrayHandle,
-    SharedVolumeArena,
-)
+from repro.parallel.pool import WorkerPool
 from repro.render.camera import Camera
 from repro.render.image import Image
 from repro.render.raycast import ALPHA_CUTOFF, _sample, _sample_channels
@@ -60,8 +57,6 @@ from repro.segmentation.octree import OctreeMask
 from repro.transfer.tf1d import TransferFunction1D
 from repro.volume.grid import Volume
 from repro.volume.pyramid import minmax_pool
-
-_TRANSPORTS = ("auto", "pickle", "shm")
 
 
 # --------------------------------------------------------------------- #
@@ -272,51 +267,42 @@ def _march_tile(origins, directions, n_samples, step, ert_alpha, occupied,
 # --------------------------------------------------------------------- #
 # Tile task (module-level: must pickle into pool workers)
 # --------------------------------------------------------------------- #
-def _open_payload_array(obj, stack: ExitStack) -> np.ndarray:
-    if isinstance(obj, SharedArrayHandle):
-        return stack.enter_context(OpenSharedArray(obj))
-    return obj
-
-
 def _render_tile(payload: dict):
     """Render one image tile; returns ``(rgb, alpha, stats)`` flat arrays."""
-    with ExitStack() as stack:
-        field = _open_payload_array(payload["field"], stack)
-        grad = payload["grad"]
-        if grad is not None:
-            grad = _open_payload_array(grad, stack)
-        tf = payload["tf"]
-        to_viewer = payload["to_viewer"]
+    field = payload["field"]
+    grad = payload["grad"]
+    tf = payload["tf"]
+    to_viewer = payload["to_viewer"]
 
-        if tf is not None:
+    if tf is not None:
 
-            def sample_rgba(coords):
-                values = _sample(field, coords)
-                rgb = tf.color_at(values).astype(np.float32)
-                alpha = tf.opacity_at(values).astype(np.float32)
-                return rgb, alpha
+        def sample_rgba(coords):
+            values = _sample(field, coords)
+            rgb = tf.color_at(values).astype(np.float32)
+            alpha = tf.opacity_at(values).astype(np.float32)
+            return rgb, alpha
 
-        else:
+    else:
 
-            def sample_rgba(coords):
-                samples = _sample_channels(field, coords)
-                return samples[:, :3], np.clip(samples[:, 3], 0.0, 1.0)
+        def sample_rgba(coords):
+            samples = _sample_channels(field, coords)
+            return samples[:, :3], np.clip(samples[:, 3], 0.0, 1.0)
 
-        if grad is not None:
+    if grad is not None:
 
-            def shade_fn(rgb, coords):
-                g = _sample_channels(grad, coords)
-                return phong_shade(rgb, g, light_dir=to_viewer, view_dir=to_viewer)
+        def shade_fn(rgb, coords):
+            g = _sample_channels(grad, coords)
+            return phong_shade(rgb, g, light_dir=to_viewer, view_dir=to_viewer)
 
-        else:
-            shade_fn = None
+    else:
+        shade_fn = None
 
-        return _march_tile(
-            payload["origins"], payload["directions"], payload["n_samples"],
-            payload["step"], payload["ert_alpha"], payload["occupied"],
-            payload["cell"], payload["shape3"], payload["skip_outside"],
-            sample_rgba, shade_fn,
-        )
+    return _march_tile(
+        payload["origins"], payload["directions"], payload["n_samples"],
+        payload["step"], payload["ert_alpha"], payload["occupied"],
+        payload["cell"], payload["shape3"], payload["skip_outside"],
+        sample_rgba, shade_fn,
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -347,12 +333,10 @@ def _render_fast(mode: str, field: np.ndarray, grad: np.ndarray | None,
                  tf: TransferFunction1D | None, skip: SkipGrid,
                  skip_outside: bool, camera: Camera, step: float,
                  background, tile, workers, backend: str, ert_alpha: float,
-                 transport: str, retry) -> Image:
+                 retry) -> Image:
     """Shared tile-dispatch half of the two public entry points."""
     if not 0.0 < ert_alpha <= 1.0:
         raise ValueError(f"ert_alpha must be in (0, 1], got {ert_alpha}")
-    if transport not in _TRANSPORTS:
-        raise ValueError(f"unknown transport {transport!r}; expected one of {_TRANSPORTS}")
     shape3 = field.shape[:3]
     origins, directions, n_samples = camera.ray_grid(shape3, step=step)
     height, width = camera.height, camera.width
@@ -367,22 +351,21 @@ def _render_fast(mode: str, field: np.ndarray, grad: np.ndarray | None,
         to_viewer = (-forward).astype(np.float32)
 
     fan_out = will_use_processes(backend, workers, len(boxes))
-    if transport == "shm" and not HAS_SHARED_MEMORY:
-        raise RuntimeError("transport='shm' requested but shared memory is unavailable")
-    use_shm = fan_out and HAS_SHARED_MEMORY and transport in ("auto", "shm")
 
     metrics = get_metrics()
     with ExitStack() as stack:
-        if use_shm:
-            arena = stack.enter_context(SharedVolumeArena())
-            field_ref = arena.share_array(field)
-            grad_ref = arena.share_array(grad) if grad is not None else None
-        else:
-            field_ref, grad_ref = field, grad
+        # A fanned-out frame owns its pool: the field, gradient and TF are
+        # broadcast to each worker once instead of pickled into every tile.
+        pool = stack.enter_context(WorkerPool(workers=workers)) if fan_out else None
+        field_ref, grad_ref, tf_ref = field, grad, tf
+        if pool is not None:
+            field_ref = pool.broadcast(field)
+            grad_ref = None if grad is None else pool.broadcast(grad)
+            tf_ref = None if tf is None else pool.broadcast(tf)
         payloads = []
         for r0, r1, c0, c1 in boxes:
             payloads.append({
-                "field": field_ref, "grad": grad_ref, "tf": tf,
+                "field": field_ref, "grad": grad_ref, "tf": tf_ref,
                 "to_viewer": to_viewer,
                 "origins": np.ascontiguousarray(o_grid[r0:r1, c0:c1]).reshape(-1, 3),
                 "directions": np.ascontiguousarray(d_grid[r0:r1, c0:c1]).reshape(-1, 3),
@@ -395,7 +378,7 @@ def _render_fast(mode: str, field: np.ndarray, grad: np.ndarray | None,
                           ert_alpha=ert_alpha, cells_total=skip.cells_total,
                           cells_empty=skip.cells_empty):
             outcome = map_timesteps(_render_tile, payloads, workers=workers,
-                                    backend=backend, retry=retry)
+                                    backend=backend, retry=retry, pool=pool)
 
     pixels = np.empty((height, width, 4), dtype=np.float32)
     totals = {"samples_composited": 0, "samples_skipped": 0,
@@ -422,7 +405,7 @@ def render_volume_fast(volume, tf: TransferFunction1D, camera: Camera | None = N
                        background=(0.0, 0.0, 0.0), tile: int | None = None,
                        workers: int | None = 1, backend: str = "auto",
                        ert_alpha: float = ALPHA_CUTOFF, cell: int = 8,
-                       transport: str = "auto", retry=None) -> Image:
+                       retry=None) -> Image:
     """Fast-path equivalent of :func:`repro.render.raycast.render_volume`.
 
     Parameters beyond the reference renderer's:
@@ -430,10 +413,9 @@ def render_volume_fast(volume, tf: TransferFunction1D, camera: Camera | None = N
     tile:
         Tile edge in pixels (``None`` = whole image in process, 64 when
         fanning out to workers).
-    workers, backend, transport, retry:
+    workers, backend, retry:
         Task-farm dispatch for the tiles (semantics of
-        :func:`repro.parallel.executor.map_timesteps`; ``transport``
-        selects how the volume reaches pool workers).
+        :func:`repro.parallel.executor.map_timesteps`).
     ert_alpha:
         Early-ray-termination threshold.  At the default (the reference's
         own cutoff) output is bit-identical to the reference; lower
@@ -456,7 +438,7 @@ def render_volume_fast(volume, tf: TransferFunction1D, camera: Camera | None = N
             np.stack(np.gradient(data.astype(np.float32, copy=False)), axis=-1))
     return _render_fast("volume", data, grad, tf, skip, skip_outside, camera,
                         step, background, tile, workers, backend, ert_alpha,
-                        transport, retry)
+                        retry)
 
 
 def render_rgba_volume_fast(rgba_volume: np.ndarray, camera: Camera | None = None,
@@ -465,7 +447,7 @@ def render_rgba_volume_fast(rgba_volume: np.ndarray, camera: Camera | None = Non
                             background=(0.0, 0.0, 0.0), tile: int | None = None,
                             workers: int | None = 1, backend: str = "auto",
                             ert_alpha: float = ALPHA_CUTOFF, cell: int = 8,
-                            transport: str = "auto", retry=None) -> Image:
+                            retry=None) -> Image:
     """Fast-path equivalent of :func:`repro.render.raycast.render_rgba_volume`.
 
     The empty-space certificate comes straight from the RGBA volume's
@@ -488,4 +470,4 @@ def render_rgba_volume_fast(rgba_volume: np.ndarray, camera: Camera | None = Non
     stack = np.ascontiguousarray(rgba_volume)
     return _render_fast("rgba_volume", stack, grad, None, skip, True, camera,
                         step, background, tile, workers, backend, ert_alpha,
-                        transport, retry)
+                        retry)

@@ -64,7 +64,7 @@ _STAGE_DEFAULTS: dict[str, dict] = {
         "step": 1.0,
         "shading": True,
         "mode": "exact",  # "exact" or "fast" (tile/ESS/ERT renderer)
-        "fast_options": {},
+        "fast_options": {},  # fast-path tuning: tile, cell, ert_alpha
         "export": None,   # optionally also write frames: "ppm" | "png"
     },
 }
@@ -88,6 +88,31 @@ def _merged(stage: str, overrides: dict) -> dict:
             f"known: {sorted(defaults)}"
         )
     return {**defaults, **overrides}
+
+
+def _validate_fast_options(options) -> None:
+    """Accept only the fast-path knobs the CLI and serve expose.
+
+    Anything else would reach ``render_volume_fast`` as a keyword inside
+    a render task, and a throughput knob such as ``workers`` would both
+    enter the fingerprint and try to fan out inside a pool worker.
+    """
+    if not isinstance(options, dict):
+        raise ConfigError(f"render fast_options must be an object, got {options!r}")
+    unknown = set(options) - {"tile", "cell", "ert_alpha"}
+    if unknown:
+        raise ConfigError(f"unknown render fast_options {sorted(unknown)}; "
+                          "known: ['cell', 'ert_alpha', 'tile']")
+    for key, value in options.items():
+        if isinstance(value, bool):
+            ok = False
+        elif key == "ert_alpha":
+            ok = isinstance(value, (int, float)) and 0.0 < value <= 1.0
+        else:
+            ok = isinstance(value, int) and value >= 1
+        if not ok:
+            want = "a number in (0, 1]" if key == "ert_alpha" else "an integer >= 1"
+            raise ConfigError(f"render fast_options {key} must be {want}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -191,6 +216,7 @@ class RunConfig:
             if self.render["export"] not in (None, "ppm", "png"):
                 raise ConfigError(
                     f"render export must be null, 'ppm' or 'png', got {self.render['export']!r}")
+            _validate_fast_options(self.render["fast_options"])
 
     def to_dict(self) -> dict:
         """Full JSON-serializable form (defaults filled in)."""

@@ -41,8 +41,8 @@ Outputs are exact:
 
 Determinism does not depend on the execution schedule: per-brick results
 are assembled in submission order and the union-find processes a sorted,
-de-duplicated pair list, so worker count and chunksize cannot change a
-single output voxel.
+de-duplicated pair list, so the worker count cannot change a single
+output voxel.
 """
 
 from __future__ import annotations
@@ -344,7 +344,6 @@ last_label_stats: dict = {}
 
 def label_bricked(mask, connectivity: int = 1, brick_shape=None,
                   workers: int | None = None, backend: str = "serial",
-                  chunksize: int = 1,
                   strategy: str = "auto") -> tuple[np.ndarray, int]:
     """Label connected components by independent bricks + union-find merge.
 
@@ -361,7 +360,7 @@ def label_bricked(mask, connectivity: int = 1, brick_shape=None,
         4D stack, a leading brick size of 1 decomposes per timestep, so
         the merge resolves cross-timestep equivalences the same way it
         resolves spatial seams.
-    workers / backend / chunksize:
+    workers / backend:
         Fan the per-brick labeling through
         :func:`repro.parallel.executor.map_timesteps` (``backend="serial"``
         labels inline; ``"process"``/``"auto"`` ship bricks to pool
@@ -418,7 +417,7 @@ def label_bricked(mask, connectivity: int = 1, brick_shape=None,
             brick_results = [_label_brick(item) for item in items]
         else:
             outcome = map_timesteps(_label_brick, items, workers=workers,
-                                    backend=backend, chunksize=chunksize)
+                                    backend=backend)
             brick_results = outcome.results
             stats["backend"] = outcome.backend
             stats["workers"] = outcome.workers
@@ -456,7 +455,7 @@ def label_bricked(mask, connectivity: int = 1, brick_shape=None,
 
 def grow_bricked(criterion, seeds, connectivity: int = 1, brick_shape=None,
                  workers: int | None = None, backend: str = "serial",
-                 chunksize: int = 1, strategy: str = "auto") -> np.ndarray:
+                 strategy: str = "auto") -> np.ndarray:
     """Brick-parallel seeded region growing, exact vs ``binary_propagation``.
 
     Growing from seeds through a boolean criterion selects precisely the
@@ -480,8 +479,7 @@ def grow_bricked(criterion, seeds, connectivity: int = 1, brick_shape=None,
     with metrics.span("fastgrow.grow", voxels=int(criterion.size)):
         labels, count = label_bricked(
             criterion, connectivity=connectivity, brick_shape=brick_shape,
-            workers=workers, backend=backend, chunksize=chunksize,
-            strategy="dense",
+            workers=workers, backend=backend, strategy="dense",
         )
         if count == 0:
             return np.zeros(criterion.shape, dtype=bool)

@@ -1,6 +1,8 @@
 """Tests for repro.cli: the batch workflow end to end."""
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -217,6 +219,20 @@ class TestRunCommand:
                                    "stages": ["render"]}))
         with pytest.raises(SystemExit, match="tfs"):
             main(["run", str(bad), "--out", str(tmp_path / "r")])
+
+    def test_bad_fast_options_exit_one_without_traceback(self, seqdir, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "sequence": str(seqdir), "stages": ["tfs", "render"],
+            "render": {"mode": "fast", "fast_options": {"transport": "bogus"}},
+        }))
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "run", str(bad),
+             "--out", str(tmp_path / "r")],
+            capture_output=True, text=True, timeout=120)
+        assert result.returncode == 1
+        assert "fast_options" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_resume_missing_dir_is_clean_error(self, tmp_path):
         with pytest.raises(SystemExit, match="config.json"):

@@ -17,7 +17,6 @@ from repro.parallel import (
     MapResult,
     RetryPolicy,
     TaskError,
-    TimestepExecutor,
     map_timesteps,
     parse_fault_spec,
 )
@@ -249,26 +248,8 @@ class TestMapResultHygiene:
         result = MapResult(results=[1, 2], elapsed=0.0, backend="serial", workers=1)
         assert result.throughput == 0.0
 
-    def test_chunksize_validated_not_clamped(self):
-        with pytest.raises(ValueError, match="chunksize"):
-            map_timesteps(square, [1, 2], chunksize=0)
-
     def test_chunked_process_map_still_correct(self):
         out = map_timesteps(square, list(range(10)), backend="process",
-                            workers=2, chunksize=3, retry=NO_BACKOFF,
-                            inject_faults={4: 1})
+                            workers=2, retry=NO_BACKOFF, inject_faults={4: 1})
         assert out.results == [x * x for x in range(10)]
         assert out.retries == 1
-
-
-class TestExecutorStats:
-    def test_executor_accumulates_fault_stats(self):
-        ex = TimestepExecutor(workers=1, backend="serial", retry=NO_BACKOFF,
-                              on_error="skip")
-        outcome = ex.map_result(square, list(range(4)))
-        assert outcome.ok
-        assert ex.total_retries == 0 and ex.total_failures == 0
-
-    def test_executor_rejects_bad_on_error(self):
-        with pytest.raises(ValueError):
-            TimestepExecutor(on_error="explode")

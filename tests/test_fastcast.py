@@ -3,7 +3,7 @@
 The fast path's contract is exact: at the reference's own termination
 threshold it must be *bit-identical* to ``render_volume`` /
 ``render_rgba_volume`` — for any tile size, tile schedule, worker count,
-transport, camera, and step size — because it only ever skips samples
+camera, and step size — because it only ever skips samples
 certified to contribute exactly zero opacity.  Lower ERT thresholds give
 a deviation bounded by ``1 - ert_alpha``.  The soundness tests certify
 the skip machinery itself: every octree-enumerated skip region is probed
@@ -20,7 +20,6 @@ from repro.core.pipeline import frame_digest, render_sequence
 from repro.data.argon import ring_value_band
 from repro.data.swirl import feature_peak_at
 from repro.obs import get_metrics
-from repro.parallel.shm import HAS_SHARED_MEMORY, OpenSharedArray, SharedVolumeArena
 from repro.render import Camera, render_rgba_volume, render_tracked, render_volume
 from repro.render.fastcast import (
     build_alpha_skip_grid,
@@ -107,14 +106,16 @@ class TestBitIdentical:
                                     workers=workers, backend="process")
         assert np.array_equal(serial.pixels, fanned.pixels)
 
-    @pytest.mark.skipif(not HAS_SHARED_MEMORY, reason="no shared memory")
-    @pytest.mark.parametrize("transport", ["shm", "pickle"])
-    def test_transport_invariance(self, transport, argon_case):
+    def test_fan_out_broadcasts_volume_once_per_worker(self, argon_case):
+        """Tile payloads carry broadcast refs: the field, gradient and TF
+        cross each worker pipe once per frame, not once per tile."""
         vol, tf = argon_case
-        serial = render_volume_fast(vol, tf, camera=ORTHO, tile=8)
-        shipped = render_volume_fast(vol, tf, camera=ORTHO, tile=8, workers=2,
-                                     backend="process", transport=transport)
-        assert np.array_equal(serial.pixels, shipped.pixels)
+        metrics = get_metrics()
+        metrics.reset("pool.broadcast.")
+        render_volume_fast(vol, tf, camera=ORTHO, tile=4, workers=2,
+                           backend="process")
+        sends = metrics.counter_values("pool.broadcast.")["pool.broadcast.sends"]
+        assert 0 < sends <= 2 * 3  # 56 tiles, 2 workers x (field, grad, TF)
 
     @pytest.mark.parametrize("with_field", [True, False])
     def test_rgba_matches_reference(self, with_field, argon_case):
@@ -297,21 +298,6 @@ class TestSupportUnits:
             assert count == int(expect.sum())  # boxes never overlap
         with pytest.raises(ValueError, match="state"):
             tree.leaf_boxes("mixed")
-
-    def test_invalid_transport_rejected(self, argon_case):
-        vol, tf = argon_case
-        with pytest.raises(ValueError, match="transport"):
-            render_volume_fast(vol, tf, camera=ORTHO, transport="carrier-pigeon")
-
-    @pytest.mark.skipif(not HAS_SHARED_MEMORY, reason="no shared memory")
-    def test_shared_array_roundtrip(self, rng):
-        stack = rng.random((3, 4, 5, 4)).astype(np.float32)
-        with SharedVolumeArena() as arena:
-            handle = arena.share_array(stack)
-            assert handle.nbytes == stack.nbytes
-            with OpenSharedArray(handle) as view:
-                assert view.dtype == stack.dtype
-                assert np.array_equal(view, stack)
 
     def test_png_roundtrip(self, rng):
         rgba = rng.random((6, 9, 4)).astype(np.float32)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.parallel import (
-    TimestepExecutor,
     assemble_bricks,
     iter_bricks,
     map_timesteps,
@@ -70,10 +69,6 @@ class TestMapTimesteps:
 
         assert MapResult([1], 0.0, "serial", 1).throughput == 0.0
 
-    def test_chunksize_validated(self):
-        with pytest.raises(ValueError, match="chunksize"):
-            map_timesteps(square, [1, 2], chunksize=0)
-
     def test_per_item_wall_times_recorded(self):
         out = map_timesteps(square, [1, 2, 3], backend="serial")
         assert len(out.item_times) == 3
@@ -90,45 +85,6 @@ class TestMapTimesteps:
     def test_clamp_leaves_small_worker_counts_alone(self):
         out = map_timesteps(square, [1, 2, 3, 4], backend="process", workers=2)
         assert out.workers == 2
-
-
-class TestTimestepExecutor:
-    def test_accumulates_stats(self):
-        ex = TimestepExecutor(workers=1, backend="serial")
-        ex.map(square, [1, 2])
-        ex.map(square, [3])
-        assert ex.maps_run == 2
-        assert ex.items_processed == 3
-        assert ex.total_elapsed >= 0.0
-
-    def test_results_returned(self):
-        ex = TimestepExecutor(workers=1, backend="serial")
-        assert ex.map(square, [4]) == [16]
-
-    def test_bad_backend(self):
-        with pytest.raises(ValueError):
-            TimestepExecutor(backend="fpga")
-
-    def test_map_result_forwards_fault_schedule(self):
-        """A runner numbering tasks globally can keep its fault schedule:
-        offset 7 + local item 1 hits the schedule's global index 8."""
-        from repro.parallel import FaultInjector, RetryPolicy
-
-        ex = TimestepExecutor(workers=1, backend="serial",
-                              retry=RetryPolicy(max_retries=1, backoff=0.0))
-        out = ex.map_result(square, [1, 2], inject_faults=FaultInjector({8: 1}),
-                            fault_index_offset=7)
-        assert out.results == [1, 4]
-        assert out.retries == 1
-        assert ex.total_retries == 1
-
-    def test_map_result_offset_miss_leaves_schedule_unfired(self):
-        from repro.parallel import FaultInjector
-
-        ex = TimestepExecutor(workers=1, backend="serial")
-        out = ex.map_result(square, [1, 2], inject_faults=FaultInjector({8: 1}),
-                            fault_index_offset=0)
-        assert out.results == [1, 4] and out.retries == 0
 
 
 class TestBricking:

@@ -4,14 +4,18 @@ Covers the acceptance checklist for the resident-pool runtime: lazy
 spawn and reuse across maps (no respawn churn), futures with
 done-callback chaining, digest-keyed broadcast shipped to each worker
 at most once, SIGKILL crash detection + respawn flowing through the
-ordinary retry policy, injected faults / skip mode / timeouts matching
-the per-map backend semantics, and lifecycle (close, context manager,
-closed-pool errors).
+ordinary retry policy (on a caller's pool and on the pool a map opens
+for itself), injected faults / skip mode / timeouts matching the serial
+backend semantics, and lifecycle (close, context manager, closed-pool
+errors).
 """
 
 import os
 import pathlib
 import signal
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
@@ -23,7 +27,6 @@ from repro.parallel import (
     PoolError,
     RetryPolicy,
     TaskError,
-    TimestepExecutor,
     WorkerPool,
     map_timesteps,
 )
@@ -59,6 +62,18 @@ def crash_once(path):
         p.write_text("x")
         os.kill(os.getpid(), signal.SIGKILL)
     return "ok"
+
+
+def slow_then_fresh(path):
+    """First call: a slow straggler answering "stale"; later calls answer
+    "fresh" within the timeout the tests pair it with."""
+    p = pathlib.Path(path)
+    if not p.exists():
+        p.write_text("x")
+        time.sleep(1.4)
+        return "stale"
+    time.sleep(0.6)
+    return "fresh"
 
 
 def crash_flaky(path):
@@ -159,12 +174,6 @@ class TestReuse:
         out = map_timesteps(square, [1, 2], backend="serial", pool=pool)
         assert out.backend == "serial"
 
-    def test_executor_forwards_pool(self, pool):
-        ex = TimestepExecutor(workers=2, backend="process", pool=pool)
-        out = ex.map_result(square, [1, 2, 3])
-        assert out.backend == "pool" and out.results == [1, 4, 9]
-        assert ex.items_processed == 3
-
 
 class TestBroadcast:
     def test_ref_resolves_in_payload(self, pool):
@@ -225,6 +234,30 @@ class TestCrashRespawn:
         out = map_timesteps(square, [5, 6], workers=2, pool=pool)
         assert out.results == [25, 36]
 
+    def test_sigkill_retried_on_map_owned_pool(self, tmp_path):
+        """Without a caller's pool the map opens one of its own, so a
+        worker death is retried instead of hanging the map.  Runs in a
+        subprocess so a regression fails by timeout, not a hung suite."""
+        code = textwrap.dedent(f"""
+            import os, pathlib, signal
+            from repro.parallel import map_timesteps
+
+            def crash_item_one(x):
+                sentinel = pathlib.Path({str(tmp_path / "crash")!r})
+                if x == 1 and not sentinel.exists():
+                    sentinel.write_text("x")
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return x * x
+
+            out = map_timesteps(crash_item_one, [0, 1, 2, 3], workers=2,
+                                backend="process", retry=1)
+            print(out.results, out.retries, out.backend)
+        """)
+        result = subprocess.run([sys.executable, "-c", code],
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[0, 1, 4, 9] 1 process"
+
     def test_respawned_worker_rereceives_broadcasts(self, pool, tmp_path):
         ref = pool.broadcast({"scale": 3})
         map_timesteps(
@@ -260,6 +293,18 @@ class TestFaultSemantics:
         )
         assert out.failures[0].error_type == "TaskTimeout"
 
+    def test_stale_result_of_timed_out_attempt_ignored(self, pool, tmp_path):
+        # Attempt 1 times out at 1.0 s and is retried on the other worker;
+        # its late "stale" answer (1.4 s) lands before the retry's (~1.6 s)
+        # and must be dropped, not taken as the retry's result.
+        out = map_timesteps(
+            slow_then_fresh, [str(tmp_path / "s")], workers=2,
+            backend="process", pool=pool,
+            retry=RetryPolicy(max_retries=1, backoff=0.0, timeout=1.0),
+        )
+        assert out.results == ["fresh"]
+        assert out.retries == 1
+
     def test_fault_index_offset_honoured(self, pool):
         # Offset shifts injection onto global task index 3 == local item 1.
         out = map_timesteps(
@@ -285,6 +330,16 @@ class TestLifecycle:
             p.submit(square, 1)
         with pytest.raises(PoolError, match="closed"):
             p.broadcast(1)
+
+    def test_close_terminates_worker_of_abandoned_attempt(self):
+        p = WorkerPool(workers=2)
+        with pytest.raises(TaskError, match="TaskTimeout"):
+            map_timesteps(nap, [0.05, 5.0], workers=2, pool=p,
+                          retry=RetryPolicy(timeout=0.3))
+        start = time.perf_counter()
+        p.close()
+        assert time.perf_counter() - start < 1.0
+        assert p.started_workers == 0
 
     def test_context_manager_reaps_workers(self):
         with WorkerPool(workers=2) as p:

@@ -126,6 +126,24 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="unknown"):
             RunConfig.from_dict(_minimal_config(render={"sizee": 64}))
 
+    @pytest.mark.parametrize("options,match", [
+        ({"bogus": 1}, "unknown render fast_options"),
+        ({"transport": "shm"}, "unknown render fast_options"),
+        ({"workers": 2}, "unknown render fast_options"),
+        ({"tile": 0}, "tile must be an integer >= 1"),
+        ({"ert_alpha": 2}, r"ert_alpha must be a number in \(0, 1\]"),
+    ])
+    def test_fast_options_validated(self, options, match):
+        with pytest.raises(ConfigError, match=match):
+            RunConfig.from_dict(_minimal_config(
+                render={"mode": "fast", "fast_options": options}))
+
+    def test_fast_options_accepts_exposed_knobs(self):
+        options = {"tile": 8, "cell": 4, "ert_alpha": 0.9}
+        cfg = RunConfig.from_dict(_minimal_config(
+            render={"mode": "fast", "fast_options": options}))
+        assert cfg.render["fast_options"] == options
+
     def test_render_requires_tfs(self):
         with pytest.raises(ConfigError, match="tfs"):
             RunConfig.from_dict(_minimal_config(stages=["render"]))

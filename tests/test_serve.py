@@ -404,6 +404,13 @@ class TestValidation:
             client.classify(sequence="argon", mask="ring")
         assert info.value.status == 400
 
+    def test_bad_run_fast_options_is_400(self, client):
+        config = {"sequence": "argon", "stages": ["tfs", "render"],
+                  "render": {"mode": "fast", "fast_options": {"workers": 2}}}
+        with pytest.raises(ServeHTTPError) as info:
+            client.run(config)
+        assert info.value.status == 400
+
     def test_unknown_sequence_is_404(self, client):
         with pytest.raises(ServeHTTPError) as info:
             client.classify(**{**CLASSIFY_PARAMS, "sequence": "nope"})
