@@ -194,10 +194,10 @@ def cmd_classify(args) -> int:
     sequence = load_sequence(args.seqdir)
     try:
         classifier, radius = train_sequence_classifier(
-            sequence, mask=args.mask, train_steps=args.train_steps,
+            [sequence.at_time(t) for t in args.train_steps], mask=args.mask,
             samples=args.samples, radius=args.radius, epochs=args.epochs,
             seed=args.seed)
-    except ValueError as exc:
+    except (ValueError, KeyError) as exc:
         raise SystemExit(str(exc)) from None
     backend = "process" if args.workers > 1 else "serial"
     results = classify_sequence(
@@ -691,10 +691,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "invocation (a pure throughput knob: not written "
                         "to config.json, outputs stay byte-identical)")
     p.add_argument("--pipelined", action="store_true",
-                   help="dataflow scheduling: per-step classify→tf→render "
-                        "chains overlap across steps on one resident "
-                        "worker pool (track keeps its global barrier); "
-                        "outputs are byte-identical to the barrier walk")
+                   help="step order instead of stage order: each step's "
+                        "render chains off its TF, overlapping across steps "
+                        "on the run's worker pool (track still waits for "
+                        "every step); outputs are byte-identical")
     p.add_argument("--follow", nargs="?", const="", default=None,
                    metavar="DIR",
                    help="in-situ online mode: watch DIR (default: the "

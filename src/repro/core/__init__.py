@@ -42,11 +42,9 @@ from repro.core.introspect import (
 )
 from repro.core.tracking import FeatureTracker, StreamingTrackResult, TrackResult
 from repro.core.pipeline import (
-    PipelinedResult,
     classify_sequence,
     generate_sequence_tfs,
     render_sequence,
-    run_pipelined,
 )
 
 __all__ = [
@@ -61,7 +59,6 @@ __all__ = [
     "MLPEngine",
     "MultivariateShellExtractor",
     "NeuralNetwork",
-    "PipelinedResult",
     "SVMEngine",
     "ShellFeatureExtractor",
     "SupportVectorMachine",
@@ -78,7 +75,6 @@ __all__ = [
     "permutation_importance",
     "rank_features",
     "render_sequence",
-    "run_pipelined",
     "smooth_certainty_stack",
     "suggest_feature_subset",
     "weight_saliency",

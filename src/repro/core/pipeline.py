@@ -4,7 +4,11 @@ The trained artifacts (an IATF or a data-space classifier) are small and
 picklable, so a run over hundreds of steps fans out per time step:
 *"the processing of each time step is completely independent of other time
 steps"*.  These helpers wire the core engines to the
-:mod:`repro.parallel.executor` task farm and the renderer.
+:mod:`repro.parallel.executor` task farm and the renderer, one stage map
+at a time; the per-step dataflow across stages (and its resumable store)
+is :class:`repro.run.runner.PipelineRunner`, whose tasks reuse
+:func:`train_sequence_classifier`, :func:`frame_digest` and
+:func:`volume_digest` from here.
 
 Each task pickles its own step's ``Volume`` into the worker pipe; the
 invariants every task shares (a classifier, an IATF, the camera) are
@@ -16,7 +20,6 @@ slot holds ``None``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +33,7 @@ from repro.core.dataspace import (
 from repro.core.iatf import AdaptiveTransferFunction
 from repro.obs import get_metrics
 from repro.parallel.bricking import content_digest
-from repro.parallel.executor import TaskError, map_timesteps, will_use_processes
+from repro.parallel.executor import map_timesteps, will_use_processes
 from repro.parallel.pool import WorkerPool
 from repro.render.camera import Camera
 from repro.render.fastcast import render_volume_fast
@@ -93,28 +96,30 @@ def _sample_training_mask(mask, n: int, rng) -> np.ndarray:
     return out
 
 
-def train_sequence_classifier(sequence: VolumeSequence, *, mask: str,
-                              train_steps: list[int], samples: int = 150,
-                              radius: int = 0, epochs: int = 300,
-                              seed: int = 11) -> tuple[DataSpaceClassifier, int]:
-    """Train a data-space classifier from a sequence's ground-truth masks.
+def train_sequence_classifier(volumes, *, mask: str, samples: int, radius: int,
+                              epochs: int, seed: int,
+                              directions: str = "faces+corners",
+                              hidden: int = 16) -> tuple[DataSpaceClassifier, int]:
+    """Train a data-space classifier from ground-truth masks.
 
-    This is the exact training recipe of ``repro classify`` — one RNG
-    seeded once drives every subsample, the shell radius derives from the
-    first training step's mask when ``radius <= 0`` — factored out so the
-    serve daemon and the CLI produce bit-identical classifiers for equal
-    parameters (the property the serve differential tests pin).
+    ``volumes`` are the training steps' volumes in ``train_steps`` order.
+    This is the one training recipe — one RNG seeded once drives every
+    subsample, the shell radius derives from the first training volume's
+    mask when ``radius <= 0`` — shared by ``repro classify``, the serve
+    daemon, and the run's train task, so equal parameters give
+    bit-identical classifiers (the property the serve differential tests
+    and the crash battery pin).
 
     Returns ``(classifier, radius)``; raises :class:`ValueError` when a
-    training mask is empty.
+    training mask is empty and :class:`KeyError` when a volume lacks
+    ``mask``.
     """
     rng = np.random.default_rng(seed)
     if radius <= 0:
-        radius = derive_shell_radius(sequence.at_time(train_steps[0]).mask(mask))
-    extractor = ShellFeatureExtractor(radius=radius)
-    classifier = DataSpaceClassifier(extractor, seed=seed)
-    for t in train_steps:
-        vol = sequence.at_time(t)
+        radius = derive_shell_radius(volumes[0].mask(mask))
+    extractor = ShellFeatureExtractor(radius=radius, directions=directions)
+    classifier = DataSpaceClassifier(extractor, hidden=hidden, seed=seed)
+    for vol in volumes:
         gt = vol.mask(mask)
         classifier.add_examples(
             vol,
@@ -416,176 +421,6 @@ def render_sequence(sequence: VolumeSequence, tfs, camera: Camera | None = None,
                                 backend=backend, retry=retry, on_error=on_error,
                                 pool=pool)
     return _unwrap_render(outcome)
-
-
-@dataclass
-class PipelinedResult:
-    """Outputs of one :func:`run_pipelined` call, aligned by step index.
-
-    ``certainties`` is ``None`` when no classifier was given; ``tfs`` and
-    ``images`` are ``None`` when no TF source was given (nothing to
-    render).
-    """
-
-    certainties: list | None
-    tfs: list | None
-    images: list | None
-
-
-def run_pipelined(sequence: VolumeSequence, classifier: DataSpaceClassifier | None = None,
-                  iatf: AdaptiveTransferFunction | None = None, tfs=None,
-                  camera: Camera | None = None, *, step: float = 1.0,
-                  shading: bool = True, mode: str = "exact",
-                  fast_options: dict | None = None,
-                  classify_mode: str = "exact", prune: bool = False,
-                  workers: int | None = None, pool: WorkerPool | None = None,
-                  retry=None) -> PipelinedResult:
-    """Run classify + TF + render per step as an overlapped dataflow.
-
-    The barrier orchestration (:func:`classify_sequence`, then
-    :func:`generate_sequence_tfs`, then :func:`render_sequence`) waits
-    for the *slowest* step of each stage before any step enters the
-    next.  But render of step *t* only depends on the TF of step *t* —
-    so here each step's chain ``tf(t) → render(t)`` is submitted as a
-    dataflow: the TF future's done-callback submits that step's render,
-    and classification (an independent output) interleaves with both.
-    Rendering of early steps overlaps classification of late ones, and
-    the gaps a straggler leaves in one stage are filled with work from
-    another.
-
-    TF source: pass ``iatf`` to generate per-step TFs, or ``tfs`` (one
-    shared :class:`TransferFunction1D` or one per step) to use fixed
-    ones; with neither, nothing renders and only classification runs.
-    ``classifier`` is optional and independent.  Results are assembled
-    in step order, so outputs are identical to the barrier version.
-
-    Scheduling: an explicit ``pool`` (resident workers, invariants
-    broadcast once per worker) is the intended fast path; without one,
-    ``workers > 1`` builds a private pool for the call, and otherwise the
-    chains run serially interleaved (step-by-step) in-process — same
-    outputs, bounded memory.  Failures follow
-    ``on_error="raise"`` semantics: the first chain to exhaust its
-    retries raises :class:`~repro.parallel.executor.TaskError`.
-    """
-    if mode not in ("exact", "fast"):
-        raise ValueError(f"unknown render mode {mode!r}; expected 'exact' or 'fast'")
-    if fast_options is not None and mode != "fast":
-        raise ValueError("fast_options requires mode='fast'")
-    if iatf is not None and tfs is not None:
-        raise ValueError("pass either iatf or tfs, not both")
-    n = len(sequence)
-    tf_list = None
-    if tfs is not None:
-        tf_list = [tfs] * n if isinstance(tfs, TransferFunction1D) else list(tfs)
-        if len(tf_list) != n:
-            raise ValueError(f"need one TF per step: got {len(tf_list)} TFs for {n} steps")
-    rendering = iatf is not None or tf_list is not None
-    if classifier is None and not rendering:
-        raise ValueError("nothing to do: pass a classifier, an iatf, or tfs")
-    camera = camera or Camera()
-    fast_opts = dict(fast_options or {})
-    opts = {"mode": classify_mode, "prune": prune, "cache": None}
-
-    own_pool = None
-    if pool is None and workers is not None and workers > 1 and n > 1:
-        own_pool = pool = WorkerPool(workers=workers)
-    try:
-        with get_metrics().span("pipeline.run_pipelined", steps=n,
-                                pooled=pool is not None, mode=mode):
-            if pool is None or n < 1:
-                return _run_pipelined_serial(sequence, classifier, iatf, tf_list,
-                                             camera, step, shading, mode,
-                                             fast_opts, opts, rendering)
-            return _run_pipelined_pool(sequence, classifier, iatf, tf_list,
-                                       camera, step, shading, mode, fast_opts,
-                                       opts, rendering, pool, retry)
-    finally:
-        if own_pool is not None:
-            own_pool.close()
-
-
-def _run_pipelined_serial(sequence, classifier, iatf, tf_list, camera, step,
-                          shading, mode, fast_opts, opts, rendering) -> PipelinedResult:
-    certainties = [] if classifier is not None else None
-    out_tfs = [] if rendering else None
-    images = [] if rendering else None
-    for t, vol in enumerate(sequence):
-        if classifier is not None:
-            result, _ = _classify_one((classifier, vol, opts))
-            certainties.append(result)
-        if rendering:
-            tf_t = iatf.generate(vol) if iatf is not None else tf_list[t]
-            out_tfs.append(tf_t)
-            images.append(_render_frame(vol, tf_t, camera, step, shading,
-                                        mode, fast_opts))
-    return PipelinedResult(certainties, out_tfs, images)
-
-
-def _run_pipelined_pool(sequence, classifier, iatf, tf_list, camera, step,
-                        shading, mode, fast_opts, opts, rendering, pool,
-                        retry) -> PipelinedResult:
-    n = len(sequence)
-    if mode == "fast":
-        # The step fan-out owns the workers; tiles stay in-process.
-        fast_opts = dict(fast_opts, workers=1, backend="serial")
-    sig = ("exact" if mode == "exact" else
-           f"fast:{sorted((k, v) for k, v in fast_opts.items() if k not in ('workers', 'backend'))!r}")
-    clf_ref = pool.broadcast(classifier) if classifier is not None else None
-    iatf_ref = pool.broadcast(iatf) if iatf is not None else None
-    cam_ref = pool.broadcast(camera) if rendering else None
-    classify_futs: list = [None] * n
-    tf_futs: list = [None] * n
-    render_futs: list = [None] * n
-
-    def submit_render(t, vol, tf_t):
-        payload = (vol, tf_t, cam_ref, step, shading, mode, fast_opts, None, sig)
-        render_futs[t] = pool.submit(_render_one, payload, index=t, retry=retry)
-
-    for t, vol in enumerate(sequence):
-        if clf_ref is not None:
-            classify_futs[t] = pool.submit(_classify_one, (clf_ref, vol, opts),
-                                           index=t, retry=retry)
-        if iatf_ref is not None:
-            fut = pool.submit(_generate_tf_one, (iatf_ref, vol), index=t, retry=retry)
-
-            def chain(f, t=t, vol=vol):
-                if f.ok:
-                    submit_render(t, vol, f.value)
-
-            fut.add_done_callback(chain)
-            tf_futs[t] = fut
-        elif tf_list is not None:
-            submit_render(t, vol, tf_list[t])
-
-    # Two waits: the first drains classify + TF chains (every TF callback
-    # has fired by then, so all render futures exist); the second drains
-    # the renders those callbacks submitted.
-    pool.wait([f for f in classify_futs + tf_futs if f is not None])
-    pool.wait([f for f in render_futs if f is not None])
-
-    for stage_futs in (classify_futs, tf_futs, render_futs):
-        for fut in stage_futs:
-            if fut is not None and not fut.ok:
-                raise TaskError(fut.failure)
-
-    certainties = None
-    if classifier is not None:
-        certainties = []
-        totals: dict = {}
-        for fut in classify_futs:
-            result, stats = fut.value
-            certainties.append(result)
-            for key, value in (stats or {}).items():
-                totals[key] = totals.get(key, 0) + int(value or 0)
-        metrics = get_metrics()
-        for key in _CLASSIFY_STAT_KEYS:
-            if totals.get(key):
-                metrics.counter(f"classify.{key}").inc(totals[key])
-    out_tfs = images = None
-    if rendering:
-        out_tfs = ([f.value for f in tf_futs] if iatf is not None else list(tf_list))
-        images = [f.value[0] for f in render_futs]
-    return PipelinedResult(certainties, out_tfs, images)
 
 
 def extraction_masks(certainties, threshold: float = 0.5) -> np.ndarray:

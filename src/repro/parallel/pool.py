@@ -9,7 +9,7 @@ and pays the spawn cost once per run, not per map:
 - **lazy spawn**: workers fork/spawn on the first dispatched task, never
   before, so constructing a pool is free;
 - **reuse**: ``map_timesteps(pool=...)``, ``classify_sequence(pool=...)``,
-  ``render_sequence(pool=...)``, the pipelined
+  ``render_sequence(pool=...)``, a multi-worker
   :class:`~repro.run.runner.PipelineRunner` and the serve daemon all
   dispatch onto the same resident workers;
 - **crash detection + respawn**: a worker that dies mid-task (OOM kill,
@@ -24,8 +24,9 @@ and pays the spawn cost once per run, not per map:
   instead of re-pickling the object per task (respawned workers
   transparently re-receive the blobs they need);
 - **futures**: :meth:`WorkerPool.submit` returns a :class:`PoolFuture`
-  with done-callbacks, which is what lets the pipelined runner overlap
-  ``render(t)`` of early steps with ``classify(t')`` of late ones.
+  with done-callbacks, which is how the runner's dispatcher persists
+  each artifact in the parent and, in step order, overlaps ``render(t)``
+  of early steps with ``classify(t')`` of late ones.
 
 Completion is event-driven — the scheduler sleeps in
 ``multiprocessing.connection.wait`` on the worker pipes and process
@@ -152,8 +153,10 @@ class PoolFuture:
 
     Resolves once the task has either succeeded or exhausted its retry
     budget.  ``done_callbacks`` fire in the parent process, inside the
-    pool's service loop — a callback may submit follow-up tasks, which is
-    how dataflow chains (``tf(t) -> render(t)``) are built.
+    pool's service loop (:meth:`WorkerPool.wait`) — a callback may submit
+    follow-up tasks.  The run dispatcher
+    (:meth:`repro.run.runner.PipelineRunner._wave`) persists artifacts
+    from these callbacks and chains ``tf(t) -> render(t)`` through them.
     """
 
     def __init__(self, pool: "WorkerPool", index: int) -> None:

@@ -6,10 +6,12 @@ Public surface:
 - :class:`~repro.run.store.ArtifactStore` / :func:`~repro.run.store.derive_key`
   — input-addressed, integrity-verified artifact persistence;
 - :class:`~repro.run.manifest.RunManifest` — deterministic progress record;
-- :class:`~repro.run.runner.PipelineRunner` — the memoized stage walk
-  behind ``repro run`` / ``repro run --resume``;
+- :class:`~repro.run.runner.PipelineRunner` — the memoized walk (one
+  dispatcher, stage or step order) behind ``repro run`` /
+  ``repro run --resume``;
 - :class:`~repro.run.follow.FollowRunner` / :func:`~repro.run.follow.follow_sequence`
-  — the in-situ online walk behind ``repro run --follow``;
+  — the same tasks and dispatcher fed per arrival, behind
+  ``repro run --follow``;
 - :class:`~repro.run.simwriter.SimulatedWriter` — cadence-paced sequence
   replay (with torn-write fault injection) for exercising follow mode.
 """

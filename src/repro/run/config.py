@@ -190,14 +190,19 @@ class RunConfig:
             if criterion == "fixed" and (self.track["lo"] is None or self.track["hi"] is None):
                 raise ConfigError("track criterion 'fixed' requires 'lo' and 'hi'")
             seed = self.track["seed_voxel"]
-            if seed is None or len(seed) != 4:
-                raise ConfigError("track requires 'seed_voxel': [step_index, z, y, x]")
+            if not (isinstance(seed, (list, tuple)) and len(seed) == 4
+                    and all(type(v) is int and v >= 0 for v in seed)):
+                raise ConfigError("track requires 'seed_voxel': [step_index, z, y, x] "
+                                  f"integers >= 0, got {seed!r}")
         if "tfs" in self.stages:
             kind = self.tfs["kind"]
             if kind not in ("box", "iatf"):
                 raise ConfigError(f"tfs kind must be 'box' or 'iatf', got {kind!r}")
             if kind == "iatf" and not self.tfs["iatf"]:
                 raise ConfigError("tfs kind 'iatf' requires 'iatf': path to a saved IATF")
+            lo, hi = self.tfs["lo"], self.tfs["hi"]
+            if kind == "box" and lo is not None and hi is not None and not lo < hi:
+                raise ConfigError(f"tfs box requires lo < hi, got lo={lo!r}, hi={hi!r}")
             domain = self.tfs["domain"]
             if domain is not None:
                 if len(domain) != 2 or not all(

@@ -11,15 +11,19 @@ the run to end.  Steps are consumed from either
   completion signalled by the writer's ``sequence.json``), or
 - an **iterable of volumes** (a generator bridging a live solver).
 
-Everything downstream is the *same memoized walk* the offline runner
-performs: every artifact key derives from stage parameters and volume
-digests alone — never from arrival order — so a follower that processed
-steps as they trickled in, was SIGKILLed, resumed, and finalized ends up
-with a run directory (manifest + content-addressed store) byte-identical
-to an offline run over the completed sequence.  Incremental tracking goes
-through :class:`~repro.core.tracking.TrackStream`, whose finalize
-refinement reconciles to the offline :func:`~repro.segmentation.regiongrow.grow_4d`
-fixpoint regardless of arrival order.
+Everything downstream is the offline runner's own machinery: each
+arriving step's tasks come from the same per-stage task builders and go
+through the same memoized dispatcher (``_wave``: record, skip what is
+stored, run, persist), one task per wave.  Every artifact key derives
+from stage parameters and volume digests alone — never from arrival
+order — so a follower that processed steps as they trickled in, was
+SIGKILLed, resumed, and finalized ends up with a run directory
+(manifest + content-addressed store) byte-identical to an offline run
+over the completed sequence.  Incremental tracking goes through
+:class:`~repro.core.tracking.TrackStream`; the one track task finalizes
+it, and its refinement reconciles to the offline
+:func:`~repro.segmentation.regiongrow.grow_4d` fixpoint regardless of
+arrival order.
 
 Memory is bounded: each arriving step is loaded, pushed through its
 per-step tasks, and dropped — only bit-packed criteria/masks (T/8 bytes
@@ -53,22 +57,12 @@ import numpy as np
 
 from repro.core.pipeline import volume_digest
 from repro.core.tracking import FeatureTracker
-from repro.parallel.executor import map_timesteps
+from repro.obs import get_metrics
 from repro.parallel.faults import as_injector
 from repro.parallel.streaming import SequenceWatcher
-from repro.render.camera import Camera
-from repro.render.image import Image
 from repro.run.config import RunConfig
 from repro.run.manifest import STATUS_COMPLETE, STATUS_RUNNING, RunManifest
-from repro.run.runner import (
-    PipelineRunner,
-    RunError,
-    _task_classify_step,
-    _task_render_step,
-    _task_tf_step,
-    _task_train_classifier,
-)
-from repro.run.store import derive_key
+from repro.run.runner import PipelineRunner, RunError, _sequence_digest
 from repro.utils.atomic import atomic_write_text
 from repro.volume.io import load_volume
 
@@ -91,8 +85,14 @@ class FollowReport:
 
 
 def _task_finalize_stream(stream):
-    """Close the track stream: refinement sweeps to the offline fixpoint."""
-    return stream.finalize(refine=True)
+    """Close the track stream: refinement sweeps to the offline fixpoint.
+
+    Yields the per-step uint8 masks one at a time, so persisting them
+    never holds more than one unpacked step.
+    """
+    result = stream.finalize(refine=True)
+    get_metrics().counter("track.stream_sweeps").inc(result.sweeps)
+    return (result.step_mask(i).astype(np.uint8) for i in range(len(result.times)))
 
 
 class FollowRunner(PipelineRunner):
@@ -203,8 +203,7 @@ class FollowRunner(PipelineRunner):
         self._retained: dict[int, object] = {}
         self._deferred: dict[int, Path] = {}
         self._classify_backlog: list[int] = []
-        self._train_key: str | None = None
-        self._train_artifact = None
+        self._trained = None      # (train key, artifact) once trained
         self._stream = None
         self._track_pushed: set[int] = set()
         self._lags: list[float] = []
@@ -283,7 +282,7 @@ class FollowRunner(PipelineRunner):
         for volume in volumes:
             start = _time.monotonic()
             step_time = int(volume.time)
-            if self._need_masks and self._train_artifact is None:
+            if self._need_masks and self._trained is None:
                 # Generator steps cannot be re-read from disk: retain
                 # everything that lands before training completes (with
                 # conventional first-step training, just the first volume).
@@ -341,11 +340,11 @@ class FollowRunner(PipelineRunner):
     def _process_step(self, volume, digest: str, rewritten: bool) -> None:
         step_time = int(volume.time)
         if "classify" in self._stage_set:
-            if self._train_artifact is None:
+            if self._trained is None:
                 if step_time not in self._classify_backlog:
                     self._classify_backlog.append(step_time)
                 self._maybe_train()
-                if self._train_artifact is None:
+                if self._trained is None:
                     self._metrics.counter("follow.deferred").inc()
             elif "classify" not in self._step_keys.get(step_time, {}):
                 self._classify_step(volume, digest, rewritten)
@@ -356,25 +355,21 @@ class FollowRunner(PipelineRunner):
                          & (volume.data <= params["hi"]))
             self._push_track(step_time, criterion, rewritten)
         if "tfs" in self._stage_set:
-            self._tfs_step(volume, digest)
-        if "render" in self._stage_set:
-            self._render_step(volume)
+            task = self._tf_task(volume, digest)
+            render = ((lambda tf_dict: self._render_step(volume, tf_dict))
+                      if "render" in self._stage_set else None)
+            self._wave([task], then=render)
+            self._step_keys.setdefault(step_time, {})["tfs"] = task.key
 
     def _maybe_train(self) -> None:
         """Train once every ``classify.train_steps`` volume has arrived,
         then drain the backlog of steps that landed earlier."""
-        params = self._train_params()
-        lookup = [int(t) for t in params["train_steps"]]
-        if any(t not in self._digest_of for t in lookup):
+        if any(int(t) not in self._digest_of
+               for t in self.config.classify["train_steps"]):
             return
-        digests = [self._digest_of[t] for t in lookup]
-        self._train_key = derive_key("classify.train", params,
-                                     params["train_steps"], digests)
-        train_vols = [self._reload_step(t) for t in lookup]
-        self._execute_single("classify", "train", self._train_key, "json",
-                             _task_train_classifier, (train_vols, params))
-        del train_vols
-        self._train_artifact = self.store.get_json(self._train_key)
+        self._trained = self._train(
+            self._times, [self._digest_of[t] for t in self._times],
+            lambda t: self._reload_step(int(t)))
         for queued in list(self._classify_backlog):
             volume = self._reload_step(queued)
             self._classify_step(volume, self._digest_of[queued])
@@ -385,12 +380,11 @@ class FollowRunner(PipelineRunner):
     def _invalidate_training(self, step_time: int) -> None:
         """A re-written *training* step invalidates the trained artifact
         and everything classified with it."""
-        if self._train_artifact is None or "classify" not in self._stage_set:
+        if self._trained is None or "classify" not in self._stage_set:
             return
-        if step_time not in [int(t) for t in self._cparams["train_steps"]]:
+        if step_time not in [int(t) for t in self.config.classify["train_steps"]]:
             return
-        self._train_artifact = None
-        self._train_key = None
+        self._trained = None
         for keys in self._step_keys.values():
             keys.pop("classify", None)
         self._classify_backlog = sorted(self._digest_of)
@@ -402,15 +396,15 @@ class FollowRunner(PipelineRunner):
     def _classify_step(self, volume, digest: str,
                        rewritten: bool = False) -> None:
         step_time = int(volume.time)
-        key = self._classify_step_key(self._train_key, digest)
-        self._execute_single("classify", self._label_for(step_time), key,
-                             "array", _task_classify_step,
-                             (self._train_artifact, self._cparams, volume))
-        self._step_keys.setdefault(step_time, {})["classify"] = key
+        task = self._classify_task(volume, digest, self._trained)
+        push = None
         if ("track" in self._stage_set
                 and self.config.track["criterion"] == "classify"):
-            criterion = self.store.get_array(key) > self._cparams["threshold"]
-            self._push_track(step_time, criterion, rewritten)
+            threshold = self.config.classify["threshold"]
+            push = lambda certainty: self._push_track(
+                step_time, certainty > threshold, rewritten)
+        self._wave([task], then=push)
+        self._step_keys.setdefault(step_time, {})["classify"] = task.key
 
     def _push_track(self, step_time: int, criterion, rewritten: bool) -> None:
         if self._stream is None:
@@ -423,33 +417,12 @@ class FollowRunner(PipelineRunner):
         self._stream.push(step_time, np.asarray(criterion, dtype=bool))
         self._track_pushed.add(step_time)
 
-    def _tfs_step(self, volume, digest: str) -> None:
+    def _render_step(self, volume, tf_dict: dict) -> None:
         step_time = int(volume.time)
-        key = self._tf_step_key(self._domain, self._iatf_text, digest)
-        self._execute_single("tfs", self._label_for(step_time), key, "json",
-                             _task_tf_step,
-                             (self._tparams["kind"], self._tparams,
-                              self._domain, self._iatf_dict, volume))
-        self._step_keys.setdefault(step_time, {})["tfs"] = key
-
-    def _render_step(self, volume) -> None:
-        step_time = int(volume.time)
-        keys = self._step_keys.setdefault(step_time, {})
-        tf_dict = self.store.get_json(keys["tfs"])
-        key = self._render_key(self._rctx, volume, tf_dict)
-        self._execute_single("render", self._label_for(step_time), key,
-                             "array", _task_render_step,
-                             (volume, tf_dict, self._rctx["camera"],
-                              self._rctx["rparams"]))
-        keys["render"] = key
-        fmt = self._rctx["rparams"]["export"]
-        if fmt:
-            image = Image.from_array(self.store.get_array(key))
-            frame = self.run_dir / "frames" / f"frame_{step_time:06d}.{fmt}"
-            if fmt == "png":
-                image.save_png(frame)
-            else:
-                image.save_ppm(frame)
+        task = self._render_task(volume, tf_dict)
+        self._wave([task])
+        self._step_keys.setdefault(step_time, {})["render"] = task.key
+        self._export_frames([step_time])
 
     # ------------------------------------------------------------------ #
     # Finalize: reconcile to the offline run's exact bytes
@@ -466,7 +439,7 @@ class FollowRunner(PipelineRunner):
                 self._ingest_volume(volume)
                 del volume
         self._deferred.clear()
-        if "classify" in self._stage_set and self._train_artifact is None:
+        if "classify" in self._stage_set and self._trained is None:
             raise RunError(
                 f"follow: classify train_steps "
                 f"{self.config.classify['train_steps']} never arrived")
@@ -474,11 +447,8 @@ class FollowRunner(PipelineRunner):
             raise RunError("follow: no steps arrived before completion")
         if "track" in self._stage_set:
             self._finalize_track()
-        times = list(self._times)
-        digests = [self._digest_of[t] for t in times]
-        self.manifest.sequence_digest = derive_key(
-            "sequence", times,
-            *[np.frombuffer(d.encode(), dtype=np.uint8) for d in digests])
+        self.manifest.sequence_digest = _sequence_digest(
+            self._times, [self._digest_of[t] for t in self._times])
         for stage in self.config.stages:
             self.manifest.set_status(stage, STATUS_COMPLETE)
         self._save_manifest()
@@ -508,82 +478,31 @@ class FollowRunner(PipelineRunner):
         if self._stream is None or sorted(self._track_pushed) != self._times:
             missing = sorted(set(self._times) - self._track_pushed)
             raise RunError(f"follow: track criteria missing for steps {missing}")
-        params = self.config.track
-        if params["criterion"] == "classify":
-            upstream = [self._step_keys[t]["classify"] for t in self._times]
-            upstream.append(f"threshold={self.config.classify['threshold']!r}")
-        else:
-            upstream = [self._digest_of[t] for t in self._times]
-        base = derive_key("track", params, upstream)
-        step_keys = [derive_key("track.step", base, self._label_for(t))
-                     for t in self._times]
-        for step_time, key in zip(self._times, step_keys):
-            self.manifest.record_task("track", self._label_for(step_time),
-                                      key, "array")
-        self._save_manifest()
-        if all(self.store.has(k) for k in step_keys):
-            self._skipped += 1
-            self._metrics.counter("run.tasks.skipped").inc()
-            return
-        # One crash-injectable task, mirroring the offline runner's single
-        # grow task; the incremental pushes were merely its prepayment.
-        outcome = map_timesteps(_task_finalize_stream, [self._stream],
-                                backend="serial",
-                                inject_faults=self._injector,
-                                fault_index_offset=self._task_no)
-        self._task_no += 1
-        self._executed += 1
-        self._metrics.counter("run.tasks.executed").inc()
-        result = outcome.results[0]
-        self._metrics.counter("track.stream_sweeps").inc(result.sweeps)
-        for index, key in enumerate(step_keys):
-            self.store.put_array(key, result.step_mask(index).astype(np.uint8))
-        self._save_manifest()
+        # The offline runner's one track task, finalizing the stream
+        # instead of growing; the incremental pushes were its prepayment.
+        self._wave([self._track_task(
+            self._times, [self._digest_of[t] for t in self._times],
+            _task_finalize_stream, self._stream)])
 
     # ------------------------------------------------------------------ #
     # Support
     # ------------------------------------------------------------------ #
     def _prepare(self) -> None:
-        """Validate follow-specific config needs; pre-resolve key material."""
+        """Check what follow mode needs pinned, then resolve stage
+        parameters through the offline runner's resolve step."""
         config = self.config
         self._stage_set = set(config.stages)
         self._need_masks = "classify" in self._stage_set
-        if "classify" in self._stage_set:
-            if not config.classify["train_steps"]:
-                raise RunError(
-                    "follow mode requires explicit classify.train_steps: the "
-                    "offline default (the first sequence step) is unknowable "
-                    "while the simulation is still writing")
-            self._cparams = dict(config.classify)
-        if "tfs" in self._stage_set or "render" in self._stage_set:
-            if config.tfs["domain"] is None:
-                raise RunError(
-                    "follow mode requires an explicit tfs.domain [lo, hi]: "
-                    "the sequence value range is unknowable mid-simulation")
-            self._domain = (float(config.tfs["domain"][0]),
-                            float(config.tfs["domain"][1]))
-            self._tparams = dict(config.tfs)
-            self._iatf_text = self._iatf_dict = None
-            if self._tparams["kind"] == "iatf":
-                try:
-                    self._iatf_text = Path(self._tparams["iatf"]).read_text()
-                except OSError as exc:
-                    raise RunError(
-                        f"cannot read IATF {self._tparams['iatf']}: {exc}"
-                    ) from None
-                self._iatf_dict = json.loads(self._iatf_text)
-        if "render" in self._stage_set:
-            rparams = dict(config.render)
-            fast_opts = dict(rparams["fast_options"])
-            self._rctx = {
-                "rparams": rparams,
-                "camera": Camera(azimuth=rparams["azimuth"],
-                                 elevation=rparams["elevation"],
-                                 width=rparams["size"],
-                                 height=rparams["size"]),
-                "sig": ("exact" if rparams["mode"] == "exact"
-                        else f"fast:{sorted(fast_opts.items())!r}"),
-            }
+        if "classify" in self._stage_set and not config.classify["train_steps"]:
+            raise RunError(
+                "follow mode requires explicit classify.train_steps: the "
+                "offline default (the first sequence step) is unknowable "
+                "while the simulation is still writing")
+        if "tfs" in self._stage_set and config.tfs["domain"] is None:
+            raise RunError(
+                "follow mode requires an explicit tfs.domain [lo, hi]: "
+                "the sequence value range is unknowable mid-simulation")
+        self._resolve(self._tf_domain(None) if "tfs" in self._stage_set else None)
         if "track" in self._stage_set:
             self._tracker = FeatureTracker(
                 connectivity=int(config.track["connectivity"]))
@@ -610,10 +529,6 @@ class FollowRunner(PipelineRunner):
         if "track" in self._stage_set and step_time not in self._track_pushed:
             return False
         return True
-
-    @staticmethod
-    def _label_for(step_time: int) -> str:
-        return f"step:{int(step_time):06d}"
 
     def _write_status(self, state: str) -> None:
         """Volatile live-progress snapshot (never part of bit-identity)."""

@@ -1,9 +1,12 @@
 """The run manifest: one deterministic JSON record of a run's progress.
 
 ``manifest.json`` in the run directory records, per stage, each task's
-label and the store key of its artifact, plus a stage status.  It is
-rewritten atomically after every persisted task, so at any kill point
-the manifest on disk describes exactly the artifacts that exist.
+label and the store key of its artifact, plus a stage status.  The
+runner rewrites it atomically whenever it records tasks (before they
+run) and whenever a stage status changes; persisting an artifact
+changes the store, not the manifest, so it needs no save.  At any kill
+point the manifest on disk therefore names every task that may have
+run, and the store holds exactly the artifacts that landed.
 
 Determinism is the load-bearing property: the manifest contains **no
 timestamps, durations, hostnames, or counters** — only data derived

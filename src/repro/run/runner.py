@@ -13,20 +13,36 @@ into a *run directory*::
 Every stage decomposes into tasks; every task's artifact key is derived
 **from its inputs** (stage parameters + upstream keys + volume digests),
 so before executing anything the runner knows every key the run will
-produce.  Execution is then memoized against the store: a key whose
-artifact already exists (and passes integrity verification) is skipped,
-one that is missing or corrupt is (re)computed.  ``repro run --resume``
-is nothing but running the same memoized walk again — completed work is
-skipped, interrupted work re-executes, and the final bytes (manifest +
-store) are identical to an uninterrupted run's.
+produce.  All work goes through one memoized dispatcher, :meth:`_wave`:
+it records a batch of tasks in the manifest, checks every task's key
+against the store before starting any of them (a key whose artifact
+exists and passes integrity verification is skipped), and starts the
+rest.  ``repro run --resume`` is nothing but running the same walk
+again — completed work is skipped, interrupted work re-executes, and the
+final bytes (manifest + store) are identical to an uninterrupted run's.
 
-Crash semantics: tasks execute through the
-:func:`repro.parallel.executor.map_timesteps` task farm with a global
-task numbering (``fault_index_offset``), so a chaos schedule of
-``REPRO_FAULT_INJECT="N:crash"`` SIGKILLs the process the moment the
-run's N-th *executed* task starts.  Artifacts and the manifest are
-persisted task-by-task (single-worker path) via atomic renames, so the
-kill point can lose at most the in-flight task.
+One walk hands the tasks to the dispatcher in one of two orders:
+
+- **stage order** (default): the train task as its own wave, then each
+  stage as one wave over every step, drained before the next stage;
+- **step order** (``pipelined=True``): every task is its own wave and a
+  step's render is chained off its TF, so on a pool rendering of early
+  steps overlaps classification of late ones; track, which needs every
+  step, runs once the chains have drained, and frame export runs last.
+
+The wave is the whole skip rule.  A stage wave checks every step before
+running any, so tasks sharing one key (the static box TF) each run once
+per step; a one-task wave sees the key the previous step just stored
+and skips it.
+
+Crash semantics: with one worker each task runs in the parent through
+:func:`repro.parallel.executor.map_timesteps` under a run-global task
+number (``fault_index_offset``), so ``REPRO_FAULT_INJECT="N:crash"``
+SIGKILLs the process the moment the run's N-th *executed* task starts,
+and every artifact lands (atomic rename) before the next task starts —
+the kill loses at most the in-flight task.  On a pool, a done-callback
+persists each artifact in the parent, and a failed task raises only
+once its wave has drained, so the rest of the wave's work is kept.
 """
 
 from __future__ import annotations
@@ -34,17 +50,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
-from repro.core.dataspace import (
-    DataSpaceClassifier,
-    ShellFeatureExtractor,
-    derive_shell_radius,
-)
+from repro.core.dataspace import DataSpaceClassifier, ShellFeatureExtractor
 from repro.core.iatf import AdaptiveTransferFunction
 from repro.core.mlp import NeuralNetwork
-from repro.core.pipeline import frame_digest, volume_digest
+from repro.core.pipeline import frame_digest, train_sequence_classifier, volume_digest
 from repro.obs import get_metrics
 from repro.parallel.executor import TaskError, map_timesteps
 from repro.parallel.faults import as_injector
@@ -85,35 +98,9 @@ class RunReport:
 # --------------------------------------------------------------------- #
 def _task_train_classifier(payload):
     """Train the data-space classifier; artifact = network weight dict."""
-    volumes, params = payload
-    rng = np.random.default_rng(params["seed"])
-    radius = params["radius"]
-    if radius <= 0:
-        radius = derive_shell_radius(volumes[0].mask(params["mask"]))
-    extractor = ShellFeatureExtractor(radius=radius,
-                                      directions=params["directions"])
-    classifier = DataSpaceClassifier(extractor, hidden=params["hidden"],
-                                     seed=params["seed"])
-    for vol in volumes:
-        gt = vol.mask(params["mask"])
-        classifier.add_examples(
-            vol,
-            positive_mask=_sample_mask(gt, params["samples"], rng),
-            negative_mask=_sample_mask(~gt, params["samples"], rng),
-        )
-    classifier.train(epochs=params["epochs"])
+    volumes, options = payload
+    classifier, radius = train_sequence_classifier(volumes, **options)
     return {"radius": radius, "net": classifier.net.to_dict()}
-
-
-def _sample_mask(mask, n: int, rng) -> np.ndarray:
-    idx = np.argwhere(mask)
-    if len(idx) == 0:
-        raise RunError("training mask selects no voxels")
-    if len(idx) > n:
-        idx = idx[rng.choice(len(idx), size=n, replace=False)]
-    out = np.zeros(mask.shape, dtype=bool)
-    out[tuple(idx.T)] = True
-    return out
 
 
 def _classifier_from_artifact(artifact: dict, params: dict) -> DataSpaceClassifier:
@@ -133,12 +120,23 @@ def _task_classify_step(payload):
 
 
 def _task_track(payload):
-    """One 4D region growth over the whole criteria stack."""
+    """One 4D region growth over the whole criteria stack.
+
+    ``criteria`` is any per-step iterable; the runner passes a generator,
+    so a track task that is skipped never loads a criterion.
+    """
     criteria, seed_voxel, params = payload
-    grown = grow_4d(criteria, [tuple(seed_voxel)],
+    grown = grow_4d(np.stack(list(criteria)), [tuple(seed_voxel)],
                     connectivity=params["connectivity"],
                     backend=params["engine"])
     return grown.astype(np.uint8)
+
+
+def _box_band(params: dict, domain) -> tuple[float, float]:
+    """The static box TF's ``(lo, hi)``: the config's, else from the domain."""
+    lo = params["lo"] if params["lo"] is not None else domain[0] + 0.3 * (domain[1] - domain[0])
+    hi = params["hi"] if params["hi"] is not None else domain[1]
+    return lo, hi
 
 
 def _task_tf_step(payload):
@@ -147,8 +145,7 @@ def _task_tf_step(payload):
     if kind == "iatf":
         iatf = AdaptiveTransferFunction.from_dict(iatf_dict)
         return iatf.generate(volume).to_dict()
-    lo = params["lo"] if params["lo"] is not None else domain[0] + 0.3 * (domain[1] - domain[0])
-    hi = params["hi"] if params["hi"] is not None else domain[1]
+    lo, hi = _box_band(params, domain)
     return TransferFunction1D(domain).add_box(lo, hi, params["opacity"]).to_dict()
 
 
@@ -163,6 +160,35 @@ def _task_render_step(payload):
     return image.pixels
 
 
+def _label(time) -> str:
+    return f"step:{int(time):06d}"
+
+
+def _sequence_digest(times, digests) -> str:
+    return derive_key("sequence", list(times),
+                      *[np.frombuffer(d.encode(), dtype=np.uint8) for d in digests])
+
+
+@dataclass(frozen=True)
+class _Task:
+    """One memoized unit of run work, as the dispatcher sees it.
+
+    ``records`` holds a ``(label, key)`` pair per artifact the task
+    persists: one for a per-step task, one per step for the track task,
+    whose result is then the per-step sequence of masks.
+    """
+
+    stage: str
+    records: tuple
+    kind: str             # "array" | "json": how the artifacts are stored
+    fn: Callable
+    payload: Any
+
+    @property
+    def key(self) -> str:
+        return self.records[0][1]
+
+
 # --------------------------------------------------------------------- #
 # The runner
 # --------------------------------------------------------------------- #
@@ -173,13 +199,11 @@ class PipelineRunner:
     only* — it is a pure throughput knob (excluded from the config
     fingerprint and never written to ``config.json``), so a run started
     with one fan-out can be resumed with another and still reach
-    byte-identical outputs.  ``pipelined=True`` switches from the
-    stage-barrier walk to the dataflow walk: each step's
-    classify(t) → tf(t) → render(t) chain advances independently
-    (rendering of early steps overlaps classification of late ones)
-    while track keeps its global barrier; outputs are byte-identical to
-    the barrier mode because every artifact key and every recorded
-    manifest entry is the same — only the execution order differs.
+    byte-identical outputs.  ``pipelined=True`` hands the tasks to the
+    dispatcher in step order instead of stage order (see the module
+    docstring); outputs are byte-identical because every artifact key
+    and every recorded manifest entry is the same — only the execution
+    order differs.
     """
 
     def __init__(self, config: RunConfig, run_dir, workers: int | None = None,
@@ -195,7 +219,7 @@ class PipelineRunner:
         if self.exec_workers < 1:
             raise RunError(f"workers must be >= 1, got {self.exec_workers}")
         self.pipelined = pipelined
-        self._pool = None
+        self._pool: WorkerPool | None = None
         # ``pool`` likewise reuses resident workers across runs; an
         # external pool is never closed by the runner.
         self._external_pool = pool
@@ -203,6 +227,7 @@ class PipelineRunner:
         self._task_no = 0      # global number of the next *executed* task
         self._executed = 0
         self._skipped = 0
+        self._futures: list = []
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -262,8 +287,8 @@ class PipelineRunner:
         if (self._injector is not None and self._injector.crashes
                 and self.exec_workers > 1):
             raise RunError(
-                "crash injection requires workers=1: a SIGKILLed pool worker "
-                "would hang the map instead of killing the run")
+                "crash injection requires workers=1: on a pool the SIGKILL "
+                "would hit a respawnable worker instead of the run")
         # Masks are loaded only when a stage actually reads them
         # (classify's training examples): volume digests — and therefore
         # every artifact key — then depend on voxels alone, which is the
@@ -271,30 +296,27 @@ class PipelineRunner:
         # directory.
         sequence = load_sequence(config.sequence,
                                  masks="classify" in config.stages)
-        self._vdigests = [volume_digest(vol) for vol in sequence]
-        seq_digest = derive_key("sequence", [v.time for v in sequence],
-                                *[np.frombuffer(d.encode(), dtype=np.uint8)
-                                  for d in self._vdigests])
+        digests = [volume_digest(vol) for vol in sequence]
+        self._resolve(self._tf_domain(sequence) if "tfs" in config.stages else None,
+                      sequence)
         self.manifest = RunManifest(
             config_fingerprint=config.fingerprint(),
-            sequence_digest=seq_digest,
+            sequence_digest=_sequence_digest(sequence.times, digests),
             stage_names=config.stages,
         )
         self._save_manifest()
-        self._pool = None
         try:
             if self.exec_workers > 1:
-                # One resident pool for the entire run: every stage's map
-                # (and, pipelined, every submitted chain) reuses the same
-                # workers — one spawn cost per run, not per map.  An
-                # external pool (the serve daemon's) is reused as-is.
+                # One resident pool for the entire run: every wave reuses
+                # the same workers — one spawn cost per run.  An external
+                # pool (the serve daemon's) is reused as-is.
                 self._pool = self._external_pool or WorkerPool(workers=self.exec_workers)
             with self._metrics.span("run.total", stages=len(config.stages),
                                     pipelined=self.pipelined):
                 if self.pipelined:
-                    self._run_dataflow(sequence)
+                    self._walk_steps(sequence, digests)
                 else:
-                    self._run_barrier(sequence)
+                    self._walk_stages(sequence, digests)
         finally:
             if self._pool is not None and self._pool is not self._external_pool:
                 self._pool.close()
@@ -309,313 +331,128 @@ class PipelineRunner:
             artifacts=len(self.store.keys()),
         )
 
-    def _run_barrier(self, sequence) -> None:
-        stage_fns = {"classify": self._stage_classify,
-                     "track": self._stage_track,
-                     "tfs": self._stage_tfs,
-                     "render": self._stage_render}
+    def _walk_stages(self, sequence, digests) -> None:
+        """Stage order: one wave per stage, drained before the next."""
+        steps = list(zip(sequence, digests))
         for stage in self.config.stages:
             self.manifest.set_status(stage, STATUS_RUNNING)
             self._save_manifest()
             with self._metrics.span(f"run.stage.{stage}"):
-                stage_fns[stage](sequence)
+                if stage == "classify":
+                    trained = self._train(sequence.times, digests, sequence.at_time)
+                    tasks = [self._classify_task(vol, d, trained) for vol, d in steps]
+                elif stage == "track":
+                    tasks = [self._grow_task(sequence, digests)]
+                elif stage == "tfs":
+                    tasks = [self._tf_task(vol, d) for vol, d in steps]
+                else:
+                    tasks = [self._render_task(vol, self.store.get_json(self._tf_key(d)))
+                             for vol, d in steps]
+                self._wave(tasks)
+                self._drain()
+                if stage == "render":
+                    self._export_frames(sequence.times)
             self.manifest.set_status(stage, STATUS_COMPLETE)
             self._save_manifest()
             self._metrics.counter("run.stages.completed").inc()
 
-    # ------------------------------------------------------------------ #
-    # Task batch execution (the memoized walk)
-    # ------------------------------------------------------------------ #
-    def _execute_batch(self, stage: str, tasks: list[tuple]) -> None:
-        """Run one dependency level of a stage.
-
-        ``tasks`` holds ``(label, key, kind, fn, payload)`` tuples whose
-        payloads are already complete (upstream artifacts resolved).
-        Satisfied keys are skipped; the rest execute through the task
-        farm under the run-global task numbering and are persisted —
-        artifact first, manifest second — as results arrive.
-        """
-        for label, key, kind, _, _ in tasks:
-            self.manifest.record_task(stage, label, key, kind)
-        self._save_manifest()
-        pending = []
-        for task in tasks:
-            _, key, _, _, _ = task
-            if self.store.has(key):
-                self._skipped += 1
-                self._metrics.counter("run.tasks.skipped").inc()
-            else:
-                pending.append(task)
-        if not pending:
-            return
-        if self.exec_workers == 1:
-            # One farm call per task: the artifact and manifest land on
-            # disk before the next task (and its potential crash) starts.
-            for label, key, kind, fn, payload in pending:
-                outcome = map_timesteps(fn, [payload], backend="serial",
-                                        inject_faults=self._injector,
-                                        fault_index_offset=self._task_no)
-                self._persist(key, kind, outcome.results[0])
-                self._task_no += 1
-                self._executed += 1
-                self._metrics.counter("run.tasks.executed").inc()
-        else:
-            outcome = map_timesteps(
-                fn := pending[0][3], [p for _, _, _, _, p in pending],
-                workers=self.exec_workers, backend="process",
-                inject_faults=self._injector,
-                fault_index_offset=self._task_no, pool=self._pool)
-            for (label, key, kind, _, _), result in zip(pending, outcome.results):
-                self._persist(key, kind, result)
-                self._executed += 1
-                self._metrics.counter("run.tasks.executed").inc()
-            self._task_no += len(pending)
-        self._save_manifest()
-
-    def _execute_single(self, stage: str, label: str, key: str, kind: str,
-                        fn, payload) -> bool:
-        """Record, skip-or-execute, and persist one task (dataflow walk).
-
-        Returns whether the task actually executed.  Unlike the batch
-        path, the satisfied-key check happens immediately before
-        execution, so a task whose key was produced *earlier in the same
-        walk* (the shared box-TF artifact) is skipped, not recomputed.
-        """
-        self.manifest.record_task(stage, label, key, kind)
-        if self.store.has(key):
-            self._skipped += 1
-            self._metrics.counter("run.tasks.skipped").inc()
-            self._save_manifest()
-            return False
-        self._save_manifest()
-        outcome = map_timesteps(fn, [payload], backend="serial",
-                                inject_faults=self._injector,
-                                fault_index_offset=self._task_no)
-        self._persist(key, kind, outcome.results[0])
-        self._task_no += 1
-        self._executed += 1
-        self._metrics.counter("run.tasks.executed").inc()
-        self._save_manifest()
-        return True
-
-    # ------------------------------------------------------------------ #
-    # Dataflow (pipelined) walk
-    # ------------------------------------------------------------------ #
-    def _run_dataflow(self, sequence) -> None:
-        """Per-step classify(t) → tf(t) → render(t) chains; track barriers.
-
-        Every artifact key and manifest task is identical to the barrier
-        walk — the manifest serializes with sorted keys and statuses all
-        end COMPLETE, so the run directory's final bytes are too.  Track
-        still needs every classify step, so it runs as a global barrier
-        after the chains drain; frame export (idempotent store reads)
-        goes last.
-        """
-        do = set(self.config.stages)
-        for stage in self.config.stages:
+    def _walk_steps(self, sequence, digests) -> None:
+        """Step order: every task its own wave, each render chained off
+        its TF; track after the chains drain, frame export last."""
+        stages = self.config.stages
+        for stage in stages:
             self.manifest.set_status(stage, STATUS_RUNNING)
         self._save_manifest()
         with self._metrics.span("run.dataflow", steps=len(sequence),
                                 workers=self.exec_workers):
-            if self.exec_workers == 1:
-                render_keys = self._dataflow_serial(sequence)
-            else:
-                render_keys = self._dataflow_pool(sequence)
-            if "track" in do:
+            if "classify" in stages:
+                trained = self._train(sequence.times, digests, sequence.at_time)
+            for vol, digest in zip(sequence, digests):
+                if "classify" in stages:
+                    self._wave([self._classify_task(vol, digest, trained)])
+                if "tfs" in stages:
+                    render = ((lambda tf_dict, vol=vol:
+                               self._wave([self._render_task(vol, tf_dict)]))
+                              if "render" in stages else None)
+                    self._wave([self._tf_task(vol, digest)], then=render)
+            self._drain()
+            if "track" in stages:
                 with self._metrics.span("run.stage.track"):
-                    self._stage_track(sequence)
-        if "render" in do and self.config.render["export"]:
-            self._export_frames(sequence, render_keys,
-                                self.config.render["export"])
-        for stage in self.config.stages:
+                    self._wave([self._grow_task(sequence, digests)])
+        if "render" in stages:
+            self._export_frames(sequence.times)
+        for stage in stages:
             self.manifest.set_status(stage, STATUS_COMPLETE)
             self._metrics.counter("run.stages.completed").inc()
         self._save_manifest()
 
-    def _dataflow_context(self, sequence) -> dict:
-        """Pre-resolve everything the per-step chains need (key material)."""
-        do = set(self.config.stages)
-        ctx: dict = {"do": do}
-        if "classify" in do:
-            cparams = dict(self.config.classify)
-            train_times = cparams["train_steps"] or [sequence.times[0]]
-            missing = [t for t in train_times if t not in sequence.times]
-            if missing:
-                raise RunError(f"classify train_steps {missing} not in sequence "
-                               f"times {sequence.times}")
-            ctx.update(cparams=cparams, train_times=train_times,
-                       train_key=self._classify_train_key(sequence))
-        if "tfs" in do or "render" in do:
-            tparams = dict(self.config.tfs)
-            iatf_text = iatf_dict = None
-            if tparams["kind"] == "iatf":
-                try:
-                    iatf_text = Path(tparams["iatf"]).read_text()
-                except OSError as exc:
-                    raise RunError(
-                        f"cannot read IATF {tparams['iatf']}: {exc}") from None
-                iatf_dict = json.loads(iatf_text)
-            ctx.update(tparams=tparams, domain=self._tf_domain(sequence),
-                       iatf_text=iatf_text, iatf_dict=iatf_dict)
-        if "render" in do:
-            rparams = dict(self.config.render)
-            fast_opts = dict(rparams["fast_options"])
-            ctx.update(
-                rparams=rparams,
-                camera=Camera(azimuth=rparams["azimuth"],
-                              elevation=rparams["elevation"],
-                              width=rparams["size"], height=rparams["size"]),
-                sig=("exact" if rparams["mode"] == "exact"
-                     else f"fast:{sorted(fast_opts.items())!r}"),
-            )
-        return ctx
+    # ------------------------------------------------------------------ #
+    # The memoized dispatcher
+    # ------------------------------------------------------------------ #
+    def _wave(self, tasks: list[_Task], then=None) -> None:
+        """Record ``tasks``, skip the stored ones, start the rest.
 
-    def _render_key(self, ctx: dict, vol, tf_dict: dict) -> str:
-        tf = TransferFunction1D.from_dict(tf_dict)
-        return frame_digest(vol, tf, ctx["camera"], ctx["rparams"]["step"],
-                            ctx["rparams"]["shading"], ctx["sig"])
-
-    def _dataflow_serial(self, sequence) -> list[str] | None:
-        """Deterministic interleaved walk: train, then per step the
-        classify/tf/render tasks back to back.  Crash injection works
-        here exactly as on the barrier single-worker path — the executed
-        task *order* differs (and is what the chaos battery pins)."""
-        ctx = self._dataflow_context(sequence)
-        do = ctx["do"]
-        train_artifact = None
-        if "classify" in do:
-            train_vols = [sequence.at_time(t) for t in ctx["train_times"]]
-            self._execute_single("classify", "train", ctx["train_key"], "json",
-                                 _task_train_classifier,
-                                 (train_vols, self._train_params()))
-            train_artifact = self.store.get_json(ctx["train_key"])
-        render_keys = [] if "render" in do else None
-        for i, vol in enumerate(sequence):
-            label = self._label(vol)
-            if "classify" in do:
-                self._execute_single(
-                    "classify", label,
-                    self._classify_step_key(ctx["train_key"], self._vdigests[i]),
-                    "array",
-                    _task_classify_step, (train_artifact, ctx["cparams"], vol))
-            if "tfs" in do:
-                self._execute_single(
-                    "tfs", label,
-                    self._tf_step_key(ctx["domain"], ctx["iatf_text"],
-                                      self._vdigests[i]), "json",
-                    _task_tf_step, (ctx["tparams"]["kind"], ctx["tparams"],
-                                    ctx["domain"], ctx["iatf_dict"], vol))
-            if "render" in do:
-                tf_key = self._tf_step_key(ctx["domain"], ctx["iatf_text"],
-                                           self._vdigests[i])
-                tf_dict = self.store.get_json(tf_key)
-                key = self._render_key(ctx, vol, tf_dict)
-                self._execute_single("render", label, key, "array",
-                                     _task_render_step,
-                                     (vol, tf_dict, ctx["camera"], ctx["rparams"]))
-                render_keys.append(key)
-        return render_keys
-
-    def _dataflow_pool(self, sequence) -> list[str] | None:
-        """Overlapped walk on the run's resident pool.
-
-        Each step's TF future carries a done-callback that submits that
-        step's render the moment the TF lands, so renders of early steps
-        run while classifies of late steps are still in flight.  Every
-        completion persists in the parent — artifact first, manifest
-        second — preserving the at-most-one-in-flight-task crash window.
+        Every key is checked before any task starts.  With one worker a
+        task runs in the parent and its artifact lands before the next
+        task starts; on a pool it is submitted and a done-callback
+        persists it (track always runs in the parent).  ``then(result)``
+        is called with each finished or skipped task's artifact — how a
+        render chains off its TF.  Pool failures surface from
+        :meth:`_drain`.
         """
-        ctx = self._dataflow_context(sequence)
-        do = ctx["do"]
-        pool = self._pool
-        train_artifact = None
-        if "classify" in do:
-            train_vols = [sequence.at_time(t) for t in ctx["train_times"]]
-            # Training gates every classify chain: a one-task barrier,
-            # executed in-parent like the track stage.
-            self._execute_single("classify", "train", ctx["train_key"], "json",
-                                 _task_train_classifier,
-                                 (train_vols, self._train_params()))
-            train_artifact = self.store.get_json(ctx["train_key"])
-        render_keys = [None] * len(sequence) if "render" in do else None
-        classify_futs: list = []
-        tf_futs: list = []
-        render_futs: list = []
-
-        def persist_cb(key, kind):
-            def finish(fut):
-                if fut.ok:
-                    self._persist(key, kind, fut.value)
-                    self._executed += 1
-                    self._metrics.counter("run.tasks.executed").inc()
-                    self._save_manifest()
-            return finish
-
-        def submit(stage, label, key, kind, fn, payload, bucket, chain=None):
-            self.manifest.record_task(stage, label, key, kind)
-            if self.store.has(key):
+        for task in tasks:
+            for label, key in task.records:
+                self.manifest.record_task(task.stage, label, key, task.kind)
+        self._save_manifest()
+        stored = [all(self.store.has(key) for _, key in task.records)
+                  for task in tasks]
+        for task, skip in zip(tasks, stored):
+            if skip:
                 self._skipped += 1
                 self._metrics.counter("run.tasks.skipped").inc()
-                self._save_manifest()
-                return False
-            self._save_manifest()
-            fut = pool.submit(fn, payload, index=len(bucket),
-                              injector=self._injector,
-                              fault_index=self._task_no)
-            self._task_no += 1
-            fut.add_done_callback(persist_cb(key, kind))
-            if chain is not None:
-                fut.add_done_callback(chain)
-            bucket.append(fut)
-            return True
+                if then is not None:
+                    get = (self.store.get_array if task.kind == "array"
+                           else self.store.get_json)
+                    then(get(task.key))
+            elif self._pool is None or task.stage == "track":
+                outcome = map_timesteps(task.fn, [task.payload], backend="serial",
+                                        inject_faults=self._injector,
+                                        fault_index_offset=self._task_no)
+                self._task_no += 1
+                self._finish(task, outcome.results[0], then)
+            else:
+                future = self._pool.submit(task.fn, task.payload, index=self._task_no,
+                                           injector=self._injector,
+                                           fault_index=self._task_no)
+                self._task_no += 1
 
-        def submit_render(i, vol, tf_dict):
-            key = self._render_key(ctx, vol, tf_dict)
-            render_keys[i] = key
-            submit("render", self._label(vol), key, "array", _task_render_step,
-                   (vol, tf_dict, ctx["camera"], ctx["rparams"]), render_futs)
-
-        for i, vol in enumerate(sequence):
-            label = self._label(vol)
-            if "classify" in do:
-                submit("classify", label,
-                       self._classify_step_key(ctx["train_key"], self._vdigests[i]),
-                       "array",
-                       _task_classify_step, (train_artifact, ctx["cparams"], vol),
-                       classify_futs)
-            if "tfs" in do or "render" in do:
-                tf_key = self._tf_step_key(ctx["domain"], ctx["iatf_text"],
-                                           self._vdigests[i])
-            chain = None
-            if "render" in do:
-                def chain(fut, i=i, vol=vol):
+                def persist(fut, task=task):
                     if fut.ok:
-                        submit_render(i, vol, fut.value)
-            if "tfs" in do:
-                submitted = submit("tfs", label, tf_key, "json", _task_tf_step,
-                                   (ctx["tparams"]["kind"], ctx["tparams"],
-                                    ctx["domain"], ctx["iatf_dict"], vol),
-                                   tf_futs, chain=chain)
-                if not submitted and "render" in do:
-                    # TF already satisfied — render directly from the store.
-                    submit_render(i, vol, self.store.get_json(tf_key))
-            elif "render" in do:
-                submit_render(i, vol, self.store.get_json(tf_key))
+                        self._finish(task, fut.value, then)
 
-        # Two waits: draining classify + TF fires every chain callback,
-        # so all render futures exist before the second wait.
-        pool.wait(classify_futs + tf_futs)
-        pool.wait(render_futs)
-        for fut in classify_futs + tf_futs + render_futs:
-            if not fut.ok:
-                raise TaskError(fut.failure)
-        return render_keys
+                future.add_done_callback(persist)
+                self._futures.append(future)
 
-    def _persist(self, key: str, kind: str, result) -> None:
-        if kind == "array":
-            self.store.put_array(key, result)
-        else:
-            self.store.put_json(key, result)
+    def _finish(self, task: _Task, result, then) -> None:
+        """Persist a finished task's artifacts, count it, run ``then``."""
+        artifacts = result if task.stage == "track" else [result]
+        put = self.store.put_array if task.kind == "array" else self.store.put_json
+        for (_, key), artifact in zip(task.records, artifacts):
+            put(key, artifact)
+        self._executed += 1
+        self._metrics.counter("run.tasks.executed").inc()
+        if then is not None:
+            then(result)
+
+    def _drain(self) -> None:
+        """Wait for every submitted task — including tasks that callbacks
+        submit while waiting — then raise the first failure."""
+        while self._pool is not None and any(not fut.done() for fut in self._futures):
+            self._pool.wait(self._futures)
+        failures = [fut.failure for fut in self._futures if not fut.ok]
+        self._futures = []
+        if failures:
+            raise TaskError(failures[0])
 
     def _save_manifest(self) -> None:
         self.manifest.save(self.run_dir / "manifest.json")
@@ -637,105 +474,53 @@ class PipelineRunner:
         atomic_write_text(self.run_dir / "stats.json",
                           json.dumps(stats, sort_keys=True, indent=2) + "\n")
 
-    @staticmethod
-    def _label(volume) -> str:
-        return f"step:{int(volume.time):06d}"
-
     # ------------------------------------------------------------------ #
-    # Stages
+    # Stage parameters, keys, and task builders (shared with follow mode)
     # ------------------------------------------------------------------ #
-    def _train_params(self) -> dict:
-        """Classify params that influence *training* (key material)."""
-        p = self.config.classify
-        return {k: p[k] for k in ("mask", "train_steps", "samples", "radius",
-                                  "directions", "hidden", "epochs", "seed")}
-
-    def _classify_train_key(self, sequence) -> str:
-        params = self._train_params()
-        train_times = params["train_steps"] or [sequence.times[0]]
-        digests = [self._vdigests[sequence.times.index(t)] for t in train_times]
-        return derive_key("classify.train", params, train_times, digests)
-
-    def _classify_step_key(self, train_key: str, digest: str) -> str:
-        # Addressed by the step's own digest (not its sequence position),
-        # so a follower that has seen only part of the sequence derives
-        # the same key the offline walk does.
-        return derive_key("classify.step", train_key,
-                          self.config.classify["mode"], digest)
-
-    def _stage_classify(self, sequence) -> None:
-        params = dict(self.config.classify)
-        train_times = params["train_steps"] or [sequence.times[0]]
-        missing = [t for t in train_times if t not in sequence.times]
-        if missing:
-            raise RunError(f"classify train_steps {missing} not in sequence "
-                           f"times {sequence.times}")
-        train_key = self._classify_train_key(sequence)
-        train_vols = [sequence.at_time(t) for t in train_times]
-        self._execute_batch("classify", [
-            ("train", train_key, "json",
-             _task_train_classifier, (train_vols, self._train_params())),
-        ])
-        artifact = self.store.get_json(train_key)
-        self._execute_batch("classify", [
-            (self._label(vol),
-             self._classify_step_key(train_key, self._vdigests[i]), "array",
-             _task_classify_step, (artifact, params, vol))
-            for i, vol in enumerate(sequence)
-        ])
-
-    def _track_keys(self, sequence) -> tuple[str, list[str]]:
-        params = self.config.track
-        if params["criterion"] == "classify":
-            train_key = self._classify_train_key(sequence)
-            upstream = [self._classify_step_key(train_key, d)
-                        for d in self._vdigests]
-            upstream.append(f"threshold={self.config.classify['threshold']!r}")
-        else:
-            upstream = list(self._vdigests)
-        base = derive_key("track", params, upstream)
-        return base, [derive_key("track.step", base, self._label(vol))
-                      for vol in sequence]
-
-    def _stage_track(self, sequence) -> None:
-        params = dict(self.config.track)
-        base, step_keys = self._track_keys(sequence)
-        labels = [self._label(vol) for vol in sequence]
-        for label, key in zip(labels, step_keys):
-            self.manifest.record_task("track", label, key, "array")
-        self._save_manifest()
-        if all(self.store.has(k) for k in step_keys):
-            self._skipped += 1
-            self._metrics.counter("run.tasks.skipped").inc()
-            return
-        if params["criterion"] == "classify":
-            threshold = self.config.classify["threshold"]
-            train_key = self._classify_train_key(sequence)
-            criteria = np.stack([
-                self.store.get_array(self._classify_step_key(train_key, d)) > threshold
-                for d in self._vdigests
-            ], axis=0)
-        else:
-            criteria = np.stack([
-                (vol.data >= params["lo"]) & (vol.data <= params["hi"])
-                for vol in sequence
-            ], axis=0)
-        seed = [int(v) for v in params["seed_voxel"]]
-        if not 0 <= seed[0] < len(sequence):
-            raise RunError(f"track seed step index {seed[0]} outside sequence "
-                           f"of {len(sequence)} steps")
-        # One growth task; its result shatters into per-step artifacts so
-        # downstream consumers stream them individually.
-        outcome = map_timesteps(_task_track, [(criteria, seed, params)],
-                                backend="serial", inject_faults=self._injector,
-                                fault_index_offset=self._task_no)
-        self._task_no += 1
-        self._executed += 1
-        self._metrics.counter("run.tasks.executed").inc()
-        grown = outcome.results[0]
-        for key, step_mask in zip(step_keys, grown):
-            self.store.put_array(key, step_mask)
-        self._save_manifest()
+    def _resolve(self, domain, sequence=None) -> None:
+        """Pre-resolve what the task builders read, and reject bad inputs
+        before any task runs.  ``domain`` is the TF domain (``None``
+        without a tfs stage); follow mode passes no ``sequence``, so the
+        checks that need every step are skipped there."""
+        config, stages = self.config, self.config.stages
+        if "classify" in stages and sequence is not None:
+            train_times = self._train_times(sequence.times)
+            missing = [t for t in train_times if t not in sequence.times]
+            if missing:
+                raise RunError(f"classify train_steps {missing} not in sequence "
+                               f"times {sequence.times}")
+            mask = config.classify["mask"]
+            if any(mask not in sequence.at_time(t).masks for t in train_times):
+                raise RunError(f"classify mask {mask!r} is missing from the "
+                               f"training steps {train_times}")
+        if "track" in stages and sequence is not None:
+            step, *voxel = config.track["seed_voxel"]
+            if not step < len(sequence):
+                raise RunError(f"track seed step index {step} outside sequence "
+                               f"of {len(sequence)} steps")
+            if not all(v < n for v, n in zip(voxel, sequence.shape)):
+                raise RunError(f"track seed voxel {voxel} outside the grid "
+                               f"{list(sequence.shape)}")
+        self._domain = domain
+        self._iatf_text = self._iatf_dict = None
+        if "tfs" in stages and config.tfs["kind"] == "iatf":
+            try:
+                self._iatf_text = Path(config.tfs["iatf"]).read_text()
+                self._iatf_dict = json.loads(self._iatf_text)
+            except (OSError, ValueError) as exc:
+                raise RunError(f"cannot read IATF {config.tfs['iatf']}: {exc}") from None
+        elif "tfs" in stages:
+            lo, hi = _box_band(config.tfs, domain)
+            if not lo < hi:
+                raise RunError(f"tfs box band [{lo}, {hi}] is empty over the TF "
+                               f"domain {list(domain)}")
+        if "render" in stages:
+            params = config.render
+            self._camera = Camera(azimuth=params["azimuth"],
+                                  elevation=params["elevation"],
+                                  width=params["size"], height=params["size"])
+            self._renderer = ("exact" if params["mode"] == "exact"
+                              else f"fast:{sorted(params['fast_options'].items())!r}")
 
     def _tf_domain(self, sequence) -> tuple[float, float]:
         """TF domain: the config's pinned ``tfs.domain`` when set, else the
@@ -747,62 +532,113 @@ class PipelineRunner:
             return (float(domain[0]), float(domain[1]))
         return sequence.value_range
 
-    def _tf_step_key(self, domain, iatf_text: str | None, digest: str) -> str:
+    def _train_params(self) -> dict:
+        """Classify params that influence *training* (key material)."""
+        p = self.config.classify
+        return {k: p[k] for k in ("mask", "train_steps", "samples", "radius",
+                                  "directions", "hidden", "epochs", "seed")}
+
+    def _train_times(self, times) -> list:
+        return self.config.classify["train_steps"] or [times[0]]
+
+    def _train_key(self, times, digests) -> str:
+        """The train task's key, from the steps seen so far (which must
+        include every training step)."""
+        digest_of = dict(zip(times, digests))
+        train_times = self._train_times(times)
+        return derive_key("classify.train", self._train_params(), train_times,
+                          [digest_of[t] for t in train_times])
+
+    def _classify_key(self, train_key: str, digest: str) -> str:
+        # Addressed by the step's own digest (not its sequence position),
+        # so a follower that has seen only part of the sequence derives
+        # the same key the offline walk does.
+        return derive_key("classify.step", train_key,
+                          self.config.classify["mode"], digest)
+
+    def _track_keys(self, times, digests) -> list[str]:
+        """One track key per step, from every step's time and digest."""
+        params = self.config.track
+        if params["criterion"] == "classify":
+            train_key = self._train_key(times, digests)
+            upstream = [self._classify_key(train_key, d) for d in digests]
+            upstream.append(f"threshold={self.config.classify['threshold']!r}")
+        else:
+            upstream = list(digests)
+        base = derive_key("track", params, upstream)
+        return [derive_key("track.step", base, _label(t)) for t in times]
+
+    def _tf_key(self, digest: str) -> str:
         params = self.config.tfs
-        parts = ["tfs", params, list(domain)]
+        parts = ["tfs", params, list(self._domain)]
         if params["kind"] == "iatf":
-            parts += [iatf_text, digest]
+            parts += [self._iatf_text, digest]
         return derive_key(*parts)
 
-    def _stage_tfs(self, sequence) -> None:
-        params = dict(self.config.tfs)
-        domain = self._tf_domain(sequence)
-        iatf_text = iatf_dict = None
-        if params["kind"] == "iatf":
-            try:
-                iatf_text = Path(params["iatf"]).read_text()
-            except OSError as exc:
-                raise RunError(f"cannot read IATF {params['iatf']}: {exc}") from None
-            iatf_dict = json.loads(iatf_text)
-        self._execute_batch("tfs", [
-            (self._label(vol),
-             self._tf_step_key(domain, iatf_text, self._vdigests[i]), "json",
-             _task_tf_step, (params["kind"], params, domain, iatf_dict, vol))
-            for i, vol in enumerate(sequence)
-        ])
+    def _train(self, times, digests, load) -> tuple[str, dict]:
+        """Run the train task as its own wave; returns ``(key, artifact)``
+        for the classify tasks.  ``load(t)`` returns the volume of step ``t``."""
+        options = {k: v for k, v in self._train_params().items()
+                   if k != "train_steps"}
+        volumes = [load(t) for t in self._train_times(times)]
+        task = _Task("classify", (("train", self._train_key(times, digests)),),
+                     "json", _task_train_classifier, (volumes, options))
+        self._wave([task])
+        self._drain()
+        return task.key, self.store.get_json(task.key)
 
-    def _stage_render(self, sequence) -> None:
-        params = dict(self.config.render)
-        camera = Camera(azimuth=params["azimuth"], elevation=params["elevation"],
-                        width=params["size"], height=params["size"])
-        fast_opts = dict(params["fast_options"])
-        sig = ("exact" if params["mode"] == "exact"
-               else f"fast:{sorted(fast_opts.items())!r}")
-        domain = self._tf_domain(sequence)
-        iatf_text = (Path(self.config.tfs["iatf"]).read_text()
-                     if self.config.tfs["kind"] == "iatf" else None)
-        tasks = []
-        for i, vol in enumerate(sequence):
-            tf_key = self._tf_step_key(domain, iatf_text, self._vdigests[i])
-            tf_dict = self.store.get_json(tf_key)
-            tf = TransferFunction1D.from_dict(tf_dict)
-            # The render key *is* the frame digest — the same content key
-            # render_sequence's frame cache uses, reused verbatim here.
-            key = frame_digest(vol, tf, camera, params["step"],
-                               params["shading"], sig)
-            tasks.append((self._label(vol), key, "array",
-                          _task_render_step, (vol, tf_dict, camera, params)))
-        self._execute_batch("render", tasks)
-        if params["export"]:
-            self._export_frames(sequence, [k for _, k, _, _, _ in tasks],
-                                params["export"])
+    def _classify_task(self, volume, digest: str, trained) -> _Task:
+        train_key, artifact = trained
+        key = self._classify_key(train_key, digest)
+        return _Task("classify", ((_label(volume.time), key),), "array",
+                     _task_classify_step, (artifact, self.config.classify, volume))
 
-    def _export_frames(self, sequence, keys: list[str], fmt: str) -> None:
-        """Idempotently materialize stored pixel artifacts as image files."""
-        outdir = self.run_dir / "frames"
-        for vol, key in zip(sequence, keys):
-            image = Image.from_array(self.store.get_array(key))
+    def _tf_task(self, volume, digest: str) -> _Task:
+        params = self.config.tfs
+        return _Task("tfs", ((_label(volume.time), self._tf_key(digest)),), "json",
+                     _task_tf_step, (params["kind"], params, self._domain,
+                                     self._iatf_dict, volume))
+
+    def _render_task(self, volume, tf_dict: dict) -> _Task:
+        params = self.config.render
+        # The render key *is* the frame digest — the same content key
+        # render_sequence's frame cache uses, reused verbatim here.
+        key = frame_digest(volume, TransferFunction1D.from_dict(tf_dict),
+                           self._camera, params["step"], params["shading"],
+                           self._renderer)
+        return _Task("render", ((_label(volume.time), key),), "array",
+                     _task_render_step, (volume, tf_dict, self._camera, params))
+
+    def _track_task(self, times, digests, fn, payload) -> _Task:
+        """The one track task: a key per step; it skips only when every
+        step's mask is stored, and always runs in the parent."""
+        records = tuple(zip(map(_label, times), self._track_keys(times, digests)))
+        return _Task("track", records, "array", fn, payload)
+
+    def _grow_task(self, sequence, digests) -> _Task:
+        """Offline track: one :func:`grow_4d` over the whole criteria stack."""
+        params = self.config.track
+        if params["criterion"] == "classify":
+            threshold = self.config.classify["threshold"]
+            train_key = self._train_key(sequence.times, digests)
+            criteria = (self.store.get_array(self._classify_key(train_key, d)) > threshold
+                        for d in digests)
+        else:
+            criteria = ((vol.data >= params["lo"]) & (vol.data <= params["hi"])
+                        for vol in sequence)
+        return self._track_task(sequence.times, digests, _task_track,
+                                (criteria, params["seed_voxel"], params))
+
+    def _export_frames(self, times) -> None:
+        """Idempotently materialize stored frames as image files."""
+        fmt = self.config.render["export"]
+        if not fmt:
+            return
+        tasks = self.manifest.stages["render"].tasks
+        for time in times:
+            image = Image.from_array(self.store.get_array(tasks[_label(time)]["key"]))
+            path = self.run_dir / "frames" / f"frame_{int(time):06d}.{fmt}"
             if fmt == "png":
-                image.save_png(outdir / f"frame_{int(vol.time):06d}.png")
+                image.save_png(path)
             else:
-                image.save_ppm(outdir / f"frame_{int(vol.time):06d}.ppm")
+                image.save_ppm(path)

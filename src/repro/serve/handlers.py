@@ -217,10 +217,10 @@ class ServeState:
         get_metrics().counter("serve.classifier_cache.misses").inc()
         try:
             classifier, radius = train_sequence_classifier(
-                sequence, mask=params["mask"],
-                train_steps=[int(t) for t in params["train_steps"]],
-                samples=params["samples"], radius=params["radius"],
-                epochs=params["epochs"], seed=params["seed"])
+                [sequence.at_time(int(t)) for t in params["train_steps"]],
+                mask=params["mask"], samples=params["samples"],
+                radius=params["radius"], epochs=params["epochs"],
+                seed=params["seed"])
         except (ValueError, KeyError) as exc:
             raise BadRequest(str(exc)) from None
         self._classifiers[key] = (classifier, radius)

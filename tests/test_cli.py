@@ -136,6 +136,16 @@ class TestTrack:
             main(["track", str(seqdir), "--seed-voxel", "0", "0", "0", "0"])
 
 
+class TestClassify:
+    @pytest.mark.parametrize("argv,match", [
+        (["--mask", "ring", "--train-steps", "999"], "999"),
+        (["--mask", "nosuch", "--train-steps", "195"], "nosuch"),
+    ])
+    def test_bad_training_input_is_clean_error(self, seqdir, argv, match):
+        with pytest.raises(SystemExit, match=match):
+            main(["classify", str(seqdir), *argv])
+
+
 class TestCLIVariants:
     def test_render_with_box_range(self, seqdir, tmp_path):
         from repro.volume.io import load_sequence
@@ -233,6 +243,33 @@ class TestRunCommand:
         assert result.returncode == 1
         assert "fast_options" in result.stderr
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("stage,options", [
+        ("track", {"seed_voxel": [0, 99, 0, 0]}),
+        ("track", {"seed_voxel": [0, 1.5, 0, 0]}),
+        ("tfs", {"kind": "box", "lo": 0.9, "hi": 0.1}),
+        ("classify", {"mask": "nosuch"}),
+    ])
+    def test_bad_run_input_exits_one_without_traceback(self, seqdir, tmp_path,
+                                                       stage, options):
+        payload = {
+            "sequence": str(seqdir),
+            "stages": ["classify", "track", "tfs", "render"],
+            "classify": {"mask": "ring", "train_steps": [195], "samples": 10,
+                         "epochs": 5, "hidden": 4},
+            "track": {"criterion": "classify", "seed_voxel": [0, 1, 1, 1]},
+            "render": {"size": 16},
+        }
+        payload[stage] = {**payload.get(stage, {}), **options}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "run", str(bad),
+             "--out", str(tmp_path / "r")],
+            capture_output=True, text=True, timeout=120)
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        assert not list((tmp_path / "r").glob("store/*"))
 
     def test_resume_missing_dir_is_clean_error(self, tmp_path):
         with pytest.raises(SystemExit, match="config.json"):

@@ -11,11 +11,9 @@ from repro.core import (
     classify_sequence,
     generate_sequence_tfs,
     render_sequence,
-    run_pipelined,
 )
 from repro.core.pipeline import extraction_masks
 from repro.data.swirl import feature_peak_at
-from repro.parallel import WorkerPool
 from repro.render import Camera
 from repro.transfer import TransferFunction1D
 
@@ -102,78 +100,6 @@ class TestRenderSequence:
         tfs = [TransferFunction1D(swirl_small.value_range)]
         with pytest.raises(ValueError):
             render_sequence(swirl_small, tfs, backend="serial")
-
-
-class TestRunPipelined:
-    def test_iatf_chain_matches_barrier(self, swirl_small):
-        """Dataflow interleaving reorders the work, not one output bit."""
-        iatf = make_iatf(swirl_small)
-        camera = Camera(width=16, height=16)
-        ref_tfs = generate_sequence_tfs(iatf, swirl_small, backend="serial")
-        ref_images = render_sequence(swirl_small, ref_tfs, camera=camera,
-                                     shading=False, backend="serial")
-        out = run_pipelined(swirl_small, iatf=iatf, camera=camera, shading=False)
-        assert out.certainties is None
-        assert len(out.tfs) == len(swirl_small)
-        for a, b in zip(out.tfs, ref_tfs):
-            assert np.array_equal(a.opacity, b.opacity)
-        for a, b in zip(out.images, ref_images):
-            assert np.array_equal(a.pixels, b.pixels)
-
-    def test_pooled_matches_serial(self, swirl_small):
-        iatf = make_iatf(swirl_small)
-        camera = Camera(width=16, height=16)
-        serial = run_pipelined(swirl_small, iatf=iatf, camera=camera, shading=False)
-        with WorkerPool(workers=2) as pool:
-            pooled = run_pipelined(swirl_small, iatf=iatf, camera=camera,
-                                   shading=False, pool=pool)
-            assert pool.spawned <= 2
-        for a, b in zip(pooled.tfs, serial.tfs):
-            assert np.array_equal(a.opacity, b.opacity)
-        for a, b in zip(pooled.images, serial.images):
-            assert np.array_equal(a.pixels, b.pixels)
-
-    def test_own_pool_matches_serial(self, swirl_small):
-        tf = TransferFunction1D(swirl_small.value_range).add_box(0.3, 0.9, 0.6)
-        camera = Camera(width=16, height=16)
-        serial = run_pipelined(swirl_small, tfs=tf, camera=camera, shading=False)
-        pooled = run_pipelined(swirl_small, tfs=tf, camera=camera, shading=False,
-                               workers=2)
-        for a, b in zip(pooled.images, serial.images):
-            assert np.array_equal(a.pixels, b.pixels)
-
-    def test_classify_and_render_chain(self, cosmology_small):
-        clf = tiny_classifier(cosmology_small)
-        tf = TransferFunction1D(cosmology_small.value_range).add_box(0.3, 0.9, 0.6)
-        camera = Camera(width=16, height=16)
-        ref_certs = classify_sequence(clf, cosmology_small, backend="serial")
-        ref_images = render_sequence(cosmology_small, tf, camera=camera,
-                                     shading=False, backend="serial")
-        out = run_pipelined(cosmology_small, classifier=clf, tfs=tf,
-                            camera=camera, shading=False)
-        for a, b in zip(out.certainties, ref_certs):
-            assert np.array_equal(a, b)
-        for a, b in zip(out.images, ref_images):
-            assert np.array_equal(a.pixels, b.pixels)
-
-    def test_classify_only(self, cosmology_small):
-        clf = tiny_classifier(cosmology_small)
-        out = run_pipelined(cosmology_small, classifier=clf)
-        assert out.tfs is None and out.images is None
-        assert len(out.certainties) == len(cosmology_small)
-
-    def test_validation(self, swirl_small):
-        iatf_like = TransferFunction1D(swirl_small.value_range)
-        with pytest.raises(ValueError, match="nothing to do"):
-            run_pipelined(swirl_small)
-        with pytest.raises(ValueError, match="not both"):
-            run_pipelined(swirl_small, iatf=object(), tfs=iatf_like)
-        with pytest.raises(ValueError, match="one TF per step"):
-            run_pipelined(swirl_small, tfs=[iatf_like])
-        with pytest.raises(ValueError, match="fast_options"):
-            run_pipelined(swirl_small, tfs=iatf_like, fast_options={})
-        with pytest.raises(ValueError, match="mode"):
-            run_pipelined(swirl_small, tfs=iatf_like, mode="warp")
 
 
 class TestExtractionMasks:

@@ -170,6 +170,94 @@ class TestFullDag:
         with pytest.raises(RunError, match="seed step"):
             runner.run()
 
+    @pytest.mark.parametrize("stage,options,match", [
+        ("track", {"seed_voxel": [0, 99, 0, 0]}, "seed voxel"),
+        ("classify", {"mask": "nosuch"}, "mask 'nosuch'"),
+        ("tfs", {"lo": 1e9}, "box band"),
+    ])
+    def test_bad_input_rejected_before_any_task(self, seqdir, seed_voxel, tmp_path,
+                                                 stage, options, match):
+        """Inputs that would fail inside a task (in a full DAG, only after
+        classify had run) are rejected up front: nothing is stored."""
+        payload = full_config(seqdir, seed_voxel).to_dict()
+        payload[stage].update(options)
+        runner = PipelineRunner.create(RunConfig.from_dict(payload), tmp_path / "run")
+        with pytest.raises(RunError, match=match):
+            runner.run()
+        assert runner.store.keys() == []
+
+
+class TestPoolFailure:
+    def test_failed_task_keeps_its_wave_work(self, seqdir, tmp_path, monkeypatch):
+        """A task that fails on the pool fails the run only once its wave
+        has drained, so the stage's finished artifacts are kept and the
+        resume executes just the failed task."""
+        from repro.parallel.executor import TaskError
+        from repro.parallel.faults import FAULT_ENV
+
+        # Tasks 0-2 are the tfs wave and 3-5 the render wave: the second
+        # render fails its only attempt.
+        monkeypatch.setenv(FAULT_ENV, "4:1")
+        runner = PipelineRunner.create(fast_config(seqdir), tmp_path / "run", workers=2)
+        with pytest.raises(TaskError):
+            runner.run()
+        monkeypatch.delenv(FAULT_ENV)
+        report = PipelineRunner.resume(tmp_path / "run").run()
+        assert (report.executed, report.skipped) == (1, 5)
+
+
+# --------------------------------------------------------------------- #
+# One count rule: the wave, in both orders, on one worker and on a pool
+# --------------------------------------------------------------------- #
+# (order, workers) -> (executed, skipped) of a cold run of the crash
+# battery's 3-step full DAG.  A stage wave checks every step's key before
+# running any, so the shared box-TF key runs once per step; a one-task
+# wave skips the key the previous step just stored, except on a pool,
+# where every step's TF is submitted before the first one lands.
+COUNT_TABLE = {("stage", 1): (11, 0), ("stage", 2): (11, 0),
+               ("step", 1): (9, 2), ("step", 2): (11, 0)}
+
+
+@pytest.fixture(scope="module")
+def crash_battery_config(tmp_path_factory):
+    root = tmp_path_factory.mktemp("count_table")
+    sequence = make_argon_sequence(shape=(12, 14, 14), times=[195, 210, 225])
+    save_sequence(sequence, root / "argon")
+    z, y, x = (int(v) for v in np.argwhere(sequence[0].mask("ring"))[0])
+    return RunConfig.from_dict({
+        "sequence": str(root / "argon"),
+        "stages": ["classify", "track", "tfs", "render"],
+        "classify": {"mask": "ring", "train_steps": [195], "samples": 25,
+                     "epochs": 25, "hidden": 8, "mode": "fast"},
+        "track": {"criterion": "classify", "seed_voxel": [0, z, y, x]},
+        "render": {"size": 16},
+    })
+
+
+def _run_bytes(run_dir):
+    """The manifest's bytes and every store file's bytes, by name."""
+    files = {"manifest.json": (run_dir / "manifest.json").read_bytes()}
+    for path in sorted((run_dir / "store").iterdir()):
+        files[path.name] = path.read_bytes()
+    return files
+
+
+@pytest.fixture(scope="module")
+def count_table_reference(crash_battery_config, tmp_path_factory):
+    run_dir = tmp_path_factory.mktemp("count_table_ref") / "run"
+    PipelineRunner.create(crash_battery_config, run_dir).run()
+    return _run_bytes(run_dir)
+
+
+@pytest.mark.parametrize("order,workers", sorted(COUNT_TABLE))
+def test_count_table(crash_battery_config, count_table_reference, tmp_path,
+                     order, workers):
+    runner = PipelineRunner.create(crash_battery_config, tmp_path / "run",
+                                   workers=workers, pipelined=order == "step")
+    report = runner.run()
+    assert (report.executed, report.skipped) == COUNT_TABLE[order, workers]
+    assert _run_bytes(tmp_path / "run") == count_table_reference
+
 
 class TestCrashGuards:
     def test_crash_injection_with_workers_rejected(self, seqdir, tmp_path,

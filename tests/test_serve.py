@@ -411,6 +411,14 @@ class TestValidation:
             client.run(config)
         assert info.value.status == 400
 
+    def test_bad_run_seed_is_400(self, client):
+        config = {"sequence": "argon", "stages": ["track"],
+                  "track": {"criterion": "fixed", "lo": 0.0, "hi": 1.0,
+                            "seed_voxel": [0, 99, 0, 0]}}
+        with pytest.raises(ServeHTTPError) as info:
+            client.run(config)
+        assert info.value.status == 400
+
     def test_unknown_sequence_is_404(self, client):
         with pytest.raises(ServeHTTPError) as info:
             client.classify(**{**CLASSIFY_PARAMS, "sequence": "nope"})
