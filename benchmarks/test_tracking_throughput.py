@@ -8,8 +8,9 @@ workload's ~1% criterion fill it builds a voxel graph over the set voxels
 only and runs ``csgraph.connected_components`` — work proportional to the
 criterion, not the volume.  Denser masks or ``workers > 1`` fall back to
 brick label-and-select with union-find seam merging.
-:meth:`FeatureTracker.track_streaming` consumes one timestep at a time so
-peak memory stops scaling with the sequence length.
+:meth:`FeatureTracker.track_streaming` (the one tracking core every
+tracker entry point runs) consumes one timestep at a time so peak memory
+stops scaling with the sequence length.
 
 Measured on the Fig. 9 vortex workload at 64^3 x 8 steps:
 
@@ -19,13 +20,15 @@ Measured on the Fig. 9 vortex workload at 64^3 x 8 steps:
 - ``streaming``  — forward pass + refinement sweeps from a saved
   sequence directory (per-step sparse grows, masks skipped at load);
   ``tracemalloc`` peak memory is measured in a separate pass for both
-  the streaming and the eager path, so the profiler's allocation
-  bookkeeping never pollutes the wall-clock numbers.
+  the streaming path and the eager ``grow_4d`` over the stacked
+  criteria, so the profiler's allocation bookkeeping never pollutes the
+  wall-clock numbers;
+- ``track_fixed`` — the same stream fed from the in-memory sequence.
 
 Acceptance bars: bricked clears 2x over serial 4D, streaming matches
 serial 4D wall clock (>= 0.95x), and streaming peak memory stays within
-2 timestep working sets (float32 volume + criterion + mask) while the
-eager path needs several times more.  Results land in
+2 timestep working sets (float32 volume + criterion + mask) while eager
+4D growth needs several times more.  Results land in
 ``BENCH_tracking.json``; ``benchmarks/check_perf_regression.py`` gates
 the machine-relative ratios against the committed baseline in CI.
 """
@@ -110,13 +113,13 @@ def test_tracking_throughput(benchmark):
     assert np.array_equal(streamed.masks, serial)
     assert np.array_equal(memory_run.masks, serial)
 
-    t_eager = _best_of(lambda: tracker.track_fixed(sequence, seed, LO, HI))
-    eager = tracker.track_fixed(sequence, seed, LO, HI)
+    t_fixed = _best_of(lambda: tracker.track_fixed(sequence, seed, LO, HI))
+    assert np.array_equal(tracker.track_fixed(sequence, seed, LO, HI).masks, serial)
+    # The eager memory arm: the whole criteria stack plus 4D growth.
     tracemalloc.start()
-    tracker.track_fixed(sequence, seed, LO, HI)
+    grow_4d(tracker.fixed_criteria(sequence, LO, HI), [seed])
     _, eager_peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    assert np.array_equal(eager.masks, serial)
 
     benchmark.pedantic(
         lambda: grow_bricked(criteria, [seed], brick_shape=BRICKS_4D),
@@ -127,7 +130,7 @@ def test_tracking_throughput(benchmark):
         "serial4d": t_serial,
         "bricked": t_bricked,
         "streaming": t_streaming,
-        "eager_track_fixed": t_eager,
+        "track_fixed": t_fixed,
     }
     print(f"\n4D tracking, {GRID[0]}^3 x {len(TIMES)} steps = {n_vox} voxels:")
     print(f"{'path':>18} {'seconds':>9} {'Mvox/s':>8} {'vs serial4d':>11}")

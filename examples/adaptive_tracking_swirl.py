@@ -72,9 +72,9 @@ def main():
     for i, t in enumerate((times[0], times[len(times) // 2], times[-1])):
         vol = sequence.at_time(t)
         idx = times.index(t)
-        render_tracked(vol, fixed.masks[idx], context, camera=camera).save_ppm(
+        render_tracked(vol, fixed.step_mask(idx), context, camera=camera).save_ppm(
             OUT / f"fixed_t{t}.ppm")
-        render_tracked(vol, adaptive.masks[idx], context, camera=camera).save_ppm(
+        render_tracked(vol, adaptive.step_mask(idx), context, camera=camera).save_ppm(
             OUT / f"adaptive_t{t}.ppm")
     print(f"Highlight renders written to {OUT}/")
 

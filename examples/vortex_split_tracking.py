@@ -60,7 +60,7 @@ def main():
     total = 0.0
     for i, vol in enumerate(sequence):
         with Timer() as timer:
-            image = render_tracked(vol, result.masks[i], context, camera=camera)
+            image = render_tracked(vol, result.step_mask(i), context, camera=camera)
         total += timer.elapsed
         image.save_ppm(OUT / f"tracked_t{vol.time}.ppm")
     fps = len(sequence) / total

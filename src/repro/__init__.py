@@ -25,7 +25,6 @@ from repro.core import (
     KeyFrame,
     NeuralNetwork,
     ShellFeatureExtractor,
-    StreamingTrackResult,
     TrackResult,
     TrainingSet,
     classify_sequence,
@@ -78,7 +77,6 @@ __all__ = [
     "Oracle",
     "PaintStroke",
     "ShellFeatureExtractor",
-    "StreamingTrackResult",
     "TrackResult",
     "TrainingSet",
     "TransferFunction1D",

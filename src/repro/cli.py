@@ -278,44 +278,41 @@ def cmd_render(args) -> int:
 def cmd_track(args) -> int:
     """Track a feature (fixed range or adaptive IATF criterion).
 
-    ``--streaming`` consumes the sequence directory one step at a time
-    (peak memory independent of the step count); ``--engine bricked``
-    grows via brick-decomposed labeling, optionally fanned across
-    ``--workers`` processes with ``--bricks``-sized bricks.
+    Every path runs the same tracking stream, so the tracked voxels never
+    depend on the flags.  ``--streaming`` reads the sequence directory
+    one step at a time (peak memory independent of the step count)
+    instead of loading it whole, and ``--no-refine`` then skips the
+    refinement sweeps.  Bad input (a seed outside the sequence, an empty
+    range, an unreadable IATF) exits 1 with one line.
     """
-    matcher = None
-    if args.match is not None:
-        matcher = DescriptorMatcher(threshold=args.match,
-                                    max_gap=args.match_gap,
-                                    max_displacement=args.match_displacement)
-    tracker = FeatureTracker(
-        opacity_threshold=args.opacity_threshold,
-        engine=args.engine,
-        brick_shape=tuple(args.bricks) if args.bricks else None,
-        workers=args.workers if args.workers > 1 else None,
-        matcher=matcher,
-    )
-    seed = tuple(args.seed_voxel)
-    iatf = None
-    if args.iatf:
-        iatf = AdaptiveTransferFunction.from_dict(json.loads(Path(args.iatf).read_text()))
-    elif not args.range:
+    if not args.iatf and not args.range:
         raise SystemExit("either --iatf or --range LO HI is required")
+    try:
+        matcher = None
+        if args.match is not None:
+            matcher = DescriptorMatcher(threshold=args.match,
+                                        max_gap=args.match_gap,
+                                        max_displacement=args.match_displacement)
+        tracker = FeatureTracker(opacity_threshold=args.opacity_threshold,
+                                 matcher=matcher)
+        iatf = lo = hi = None
+        if args.iatf:
+            iatf = AdaptiveTransferFunction.from_dict(
+                json.loads(Path(args.iatf).read_text()))
+        else:
+            lo, hi = args.range
+        if args.streaming:
+            source, refine = args.seqdir, not args.no_refine
+        else:
+            source, refine = load_sequence(args.seqdir), True
+        result = tracker.track_streaming(source, tuple(args.seed_voxel), lo=lo,
+                                         hi=hi, iatf=iatf, refine=refine)
+    except KeyError as exc:
+        raise SystemExit(f"missing field {exc}") from None
+    except (OSError, ValueError, IndexError) as exc:
+        raise SystemExit(str(exc)) from None
     if args.streaming:
-        if iatf is not None:
-            result = tracker.track_streaming(args.seqdir, seed, iatf=iatf,
-                                             refine=not args.no_refine)
-        else:
-            result = tracker.track_streaming(args.seqdir, seed,
-                                             lo=args.range[0], hi=args.range[1],
-                                             refine=not args.no_refine)
         print(f"streaming: {len(result.times)} steps, {result.sweeps} sweep(s)")
-    else:
-        sequence = load_sequence(args.seqdir)
-        if iatf is not None:
-            result = tracker.track_adaptive(sequence, seed, iatf)
-        else:
-            result = tracker.track_fixed(sequence, seed, args.range[0], args.range[1])
     print(f"criterion: {result.criterion}")
     print(f"{'step':>6} {'voxels':>8} {'components':>11}")
     for t, n, c in zip(result.times, result.voxel_counts, result.component_counts()):
@@ -612,13 +609,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-refine", action="store_true",
                    help="skip the streaming path's forward/backward "
                         "refinement sweeps (single forward pass)")
-    p.add_argument("--engine", choices=["scipy", "bricked"], default="scipy",
-                   help="growth engine: serial scipy propagation, or "
-                        "brick-decomposed labeling with union-find merge")
-    p.add_argument("--bricks", type=int, nargs=3, metavar=("BZ", "BY", "BX"),
-                   help="spatial brick interior for --engine bricked")
-    p.add_argument("--workers", type=_positive_int, default=1,
-                   help="process-parallel per-brick labeling (bricked engine)")
     p.add_argument("--match", type=float, nargs="?", const=0.7, default=None,
                    metavar="THRESHOLD",
                    help="descriptor-matching fallback: when a step's growth "

@@ -40,7 +40,7 @@ from repro.core.introspect import (
     suggest_feature_subset,
     weight_saliency,
 )
-from repro.core.tracking import FeatureTracker, StreamingTrackResult, TrackResult
+from repro.core.tracking import FeatureTracker, TrackResult
 from repro.core.pipeline import (
     classify_sequence,
     generate_sequence_tfs,
@@ -53,7 +53,6 @@ __all__ = [
     "DataSpaceClassifier",
     "FastVolumeClassifier",
     "FeatureTracker",
-    "StreamingTrackResult",
     "GaussianNaiveBayes",
     "KeyFrame",
     "MLPEngine",

@@ -10,17 +10,18 @@ sequence directory that way:
 - :func:`stream_map_parallel` — process-pool variant where each worker
   loads its own step from disk (nothing but the artifact and the step path
   crosses the process boundary, matching the cluster pattern where nodes
-  read their own bricks);
-- :func:`prefetch_map` — ordered single-consumer map with a background
-  producer thread, so step *t+1*'s I/O happens while step *t* is being
-  processed (the streaming tracker's double-buffered loader).
+  read their own bricks).
+
+:func:`sequence_step_stems` is the manifest reader behind both, and
+behind the tracker's step-at-a-time loader
+(:meth:`repro.core.tracking.FeatureTracker.track_streaming`);
+:class:`SequenceWatcher` is follow mode's incremental scanner over a
+directory still being written.
 """
 
 from __future__ import annotations
 
 import json
-import queue
-import threading
 import time as _time
 from pathlib import Path
 
@@ -69,88 +70,6 @@ def stream_map(fn, directory, times=None, mmap: bool = False):
         with metrics.span("stream.step", time=time):
             result = fn(volume)
         yield time, result
-
-
-def prefetch_map(fn, items, depth: int = 1):
-    """Iterate ``fn(item)`` in order, computing up to ``depth`` items ahead.
-
-    A daemon producer thread evaluates ``fn`` on upcoming items while the
-    consumer processes the current result — the streaming tracker uses
-    this to load and decode timestep *t+1* while *t* is being classified
-    and grown.  The overlap is only real when ``fn`` spends its time off
-    the GIL (file I/O, decompression); GIL-bound numpy work serializes
-    against the consumer, so keep that on the consumer side.  The
-    look-ahead is bounded *before* computation starts (a semaphore
-    ticket per in-flight result), so at ``depth=1`` peak memory grows by
-    exactly one prefetched result plus the producer's transients, never
-    a whole pipeline of them.  The iterator itself retains no reference
-    to a delivered result — once the consumer drops it, it is gone (a
-    suspended generator frame would pin each result for a whole extra
-    iteration, one full volume in the tracker's case).
-
-    Results arrive strictly in item order.  An exception from ``fn``
-    re-raises at the consumer's matching pull; if the consumer abandons
-    the iterator, the producer is signalled and exits after its
-    in-flight item.  ``fn`` runs on the producer thread and must be safe
-    to call there.
-    """
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    return _PrefetchIterator(fn, list(items), depth)
-
-
-class _PrefetchIterator:
-    """Single-consumer iterator over a bounded producer thread."""
-
-    def __init__(self, fn, items, depth: int) -> None:
-        self._remaining = len(items)
-        self._out: queue.Queue = queue.Queue()
-        self._slots = threading.Semaphore(depth)
-        self._stop = threading.Event()
-        if items:
-            self._producer = threading.Thread(
-                target=self._produce, args=(fn, items),
-                name="repro-prefetch", daemon=True)
-            self._producer.start()
-
-    def _produce(self, fn, items) -> None:
-        for item in items:
-            while not self._slots.acquire(timeout=0.1):
-                if self._stop.is_set():
-                    return
-            if self._stop.is_set():
-                return
-            try:
-                self._out.put((True, fn(item)))
-            except BaseException as exc:  # re-raised at the consumer's pull
-                self._out.put((False, exc))
-                return
-
-    def __iter__(self) -> "_PrefetchIterator":
-        return self
-
-    def __next__(self):
-        if self._remaining <= 0:
-            raise StopIteration
-        ok, payload = self._out.get()
-        if not ok:
-            self._remaining = 0
-            self._stop.set()
-            raise payload
-        self._remaining -= 1
-        # Release before returning: the producer starts on the next item
-        # while the consumer processes this one (the overlap), but never
-        # runs more than ``depth`` results past the consumer's last pull.
-        self._slots.release()
-        get_metrics().counter("stream.prefetched").inc()
-        return payload
-
-    def close(self) -> None:
-        """Signal the producer to exit (also triggered by abandonment)."""
-        self._stop.set()
-
-    def __del__(self) -> None:
-        self._stop.set()
 
 
 def _stream_worker(payload):

@@ -44,8 +44,7 @@ _STAGE_DEFAULTS: dict[str, dict] = {
         "seed_voxel": None,       # (step_index, z, y, x) — required
         "lo": None,               # fixed-criterion value band
         "hi": None,
-        "connectivity": 1,
-        "engine": "scipy",
+        "connectivity": 1,        # 1 (faces) .. 4 (full 4D neighbourhood)
     },
     "tfs": {
         "kind": "box",    # "box" (static band) or "iatf" (saved IATF json)
@@ -194,6 +193,10 @@ class RunConfig:
                     and all(type(v) is int and v >= 0 for v in seed)):
                 raise ConfigError("track requires 'seed_voxel': [step_index, z, y, x] "
                                   f"integers >= 0, got {seed!r}")
+            connectivity = self.track["connectivity"]
+            if not (type(connectivity) is int and 1 <= connectivity <= 4):
+                raise ConfigError("track connectivity must be an integer from 1 "
+                                  f"to 4, got {connectivity!r}")
         if "tfs" in self.stages:
             kind = self.tfs["kind"]
             if kind not in ("box", "iatf"):

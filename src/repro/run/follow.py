@@ -504,8 +504,7 @@ class FollowRunner(PipelineRunner):
                 "the sequence value range is unknowable mid-simulation")
         self._resolve(self._tf_domain(None) if "tfs" in self._stage_set else None)
         if "track" in self._stage_set:
-            self._tracker = FeatureTracker(
-                connectivity=int(config.track["connectivity"]))
+            self._tracker = FeatureTracker(config.track["connectivity"])
 
     def _reload_step(self, step_time: int):
         stem = self._stems.get(step_time)

@@ -58,6 +58,7 @@ from repro.core.dataspace import DataSpaceClassifier, ShellFeatureExtractor
 from repro.core.iatf import AdaptiveTransferFunction
 from repro.core.mlp import NeuralNetwork
 from repro.core.pipeline import frame_digest, train_sequence_classifier, volume_digest
+from repro.core.tracking import FeatureTracker
 from repro.obs import get_metrics
 from repro.parallel.executor import TaskError, map_timesteps
 from repro.parallel.faults import as_injector
@@ -72,7 +73,6 @@ from repro.run.manifest import (
     RunManifest,
 )
 from repro.run.store import ArtifactStore, derive_key
-from repro.segmentation.regiongrow import grow_4d
 from repro.transfer.tf1d import TransferFunction1D
 from repro.volume.io import load_sequence
 from repro.utils.atomic import atomic_write_text
@@ -120,16 +120,16 @@ def _task_classify_step(payload):
 
 
 def _task_track(payload):
-    """One 4D region growth over the whole criteria stack.
+    """Track the seed through the whole sequence; yields one uint8 mask
+    per step, so persisting them never holds more than one unpacked step.
 
-    ``criteria`` is any per-step iterable; the runner passes a generator,
-    so a track task that is skipped never loads a criterion.
+    ``criteria_fn`` maps a volume to its criterion mask and is called
+    only here, so a track task that is skipped never loads a criterion.
     """
-    criteria, seed_voxel, params = payload
-    grown = grow_4d(np.stack(list(criteria)), [tuple(seed_voxel)],
-                    connectivity=params["connectivity"],
-                    backend=params["engine"])
-    return grown.astype(np.uint8)
+    sequence, seed_voxel, connectivity, criteria_fn = payload
+    result = FeatureTracker(connectivity).track_streaming(
+        sequence, [tuple(seed_voxel)], criteria_fn=criteria_fn)
+    return (result.step_mask(i).astype(np.uint8) for i in range(len(result.times)))
 
 
 def _box_band(params: dict, domain) -> tuple[float, float]:
@@ -616,18 +616,24 @@ class PipelineRunner:
         return _Task("track", records, "array", fn, payload)
 
     def _grow_task(self, sequence, digests) -> _Task:
-        """Offline track: one :func:`grow_4d` over the whole criteria stack."""
+        """Offline track: the whole sequence through one track stream,
+        reading the stored certainty (``classify``) or the value band
+        (``fixed``) as each step's criterion."""
         params = self.config.track
         if params["criterion"] == "classify":
             threshold = self.config.classify["threshold"]
             train_key = self._train_key(sequence.times, digests)
-            criteria = (self.store.get_array(self._classify_key(train_key, d)) > threshold
-                        for d in digests)
+            digest_of = dict(zip(sequence.times, digests))
+
+            def criteria_fn(vol):
+                key = self._classify_key(train_key, digest_of[vol.time])
+                return self.store.get_array(key) > threshold
         else:
-            criteria = ((vol.data >= params["lo"]) & (vol.data <= params["hi"])
-                        for vol in sequence)
+            def criteria_fn(vol):
+                return (vol.data >= params["lo"]) & (vol.data <= params["hi"])
         return self._track_task(sequence.times, digests, _task_track,
-                                (criteria, params["seed_voxel"], params))
+                                (sequence, params["seed_voxel"],
+                                 params["connectivity"], criteria_fn))
 
     def _export_frames(self, times) -> None:
         """Idempotently materialize stored frames as image files."""

@@ -342,6 +342,78 @@ def _pick_strategy(strategy: str, mask: np.ndarray, workers) -> str:
 last_label_stats: dict = {}
 
 
+def _label_dense(mask: np.ndarray, connectivity: int, brick_shape, workers,
+                 backend: str) -> tuple[np.ndarray, int, int]:
+    """Per-brick labeling merged by union-find, *not* renumbered.
+
+    Every component carries one id, its union-find root, but the ids are
+    neither contiguous nor in raster order; selecting the seeded
+    components does not need them to be, so :func:`grow_bricked` skips
+    the canonical renumbering :func:`label_bricked` applies.  Returns
+    ``(labels, n_ids, count)``: int32 ids in ``[0, n_ids]`` and the
+    component count.  Records the call in :data:`last_label_stats`.
+    """
+    chunks = _grid_chunks(mask.shape, brick_shape)
+    boxes = list(itertools.product(*chunks))
+    metrics = get_metrics()
+    metrics.counter("fastgrow.bricks").inc(len(boxes))
+    stats: dict = {"strategy": "dense", "bricks": len(boxes),
+                   "connectivity": int(connectivity),
+                   "backend": "inline", "workers": 1}
+
+    with metrics.span("fastgrow.label", bricks=len(boxes),
+                      connectivity=int(connectivity)):
+        if len(boxes) == 1:
+            labels, count = _label_brick((mask, connectivity))
+            stats.update(brick_labels=[count], merge_pairs=0, merge_unions=0,
+                         components=count)
+            last_label_stats.clear()
+            last_label_stats.update(stats)
+            return labels, count, count
+
+        subs = [mask[tuple(slice(a, b) for a, b in box)] for box in boxes]
+        items = [(sub, connectivity) for sub in subs]
+        if backend == "serial" and (workers is None or workers <= 1):
+            brick_results = [_label_brick(item) for item in items]
+        else:
+            outcome = map_timesteps(_label_brick, items, workers=workers,
+                                    backend=backend)
+            brick_results = outcome.results
+            stats["backend"] = outcome.backend
+            stats["workers"] = outcome.workers
+
+        labels = np.zeros(mask.shape, dtype=np.int32)
+        offset = 0
+        brick_counts = []
+        for box, (sub_labels, count) in zip(boxes, brick_results):
+            brick_counts.append(count)
+            if count:
+                view = labels[tuple(slice(a, b) for a, b in box)]
+                np.copyto(view, sub_labels + offset, where=sub_labels > 0)
+            offset += count
+        stats["brick_labels"] = brick_counts
+
+    with metrics.span("fastgrow.merge", bricks=len(boxes)):
+        pairs = _boundary_pairs(labels, chunks, connectivity)
+        union_find = UnionFind(offset + 1)
+        unions = 0
+        for a, b in pairs:
+            if union_find.find(int(a)) != union_find.find(int(b)):
+                union_find.union(int(a), int(b))
+                unions += 1
+        metrics.counter("fastgrow.merge_unions").inc(unions)
+        root_lut = union_find.roots().astype(np.int32)
+        root_lut[0] = 0
+        labels = root_lut[labels]
+        # Every brick id 1..offset is in use, so each root is one component.
+        count = int(np.count_nonzero(root_lut[1:] == np.arange(1, offset + 1)))
+    stats.update(merge_pairs=int(len(pairs)), merge_unions=unions,
+                 components=count)
+    last_label_stats.clear()
+    last_label_stats.update(stats)
+    return labels, offset, count
+
+
 def label_bricked(mask, connectivity: int = 1, brick_shape=None,
                   workers: int | None = None, backend: str = "serial",
                   strategy: str = "auto") -> tuple[np.ndarray, int]:
@@ -378,8 +450,7 @@ def label_bricked(mask, connectivity: int = 1, brick_shape=None,
     first-occurrence order and 0 background.
     """
     mask = np.asarray(mask, dtype=bool)
-    structure_check = _structure(mask.ndim, connectivity)  # validates early
-    del structure_check
+    _structure(mask.ndim, connectivity)  # validates early
     if _pick_strategy(strategy, mask, workers) == "sparse":
         metrics = get_metrics()
         with metrics.span("fastgrow.label", strategy="sparse",
@@ -392,65 +463,9 @@ def label_bricked(mask, connectivity: int = 1, brick_shape=None,
             connectivity=int(connectivity),
         )
         return labels, count
-    chunks = _grid_chunks(mask.shape, brick_shape)
-    boxes = list(itertools.product(*chunks))
-    metrics = get_metrics()
-    metrics.counter("fastgrow.bricks").inc(len(boxes))
-    stats: dict = {"strategy": "dense", "bricks": len(boxes),
-                   "connectivity": int(connectivity),
-                   "backend": "inline", "workers": 1}
-
-    with metrics.span("fastgrow.label", bricks=len(boxes),
-                      connectivity=int(connectivity)):
-        if len(boxes) == 1:
-            local_labels, count = _label_brick((mask, connectivity))
-            stats["brick_labels"] = [count]
-            labels = canonicalize_labels(local_labels)
-            stats.update(merge_pairs=0, merge_unions=0, components=count)
-            last_label_stats.clear()
-            last_label_stats.update(stats)
-            return labels, count
-
-        subs = [mask[tuple(slice(a, b) for a, b in box)] for box in boxes]
-        items = [(sub, connectivity) for sub in subs]
-        if backend == "serial" and (workers is None or workers <= 1):
-            brick_results = [_label_brick(item) for item in items]
-        else:
-            outcome = map_timesteps(_label_brick, items, workers=workers,
-                                    backend=backend)
-            brick_results = outcome.results
-            stats["backend"] = outcome.backend
-            stats["workers"] = outcome.workers
-
-        labels = np.zeros(mask.shape, dtype=np.int32)
-        offset = 0
-        brick_counts = []
-        for box, (sub_labels, count) in zip(boxes, brick_results):
-            brick_counts.append(count)
-            if count:
-                view = labels[tuple(slice(a, b) for a, b in box)]
-                np.copyto(view, sub_labels + offset, where=sub_labels > 0)
-            offset += count
-        stats["brick_labels"] = brick_counts
-
-    with metrics.span("fastgrow.merge", bricks=len(boxes)):
-        pairs = _boundary_pairs(labels, chunks, connectivity)
-        union_find = UnionFind(offset + 1)
-        unions = 0
-        for a, b in pairs:
-            if union_find.find(int(a)) != union_find.find(int(b)):
-                union_find.union(int(a), int(b))
-                unions += 1
-        metrics.counter("fastgrow.merge_unions").inc(unions)
-        root_lut = union_find.roots().astype(np.int64)
-        root_lut[0] = 0
-        labels = canonicalize_labels(root_lut[labels])
-        count = int(labels.max())
-    stats.update(merge_pairs=int(len(pairs)), merge_unions=unions,
-                 components=count)
-    last_label_stats.clear()
-    last_label_stats.update(stats)
-    return labels, count
+    labels, _, count = _label_dense(mask, connectivity, brick_shape, workers,
+                                    backend)
+    return canonicalize_labels(labels), count
 
 
 def grow_bricked(criterion, seeds, connectivity: int = 1, brick_shape=None,
@@ -460,7 +475,8 @@ def grow_bricked(criterion, seeds, connectivity: int = 1, brick_shape=None,
 
     Growing from seeds through a boolean criterion selects precisely the
     criterion components containing at least one seed, so the labeling
-    does the heavy lifting and selection is one lookup-table gather.  On
+    does the heavy lifting and selection is one lookup-table gather over
+    the union-find ids (no canonical renumbering needed).  On
     near-empty criteria ``strategy="auto"`` labels only the set-voxel
     graph (:func:`grow_sparse`) — cost proportional to the feature, not
     the domain, which is where the tracking throughput benchmark's
@@ -476,15 +492,13 @@ def grow_bricked(criterion, seeds, connectivity: int = 1, brick_shape=None,
     metrics = get_metrics()
     if _pick_strategy(strategy, criterion, workers) == "sparse":
         return grow_sparse(criterion, seed_mask, connectivity=connectivity)
+    _structure(criterion.ndim, connectivity)  # validates early
     with metrics.span("fastgrow.grow", voxels=int(criterion.size)):
-        labels, count = label_bricked(
-            criterion, connectivity=connectivity, brick_shape=brick_shape,
-            workers=workers, backend=backend, strategy="dense",
-        )
+        labels, n_ids, count = _label_dense(criterion, connectivity,
+                                            brick_shape, workers, backend)
         if count == 0:
             return np.zeros(criterion.shape, dtype=bool)
-        seed_labels = np.unique(labels[seed_mask])
-        seed_labels = seed_labels[seed_labels > 0]
-        selected = np.zeros(count + 1, dtype=bool)
-        selected[seed_labels] = True
+        selected = np.zeros(n_ids + 1, dtype=bool)
+        selected[labels[seed_mask]] = True
+        selected[0] = False
         return selected[labels]

@@ -160,11 +160,11 @@ def grow_4d(criteria, seeds, time_connect: bool = True, connectivity: int = 1,
     This function materializes the **entire** 4D stack: the criteria
     array plus the grown output are O(T · volume) resident at once, and
     the ``"scipy"`` backend's propagation allocates further full-stack
-    scratch per sweep.  That is fine for the paper-scale experiments but
-    not for long production runs — use
-    :meth:`repro.core.tracking.FeatureTracker.track_streaming`, which
-    consumes one timestep at a time and keeps peak memory independent of
-    ``T`` while producing the identical tracked region.
+    scratch per sweep.  It is therefore the differential-test oracle,
+    not a production path: every :class:`repro.core.tracking.FeatureTracker`
+    entry point runs a :class:`~repro.core.tracking.TrackStream`, which
+    holds one unpacked step plus two bit-packed planes per step and
+    reaches this function's exact fixpoint.
 
     Returns
     -------

@@ -74,8 +74,6 @@ _SCHEMAS: dict[str, dict] = {
         "opacity_threshold": 0.1,
         "streaming": False,
         "refine": True,
-        "engine": "scipy",
-        "bricks": None,
     },
     "render": {
         "sequence": _REQUIRED,
@@ -308,34 +306,24 @@ def compute_track(state: ServeState, params: dict) -> dict:
     seed_voxel = params["seed_voxel"]
     if not (isinstance(seed_voxel, (list, tuple)) and len(seed_voxel) == 4):
         raise BadRequest("seed_voxel must be [step, z, y, x]")
-    seed = tuple(int(v) for v in seed_voxel)
-    tracker = FeatureTracker(
-        opacity_threshold=float(params["opacity_threshold"]),
-        engine=params["engine"],
-        brick_shape=tuple(params["bricks"]) if params["bricks"] else None,
-        workers=state.workers if state.workers > 1 else None,
-    )
-    iatf = (AdaptiveTransferFunction.from_dict(params["iatf"])
-            if params["iatf"] is not None else None)
     try:
-        if params["streaming"]:
-            seq_dir = state.sequence_dir(params["sequence"])
-            if iatf is not None:
-                result = tracker.track_streaming(seq_dir, seed, iatf=iatf,
-                                                 refine=bool(params["refine"]))
-            else:
-                lo, hi = params["range"]
-                result = tracker.track_streaming(seq_dir, seed, lo=float(lo),
-                                                 hi=float(hi),
-                                                 refine=bool(params["refine"]))
+        seed = tuple(int(v) for v in seed_voxel)
+        tracker = FeatureTracker(opacity_threshold=float(params["opacity_threshold"]))
+        iatf = lo = hi = None
+        if params["iatf"] is not None:
+            iatf = AdaptiveTransferFunction.from_dict(params["iatf"])
         else:
-            sequence = state.sequence(params["sequence"])
-            if iatf is not None:
-                result = tracker.track_adaptive(sequence, seed, iatf)
-            else:
-                lo, hi = params["range"]
-                result = tracker.track_fixed(sequence, seed, float(lo), float(hi))
-    except (ValueError, IndexError) as exc:
+            lo, hi = (float(v) for v in params["range"])
+        if params["streaming"]:
+            source = state.sequence_dir(params["sequence"])
+            refine = bool(params["refine"])
+        else:
+            source, refine = state.sequence(params["sequence"]), True
+        result = tracker.track_streaming(source, seed, lo=lo, hi=hi, iatf=iatf,
+                                         refine=refine)
+    except KeyError as exc:
+        raise BadRequest(f"missing field {exc}") from None
+    except (ValueError, TypeError, IndexError) as exc:
         raise BadRequest(str(exc)) from None
     events = [{"kind": e.kind, "time_a": e.time_a, "time_b": e.time_b}
               for e in result.events if e.kind != "continuation"]

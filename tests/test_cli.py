@@ -135,6 +135,27 @@ class TestTrack:
         with pytest.raises(SystemExit):
             main(["track", str(seqdir), "--seed-voxel", "0", "0", "0", "0"])
 
+    @pytest.mark.parametrize("argv", [
+        ["--seed-voxel", "0", "99", "0", "0", "--range", "0", "1"],
+        ["--seed-voxel", "0", "99", "0", "0", "--range", "0", "1", "--streaming"],
+        ["--seed-voxel", "7", "5", "5", "5", "--range", "0", "1"],
+        ["--seed-voxel", "0", "5", "5", "5", "--range", "1.0", "0.5"],
+        ["--seed-voxel", "0", "5", "5", "5", "--range", "0", "1",
+         "--opacity-threshold", "2"],
+        ["--seed-voxel", "0", "5", "5", "5", "--iatf", "missing.json"],
+        ["--seed-voxel", "0", "5", "5", "5", "--iatf", "nodomain.json"],
+    ], ids=["seed-off-grid", "seed-off-grid-streaming", "seed-step-past-end",
+            "empty-range", "opacity-threshold", "iatf-missing", "iatf-no-domain"])
+    def test_bad_input_exits_one_without_traceback(self, seqdir, tmp_path, argv):
+        (tmp_path / "nodomain.json").write_text(json.dumps({"x": 1}))
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "track", str(seqdir), *argv],
+            capture_output=True, text=True, timeout=120)
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        assert len(result.stderr.strip().splitlines()) == 1
+
 
 class TestClassify:
     @pytest.mark.parametrize("argv,match", [
@@ -249,6 +270,7 @@ class TestRunCommand:
         ("track", {"seed_voxel": [0, 1.5, 0, 0]}),
         ("tfs", {"kind": "box", "lo": 0.9, "hi": 0.1}),
         ("classify", {"mask": "nosuch"}),
+        ("track", {"connectivity": 0}),
     ])
     def test_bad_run_input_exits_one_without_traceback(self, seqdir, tmp_path,
                                                        stage, options):

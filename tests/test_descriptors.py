@@ -14,7 +14,8 @@ Covers the `repro.features` subsystem and its tracker integration:
   golden trajectory stays bit-identical (the fallback only fires on
   steps where growth found nothing);
 - canonical event ordering: sorting is the identity on detect_events
-  output, and eager/streaming result types report identical timelines;
+  output, and the packed result's timeline equals the per-step
+  labeling timeline;
 - DescriptorIndex persistence round-trip and warm-load counters.
 """
 
@@ -22,12 +23,7 @@ import numpy as np
 import pytest
 
 from repro.cache.store import ArtifactStore
-from repro.core.tracking import (
-    FeatureTracker,
-    StreamingTrackResult,
-    TrackResult,
-    _pack_mask,
-)
+from repro.core.tracking import FeatureTracker, TrackResult, _pack_mask
 from repro.features import (
     DescriptorConfig,
     DescriptorIndex,
@@ -334,14 +330,17 @@ class TestCanonicalEventOrder:
             assert canonical_event_order(pair) == pair
 
     def test_eager_and_streaming_results_agree(self):
+        from repro.segmentation.components import label_components
+
         masks = _multi_component_masks()
-        eager = TrackResult(masks=masks, times=[0, 1, 2], criterion="x")
-        streaming = StreamingTrackResult(
+        result = TrackResult(
             masks.shape[1:], [0, 1, 2], "x",
             [_pack_mask(m) for m in masks],
             [int(m.sum()) for m in masks], sweeps=1)
-        assert event_records(eager.events) == event_records(streaming.events)
-        kinds = {e.kind for e in eager.events}
+        timeline = track_timeline([label_components(m)[0] for m in masks],
+                                  times=[0, 1, 2])
+        assert event_records(result.events) == event_records(timeline)
+        kinds = {e.kind for e in result.events}
         assert {"split", "merge", "birth", "death"} <= kinds
 
     def test_merge_supersedes_death_and_birth(self):

@@ -147,16 +147,3 @@ class TestScheduleIndependence:
             got = grow_bricked(mask, [seed], brick_shape=(1, 6, 6, 6),
                                workers=workers, backend="process")
             assert np.array_equal(got, ref)
-
-    def test_streaming_with_parallel_engine_matches_serial(self):
-        seq = make_vortex_sequence(shape=(20, 20, 20),
-                                   times=list(range(50, 71, 4)), seed=31)
-        coords = np.argwhere(seq[0].mask("vortex"))
-        seed = (0, *(int(c) for c in coords[len(coords) // 2]))
-        serial = FeatureTracker().track_streaming(seq, seed, lo=0.5, hi=10.0)
-        parallel = FeatureTracker(
-            engine="bricked", brick_shape=(10, 10, 10), workers=2,
-        ).track_streaming(seq, seed, lo=0.5, hi=10.0)
-        assert parallel.voxel_counts == serial.voxel_counts
-        assert np.array_equal(parallel.masks, serial.masks)
-        assert parallel.events == serial.events

@@ -10,8 +10,10 @@ Two scenarios with committed lineage/event fixtures under ``tests/golden/``:
   only through a *later* merge, so backward-in-time reachability is
   required), merge, split, and death.
 
-Each scenario must produce byte-identical trajectories through all three
-execution paths — eager scipy, eager bricked, and streaming — and those
+Each scenario must produce byte-identical trajectories through the
+``grow_4d`` oracle over the stacked criteria and through the tracker,
+fed both an in-memory criteria stack (``track_with_criteria``) and a
+per-step criterion callable (``track_streaming``) — and those
 trajectories must match the committed goldens exactly.  Regenerate after
 an *intentional* behavior change with::
 
@@ -25,10 +27,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import FeatureTracker
+from repro.core import FeatureTracker, TrackResult
+from repro.core.tracking import _pack_mask
 from repro.data import make_argon_sequence
 from repro.data.argon import ring_value_band
-from repro.segmentation import FeatureLineage
+from repro.segmentation import FeatureLineage, grow_4d
 from repro.volume.grid import Volume, VolumeSequence
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -134,11 +137,13 @@ def trajectory_record(result):
 def run_path(scenario: str, path: str):
     seq, criteria_fn, seed = SCENARIOS[scenario]()
     criteria = np.stack([criteria_fn(v) for v in seq])
-    if path == "scipy":
-        tracker = FeatureTracker(engine="scipy")
-        return tracker.track_with_criteria(seq, criteria, seed, name="golden")
-    if path == "bricked":
-        tracker = FeatureTracker(engine="bricked", brick_shape=(8, 8, 8))
+    if path == "grow_4d":
+        grown = grow_4d(criteria, [seed])
+        return TrackResult(grown.shape[1:], seq.times, "golden",
+                           [_pack_mask(m) for m in grown],
+                           [int(m.sum()) for m in grown], sweeps=1)
+    if path == "eager":
+        tracker = FeatureTracker()
         return tracker.track_with_criteria(seq, criteria, seed, name="golden")
     if path == "streaming":
         tracker = FeatureTracker()
@@ -155,7 +160,7 @@ def load_golden(scenario: str) -> dict:
 # Tests
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-@pytest.mark.parametrize("path", ["scipy", "bricked", "streaming"])
+@pytest.mark.parametrize("path", ["grow_4d", "eager", "streaming"])
 def test_trajectory_matches_golden(scenario, path):
     golden = load_golden(scenario)
     record = trajectory_record(run_path(scenario, path))
@@ -165,8 +170,8 @@ def test_trajectory_matches_golden(scenario, path):
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_paths_agree_voxelwise(scenario):
     """Stronger than the golden: the three paths' masks are bit-identical."""
-    ref = run_path(scenario, "scipy").masks
-    assert np.array_equal(run_path(scenario, "bricked").masks, ref)
+    ref = run_path(scenario, "grow_4d").masks
+    assert np.array_equal(run_path(scenario, "eager").masks, ref)
     assert np.array_equal(run_path(scenario, "streaming").masks, ref)
 
 
@@ -247,7 +252,7 @@ class TestAdaptivePathAgreement:
 def regenerate():
     GOLDEN_DIR.mkdir(exist_ok=True)
     for scenario in sorted(SCENARIOS):
-        record = trajectory_record(run_path(scenario, "scipy"))
+        record = trajectory_record(run_path(scenario, "grow_4d"))
         out = GOLDEN_DIR / f"{scenario}.json"
         out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
         print(f"wrote {out} ({len(record['events'])} events)")

@@ -156,6 +156,14 @@ class TestRunConfig:
             RunConfig.from_dict(_minimal_config(
                 stages=["track"], track={"seed_voxel": [0, 1, 1, 1]}))
 
+    @pytest.mark.parametrize("connectivity", [0, 5, "1", True, 1.0])
+    def test_track_connectivity_is_int_1_to_4(self, connectivity):
+        with pytest.raises(ConfigError, match="connectivity"):
+            RunConfig.from_dict(_minimal_config(
+                stages=["track"],
+                track={"criterion": "fixed", "lo": 0, "hi": 1,
+                       "seed_voxel": [0, 1, 1, 1], "connectivity": connectivity}))
+
     def test_classify_requires_mask(self):
         with pytest.raises(ConfigError, match="mask"):
             RunConfig.from_dict(_minimal_config(stages=["classify"]))

@@ -87,6 +87,21 @@ class TestRunLifecycle:
         with pytest.raises(RunError, match="different config"):
             PipelineRunner.resume(tmp_path / "run")
 
+    def test_resume_rejects_retired_track_engine(self, seqdir, seed_voxel, tmp_path):
+        """A run directory whose config still names ``track.engine`` fails
+        to resume with one error naming the field."""
+        config = RunConfig.from_dict({
+            "sequence": str(seqdir), "stages": ["track"],
+            "track": {"criterion": "fixed", "lo": 0.0, "hi": 1.0,
+                      "seed_voxel": seed_voxel}})
+        PipelineRunner.create(config, tmp_path / "run")
+        config_path = tmp_path / "run" / "config.json"
+        payload = json.loads(config_path.read_text())
+        payload["track"]["engine"] = "scipy"
+        config_path.write_text(json.dumps(payload))
+        with pytest.raises(RunError, match="engine"):
+            PipelineRunner.resume(tmp_path / "run")
+
     def test_resume_survives_missing_manifest(self, seqdir, tmp_path):
         """Crash before the first manifest write: config.json alone resumes."""
         runner = PipelineRunner.create(fast_config(seqdir), tmp_path / "run")
@@ -185,6 +200,51 @@ class TestFullDag:
         with pytest.raises(RunError, match=match):
             runner.run()
         assert runner.store.keys() == []
+
+
+class TestTrackOracle:
+    """The run's stored track masks equal the ``grow_4d`` oracle over the
+    stacked criteria the run reads: stored certainty above the classify
+    threshold, or the fixed value band."""
+
+    @pytest.mark.parametrize("connectivity", [1, 2])
+    @pytest.mark.parametrize("criterion", ["fixed", "classify"])
+    def test_stored_masks_equal_grow_4d(self, seqdir, seed_voxel, tmp_path,
+                                        criterion, connectivity):
+        from repro.data.argon import ring_value_band
+        from repro.segmentation.regiongrow import grow_4d
+        from repro.volume.io import load_sequence
+
+        sequence = load_sequence(seqdir)
+        payload = full_config(seqdir, seed_voxel).to_dict()
+        payload["track"]["connectivity"] = connectivity
+        if criterion == "fixed":
+            # The ring's values drift up; a band spanning every step's
+            # ring values tracks it to the last step.
+            bands = [ring_value_band(sequence, t) for t in sequence.times]
+            lo, hi = min(b[0] for b in bands), max(b[1] for b in bands)
+            payload["stages"] = ["track"]
+            payload["track"].update(criterion="fixed", lo=float(lo), hi=float(hi))
+        else:
+            payload["stages"] = ["classify", "track"]
+        runner = PipelineRunner.create(RunConfig.from_dict(payload), tmp_path / "run")
+        runner.run()
+        stages = json.loads((tmp_path / "run" / "manifest.json").read_text())["stages"]
+
+        def stored(stage, time):
+            return runner.store.get_array(stages[stage]["tasks"][f"step:{time:06d}"]["key"])
+
+        if criterion == "fixed":
+            criteria = np.stack([(v.data >= lo) & (v.data <= hi) for v in sequence])
+        else:
+            threshold = payload["classify"]["threshold"]
+            criteria = np.stack([stored("classify", t) > threshold
+                                 for t in sequence.times])
+        expected = grow_4d(criteria, [tuple(seed_voxel)], connectivity=connectivity)
+        masks = np.stack([stored("track", t) for t in sequence.times])
+        assert masks.dtype == np.uint8
+        assert expected[-1].any(), "the tracked feature must reach the last step"
+        assert np.array_equal(masks.astype(bool), expected)
 
 
 class TestPoolFailure:

@@ -419,6 +419,28 @@ class TestValidation:
             client.run(config)
         assert info.value.status == 400
 
+    def test_bad_run_connectivity_is_400(self, client):
+        config = {"sequence": "argon", "stages": ["track"],
+                  "track": {"criterion": "fixed", "lo": 0.0, "hi": 1.0,
+                            "seed_voxel": [0, 6, 7, 7], "connectivity": 0}}
+        with pytest.raises(ServeHTTPError) as info:
+            client.run(config)
+        assert info.value.status == 400
+
+    @pytest.mark.parametrize("override", [
+        {"opacity_threshold": 2},
+        {"seed_voxel": ["a", 12, 11, 6]},
+        {"iatf": {"x": 1}},
+        {"streaming": True, "seed_voxel": [0, -12, 11, 6]},
+    ], ids=["opacity-threshold", "seed-not-int", "iatf-no-domain",
+            "streaming-negative-seed"])
+    def test_bad_track_body_is_400(self, client, override):
+        body = {"sequence": "argon", "seed_voxel": [0, 6, 7, 7],
+                "range": [0.0, 1.0], **override}
+        with pytest.raises(ServeHTTPError) as info:
+            client.track(**body)
+        assert info.value.status == 400
+
     def test_unknown_sequence_is_404(self, client):
         with pytest.raises(ServeHTTPError) as info:
             client.classify(**{**CLASSIFY_PARAMS, "sequence": "nope"})

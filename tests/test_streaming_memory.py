@@ -4,8 +4,8 @@
 memory scales linearly with the number of timesteps (documented in its
 *Memory* docstring section).  ``FeatureTracker.track_streaming`` holds
 one volume + criterion + scratch mask at a time and keeps the tracked
-history bit-packed, so its peak should be (a) well below the eager
-path's and (b) nearly flat in the sequence length.
+history bit-packed, so its peak should be (a) well below ``grow_4d``'s
+over the stacked criteria and (b) nearly flat in the sequence length.
 
 These tests assert machine-robust *ratios* rather than absolute byte
 counts; the tight "≤ 2 timestep working sets" bar lives in
@@ -20,6 +20,7 @@ import pytest
 
 from repro.core import FeatureTracker
 from repro.data import make_vortex_sequence
+from repro.segmentation.regiongrow import grow_4d
 from repro.volume.io import save_sequence
 
 GRID = (48, 48, 48)
@@ -47,11 +48,11 @@ def test_streaming_peak_well_below_eager(tmp_path):
     sequence = make_vortex_sequence(shape=GRID, times=times, seed=31)
     tracker = FeatureTracker()
     tracemalloc.start()
-    eager = tracker.track_fixed(sequence, SEED, LO, HI)
+    eager = grow_4d(tracker.fixed_criteria(sequence, LO, HI), [SEED])
     _, eager_peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
 
-    assert np.array_equal(streamed.masks, eager.masks)
+    assert np.array_equal(streamed.masks, eager)
     assert eager_peak / stream_peak >= 1.5
 
 

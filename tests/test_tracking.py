@@ -147,41 +147,31 @@ class TestTrackWithCriteria:
             FeatureTracker().track_with_criteria(vortex_small, stack, (0, 0, 0, 0))
 
 
-class TestTrackStreamingPrefetch:
-    """``prefetch=True`` must change wall-clock behaviour only: identical
-    masks, loads riding the background producer thread."""
+class TestSeedOutsideGrid:
+    """A seed voxel off the grid raises ``IndexError`` on every tracking
+    path — a negative coordinate must not wrap around to the far side."""
 
-    @pytest.fixture()
-    def vortex_dir(self, vortex_small, tmp_path):
+    @pytest.fixture(scope="class")
+    def vortex_dir(self, vortex_small, tmp_path_factory):
         from repro.volume.io import save_sequence
 
-        seqdir = tmp_path / "seq"
+        seqdir = tmp_path_factory.mktemp("seed_grid") / "seq"
         save_sequence(vortex_small, str(seqdir))
         return str(seqdir)
 
-    def _seed(self, vortex_small):
-        first = vortex_small[0]
-        coords = np.argwhere(first.mask("vortex"))
-        return (0, *map(int, coords[0]))
-
-    def test_prefetch_bit_identical(self, vortex_small, vortex_dir):
-        seed = self._seed(vortex_small)
-        plain = FeatureTracker().track_streaming(vortex_dir, seed,
-                                                 lo=0.5, hi=10.0)
-        prefetched = FeatureTracker().track_streaming(vortex_dir, seed,
-                                                      lo=0.5, hi=10.0,
-                                                      prefetch=True)
-        assert np.array_equal(prefetched.masks, plain.masks)
-        assert prefetched.sweeps == plain.sweeps
-
-    def test_prefetch_counter_rides_loads(self, vortex_small, vortex_dir):
-        from repro.obs import get_metrics
-
-        seed = self._seed(vortex_small)
-        metrics = get_metrics()
-        before = metrics.counter_values().get("stream.prefetched", 0)
-        FeatureTracker().track_streaming(vortex_dir, seed, lo=0.5, hi=10.0,
-                                         prefetch=True, refine=False)
-        after = metrics.counter_values().get("stream.prefetched", 0)
-        # One prefetched load per step of the single forward pass.
-        assert after - before == len(vortex_small)
+    @pytest.mark.parametrize("seed", [(0, -12, 11, 6), (0, 32, 11, 6),
+                                      (0, 11, 11, -1), (0, 11, 40, 6)])
+    @pytest.mark.parametrize("path", ["track_fixed", "streaming-memory",
+                                      "streaming-dir", "push"])
+    def test_raises_index_error(self, vortex_small, vortex_dir, path, seed):
+        tracker = FeatureTracker()
+        with pytest.raises(IndexError):
+            if path == "track_fixed":
+                tracker.track_fixed(vortex_small, seed, 0.5, 1.0)
+            elif path == "streaming-memory":
+                tracker.track_streaming(vortex_small, seed, lo=0.5, hi=1.0)
+            elif path == "streaming-dir":
+                tracker.track_streaming(vortex_dir, seed, lo=0.5, hi=1.0)
+            else:
+                first = vortex_small[0]
+                tracker.open_stream([seed]).push(first.time, first.data >= 0.5)
