@@ -23,7 +23,7 @@ def test_fig4_argon_ring_retention(argon, benchmark):
     eval_seq = argon.subsequence(EVAL_TIMES)
     iatf = train_argon_iatf(argon, key_times=KEY_TIMES)
 
-    tfs = benchmark(lambda: generate_sequence_tfs(iatf, eval_seq, backend="serial"))
+    tfs = benchmark(lambda: generate_sequence_tfs(iatf, eval_seq))
 
     statics = {t: argon_keyframe_tf(argon, t) for t in KEY_TIMES}
     matrix = {}

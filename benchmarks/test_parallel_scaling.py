@@ -56,15 +56,12 @@ def test_parallel_scaling(benchmark):
     timings = {}
     results = {}
     for workers in counts:
-        backend = "serial" if workers == 1 else "process"
         with Timer() as t:
-            results[workers] = classify_sequence(
-                clf, sequence, workers=workers, backend=backend
-            )
+            results[workers] = classify_sequence(clf, sequence, workers=workers)
         timings[workers] = t.elapsed
 
     benchmark.pedantic(
-        lambda: classify_sequence(clf, sequence, workers=max(counts), backend="process"),
+        lambda: classify_sequence(clf, sequence, workers=max(counts)),
         rounds=3, iterations=1,
     )
 

@@ -46,7 +46,7 @@ def busy(n):
 def _repeated_maps(pool=None):
     items = [2000] * ITEMS_PER_MAP
     for _ in range(MAPS):
-        map_timesteps(busy, items, workers=2, backend="process", pool=pool)
+        map_timesteps(busy, items, workers=2, pool=pool)
 
 
 def _run_config(root: Path) -> RunConfig:

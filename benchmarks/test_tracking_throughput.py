@@ -1,4 +1,4 @@
-"""4D tracking throughput: brick-parallel and streaming vs serial growth.
+"""4D tracking throughput: label-and-select and streaming vs serial growth.
 
 The Sec. 5 tracker is 4D region growing over the full criteria stack;
 ``binary_propagation`` visits every voxel of the dense 4D array no matter
@@ -6,8 +6,8 @@ how sparse the tracked feature is.  The fastgrow engine
 (:mod:`repro.segmentation.fastgrow`) auto-selects its strategy: at this
 workload's ~1% criterion fill it builds a voxel graph over the set voxels
 only and runs ``csgraph.connected_components`` — work proportional to the
-criterion, not the volume.  Denser masks or ``workers > 1`` fall back to
-brick label-and-select with union-find seam merging.
+criterion, not the volume.  Denser masks take one dense label-and-select
+pass.
 :meth:`FeatureTracker.track_streaming` (the one tracking core every
 tracker entry point runs) consumes one timestep at a time so peak memory
 stops scaling with the sequence length.
@@ -16,7 +16,7 @@ Measured on the Fig. 9 vortex workload at 64^3 x 8 steps:
 
 - ``serial4d``   — ``grow_4d`` via ``binary_propagation`` (reference);
 - ``bricked``    — ``grow_bricked`` with ``strategy="auto"`` (routes to
-  the sparse voxel-graph path at this fill), one process;
+  the sparse voxel-graph path at this fill);
 - ``streaming``  — forward pass + refinement sweeps from a saved
   sequence directory (per-step sparse grows, masks skipped at load);
   ``tracemalloc`` peak memory is measured in a separate pass for both
@@ -52,7 +52,6 @@ from repro.volume.io import save_sequence
 GRID = (64, 64, 64)
 TIMES = list(range(50, 74, 3))  # 8 steps bracketing the Fig. 9 split
 LO, HI = 0.5, 10.0
-BRICKS_4D = (1, 32, 32, 32)
 
 
 def _best_of(fn, rounds: int = 3) -> float:
@@ -84,14 +83,14 @@ def test_tracking_throughput(benchmark):
     n_vox = int(criteria.size)
     step_working_set = int(np.prod(GRID)) * (4 + 1 + 1)  # f32 data + crit + mask
 
-    # --- wall clock: serial 4D reference vs bricked label-and-select.
+    # --- wall clock: serial 4D reference vs label-and-select.
     # Every contender is timed best-of-N: at ~20ms per run, single-shot
     # timings carry enough scheduler noise to swing the gated ratios.
     grow_4d(criteria[:2], [seed])  # warm scipy
     t_serial = _best_of(lambda: grow_4d(criteria, [seed]))
     serial = grow_4d(criteria, [seed])
-    t_bricked = _best_of(lambda: grow_bricked(criteria, [seed], brick_shape=BRICKS_4D))
-    bricked = grow_bricked(criteria, [seed], brick_shape=BRICKS_4D)
+    t_bricked = _best_of(lambda: grow_bricked(criteria, [seed]))
+    bricked = grow_bricked(criteria, [seed])
     grow_strategy = last_label_stats.get("strategy", "dense")
     assert np.array_equal(bricked, serial)
 
@@ -122,7 +121,7 @@ def test_tracking_throughput(benchmark):
     tracemalloc.stop()
 
     benchmark.pedantic(
-        lambda: grow_bricked(criteria, [seed], brick_shape=BRICKS_4D),
+        lambda: grow_bricked(criteria, [seed]),
         rounds=3, iterations=1,
     )
 

@@ -7,8 +7,9 @@ script exercises that pipeline end to end on local disk and processes:
 
 1. write a sequence as raw bricks (one file pair per step);
 2. load *only* the key-frame steps, train the IATF;
-3. fan the trained IATF out over all steps with the process-pool task
-   farm, comparing serial vs parallel wall-clock;
+3. fan the trained IATF out over all steps with the task farm
+   (in-process by default, a pool of 4 with ``workers=4``), comparing
+   serial vs parallel wall-clock;
 4. demonstrate ghost-zone bricking for neighborhood ops on large steps.
 
 Run:  python examples/parallel_out_of_core.py
@@ -64,9 +65,9 @@ def main():
     # --- Per-timestep fan-out ------------------------------------------
     full = load_sequence(workdir / "argon")
     with Timer() as t_serial:
-        tfs_serial = generate_sequence_tfs(iatf, full, backend="serial")
+        tfs_serial = generate_sequence_tfs(iatf, full)
     with Timer() as t_proc:
-        tfs_proc = generate_sequence_tfs(iatf, full, backend="process", workers=4)
+        tfs_proc = generate_sequence_tfs(iatf, full, workers=4)
     assert all(np.allclose(a.opacity, b.opacity)
                for a, b in zip(tfs_serial, tfs_proc))
     print(f"Generated {len(tfs_serial)} per-step TFs: "

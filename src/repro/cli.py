@@ -167,8 +167,7 @@ def cmd_apply_iatf(args) -> int:
     """Regenerate per-step TFs from a saved IATF; report retention."""
     sequence = load_sequence(args.seqdir)
     iatf = AdaptiveTransferFunction.from_dict(json.loads(Path(args.iatf).read_text()))
-    backend = "process" if args.workers > 1 else "serial"
-    tfs = generate_sequence_tfs(iatf, sequence, workers=args.workers, backend=backend,
+    tfs = generate_sequence_tfs(iatf, sequence, workers=args.workers,
                                 retry=args.retries, on_error=args.on_error)
     print(f"{'step':>6} {'max opacity':>12}" + (f" {'retention':>10}" if args.mask else ""))
     for vol, tf in zip(sequence, tfs):
@@ -191,6 +190,8 @@ def cmd_apply_iatf(args) -> int:
 
 def cmd_classify(args) -> int:
     """Train a data-space classifier and classify every step."""
+    if args.mode == "exact" and (args.prune or args.cache is not None):
+        raise SystemExit("--prune/--cache tune the fast path; drop --exact")
     sequence = load_sequence(args.seqdir)
     try:
         classifier, radius = train_sequence_classifier(
@@ -199,9 +200,8 @@ def cmd_classify(args) -> int:
             seed=args.seed)
     except (ValueError, KeyError) as exc:
         raise SystemExit(str(exc)) from None
-    backend = "process" if args.workers > 1 else "serial"
     results = classify_sequence(
-        classifier, sequence, workers=args.workers, backend=backend,
+        classifier, sequence, workers=args.workers,
         retry=args.retries, on_error=args.on_error, mode=args.mode,
         prune=args.prune, cache=args.cache,
     )
@@ -243,7 +243,6 @@ def cmd_render(args) -> int:
         static = TransferFunction1D(domain).add_box(lo, hi, args.opacity)
         tf_for = lambda vol: static  # noqa: E731
     outdir = Path(args.out)
-    backend = "process" if args.workers > 1 else "serial"
     if not args.fast and (args.tiles is not None or args.ert_alpha != ALPHA_CUTOFF):
         raise SystemExit("--tiles/--ert-alpha tune the fast path; add --fast")
     fast_options = None
@@ -253,7 +252,7 @@ def cmd_render(args) -> int:
             fast_options["tile"] = args.tiles
     images = render_sequence(
         sequence, [tf_for(vol) for vol in sequence], camera=camera,
-        shading=not args.no_shading, workers=args.workers, backend=backend,
+        shading=not args.no_shading, workers=args.workers,
         retry=args.retries, on_error=args.on_error,
         mode="fast" if args.fast else "exact", fast_options=fast_options,
         cache=args.cache,
@@ -577,8 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "and early ray termination (bit-identical to the "
                         "reference at the default --ert-alpha)")
     p.add_argument("--tiles", type=_positive_int, metavar="EDGE",
-                   help="fast-path tile edge in pixels (default: whole image "
-                        "in-process, 64 when fanning out)")
+                   help="fast-path tile edge in pixels (default: whole image)")
     p.add_argument("--ert-alpha", type=float, default=ALPHA_CUTOFF,
                    help="fast-path early-termination opacity threshold; "
                         "below the default it trades a bounded compositing "

@@ -40,9 +40,9 @@ allows, four ideas deep:
    re-classification, streaming replay, or consecutive steps (when the
    extractor carries no time feature) skip inference and are copied from
    the cache; hit/miss counts flow to the :mod:`repro.obs` metrics layer.
-   With a shared on-disk store plugged in (``store=``, see
-   :mod:`repro.cache.shared`) the reuse extends across worker processes
-   and runs.
+   The cache sits on a shared on-disk store (``store=``, see
+   :mod:`repro.cache.shared`), so the reuse extends across worker
+   processes and runs.
 
 The float64 gather path stays available as ``mode="exact"`` — it is the
 equivalence reference (max |Δcertainty| ≤ 1e-3, exact 0.5-threshold mask
@@ -73,19 +73,22 @@ class TemporalCoherenceCache:
     bit-for-bit what inference would recompute.  Values are float32
     certainty blocks, stored and returned **read-only** (mutating a
     returned block raises instead of silently poisoning every future
-    hit).  ``max_entries`` bounds memory; least-recently-used entries are
-    evicted.
+    hit).
 
-    ``store`` optionally plugs in a shared backend (anything with
+    ``store`` is the shared backend every cache sits on (anything with
     ``load(key) -> ndarray | None`` and ``save(key, ndarray)``, e.g.
-    :class:`repro.cache.shared.SharedArrayCache`): the in-memory LRU then
-    acts as a per-process L1 over a cross-process on-disk namespace —
-    puts write through, memory misses fall through to the store — which
-    is what lets cached classification and rendering fan out to worker
-    processes.
+    :class:`repro.cache.shared.SharedArrayCache`): the in-memory LRU is a
+    per-process L1 over that cross-process on-disk namespace — puts write
+    through, memory misses fall through to the store — which is what lets
+    cached classification and rendering run on worker processes.
+    ``max_entries`` bounds the L1; least-recently-used entries are
+    evicted from memory only.
     """
 
-    def __init__(self, max_entries: int = 4096, store=None) -> None:
+    def __init__(self, store, max_entries: int = 4096) -> None:
+        if store is None:
+            raise TypeError("TemporalCoherenceCache needs a store, e.g. "
+                            "SharedArrayCache(root)")
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = int(max_entries)
@@ -108,14 +111,13 @@ class TemporalCoherenceCache:
         try:
             value = self._store[key]
         except KeyError:
-            if self.store is not None:
-                value = self.store.load(key)
-                if value is not None:
-                    self._insert(key, value)
-                    self.hits += 1
-                    return value
-            self.misses += 1
-            return None
+            value = self.store.load(key)
+            if value is None:
+                self.misses += 1
+                return None
+            self._insert(key, value)
+            self.hits += 1
+            return value
         self._store.move_to_end(key)
         self.hits += 1
         return value
@@ -132,8 +134,7 @@ class TemporalCoherenceCache:
             value = value.copy()
         value.flags.writeable = False
         self._insert(key, value)
-        if self.store is not None:
-            self.store.save(key, value)
+        self.store.save(key, value)
 
     def clear(self) -> None:
         """Drop all in-memory entries (hit/miss statistics are kept)."""
@@ -147,8 +148,7 @@ class TemporalCoherenceCache:
         flows through the shared store, whose hit/miss tallies return on
         the task result.
         """
-        return TemporalCoherenceCache(max_entries=self.max_entries,
-                                      store=self.store)
+        return TemporalCoherenceCache(self.store, max_entries=self.max_entries)
 
 
 @dataclass

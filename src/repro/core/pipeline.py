@@ -10,12 +10,14 @@ is :class:`repro.run.runner.PipelineRunner`, whose tasks reuse
 :func:`train_sequence_classifier`, :func:`frame_digest` and
 :func:`volume_digest` from here.
 
-Each task pickles its own step's ``Volume`` into the worker pipe; the
-invariants every task shares (a classifier, an IATF, the camera) are
-broadcast once per worker when the caller passes a resident pool.
-Retry/timeout/degraded-mode behaviour forwards to the task farm
-(``retry=`` / ``on_error=``) — with ``on_error="skip"`` a failed step's
-slot holds ``None``.
+Every map here places itself by the farm's one rule: a passed ``pool``
+runs it, otherwise ``workers > 1`` opens a pool for the map, otherwise
+it runs in-process.  Each task pickles its own step's ``Volume`` into
+the worker pipe; the invariants every task shares (a classifier, an
+IATF, the camera) are broadcast once per worker when the caller passes
+a resident pool.  Retry/timeout/degraded-mode behaviour forwards to the
+task farm (``retry=`` / ``on_error=``) — with ``on_error="skip"`` a
+failed step's slot holds ``None``.
 """
 
 from __future__ import annotations
@@ -30,10 +32,11 @@ from repro.core.dataspace import (
     ShellFeatureExtractor,
     derive_shell_radius,
 )
+from repro.core.fastclassify import TemporalCoherenceCache
 from repro.core.iatf import AdaptiveTransferFunction
 from repro.obs import get_metrics
 from repro.parallel.bricking import content_digest
-from repro.parallel.executor import map_timesteps, will_use_processes
+from repro.parallel.executor import fans_out, map_timesteps
 from repro.parallel.pool import WorkerPool
 from repro.render.camera import Camera
 from repro.render.fastcast import render_volume_fast
@@ -43,43 +46,31 @@ from repro.transfer.tf1d import TransferFunction1D
 from repro.volume.grid import Volume, VolumeSequence
 
 
-def _resolve_cache(cache, backend: str, kind: str):
-    """Resolve a ``cache=`` spec into ``(cache, shared, backend)``.
+def _resolve_cache(cache) -> TemporalCoherenceCache | None:
+    """Resolve a ``cache=`` spec to a store-backed cache (or ``None``).
 
-    ``None`` passes through.  ``True`` or an existing
-    :class:`~repro.core.fastclassify.TemporalCoherenceCache` without a
-    store is purely in-process state: it forces the serial backend and
-    refuses ``backend="process"``.  ``"shared"``, a directory path, a
-    :class:`~repro.cache.shared.SharedArrayCache`, or a cache already
-    wired to a store resolves to the on-disk cross-process namespace,
-    which composes with every backend.
+    ``"shared"`` (the default root), a directory path, a
+    :class:`~repro.cache.shared.SharedArrayCache`, or a
+    :class:`~repro.core.fastclassify.TemporalCoherenceCache` over a store
+    all name one on-disk, cross-process namespace, so a cached map
+    composes with any placement.
     """
-    if cache is None:
-        return None, False, backend
-    from repro.core.fastclassify import TemporalCoherenceCache
-
-    if cache is True:
-        cache = TemporalCoherenceCache()
-    elif isinstance(cache, (str, Path)):
+    if cache is None or isinstance(cache, TemporalCoherenceCache):
+        return cache
+    if isinstance(cache, SharedArrayCache):
+        return TemporalCoherenceCache(store=cache)
+    if isinstance(cache, (str, Path)):
         root = None if cache == "shared" else cache
-        cache = TemporalCoherenceCache(store=SharedArrayCache(root))
-    elif isinstance(cache, SharedArrayCache):
-        cache = TemporalCoherenceCache(store=cache)
-    if getattr(cache, "store", None) is not None:
-        return cache, True, backend
-    if backend == "process":
-        raise ValueError(
-            f"an in-memory cache requires in-process execution (its {kind} "
-            "cannot be shared across worker processes); use backend='serial' "
-            "or 'auto', or pass cache='shared' (or a cache directory path) "
-            "for the on-disk cross-process backend")
-    return cache, False, "serial"
+        return TemporalCoherenceCache(store=SharedArrayCache(root))
+    raise TypeError(
+        f"cache must be None, 'shared', a cache directory path, a "
+        f"SharedArrayCache or a TemporalCoherenceCache, got {cache!r}")
 
 
-def _task_caches(cache, shared: bool, fan_out: bool, n_items: int) -> list:
+def _task_caches(cache, fan_out: bool, n_items: int) -> list:
     """Per-task cache objects: clones over the shared store when fanning
     out (nothing rides the pickle), the one live object otherwise."""
-    if cache is not None and shared and fan_out:
+    if cache is not None and fan_out:
         return [cache.worker_clone() for _ in range(n_items)]
     return [cache] * n_items
 
@@ -147,9 +138,9 @@ def _unwrap_classify(outcome) -> list:
     """Split (result, stats) task tuples; aggregate worker-side counters.
 
     :meth:`DataSpaceClassifier.classify` already feeds the ``classify.*``
-    counters in-process, which is the parent itself on the serial
-    backend — so ridden stats are folded in only when the map actually
-    fanned out to workers (whose registries died with them).
+    counters in-process, which is the parent itself for an in-process
+    map — so ridden stats are folded in only when the map actually fanned
+    out to workers (whose registries died with them).
     """
     results = []
     totals = dict.fromkeys(_CLASSIFY_STAT_KEYS, 0)
@@ -171,9 +162,8 @@ def _unwrap_classify(outcome) -> list:
 
 
 def classify_sequence(classifier: DataSpaceClassifier, sequence: VolumeSequence,
-                      workers: int | None = None, backend: str = "auto",
-                      retry=None, on_error: str = "raise", mode: str = "exact",
-                      prune: bool = False, cache=None,
+                      workers: int = 1, retry=None, on_error: str = "raise",
+                      mode: str = "exact", prune: bool = False, cache=None,
                       pool: WorkerPool | None = None) -> list[np.ndarray]:
     """Classify every step of a sequence, optionally in parallel.
 
@@ -182,38 +172,31 @@ def classify_sequence(classifier: DataSpaceClassifier, sequence: VolumeSequence,
     classifier, a few kilobytes of weights.
 
     ``mode``/``prune`` forward to :meth:`DataSpaceClassifier.classify`.
-    ``cache`` enables temporal-coherence reuse across steps:
+    ``cache`` enables temporal-coherence reuse across steps: ``"shared"``,
+    a cache directory path, a :class:`~repro.cache.shared.SharedArrayCache`
+    or a store-backed
+    :class:`~repro.core.fastclassify.TemporalCoherenceCache` (to keep its
+    in-memory L1 warm between in-process calls) routes blocks through the
+    on-disk cross-process store — every worker reads and writes one
+    content-addressed namespace, and hit/miss counts ride the task
+    results back into the parent's ``classify.*`` counters.
 
-    - ``True`` or a :class:`~repro.core.fastclassify.TemporalCoherenceCache`
-      instance (to keep warm state between calls) is in-process state —
-      it forces the serial backend, and requesting ``backend="process"``
-      with it is an error;
-    - ``"shared"``, a cache directory path, or a
-      :class:`~repro.cache.shared.SharedArrayCache` routes blocks through
-      the on-disk cross-process store, which composes with any backend
-      and ``workers`` — every worker reads and writes one
-      content-addressed namespace, and hit/miss counts ride the task
-      results back into the parent's ``classify.*`` counters.
-
-    ``pool`` dispatches the map onto a resident
-    :class:`~repro.parallel.pool.WorkerPool` instead of one opened for
-    this call, and broadcasts the classifier so its weights cross each
-    worker pipe once per run instead of once per task.  Composes with the
-    shared cache.
+    ``pool`` runs the map on a resident
+    :class:`~repro.parallel.pool.WorkerPool` and broadcasts the classifier
+    so its weights cross each worker pipe once per run instead of once
+    per task; otherwise ``workers > 1`` opens a pool for this call.
     """
-    cache, shared, backend = _resolve_cache(cache, backend, "hit state")
-    fan_out = will_use_processes(backend, workers, len(sequence))
-    caches = _task_caches(cache, shared, fan_out, len(sequence))
+    cache = _resolve_cache(cache)
+    caches = _task_caches(cache, fans_out(workers, len(sequence), pool),
+                          len(sequence))
     opts = [{"mode": mode, "prune": prune, "cache": c} for c in caches]
-    task_classifier = (pool.broadcast(classifier)
-                       if pool is not None and fan_out else classifier)
+    task_classifier = classifier if pool is None else pool.broadcast(classifier)
     with get_metrics().span("pipeline.classify_sequence", steps=len(sequence),
                             mode=mode, prune=bool(prune),
-                            cached=cache is not None, shared_cache=shared):
+                            cached=cache is not None):
         payloads = [(task_classifier, vol, o) for vol, o in zip(sequence, opts)]
         outcome = map_timesteps(_classify_one, payloads, workers=workers,
-                                backend=backend, retry=retry, on_error=on_error,
-                                pool=pool)
+                                retry=retry, on_error=on_error, pool=pool)
     return _unwrap_classify(outcome)
 
 
@@ -223,24 +206,21 @@ def _generate_tf_one(payload) -> TransferFunction1D:
 
 
 def generate_sequence_tfs(iatf: AdaptiveTransferFunction, sequence: VolumeSequence,
-                          workers: int | None = None, backend: str = "auto",
-                          retry=None, on_error: str = "raise",
+                          workers: int = 1, retry=None, on_error: str = "raise",
                           pool: WorkerPool | None = None
                           ) -> list[TransferFunction1D]:
     """Generate the adaptive TF for every step of a sequence.
 
     This is the "create an IATF … and send [it] to parallel systems or
     remote machines for rendering" workflow of Sec. 4.2.3.  ``pool``
-    reuses a resident worker pool and broadcasts the IATF once per
-    worker.
+    runs the map on a resident worker pool and broadcasts the IATF once
+    per worker.
     """
-    fan_out = will_use_processes(backend, workers, len(sequence))
-    task_iatf = pool.broadcast(iatf) if pool is not None and fan_out else iatf
+    task_iatf = iatf if pool is None else pool.broadcast(iatf)
     with get_metrics().span("pipeline.generate_sequence_tfs", steps=len(sequence)):
         payloads = [(task_iatf, vol) for vol in sequence]
         outcome = map_timesteps(_generate_tf_one, payloads, workers=workers,
-                                backend=backend, retry=retry, on_error=on_error,
-                                pool=pool)
+                                retry=retry, on_error=on_error, pool=pool)
     return outcome.results
 
 
@@ -321,8 +301,8 @@ def _unwrap_render(outcome) -> list:
     """Split (image, stats) task tuples; total the frame-cache counters.
 
     Unlike classify, the workers never touch the counters themselves, so
-    the parent aggregates unconditionally — one code path for serial and
-    process backends.
+    the parent aggregates unconditionally — one code path wherever the
+    map ran.
     """
     results = []
     hits = misses = 0
@@ -344,8 +324,7 @@ def _unwrap_render(outcome) -> list:
 
 
 def render_sequence(sequence: VolumeSequence, tfs, camera: Camera | None = None,
-                    step: float = 1.0, shading: bool = True,
-                    workers: int | None = None, backend: str = "auto",
+                    step: float = 1.0, shading: bool = True, workers: int = 1,
                     retry=None, on_error: str = "raise", mode: str = "exact",
                     fast_options: dict | None = None, cache=None,
                     pool: WorkerPool | None = None) -> list:
@@ -358,27 +337,23 @@ def render_sequence(sequence: VolumeSequence, tfs, camera: Camera | None = None,
 
     ``mode="fast"`` routes frames through the tile/ESS/ERT renderer
     (:func:`repro.render.fastcast.render_volume_fast`) with
-    ``fast_options`` forwarded (``tile``, ``ert_alpha``, ``cell``, …).
-    When the *sequence* map fans out to processes, each step's tiles are
-    forced in-process (one pool, no nesting); give the fast path its tile
-    workers by keeping the sequence map serial.
+    ``fast_options`` forwarded (``tile``, ``ert_alpha``, ``cell``).
 
     ``cache`` enables content-keyed frame reuse.  Keys cover volume + TF
     + camera + renderer (:func:`frame_digest`), so a hit returns
-    bit-identical pixels.  ``True`` or a
-    :class:`~repro.core.fastclassify.TemporalCoherenceCache` instance (to
-    keep frames warm across calls) is in-process state — it forces the
-    serial backend, and ``backend="process"`` with it is an error;
-    ``"shared"``, a cache directory path, or a
-    :class:`~repro.cache.shared.SharedArrayCache` routes frames through
-    the on-disk cross-process store and composes with any backend and
-    ``workers``, with hit/miss counts riding the task results back to the
-    parent's ``render.frame_cache.*`` counters.
+    bit-identical pixels.  It takes the same specs as
+    :func:`classify_sequence` — ``"shared"``, a cache directory path, a
+    :class:`~repro.cache.shared.SharedArrayCache` or a store-backed
+    :class:`~repro.core.fastclassify.TemporalCoherenceCache` — and routes
+    frames through the on-disk cross-process store, with hit/miss counts
+    riding the task results back to the parent's
+    ``render.frame_cache.*`` counters.
 
-    ``pool`` dispatches onto a resident
+    ``pool`` runs the map on a resident
     :class:`~repro.parallel.pool.WorkerPool` and broadcasts the camera
     (plus the TF, when all steps share one object) so the invariants ship
-    to each worker once per run.
+    to each worker once per run; otherwise ``workers > 1`` opens a pool
+    for this call.
     """
     camera = camera or Camera()
     if mode not in ("exact", "fast"):
@@ -390,36 +365,23 @@ def render_sequence(sequence: VolumeSequence, tfs, camera: Camera | None = None,
     tfs = list(tfs)
     if len(tfs) != len(sequence):
         raise ValueError(f"need one TF per step: got {len(tfs)} TFs for {len(sequence)} steps")
-    cache, shared, backend = _resolve_cache(cache, backend, "frame store")
+    cache = _resolve_cache(cache)
     fast_opts = dict(fast_options or {})
-    fan_out = will_use_processes(backend, workers, len(sequence))
-    if mode == "fast" and fan_out:
-        # The per-step fan-out owns the process pool; nesting a tile pool
-        # inside each worker would oversubscribe, so tiles stay in-process.
-        fast_opts["workers"] = 1
-        fast_opts["backend"] = "serial"
-    caches = _task_caches(cache, shared, fan_out, len(sequence))
+    caches = _task_caches(cache, fans_out(workers, len(sequence), pool),
+                          len(sequence))
     task_camera = camera
     task_tfs = tfs
-    if pool is not None and fan_out:
+    if pool is not None:
         task_camera = pool.broadcast(camera)
         if len({id(tf) for tf in tfs}) == 1:
             task_tfs = [pool.broadcast(tfs[0])] * len(tfs)
-    # The renderer signature covers only pixel-affecting options: how the
-    # tiles were scheduled (workers/backend) cannot change the frame, and
-    # folding it in would stop serial and fanned runs from sharing cache
-    # entries.
-    render_opts = {k: v for k, v in fast_opts.items()
-                   if k not in ("workers", "backend")}
-    sig = "exact" if mode == "exact" else f"fast:{sorted(render_opts.items())!r}"
+    sig = "exact" if mode == "exact" else f"fast:{sorted(fast_opts.items())!r}"
     with get_metrics().span("pipeline.render_sequence", steps=len(sequence),
-                            mode=mode, cached=cache is not None,
-                            shared_cache=shared):
+                            mode=mode, cached=cache is not None):
         payloads = [(vol, tf, task_camera, step, shading, mode, fast_opts, c, sig)
                     for vol, tf, c in zip(sequence, task_tfs, caches)]
         outcome = map_timesteps(_render_one, payloads, workers=workers,
-                                backend=backend, retry=retry, on_error=on_error,
-                                pool=pool)
+                                retry=retry, on_error=on_error, pool=pool)
     return _unwrap_render(outcome)
 
 

@@ -186,8 +186,13 @@ class MetricsRegistry:
             try:
                 with open(sink, "a", encoding="utf-8") as fh:
                     fh.write(line)
+                failed = False
             except OSError:
-                pass  # observability must never take the pipeline down
+                failed = True  # observability must never take the pipeline down
+        if failed:
+            # Counted after the release: counter() takes the same
+            # non-reentrant lock.
+            self.counter("obs.sink.errors").inc()
 
     # ------------------------------------------------------------------ #
     # Introspection

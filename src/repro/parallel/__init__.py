@@ -4,13 +4,14 @@ The paper's large-data story has two halves this package reproduces:
 
 - *"the processing of each time step is completely independent of other
   time steps, it is feasible and desirable to employ a large PC cluster"*
-  (Sec. 8) — :mod:`repro.parallel.executor` is that per-timestep task farm:
-  every fan-out runs on a :class:`WorkerPool` of resident processes
-  (:mod:`repro.parallel.pool`), beside a deterministic serial fallback.
-  It adds per-task retry with exponential backoff and timeouts,
-  structured :class:`TaskError` failures (or an ``on_error="skip"``
-  degraded mode), crash respawn, and deterministic fault injection for
-  CI (:mod:`repro.parallel.faults`).  Payloads travel by pickle;
+  (Sec. 8) — :mod:`repro.parallel.executor` is that per-timestep task farm,
+  the one fan-out in the repository: a map runs on the caller's
+  :class:`WorkerPool` of resident processes (:mod:`repro.parallel.pool`)
+  when one is passed, on a pool of its own when ``workers > 1``, and
+  in-process otherwise.  It adds per-task retry with exponential backoff
+  and timeouts, structured :class:`TaskError` failures (or an
+  ``on_error="skip"`` degraded mode), crash respawn, and deterministic
+  fault injection for CI (:mod:`repro.parallel.faults`).  Payloads travel by pickle;
   invariants shared by every task are broadcast to each worker once.
 - *"when the volume size is large … not all the data can fit in core"*
   (Sec. 4.2.2) — :mod:`repro.parallel.bricking` decomposes volumes into
@@ -31,7 +32,6 @@ from repro.parallel.executor import (
     TaskError,
     TaskFailure,
     map_timesteps,
-    will_use_processes,
 )
 from repro.parallel.faults import FaultInjector, InjectedFault, parse_fault_spec
 from repro.parallel.pool import BroadcastRef, PoolError, PoolFuture, WorkerPool
@@ -59,5 +59,4 @@ __all__ = [
     "split_bricks",
     "stream_map",
     "stream_map_parallel",
-    "will_use_processes",
 ]

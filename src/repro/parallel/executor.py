@@ -1,16 +1,16 @@
 """Per-timestep task farm (the paper's PC-cluster substitution).
 
 Applying a trained network (or generating an IATF, or rendering) is
-embarrassingly parallel across time steps.  :func:`map_timesteps` maps a
-picklable function over a sequence of work items with three backends:
+embarrassingly parallel across time steps, and the per-step map is the
+one unit of fan-out in this repository.  :func:`map_timesteps` maps a
+picklable function over a sequence of work items, and one rule
+(:func:`fans_out`) decides where it runs:
 
-- ``"serial"`` — in-process loop, the deterministic reference;
-- ``"process"`` — a :class:`~repro.parallel.pool.WorkerPool`, the
-  cluster stand-in (one Python process per worker ≙ one cluster node):
-  the caller's resident pool when one is passed, otherwise a pool the
-  map opens for itself and closes on return;
-- ``"auto"`` — processes when more than one worker is requested and the
-  payload count justifies the fork cost, otherwise serial.
+- a caller's resident :class:`~repro.parallel.pool.WorkerPool` always
+  runs the map (one Python process per worker ≙ one cluster node);
+- otherwise ``workers > 1`` over more than one item opens a pool for
+  the map and closes it on return;
+- otherwise the map runs in-process, the deterministic reference.
 
 Results always come back in submission order regardless of completion
 order, and per-item wall times are recorded so the scaling benches can
@@ -23,7 +23,7 @@ without:
 - each task runs under a :class:`RetryPolicy`: failed attempts are
   retried with exponential backoff, and a per-attempt timeout bounds
   stragglers (on a pool the parent abandons the attempt at the
-  deadline; the serial backend checks the clock cooperatively after the
+  deadline; in-process the clock is checked cooperatively after the
   call returns);
 - when retries are exhausted the failure surfaces as a structured
   :class:`TaskError` carrying the item index, attempt count, and the
@@ -39,7 +39,6 @@ without:
 
 from __future__ import annotations
 
-import os
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -63,13 +62,12 @@ class RetryPolicy:
         Multiplier applied per further retry (exponential backoff).
     timeout:
         Per-attempt wall-clock budget in seconds (``None`` = unbounded).
-        Process backend: the parent stops waiting at the deadline and
-        schedules the attempt as failed (the worker slot frees up when
-        the stuck call eventually returns, or when the pool closes and
-        kills the worker).  Serial backend: checked
-        after the call returns, so an in-process attempt cannot be
-        preempted — an overlong attempt is *converted* to a timeout
-        failure for policy purposes.
+        On a pool the parent stops waiting at the deadline and schedules
+        the attempt as failed (the worker slot frees up when the stuck
+        call eventually returns, or when the pool closes and kills the
+        worker).  In-process it is checked after the call returns, so
+        an attempt cannot be preempted — an overlong attempt is
+        *converted* to a timeout failure for policy purposes.
     """
 
     max_retries: int = 0
@@ -150,8 +148,8 @@ class MapResult:
     elapsed:
         Total wall-clock seconds for the whole map.
     backend:
-        The backend actually used: ``"serial"``, ``"process"`` (a pool
-        opened for this map) or ``"pool"`` (the caller's pool).
+        Where the map ran: ``"serial"`` (in-process), ``"process"`` (a
+        pool opened for this map) or ``"pool"`` (the caller's pool).
     workers:
         Worker count actually used.
     item_times:
@@ -194,25 +192,23 @@ class MapResult:
         return [(i, r) for i, r in enumerate(self.results) if i not in failed]
 
 
-def _resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        return max(1, (os.cpu_count() or 2) - 1)
+def _check_workers(workers: int) -> int:
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     return workers
 
 
-def will_use_processes(backend: str, workers: int | None, n_items: int) -> bool:
-    """Whether :func:`map_timesteps` would fan out to processes.
+def fans_out(workers: int, n_items: int, pool=None) -> bool:
+    """Whether a map of ``n_items`` runs on worker processes.
 
-    Exported so payload decisions (broadcasting invariants onto a pool in
-    :mod:`repro.core.pipeline`, tile sizes in :mod:`repro.render.fastcast`)
-    can be made before building payloads.
+    The one placement rule of every per-step map: a passed ``pool``
+    always runs it; otherwise more than one worker over more than one
+    item opens a pool for the map; otherwise it runs in-process.
+    Callers use it to decide payloads (broadcast refs onto a pool, cache
+    clones for workers) before building them.
     """
-    if backend not in ("auto", "serial", "process"):
-        raise ValueError(f"unknown backend {backend!r}")
-    resolved = _resolve_workers(workers)
-    return backend == "process" or (backend == "auto" and resolved > 1 and n_items > 1)
+    workers = _check_workers(workers)
+    return pool is not None or (workers > 1 and n_items > 1)
 
 
 def _run_attempt(fn, item, attempt: int, injector, fault_index: int) -> tuple:
@@ -237,7 +233,7 @@ def _run_attempt(fn, item, attempt: int, injector, fault_index: int) -> tuple:
 
 
 class _MapState:
-    """Bookkeeping shared by the serial and pool schedulers."""
+    """Bookkeeping shared by the in-process and pool schedulers."""
 
     def __init__(self, n: int, policy: RetryPolicy, on_error: str) -> None:
         self.results: list = [None] * n
@@ -299,7 +295,7 @@ def _map_pool(fn, items, state: _MapState, injector, pool,
 
     The pool calls ``state.fail`` for every failed attempt, so retry
     accounting, counters, and ``on_error`` semantics are *the same
-    object* as the serial backend — ``on_error="raise"`` surfaces as
+    object* as in-process — ``on_error="raise"`` surfaces as
     :class:`TaskError` out of ``pool.wait`` and the ``finally`` cancels
     the rest of the map.
     """
@@ -328,17 +324,20 @@ def _as_policy(retry: RetryPolicy | int | None) -> RetryPolicy:
     return retry
 
 
-def map_timesteps(fn, items, workers: int | None = None, backend: str = "auto",
+def map_timesteps(fn, items, workers: int = 1,
                   retry: RetryPolicy | int | None = None,
                   on_error: str = "raise",
                   inject_faults: FaultInjector | dict | None = None,
                   fault_index_offset: int = 0, pool=None) -> MapResult:
     """Map ``fn`` over ``items`` (one item ≙ one time step's work).
 
-    ``fn`` must be picklable (module-level) for the process backend.
+    ``fn`` must be picklable (module-level) when the map fans out.
 
     Parameters
     ----------
+    workers:
+        Processes for a pool the map opens for itself (clamped to the
+        item count); 1, the default, runs the map in-process.
     retry:
         A :class:`RetryPolicy`, a bare int (shorthand for
         ``RetryPolicy(max_retries=n)``), or ``None`` for the default
@@ -346,8 +345,8 @@ def map_timesteps(fn, items, workers: int | None = None, backend: str = "auto",
     on_error:
         ``"raise"`` (default) — the first task to exhaust its retries
         raises :class:`TaskError` with the item index and remote
-        traceback, in every backend.  ``"skip"`` — degraded mode: the map
-        completes, failed slots hold ``None``, and
+        traceback, wherever the map runs.  ``"skip"`` — degraded mode:
+        the map completes, failed slots hold ``None``, and
         :attr:`MapResult.failures` records each casualty.
     inject_faults:
         Deterministic fault schedule for testing (see
@@ -361,49 +360,39 @@ def map_timesteps(fn, items, workers: int | None = None, backend: str = "auto",
         (``"N:crash"``) addresses the run's Nth task regardless of which
         map it lands in.
     pool:
-        A resident :class:`repro.parallel.pool.WorkerPool`.  When given
-        and the backend decision fans out, tasks dispatch onto the
-        pool's already-spawned workers — one spawn cost per run, not per
-        map — and payloads may embed
+        A resident :class:`repro.parallel.pool.WorkerPool`.  When given,
+        it always runs the map: tasks dispatch onto the pool's
+        already-spawned workers — one spawn cost per run, not per map —
+        and payloads may embed
         :class:`~repro.parallel.pool.BroadcastRef` placeholders for
-        objects previously registered via ``pool.broadcast``.  Without
-        one, a fan-out opens a pool of ``workers`` processes for this map
-        and closes it on return.  Serial maps (``backend="serial"``, or
-        ``"auto"`` deciding against fan-out) never touch the pool, so
-        their payloads must not contain broadcast refs.
+        objects previously registered via ``pool.broadcast``.  ``workers``
+        is then ignored.
     """
     items = list(items)
-    workers = _resolve_workers(workers)
-    if items:
-        # A 2-step map must not fork a full pool of idle processes.
-        workers = min(workers, len(items))
-    if backend not in ("auto", "serial", "process"):
-        raise ValueError(f"unknown backend {backend!r}")
     if on_error not in ("raise", "skip"):
         raise ValueError(f"on_error must be 'raise' or 'skip', got {on_error!r}")
+    use_process = fans_out(workers, len(items), pool)
     policy = _as_policy(retry)
     injector = as_injector(inject_faults)
-    use_process = backend == "process" or (
-        backend == "auto" and workers > 1 and len(items) > 1
-    )
-    use_pool = pool is not None and use_process
     metrics = get_metrics()
     metrics.counter("executor.tasks").inc(len(items))
     state = _MapState(len(items), policy, on_error)
-    used_backend = "pool" if use_pool else ("process" if use_process else "serial")
-    used_workers = (pool.workers if use_pool
-                    else workers if use_process else 1)
+    used_backend = ("pool" if pool is not None
+                    else "process" if use_process else "serial")
+    # A 2-step map must not fork a full pool of idle processes.
+    used_workers = (pool.workers if pool is not None
+                    else min(workers, len(items)) if use_process else 1)
     with metrics.span("executor.map", backend=used_backend, workers=used_workers,
                       items=len(items)):
         start = time.perf_counter()
-        if use_pool:
+        if pool is not None:
             _map_pool(fn, items, state, injector, pool, fault_index_offset)
         elif not use_process:
             _map_serial(fn, items, state, injector, fault_index_offset)
         else:
             from repro.parallel.pool import WorkerPool  # pool imports this module
 
-            with WorkerPool(workers=workers) as own_pool:
+            with WorkerPool(workers=used_workers) as own_pool:
                 _map_pool(fn, items, state, injector, own_pool, fault_index_offset)
         elapsed = time.perf_counter() - start
     return MapResult(state.results, elapsed, used_backend, used_workers,

@@ -5,7 +5,7 @@ failure paths are exercised in CI, and real worker faults are not
 reproducible.  A :class:`FaultInjector` is a picklable description of
 *which attempts of which items must fail*: item index → number of leading
 attempts to kill.  Because the schedule depends only on ``(index,
-attempt)``, serial and process backends see byte-identical fault
+attempt)``, in-process and pooled maps see byte-identical fault
 sequences regardless of worker scheduling.
 
 Two ways to arm it:

@@ -39,7 +39,7 @@ from a shared queue by a worker that crashes pre-acknowledgement would
 be lost silently).  Retry bookkeeping stays in the caller via the
 ``on_attempt_fail`` hook — :func:`map_timesteps` passes its ``_MapState``
 so counters, backoff, and ``on_error`` semantics are byte-identical to
-the serial backend.
+an in-process map.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from repro.parallel.executor import (
     TaskError,
     TaskFailure,
     _as_policy,
-    _resolve_workers,
+    _check_workers,
     _run_attempt,
     _timeout_error,
 )
@@ -252,7 +252,7 @@ class WorkerPool:
     Parameters
     ----------
     workers:
-        Resident worker count (default: cores - 1, same as the farm).
+        Resident worker count (default 1, same as the farm).
         Workers fork where available (cheap, shares the parent's pages)
         and spawn elsewhere.
 
@@ -265,8 +265,8 @@ class WorkerPool:
             out = map_timesteps(fn2, payloads2, pool=pool)    # map 2: no respawn
     """
 
-    def __init__(self, workers: int | None = None) -> None:
-        self.workers = _resolve_workers(workers)
+    def __init__(self, workers: int = 1) -> None:
+        self.workers = _check_workers(workers)
         # Typed Any: the stubs' BaseContext (what a str method yields) lacks
         # the ``Process`` attribute every concrete context has.
         self._ctx: Any = mp.get_context("fork" if hasattr(os, "fork") else "spawn")
@@ -670,7 +670,7 @@ class PoolDispatcher:
     grows threads (see :meth:`WorkerPool.prespawn`).
     """
 
-    def __init__(self, workers: int | None = None, prespawn: bool = False) -> None:
+    def __init__(self, workers: int = 1, prespawn: bool = False) -> None:
         self._pool = WorkerPool(workers=workers)
         self._jobs: queue.SimpleQueue = queue.SimpleQueue()
         self._closed = False

@@ -7,10 +7,10 @@ sequence in memory.  These helpers run a per-step function over a saved
 sequence directory that way:
 
 - :func:`stream_map` — serial streaming map (peak memory ≈ one step);
-- :func:`stream_map_parallel` — process-pool variant where each worker
-  loads its own step from disk (nothing but the artifact and the step path
-  crosses the process boundary, matching the cluster pattern where nodes
-  read their own bricks).
+- :func:`stream_map_parallel` — the same map through the task farm: with
+  ``workers > 1`` each pool worker loads its own step from disk (nothing
+  but the artifact and the step path crosses the process boundary,
+  matching the cluster pattern where nodes read their own bricks).
 
 :func:`sequence_step_stems` is the manifest reader behind both, and
 behind the tracker's step-at-a-time loader
@@ -77,16 +77,17 @@ def _stream_worker(payload):
     return fn(load_volume(stem))
 
 
-def stream_map_parallel(fn, directory, times=None, workers: int | None = None,
-                        backend: str = "auto", retry=None,
-                        on_error: str = "raise") -> list[tuple[int, object]]:
-    """Process-pool streaming map over a saved sequence.
+def stream_map_parallel(fn, directory, times=None, workers: int = 1,
+                        retry=None, on_error: str = "raise"
+                        ) -> list[tuple[int, object]]:
+    """Task-farm streaming map over a saved sequence.
 
-    ``fn`` must be picklable; each worker loads its own step from disk, so
+    ``fn`` must be picklable; each task loads its own step from disk, so
     the parent never materializes the sequence.  Results return in step
-    order as ``(time, result)`` pairs.  ``retry``/``on_error`` forward to
-    :func:`repro.parallel.executor.map_timesteps`; with
-    ``on_error="skip"`` a failed step's result slot holds ``None``.
+    order as ``(time, result)`` pairs.  ``workers``/``retry``/``on_error``
+    forward to :func:`repro.parallel.executor.map_timesteps`
+    (``workers > 1`` opens a pool); with ``on_error="skip"`` a failed
+    step's result slot holds ``None``.
 
     The manifest is read exactly once, so the mapped items and the
     returned step times cannot desync even if the directory is rewritten
@@ -99,7 +100,7 @@ def stream_map_parallel(fn, directory, times=None, workers: int | None = None,
         kept_times.append(time)
     with get_metrics().span("stream.map_parallel", steps=len(items)):
         outcome = map_timesteps(_stream_worker, items, workers=workers,
-                                backend=backend, retry=retry, on_error=on_error)
+                                retry=retry, on_error=on_error)
     return list(zip(kept_times, outcome.results))
 
 # --------------------------------------------------------------------- #

@@ -1,4 +1,4 @@
-"""Tile-parallel fast rendering with empty-space skipping (ESS) + ERT.
+"""Tiled fast rendering with empty-space skipping (ESS) + ERT.
 
 The paper renders classification results with fragment programs on a
 GeForce 6800 and scales frames across a PC cluster (Secs. 7–8); the
@@ -7,12 +7,10 @@ software reference in :mod:`repro.render.raycast` reproduces the
 shell.  This module is the fast path, three ideas deep:
 
 1. **Tile decomposition.**  The image plane splits into square tiles,
-   each rendered independently and dispatched through the
-   :mod:`repro.parallel.executor` task farm — the same fan-out unit the
-   classify/tracking fast paths use.  A fanned-out frame opens a
-   :class:`~repro.parallel.pool.WorkerPool` and broadcasts the volume
-   (and gradient or RGBA stacks) to each worker once, so per-tile
-   payloads carry only rays and a few references.
+   each marched independently in a plain loop (the default tile is the
+   whole image: per-shell vector ops amortize best over one big batch).
+   Frames parallelize one level up, as steps of the per-step map in
+   :mod:`repro.core.pipeline`.
 2. **Macro-cell empty-space skipping.**  A per-cell min/max summary
    (:func:`repro.volume.pyramid.minmax_pool`, dilated one cell so every
    trilinear footprint is covered) certifies, per macro cell, whether
@@ -33,22 +31,19 @@ contributes *exactly zero* opacity, and front-to-back compositing is
 elementwise per ray, so at the default ``ert_alpha`` the fast path is
 **bit-identical** to :func:`repro.render.raycast.render_volume` /
 ``render_rgba_volume`` — and bit-identical to itself across any tile
-size, tile schedule, or worker count.  Lower ``ert_alpha`` trades a
-bounded tail of the compositing sum (|Δ| ≤ 1 − ert_alpha per channel)
-for speed.  ``tests/test_fastcast.py`` pins all of this differentially.
+size.  Lower ``ert_alpha`` trades a bounded tail of the compositing sum
+(|Δ| ≤ 1 − ert_alpha per channel) for speed.  ``tests/test_fastcast.py``
+pins all of this differentially.
 """
 
 from __future__ import annotations
 
-from contextlib import ExitStack
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
 from repro.obs import get_metrics
-from repro.parallel.executor import map_timesteps, will_use_processes
-from repro.parallel.pool import WorkerPool
 from repro.render.camera import Camera
 from repro.render.image import Image
 from repro.render.raycast import ALPHA_CUTOFF, _sample, _sample_channels
@@ -265,14 +260,32 @@ def _march_tile(origins, directions, n_samples, step, ert_alpha, occupied,
 
 
 # --------------------------------------------------------------------- #
-# Tile task (module-level: must pickle into pool workers)
+# Dispatch
 # --------------------------------------------------------------------- #
-def _render_tile(payload: dict):
-    """Render one image tile; returns ``(rgb, alpha, stats)`` flat arrays."""
-    field = payload["field"]
-    grad = payload["grad"]
-    tf = payload["tf"]
-    to_viewer = payload["to_viewer"]
+def tile_boxes(height: int, width: int, tile: int) -> list[tuple[int, int, int, int]]:
+    """Row-major ``(r0, r1, c0, c1)`` tile boxes covering the image."""
+    if tile < 1:
+        raise ValueError(f"tile must be >= 1, got {tile}")
+    return [(r0, min(r0 + tile, height), c0, min(c0 + tile, width))
+            for r0 in range(0, height, tile)
+            for c0 in range(0, width, tile)]
+
+
+def _render_fast(mode: str, field: np.ndarray, grad: np.ndarray | None,
+                 tf: TransferFunction1D | None, skip: SkipGrid,
+                 skip_outside: bool, camera: Camera, step: float,
+                 background, tile: int | None, ert_alpha: float) -> Image:
+    """Shared tile loop of the two public entry points."""
+    if not 0.0 < ert_alpha <= 1.0:
+        raise ValueError(f"ert_alpha must be in (0, 1], got {ert_alpha}")
+    shape3 = field.shape[:3]
+    origins, directions, n_samples = camera.ray_grid(shape3, step=step)
+    height, width = camera.height, camera.width
+    tile = max(height, width) if tile is None else int(tile)
+    boxes = tile_boxes(height, width, tile)
+    o_grid = origins.reshape(height, width, 3)
+    d_grid = directions.reshape(height, width, 3)
+    occupied = None if skip.occupied.all() else skip.occupied
 
     if tf is not None:
 
@@ -289,6 +302,8 @@ def _render_tile(payload: dict):
             return samples[:, :3], np.clip(samples[:, 3], 0.0, 1.0)
 
     if grad is not None:
+        forward, _, _ = camera.basis()
+        to_viewer = (-forward).astype(np.float32)
 
         def shade_fn(rgb, coords):
             g = _sample_channels(grad, coords)
@@ -297,97 +312,24 @@ def _render_tile(payload: dict):
     else:
         shade_fn = None
 
-    return _march_tile(
-        payload["origins"], payload["directions"], payload["n_samples"],
-        payload["step"], payload["ert_alpha"], payload["occupied"],
-        payload["cell"], payload["shape3"], payload["skip_outside"],
-        sample_rgba, shade_fn,
-    )
-
-
-# --------------------------------------------------------------------- #
-# Dispatch
-# --------------------------------------------------------------------- #
-def tile_boxes(height: int, width: int, tile: int) -> list[tuple[int, int, int, int]]:
-    """Row-major ``(r0, r1, c0, c1)`` tile boxes covering the image."""
-    if tile < 1:
-        raise ValueError(f"tile must be >= 1, got {tile}")
-    return [(r0, min(r0 + tile, height), c0, min(c0 + tile, width))
-            for r0 in range(0, height, tile)
-            for c0 in range(0, width, tile)]
-
-
-def _resolve_tile(tile, camera: Camera, workers, backend: str) -> int:
-    """Default tile size: whole-image when the dispatch stays in process
-    (per-shell vector ops amortize best over one big batch), 64-pixel
-    tiles when fanning out to workers."""
-    if tile is not None:
-        if tile < 1:
-            raise ValueError(f"tile must be >= 1, got {tile}")
-        return int(tile)
-    probe = will_use_processes(backend, workers, 4)
-    return 64 if probe else max(camera.height, camera.width)
-
-
-def _render_fast(mode: str, field: np.ndarray, grad: np.ndarray | None,
-                 tf: TransferFunction1D | None, skip: SkipGrid,
-                 skip_outside: bool, camera: Camera, step: float,
-                 background, tile, workers, backend: str, ert_alpha: float,
-                 retry) -> Image:
-    """Shared tile-dispatch half of the two public entry points."""
-    if not 0.0 < ert_alpha <= 1.0:
-        raise ValueError(f"ert_alpha must be in (0, 1], got {ert_alpha}")
-    shape3 = field.shape[:3]
-    origins, directions, n_samples = camera.ray_grid(shape3, step=step)
-    height, width = camera.height, camera.width
-    tile = _resolve_tile(tile, camera, workers, backend)
-    boxes = tile_boxes(height, width, tile)
-    o_grid = origins.reshape(height, width, 3)
-    d_grid = directions.reshape(height, width, 3)
-    occupied = None if skip.occupied.all() else skip.occupied
-    to_viewer = None
-    if grad is not None:
-        forward, _, _ = camera.basis()
-        to_viewer = (-forward).astype(np.float32)
-
-    fan_out = will_use_processes(backend, workers, len(boxes))
-
-    metrics = get_metrics()
-    with ExitStack() as stack:
-        # A fanned-out frame owns its pool: the field, gradient and TF are
-        # broadcast to each worker once instead of pickled into every tile.
-        pool = stack.enter_context(WorkerPool(workers=workers)) if fan_out else None
-        field_ref, grad_ref, tf_ref = field, grad, tf
-        if pool is not None:
-            field_ref = pool.broadcast(field)
-            grad_ref = None if grad is None else pool.broadcast(grad)
-            tf_ref = None if tf is None else pool.broadcast(tf)
-        payloads = []
-        for r0, r1, c0, c1 in boxes:
-            payloads.append({
-                "field": field_ref, "grad": grad_ref, "tf": tf_ref,
-                "to_viewer": to_viewer,
-                "origins": np.ascontiguousarray(o_grid[r0:r1, c0:c1]).reshape(-1, 3),
-                "directions": np.ascontiguousarray(d_grid[r0:r1, c0:c1]).reshape(-1, 3),
-                "n_samples": n_samples, "step": step, "ert_alpha": ert_alpha,
-                "occupied": occupied, "cell": skip.cell, "shape3": shape3,
-                "skip_outside": skip_outside,
-            })
-        with metrics.span(f"render.fast.{mode}", pixels=height * width,
-                          samples=n_samples, tiles=len(boxes), tile=tile,
-                          ert_alpha=ert_alpha, cells_total=skip.cells_total,
-                          cells_empty=skip.cells_empty):
-            outcome = map_timesteps(_render_tile, payloads, workers=workers,
-                                    backend=backend, retry=retry, pool=pool)
-
     pixels = np.empty((height, width, 4), dtype=np.float32)
     totals = {"samples_composited": 0, "samples_skipped": 0,
               "rays_terminated_early": 0, "shells_visited": 0}
-    for (r0, r1, c0, c1), (rgb, alpha, tile_stats) in zip(boxes, outcome.results):
-        pixels[r0:r1, c0:c1, :3] = rgb.reshape(r1 - r0, c1 - c0, 3)
-        pixels[r0:r1, c0:c1, 3] = alpha.reshape(r1 - r0, c1 - c0)
-        for key in totals:
-            totals[key] += tile_stats[key]
+    metrics = get_metrics()
+    with metrics.span(f"render.fast.{mode}", pixels=height * width,
+                      samples=n_samples, tiles=len(boxes), tile=tile,
+                      ert_alpha=ert_alpha, cells_total=skip.cells_total,
+                      cells_empty=skip.cells_empty):
+        for r0, r1, c0, c1 in boxes:
+            rgb, alpha, tile_stats = _march_tile(
+                np.ascontiguousarray(o_grid[r0:r1, c0:c1]).reshape(-1, 3),
+                np.ascontiguousarray(d_grid[r0:r1, c0:c1]).reshape(-1, 3),
+                n_samples, step, ert_alpha, occupied, skip.cell, shape3,
+                skip_outside, sample_rgba, shade_fn)
+            pixels[r0:r1, c0:c1, :3] = rgb.reshape(r1 - r0, c1 - c0, 3)
+            pixels[r0:r1, c0:c1, 3] = alpha.reshape(r1 - r0, c1 - c0)
+            for key in totals:
+                totals[key] += tile_stats[key]
     metrics.counter("render.fast.frames").inc()
     metrics.counter("render.fast.tiles").inc(len(boxes))
     metrics.counter("render.fast.cells_skipped").inc(skip.cells_empty)
@@ -403,19 +345,13 @@ def _render_fast(mode: str, field: np.ndarray, grad: np.ndarray | None,
 def render_volume_fast(volume, tf: TransferFunction1D, camera: Camera | None = None,
                        step: float = 1.0, shading: bool = True,
                        background=(0.0, 0.0, 0.0), tile: int | None = None,
-                       workers: int | None = 1, backend: str = "auto",
-                       ert_alpha: float = ALPHA_CUTOFF, cell: int = 8,
-                       retry=None) -> Image:
+                       ert_alpha: float = ALPHA_CUTOFF, cell: int = 8) -> Image:
     """Fast-path equivalent of :func:`repro.render.raycast.render_volume`.
 
     Parameters beyond the reference renderer's:
 
     tile:
-        Tile edge in pixels (``None`` = whole image in process, 64 when
-        fanning out to workers).
-    workers, backend, retry:
-        Task-farm dispatch for the tiles (semantics of
-        :func:`repro.parallel.executor.map_timesteps`).
+        Tile edge in pixels (``None`` = the whole image).
     ert_alpha:
         Early-ray-termination threshold.  At the default (the reference's
         own cutoff) output is bit-identical to the reference; lower
@@ -437,17 +373,14 @@ def render_volume_fast(volume, tf: TransferFunction1D, camera: Camera | None = N
         grad = np.ascontiguousarray(
             np.stack(np.gradient(data.astype(np.float32, copy=False)), axis=-1))
     return _render_fast("volume", data, grad, tf, skip, skip_outside, camera,
-                        step, background, tile, workers, backend, ert_alpha,
-                        retry)
+                        step, background, tile, ert_alpha)
 
 
 def render_rgba_volume_fast(rgba_volume: np.ndarray, camera: Camera | None = None,
                             step: float = 1.0,
                             shading_field: np.ndarray | None = None,
                             background=(0.0, 0.0, 0.0), tile: int | None = None,
-                            workers: int | None = 1, backend: str = "auto",
-                            ert_alpha: float = ALPHA_CUTOFF, cell: int = 8,
-                            retry=None) -> Image:
+                            ert_alpha: float = ALPHA_CUTOFF, cell: int = 8) -> Image:
     """Fast-path equivalent of :func:`repro.render.raycast.render_rgba_volume`.
 
     The empty-space certificate comes straight from the RGBA volume's
@@ -469,5 +402,4 @@ def render_rgba_volume_fast(rgba_volume: np.ndarray, camera: Camera | None = Non
         grad = np.ascontiguousarray(np.stack(np.gradient(field), axis=-1))
     stack = np.ascontiguousarray(rgba_volume)
     return _render_fast("rgba_volume", stack, grad, None, skip, True, camera,
-                        step, background, tile, workers, backend, ert_alpha,
-                        retry)
+                        step, background, tile, ert_alpha)

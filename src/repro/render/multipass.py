@@ -6,7 +6,10 @@ is set to the opacity in the adaptive transfer function.  Otherwise, the
 color and opacity looked up from the user specified 1D transfer function
 are shown."*  The GPU version does this in multiple passes over a 3D
 region-growing texture; here we bake the rule into a per-voxel RGBA volume
-and send it through :func:`repro.render.raycast.render_rgba_volume`.
+and send it through :func:`repro.render.raycast.render_rgba_volume`, or
+through the tiled fast path
+(:func:`repro.render.fastcast.render_rgba_volume_fast`), which marches
+its tiles in-process.
 """
 
 from __future__ import annotations
@@ -90,8 +93,8 @@ def render_tracked(
 
     ``fast=True`` sends the baked RGBA volume through the tile/ESS/ERT
     renderer (:func:`repro.render.fastcast.render_rgba_volume_fast`) with
-    ``fast_options`` forwarded (``tile``, ``workers``, ``ert_alpha``,
-    ``cell``, …) — bit-identical at the default termination threshold.
+    ``fast_options`` forwarded (``tile``, ``ert_alpha``, ``cell``) —
+    bit-identical at the default termination threshold.
     """
     if fast_options is not None and not fast:
         raise ValueError("fast_options requires fast=True")

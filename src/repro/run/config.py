@@ -92,9 +92,9 @@ def _merged(stage: str, overrides: dict) -> dict:
 def _validate_fast_options(options) -> None:
     """Accept only the fast-path knobs the CLI and serve expose.
 
-    Anything else would reach ``render_volume_fast`` as a keyword inside
-    a render task, and a throughput knob such as ``workers`` would both
-    enter the fingerprint and try to fan out inside a pool worker.
+    Anything else would reach ``render_volume_fast`` as an unknown
+    keyword inside a render task, after the config entered the
+    fingerprint.
     """
     if not isinstance(options, dict):
         raise ConfigError(f"render fast_options must be an object, got {options!r}")

@@ -114,17 +114,27 @@ class RunManifest:
             raise ManifestError(f"cannot read manifest {path}: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ManifestError(f"manifest {path} is not valid JSON: {exc}") from None
+        if not isinstance(payload, dict):
+            raise ManifestError(f"manifest {path} is not a JSON object")
         version = payload.get("format_version")
         if version != FORMAT_VERSION:
             raise ManifestError(
                 f"manifest {path} has format version {version!r}; "
                 f"this build reads version {FORMAT_VERSION}")
-        stage_names = tuple(payload.get("stages", {}))
-        manifest = cls(
+        stages = payload.get("stages", {})
+        if not (_objects(stages)
+                and all(_objects(record.get("tasks", {})) for record in stages.values())):
+            raise ManifestError(f"manifest {path}: 'stages' must map each stage "
+                                "to an object whose 'tasks' are objects")
+        return cls(
             config_fingerprint=payload.get("config_fingerprint", ""),
             sequence_digest=payload.get("sequence_digest", ""),
-            stage_names=stage_names,
+            stage_names=tuple(stages),
             stages={name: StageRecord.from_dict(name, record)
-                    for name, record in payload.get("stages", {}).items()},
+                    for name, record in stages.items()},
         )
-        return manifest
+
+
+def _objects(value) -> bool:
+    """Whether ``value`` is a JSON object whose values are all objects."""
+    return isinstance(value, dict) and all(isinstance(v, dict) for v in value.values())

@@ -94,7 +94,7 @@ class RunReport:
 
 
 # --------------------------------------------------------------------- #
-# Module-level task functions (picklable for the process backend)
+# Module-level task functions (picklable for the worker pool)
 # --------------------------------------------------------------------- #
 def _task_train_classifier(payload):
     """Train the data-space classifier; artifact = network weight dict."""
@@ -415,7 +415,7 @@ class PipelineRunner:
                            else self.store.get_json)
                     then(get(task.key))
             elif self._pool is None or task.stage == "track":
-                outcome = map_timesteps(task.fn, [task.payload], backend="serial",
+                outcome = map_timesteps(task.fn, [task.payload],
                                         inject_faults=self._injector,
                                         fault_index_offset=self._task_no)
                 self._task_no += 1

@@ -12,9 +12,9 @@ fourth dimension is time"* (Sec. 5).
   per-feature attributes (volume, centroid, bounding box, mass).
 - :mod:`repro.segmentation.events` — step-to-step overlap graph classified
   into continuation / split / merge / birth / death events.
-- :mod:`repro.segmentation.fastgrow` — brick-parallel labeling and region
-  growing with union-find seam merging, plus a sparse voxel-graph strategy
-  for near-empty criteria (exact, schedule-independent).
+- :mod:`repro.segmentation.fastgrow` — label-and-select labeling and
+  region growing: one dense labeling pass, plus a sparse voxel-graph
+  strategy for near-empty criteria (both exact).
 """
 
 from repro.segmentation.components import (
@@ -24,7 +24,6 @@ from repro.segmentation.components import (
 )
 from repro.segmentation.events import TrackEvent, detect_events, overlap_graph, track_timeline
 from repro.segmentation.fastgrow import (
-    UnionFind,
     canonicalize_labels,
     grow_bricked,
     grow_sparse,
@@ -44,7 +43,6 @@ __all__ = [
     "PredictionTrackResult",
     "PredictionVerificationTracker",
     "TrackEvent",
-    "UnionFind",
     "canonicalize_labels",
     "detect_events",
     "encode_tracked_masks",

@@ -1,24 +1,15 @@
-"""Brick-parallel and sparse connected components and region growing.
+"""Dense and sparse connected components and region growing.
 
 The 4D tracking engine (Sec. 5) is, at bottom, connected-component
 analysis: growing a seeded region through a boolean criterion selects
 exactly the criterion components that contain a seed.  scipy's
-``binary_propagation`` and ``label`` are serial, need the whole array
-resident, and spend O(total voxels) regardless of how empty the
-criterion is.  Neither reaches the ROADMAP's production-scale target on
-a long ``[t, z, y, x]`` stack.
+``binary_propagation`` and ``label`` need the whole array resident and
+spend O(total voxels) regardless of how empty the criterion is.
 
 Two complementary strategies, selected per call (``strategy="auto"``):
 
-- **bricked** (dense) — the route of FTK-style distributed feature
-  tracking (Guo et al., 2020): decompose the domain into bricks, label
-  every brick *independently* (optionally fanned out through
-  :func:`repro.parallel.executor.map_timesteps`), then resolve
-  cross-brick — and, for 4D stacks, cross-timestep — label equivalences
-  with a path-compressed union-find over only the brick boundary faces.
-  The merge scans each internal boundary plane once per
-  structuring-element offset, so its cost is proportional to the brick
-  *surface*, not the volume.
+- **dense** — one ``scipy.ndimage.label`` pass over the whole array,
+  then a lookup-table select of the seeded labels.
 - **sparse** — tracking criteria are typically nearly empty (a feature
   occupies a few percent of the domain), so label the criterion's voxel
   *graph* directly: gather the set voxels once, connect them with
@@ -37,12 +28,10 @@ Outputs are exact:
   and is made bit-deterministic by canonicalizing labels to raster-scan
   first-occurrence order (:func:`canonicalize_labels` maps any labeling
   onto the same canonical form, which the differential tests use to
-  compare backends).
+  compare strategies).
 
-Determinism does not depend on the execution schedule: per-brick results
-are assembled in submission order and the union-find processes a sorted,
-de-duplicated pair list, so the worker count cannot change a single
-output voxel.
+Work inside one step stays in one process: a sequence parallelizes per
+time step (paper Sec. 8), through :mod:`repro.parallel.executor`.
 """
 
 from __future__ import annotations
@@ -54,53 +43,7 @@ from scipy import ndimage, sparse
 from scipy.sparse import csgraph
 
 from repro.obs import get_metrics
-from repro.parallel.bricking import axis_chunks
-from repro.parallel.executor import map_timesteps
 from repro.segmentation.regiongrow import _seeds_to_mask, _structure
-
-
-class UnionFind:
-    """Array-backed disjoint sets with path compression and union by size.
-
-    Element 0 is reserved for background and never merged with anything
-    by the callers in this module.
-    """
-
-    __slots__ = ("parent", "size")
-
-    def __init__(self, n: int) -> None:
-        if n < 1:
-            raise ValueError(f"UnionFind needs at least one element, got {n}")
-        self.parent = np.arange(n, dtype=np.int64)
-        self.size = np.ones(n, dtype=np.int64)
-
-    def find(self, x: int) -> int:
-        """Root of ``x``'s set (path-halving compression)."""
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return int(x)
-
-    def union(self, a: int, b: int) -> int:
-        """Merge the sets of ``a`` and ``b``; return the surviving root."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return ra
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return ra
-
-    def roots(self) -> np.ndarray:
-        """Fully resolved root for every element (vectorized pointer jumping)."""
-        root = self.parent.copy()
-        while True:
-            hop = root[root]
-            if np.array_equal(hop, root):
-                return root
-            root = hop
 
 
 def canonicalize_labels(labels: np.ndarray) -> np.ndarray:
@@ -109,7 +52,7 @@ def canonicalize_labels(labels: np.ndarray) -> np.ndarray:
     Two labelings of the same mask that agree up to label permutation map
     to the identical array, which turns "equivalent labelings" into plain
     ``array_equal`` — the property the differential battery asserts
-    between the bricked and scipy backends.
+    between the strategies and scipy.
     """
     labels = np.asarray(labels)
     flat = labels.ravel()
@@ -124,78 +67,12 @@ def canonicalize_labels(labels: np.ndarray) -> np.ndarray:
 
 
 # --------------------------------------------------------------------- #
-# Brick decomposition (nD)
-# --------------------------------------------------------------------- #
-def _grid_chunks(shape, brick_shape) -> list[list[tuple[int, int]]]:
-    """Per-axis ``(start, stop)`` chunk lists; ``None`` means one brick."""
-    if brick_shape is None:
-        return [[(0, n)] for n in shape]
-    brick_shape = tuple(int(b) for b in np.atleast_1d(np.asarray(brick_shape)))
-    if len(brick_shape) != len(shape):
-        raise ValueError(
-            f"brick_shape must have {len(shape)} axes, got {len(brick_shape)}"
-        )
-    return [axis_chunks(n, b) for n, b in zip(shape, brick_shape)]
-
-
-def _label_brick(payload) -> tuple[np.ndarray, int]:
-    """Worker: label one brick locally.  Module-level for picklability."""
-    sub, connectivity = payload
-    labels, count = ndimage.label(sub, structure=_structure(sub.ndim, connectivity))
-    return labels.astype(np.int32), int(count)
-
-
-def _boundary_pairs(labels: np.ndarray, chunks, connectivity: int) -> np.ndarray:
-    """Unique cross-boundary label equivalences, ``(n, 2)`` int64.
-
-    For every internal brick boundary along every axis, pair the plane
-    just before the boundary with the plane just after it under each
-    structuring-element offset that crosses the boundary (+1 along the
-    boundary axis, in-plane offsets with at most ``connectivity - 1``
-    further nonzero components).  Diagonally adjacent *bricks* need no
-    special casing: a corner-crossing voxel pair appears in one of these
-    plane scans with a diagonal in-plane offset.
-    """
-    ndim = labels.ndim
-    in_plane = [
-        offset
-        for offset in itertools.product((-1, 0, 1), repeat=ndim - 1)
-        if sum(1 for o in offset if o) <= connectivity - 1
-    ]
-    collected: list[np.ndarray] = []
-    for axis in range(ndim):
-        for start, _stop in chunks[axis][1:]:
-            plane_a = labels.take(start - 1, axis=axis)
-            plane_b = labels.take(start, axis=axis)
-            for offset in in_plane:
-                sel_a: list[slice] = [slice(None)] * (ndim - 1)
-                sel_b: list[slice] = [slice(None)] * (ndim - 1)
-                for j, oj in enumerate(offset):
-                    if oj == 1:
-                        sel_a[j] = slice(None, -1)
-                        sel_b[j] = slice(1, None)
-                    elif oj == -1:
-                        sel_a[j] = slice(1, None)
-                        sel_b[j] = slice(None, -1)
-                sub_a = plane_a[tuple(sel_a)]
-                sub_b = plane_b[tuple(sel_b)]
-                touching = (sub_a > 0) & (sub_b > 0)
-                if touching.any():
-                    collected.append(
-                        np.stack([sub_a[touching], sub_b[touching]], axis=1)
-                    )
-    if not collected:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.unique(np.concatenate(collected).astype(np.int64), axis=0)
-
-
-# --------------------------------------------------------------------- #
 # Sparse strategy
 # --------------------------------------------------------------------- #
 #: ``strategy="auto"`` switches to the sparse voxel-graph path when the
-#: criterion fill fraction is at or below this (and no parallel fan-out
-#: was requested).  Above it, dense per-brick labeling wins because the
-#: gather/sort overhead of the sparse path grows with the voxel count.
+#: criterion fill fraction is at or below this.  Above it, one dense
+#: labeling pass wins because the gather/sort overhead of the sparse path
+#: grows with the voxel count.
 SPARSE_FILL_MAX = 0.05
 
 
@@ -293,10 +170,8 @@ def grow_sparse(criterion, seeds, connectivity: int = 1) -> np.ndarray:
     metrics = get_metrics()
     with metrics.span("fastgrow.sparse_grow", voxels=int(criterion.size)):
         out = np.zeros(criterion.size, dtype=bool)
-        stats = {"strategy": "sparse", "bricks": 0, "brick_labels": [],
-                 "merge_pairs": 0, "merge_unions": 0, "components": 0,
+        stats = {"strategy": "sparse", "components": 0,
                  "set_voxels": int(np.count_nonzero(criterion)),
-                 "backend": "inline", "workers": 1,
                  "connectivity": int(connectivity)}
         seed_flat = np.flatnonzero((seed_mask & criterion).ravel())
         # No seed survives the criterion: the grown region is empty, so
@@ -316,7 +191,7 @@ def grow_sparse(criterion, seeds, connectivity: int = 1) -> np.ndarray:
     return out.reshape(criterion.shape)
 
 
-def _pick_strategy(strategy: str, mask: np.ndarray, workers) -> str:
+def _pick_strategy(strategy: str, mask: np.ndarray) -> str:
     """Resolve ``"auto"`` to ``"sparse"`` or ``"dense"`` for this call."""
     if strategy not in ("auto", "dense", "sparse"):
         raise ValueError(
@@ -324,8 +199,6 @@ def _pick_strategy(strategy: str, mask: np.ndarray, workers) -> str:
         )
     if strategy != "auto":
         return strategy
-    if workers is not None and workers > 1:
-        return "dense"  # fan-out requested: bricks are the parallel unit
     if mask.size == 0:
         return "dense"
     fill = np.count_nonzero(mask) / mask.size
@@ -336,88 +209,33 @@ def _pick_strategy(strategy: str, mask: np.ndarray, workers) -> str:
 # Public API
 # --------------------------------------------------------------------- #
 #: Statistics of the most recent :func:`label_bricked` call in this
-#: process (per-brick label counts, merge pairs/unions, component count).
-#: Mirrors ``DataSpaceClassifier.last_fast_stats`` — cheap introspection
-#: for benchmarks and the CLI without threading a stats object through.
+#: process (strategy and component count).  Mirrors
+#: ``DataSpaceClassifier.last_fast_stats`` — cheap introspection for
+#: benchmarks and the CLI without threading a stats object through.
 last_label_stats: dict = {}
 
 
-def _label_dense(mask: np.ndarray, connectivity: int, brick_shape, workers,
-                 backend: str) -> tuple[np.ndarray, int, int]:
-    """Per-brick labeling merged by union-find, *not* renumbered.
-
-    Every component carries one id, its union-find root, but the ids are
-    neither contiguous nor in raster order; selecting the seeded
-    components does not need them to be, so :func:`grow_bricked` skips
-    the canonical renumbering :func:`label_bricked` applies.  Returns
-    ``(labels, n_ids, count)``: int32 ids in ``[0, n_ids]`` and the
-    component count.  Records the call in :data:`last_label_stats`.
-    """
-    chunks = _grid_chunks(mask.shape, brick_shape)
-    boxes = list(itertools.product(*chunks))
-    metrics = get_metrics()
-    metrics.counter("fastgrow.bricks").inc(len(boxes))
-    stats: dict = {"strategy": "dense", "bricks": len(boxes),
-                   "connectivity": int(connectivity),
-                   "backend": "inline", "workers": 1}
-
-    with metrics.span("fastgrow.label", bricks=len(boxes),
-                      connectivity=int(connectivity)):
-        if len(boxes) == 1:
-            labels, count = _label_brick((mask, connectivity))
-            stats.update(brick_labels=[count], merge_pairs=0, merge_unions=0,
-                         components=count)
-            last_label_stats.clear()
-            last_label_stats.update(stats)
-            return labels, count, count
-
-        subs = [mask[tuple(slice(a, b) for a, b in box)] for box in boxes]
-        items = [(sub, connectivity) for sub in subs]
-        if backend == "serial" and (workers is None or workers <= 1):
-            brick_results = [_label_brick(item) for item in items]
-        else:
-            outcome = map_timesteps(_label_brick, items, workers=workers,
-                                    backend=backend)
-            brick_results = outcome.results
-            stats["backend"] = outcome.backend
-            stats["workers"] = outcome.workers
-
-        labels = np.zeros(mask.shape, dtype=np.int32)
-        offset = 0
-        brick_counts = []
-        for box, (sub_labels, count) in zip(boxes, brick_results):
-            brick_counts.append(count)
-            if count:
-                view = labels[tuple(slice(a, b) for a, b in box)]
-                np.copyto(view, sub_labels + offset, where=sub_labels > 0)
-            offset += count
-        stats["brick_labels"] = brick_counts
-
-    with metrics.span("fastgrow.merge", bricks=len(boxes)):
-        pairs = _boundary_pairs(labels, chunks, connectivity)
-        union_find = UnionFind(offset + 1)
-        unions = 0
-        for a, b in pairs:
-            if union_find.find(int(a)) != union_find.find(int(b)):
-                union_find.union(int(a), int(b))
-                unions += 1
-        metrics.counter("fastgrow.merge_unions").inc(unions)
-        root_lut = union_find.roots().astype(np.int32)
-        root_lut[0] = 0
-        labels = root_lut[labels]
-        # Every brick id 1..offset is in use, so each root is one component.
-        count = int(np.count_nonzero(root_lut[1:] == np.arange(1, offset + 1)))
-    stats.update(merge_pairs=int(len(pairs)), merge_unions=unions,
-                 components=count)
+def _record_stats(strategy: str, components: int, connectivity: int) -> None:
     last_label_stats.clear()
-    last_label_stats.update(stats)
-    return labels, offset, count
+    last_label_stats.update(strategy=strategy, components=int(components),
+                            connectivity=int(connectivity))
 
 
-def label_bricked(mask, connectivity: int = 1, brick_shape=None,
-                  workers: int | None = None, backend: str = "serial",
+def _label_dense(mask: np.ndarray, connectivity: int) -> tuple[np.ndarray, int]:
+    """One ``ndimage.label`` pass: int32 labels ``0..count``, and ``count``.
+
+    Records the call in :data:`last_label_stats`.
+    """
+    with get_metrics().span("fastgrow.label", connectivity=int(connectivity)):
+        labels, count = ndimage.label(
+            mask, structure=_structure(mask.ndim, connectivity))
+    _record_stats("dense", count, connectivity)
+    return labels.astype(np.int32, copy=False), int(count)
+
+
+def label_bricked(mask, connectivity: int = 1,
                   strategy: str = "auto") -> tuple[np.ndarray, int]:
-    """Label connected components by independent bricks + union-find merge.
+    """Label connected components, canonically numbered.
 
     Parameters
     ----------
@@ -427,22 +245,12 @@ def label_bricked(mask, connectivity: int = 1, brick_shape=None,
     connectivity:
         1 = faces … ``ndim`` = full neighbourhood, exactly as
         :func:`repro.segmentation.components.label_components`.
-    brick_shape:
-        Per-axis interior brick size (``None`` = a single brick).  For a
-        4D stack, a leading brick size of 1 decomposes per timestep, so
-        the merge resolves cross-timestep equivalences the same way it
-        resolves spatial seams.
-    workers / backend:
-        Fan the per-brick labeling through
-        :func:`repro.parallel.executor.map_timesteps` (``backend="serial"``
-        labels inline; ``"process"``/``"auto"`` ship bricks to pool
-        workers).  Results are schedule-independent.
     strategy:
         ``"auto"`` (default) uses the sparse voxel-graph path
         (:func:`label_sparse`) when the mask fill is at most
-        :data:`SPARSE_FILL_MAX` and no fan-out was requested, dense
-        bricks otherwise; ``"dense"`` / ``"sparse"`` force a path.  All
-        strategies produce the identical canonical labeling.
+        :data:`SPARSE_FILL_MAX`, one dense labeling pass otherwise;
+        ``"dense"`` / ``"sparse"`` force a path.  All strategies produce
+        the identical canonical labeling.
 
     Returns
     -------
@@ -451,54 +259,43 @@ def label_bricked(mask, connectivity: int = 1, brick_shape=None,
     """
     mask = np.asarray(mask, dtype=bool)
     _structure(mask.ndim, connectivity)  # validates early
-    if _pick_strategy(strategy, mask, workers) == "sparse":
-        metrics = get_metrics()
-        with metrics.span("fastgrow.label", strategy="sparse",
-                          connectivity=int(connectivity)):
+    if _pick_strategy(strategy, mask) == "sparse":
+        with get_metrics().span("fastgrow.label", strategy="sparse",
+                                connectivity=int(connectivity)):
             labels, count = label_sparse(mask, connectivity=connectivity)
-        last_label_stats.clear()
-        last_label_stats.update(
-            strategy="sparse", bricks=0, brick_labels=[], merge_pairs=0,
-            merge_unions=0, components=count, backend="inline", workers=1,
-            connectivity=int(connectivity),
-        )
+        _record_stats("sparse", count, connectivity)
         return labels, count
-    labels, _, count = _label_dense(mask, connectivity, brick_shape, workers,
-                                    backend)
+    labels, count = _label_dense(mask, connectivity)
     return canonicalize_labels(labels), count
 
 
-def grow_bricked(criterion, seeds, connectivity: int = 1, brick_shape=None,
-                 workers: int | None = None, backend: str = "serial",
+def grow_bricked(criterion, seeds, connectivity: int = 1,
                  strategy: str = "auto") -> np.ndarray:
-    """Brick-parallel seeded region growing, exact vs ``binary_propagation``.
+    """Seeded region growing, exact vs ``binary_propagation``.
 
     Growing from seeds through a boolean criterion selects precisely the
     criterion components containing at least one seed, so the labeling
     does the heavy lifting and selection is one lookup-table gather over
-    the union-find ids (no canonical renumbering needed).  On
-    near-empty criteria ``strategy="auto"`` labels only the set-voxel
-    graph (:func:`grow_sparse`) — cost proportional to the feature, not
-    the domain, which is where the tracking throughput benchmark's
-    speedup over serial 4D propagation comes from; denser criteria (or
-    an explicit ``workers`` fan-out) use per-brick labeling merged by
-    union-find.
+    the labels (no canonical renumbering needed).  On near-empty
+    criteria ``strategy="auto"`` labels only the set-voxel graph
+    (:func:`grow_sparse`) — cost proportional to the feature, not the
+    domain, which is where the tracking throughput benchmark's speedup
+    over serial 4D propagation comes from; denser criteria take one
+    dense labeling pass.
 
     Arguments match :func:`repro.segmentation.regiongrow.grow_region`
-    plus the bricking/fan-out controls of :func:`label_bricked`.
+    plus the ``strategy`` switch of :func:`label_bricked`.
     """
     criterion = np.asarray(criterion, dtype=bool)
     seed_mask = _seeds_to_mask(seeds, criterion.shape)
-    metrics = get_metrics()
-    if _pick_strategy(strategy, criterion, workers) == "sparse":
+    if _pick_strategy(strategy, criterion) == "sparse":
         return grow_sparse(criterion, seed_mask, connectivity=connectivity)
     _structure(criterion.ndim, connectivity)  # validates early
-    with metrics.span("fastgrow.grow", voxels=int(criterion.size)):
-        labels, n_ids, count = _label_dense(criterion, connectivity,
-                                            brick_shape, workers, backend)
+    with get_metrics().span("fastgrow.grow", voxels=int(criterion.size)):
+        labels, count = _label_dense(criterion, connectivity)
         if count == 0:
             return np.zeros(criterion.shape, dtype=bool)
-        selected = np.zeros(n_ids + 1, dtype=bool)
+        selected = np.zeros(count + 1, dtype=bool)
         selected[labels[seed_mask]] = True
         selected[0] = False
         return selected[labels]

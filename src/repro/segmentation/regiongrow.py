@@ -13,9 +13,8 @@ Three backends:
 - ``"scipy"`` — :func:`scipy.ndimage.binary_propagation`, the serial
   reference (iterated dilation, O(region diameter) array sweeps);
 - ``"bricked"`` — :func:`repro.segmentation.fastgrow.grow_bricked`:
-  label bricks independently, merge with union-find, select the seeded
-  components — exact, one labeling pass instead of diameter-many
-  sweeps, optionally brick-parallel;
+  label the criterion, select the seeded components — exact, one
+  labeling pass instead of diameter-many sweeps;
 - ``"frontier"`` — an in-repo vectorized breadth-first frontier expansion
   (pure numpy slicing, no wraparound), used as an independent
   cross-check in the test suite and as a fallback.

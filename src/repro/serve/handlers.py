@@ -141,7 +141,7 @@ class ServeState:
         if not self.root.is_dir():
             raise NotADirectoryError(f"serve root {self.root} is not a directory")
         self.workers = int(workers)
-        self.pool = pool                       # resident WorkerPool or None
+        self.pool = pool  # resident WorkerPool; None runs every map in-process
         self.max_frames = int(max_frames)
         self._sequences: dict[str, object] = {}
         self._classifiers: dict[str, tuple] = {}
@@ -267,26 +267,19 @@ class ServeState:
 # --------------------------------------------------------------------- #
 # Endpoint computes (dispatcher thread)
 # --------------------------------------------------------------------- #
-def _exec_backend(state: ServeState) -> str:
-    return "process" if state.workers > 1 else "serial"
-
-
-def _exec_pool(state: ServeState):
-    return state.pool if state.workers > 1 else None
-
-
 def compute_classify(state: ServeState, params: dict) -> dict:
     """Train-once classify-every-step; mirrors ``repro classify``."""
-    sequence = state.sequence(params["sequence"])
-    classifier, radius = state.classifier(params, sequence)
     if params["mode"] not in ("fast", "exact"):
         raise BadRequest(f"unknown classify mode {params['mode']!r}")
+    if params["mode"] == "exact" and (params["prune"] or params["cache"]):
+        raise BadRequest("'prune'/'cache' tune the fast path; use mode 'fast'")
+    sequence = state.sequence(params["sequence"])
+    classifier, radius = state.classifier(params, sequence)
     results = classify_sequence(
-        classifier, sequence, workers=state.workers,
-        backend=_exec_backend(state), mode=params["mode"],
+        classifier, sequence, workers=state.workers, mode=params["mode"],
         prune=bool(params["prune"]),
         cache=state.shared_cache if params["cache"] else None,
-        pool=_exec_pool(state))
+        pool=state.pool)
     steps = []
     for vol, cert in zip(sequence, results):
         steps.append({
@@ -374,15 +367,12 @@ def compute_render(state: ServeState, params: dict) -> dict:
         raise BadRequest("'tiles'/'ert_alpha' tune the fast path; set fast=true")
     images = render_sequence(
         sequence, tfs, camera=camera, shading=bool(params["shading"]),
-        workers=state.workers, backend=_exec_backend(state), mode=mode,
-        fast_options=fast_options,
+        workers=state.workers, mode=mode, fast_options=fast_options,
         cache=state.shared_cache if params["cache"] else None,
-        pool=_exec_pool(state))
+        pool=state.pool)
     # Rebuild the renderer signature exactly as render_sequence keys its
     # frame cache, so served digests align with stored cache entries.
-    render_opts = {k: v for k, v in (fast_options or {}).items()
-                   if k not in ("workers", "backend")}
-    sig = "exact" if mode == "exact" else f"fast:{sorted(render_opts.items())!r}"
+    sig = "exact" if mode == "exact" else f"fast:{sorted((fast_options or {}).items())!r}"
     frames = []
     for vol, tf, image in zip(sequence, tfs, images):
         digest = frame_digest(vol, tf, camera, 1.0, bool(params["shading"]), sig)
@@ -422,11 +412,11 @@ def compute_run(state: ServeState, params: dict) -> dict:
         if (run_dir / "config.json").exists():
             runner = PipelineRunner.resume(run_dir, workers=workers,
                                            store=state.run_store,
-                                           pool=_exec_pool(state))
+                                           pool=state.pool)
         else:
             runner = PipelineRunner.create(config, run_dir, workers=workers,
                                            store=state.run_store,
-                                           pool=_exec_pool(state))
+                                           pool=state.pool)
         report = runner.run()
     except (ConfigError, RunError) as exc:
         raise BadRequest(str(exc)) from None

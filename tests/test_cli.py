@@ -166,6 +166,18 @@ class TestClassify:
         with pytest.raises(SystemExit, match=match):
             main(["classify", str(seqdir), *argv])
 
+    @pytest.mark.parametrize("flags", [["--prune"], ["--cache", "DIR"]],
+                             ids=["prune", "cache"])
+    def test_exact_with_fast_only_option_exits_one(self, seqdir, tmp_path, flags):
+        flags = [str(tmp_path / "cache") if f == "DIR" else f for f in flags]
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "classify", str(seqdir),
+             "--mask", "ring", "--train-steps", "195", "--exact", *flags],
+            capture_output=True, text=True, timeout=120)
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        assert len(result.stderr.strip().splitlines()) == 1
+
 
 class TestCLIVariants:
     def test_render_with_box_range(self, seqdir, tmp_path):

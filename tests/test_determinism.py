@@ -5,6 +5,8 @@ reproduce it exactly; these tests pin the determinism contract across the
 stochastic components.
 """
 
+from functools import partial
+
 import numpy as np
 from scipy import ndimage
 
@@ -21,6 +23,7 @@ from repro import (
     make_vortex_sequence,
 )
 from repro.data.argon import ring_value_band
+from repro.parallel import map_timesteps
 from repro.segmentation import grow_bricked, label_bricked
 
 
@@ -119,8 +122,8 @@ class TestTrainedModelDeterminism:
 
 
 class TestScheduleIndependence:
-    """Parallel execution must never change a voxel: the worker count is
-    a performance knob, not semantics."""
+    """Parallel execution must never change a voxel: the worker count of
+    the per-step map is a performance knob, not semantics."""
 
     @staticmethod
     def _field(shape, seed):
@@ -128,22 +131,21 @@ class TestScheduleIndependence:
         return ndimage.uniform_filter(rng.random(shape), size=2) > 0.45
 
     def test_label_bricked_schedule_independent(self):
+        """Per-step labels from pool workers equal the in-process ones."""
         mask = self._field((6, 14, 14, 14), 101)
-        ref, ref_count = label_bricked(mask, connectivity=2,
-                                       brick_shape=(1, 7, 7, 7))
+        label = partial(label_bricked, connectivity=2)
+        ref = map_timesteps(label, list(mask)).results
         for workers in (2, 4):
-            labels, count = label_bricked(
-                mask, connectivity=2, brick_shape=(1, 7, 7, 7),
-                workers=workers, backend="process",
-            )
-            assert count == ref_count
-            assert np.array_equal(labels, ref)
+            got = map_timesteps(label, list(mask), workers=workers).results
+            for (labels, count), (ref_labels, ref_count) in zip(got, ref):
+                assert count == ref_count
+                assert np.array_equal(labels, ref_labels)
 
     def test_grow_bricked_schedule_independent(self):
         mask = self._field((5, 12, 12, 12), 202)
-        seed = tuple(int(c) for c in np.argwhere(mask)[0])
-        ref = grow_bricked(mask, [seed], brick_shape=(1, 6, 6, 6))
+        seed = tuple(int(c) for c in np.argwhere(mask[0])[0])
+        grow = partial(grow_bricked, seeds=[seed])
+        ref = map_timesteps(grow, list(mask)).results
         for workers in (2, 3):
-            got = grow_bricked(mask, [seed], brick_shape=(1, 6, 6, 6),
-                               workers=workers, backend="process")
-            assert np.array_equal(got, ref)
+            got = map_timesteps(grow, list(mask), workers=workers).results
+            assert all(np.array_equal(a, b) for a, b in zip(got, ref))

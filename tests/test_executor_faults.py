@@ -3,8 +3,8 @@
 Covers the acceptance checklist: injected worker faults are retried per
 policy; exhausted retries surface as a structured ``TaskError`` naming
 the item index with the remote traceback; ``on_error="skip"`` degrades
-to partial results plus a failure list; timeouts fire; and the serial
-and process backends behave identically under deterministic injection.
+to partial results plus a failure list; timeouts fire; and in-process
+and pool placements behave identically under deterministic injection.
 """
 
 import time
@@ -33,6 +33,9 @@ def nap(seconds):
 
 
 NO_BACKOFF = RetryPolicy(max_retries=2, backoff=0.0)
+
+#: Both placements of a map: in-process, and a pool the map opens.
+PLACEMENTS = pytest.mark.parametrize("workers", [1, 2], ids=["serial-1", "process-2"])
 
 
 class TestRetryPolicy:
@@ -78,7 +81,7 @@ class TestFaultInjector:
 
     def test_env_arms_injection(self, monkeypatch):
         monkeypatch.setenv(FAULT_ENV, "1:1")
-        out = map_timesteps(square, [1, 2, 3], backend="serial", retry=NO_BACKOFF)
+        out = map_timesteps(square, [1, 2, 3], retry=NO_BACKOFF)
         assert out.results == [1, 4, 9]
         assert out.retries == 1
 
@@ -129,16 +132,16 @@ class TestFaultIndexOffset:
     def test_offset_shifts_schedule_addressing(self):
         """With offset 10, local item 2 is global task 12: only a schedule
         keyed on 12 hits it."""
-        out = map_timesteps(square, [1, 2, 3], backend="serial", retry=NO_BACKOFF,
+        out = map_timesteps(square, [1, 2, 3], retry=NO_BACKOFF,
                             inject_faults={2: 1}, fault_index_offset=10)
         assert out.retries == 0  # local index 2 is global 12, schedule says 2
-        out = map_timesteps(square, [1, 2, 3], backend="serial", retry=NO_BACKOFF,
+        out = map_timesteps(square, [1, 2, 3], retry=NO_BACKOFF,
                             inject_faults={12: 1}, fault_index_offset=10)
         assert out.retries == 1
         assert out.results == [1, 4, 9]
 
     def test_offset_in_process_backend(self):
-        out = map_timesteps(square, list(range(6)), backend="process", workers=2,
+        out = map_timesteps(square, list(range(6)), workers=2,
                             retry=NO_BACKOFF, inject_faults={7: 1},
                             fault_index_offset=4)
         assert out.results == [x * x for x in range(6)]
@@ -146,26 +149,24 @@ class TestFaultIndexOffset:
 
     def test_results_stay_locally_indexed(self):
         """The offset only affects fault addressing, never result slots."""
-        out = map_timesteps(square, [5, 6], backend="serial",
-                            inject_faults={}, fault_index_offset=100)
+        out = map_timesteps(square, [5, 6], inject_faults={}, fault_index_offset=100)
         assert out.results == [25, 36]
 
 
 class TestRetries:
-    @pytest.mark.parametrize("backend,workers", [("serial", 1), ("process", 2)])
-    def test_injected_fault_retried_to_success(self, backend, workers):
-        out = map_timesteps(square, list(range(16)), backend=backend,
-                            workers=workers, retry=NO_BACKOFF,
-                            inject_faults={3: 2})
+    @PLACEMENTS
+    def test_injected_fault_retried_to_success(self, workers):
+        out = map_timesteps(square, list(range(16)), workers=workers,
+                            retry=NO_BACKOFF, inject_faults={3: 2})
         assert out.results == [x * x for x in range(16)]
         assert out.retries == 2
         assert out.ok
 
-    @pytest.mark.parametrize("backend,workers", [("serial", 1), ("process", 2)])
-    def test_exhausted_retries_raise_structured_error(self, backend, workers):
+    @PLACEMENTS
+    def test_exhausted_retries_raise_structured_error(self, workers):
         with pytest.raises(TaskError) as excinfo:
-            map_timesteps(square, list(range(16)), backend=backend,
-                          workers=workers, retry=RetryPolicy(max_retries=1, backoff=0.0),
+            map_timesteps(square, list(range(16)), workers=workers,
+                          retry=RetryPolicy(max_retries=1, backoff=0.0),
                           inject_faults={5: 99})
         failure = excinfo.value.failure
         assert excinfo.value.index == 5
@@ -175,18 +176,16 @@ class TestRetries:
         assert "item 5" in str(excinfo.value)
 
     def test_retry_as_bare_int(self):
-        out = map_timesteps(square, [1, 2], backend="serial", retry=1,
-                            inject_faults={0: 1})
+        out = map_timesteps(square, [1, 2], retry=1, inject_faults={0: 1})
         assert out.results == [1, 4]
         assert out.retries == 1
 
 
 class TestSkipMode:
-    @pytest.mark.parametrize("backend,workers", [("serial", 1), ("process", 2)])
-    def test_skip_returns_partials_plus_failure_list(self, backend, workers):
-        out = map_timesteps(square, list(range(16)), backend=backend,
-                            workers=workers, on_error="skip",
-                            inject_faults={5: 99})
+    @PLACEMENTS
+    def test_skip_returns_partials_plus_failure_list(self, workers):
+        out = map_timesteps(square, list(range(16)), workers=workers,
+                            on_error="skip", inject_faults={5: 99})
         assert out.n_completed == 15
         assert len(out.failures) == 1
         assert out.failures[0].index == 5
@@ -205,20 +204,19 @@ class TestSkipMode:
 class TestTimeout:
     def test_timeout_fires_process(self):
         with pytest.raises(TaskError) as excinfo:
-            map_timesteps(nap, [0.05, 5.0], backend="process", workers=2,
+            map_timesteps(nap, [0.05, 5.0], workers=2,
                           retry=RetryPolicy(timeout=0.3))
         assert excinfo.value.index == 1
         assert excinfo.value.failure.error_type == "TaskTimeout"
 
     def test_timeout_fires_serial_cooperatively(self):
-        out = map_timesteps(nap, [0.2], backend="serial", on_error="skip",
+        out = map_timesteps(nap, [0.2], on_error="skip",
                             retry=RetryPolicy(timeout=0.05))
         assert len(out.failures) == 1
         assert out.failures[0].error_type == "TaskTimeout"
 
     def test_fast_tasks_unaffected_by_timeout(self):
-        out = map_timesteps(square, [1, 2, 3], backend="serial",
-                            retry=RetryPolicy(timeout=30.0))
+        out = map_timesteps(square, [1, 2, 3], retry=RetryPolicy(timeout=30.0))
         assert out.results == [1, 4, 9]
 
 
@@ -226,9 +224,8 @@ class TestBackendEquivalence:
     def test_identical_outcomes_under_injection(self):
         kwargs = dict(on_error="skip", retry=RetryPolicy(max_retries=1, backoff=0.0),
                       inject_faults=FaultInjector({2: 99, 5: 1}))
-        serial = map_timesteps(square, list(range(8)), backend="serial", **kwargs)
-        proc = map_timesteps(square, list(range(8)), backend="process",
-                             workers=2, **kwargs)
+        serial = map_timesteps(square, list(range(8)), **kwargs)
+        proc = map_timesteps(square, list(range(8)), workers=2, **kwargs)
         assert serial.results == proc.results
         assert [(f.index, f.attempts, f.error_type) for f in serial.failures] == \
                [(f.index, f.attempts, f.error_type) for f in proc.failures]
@@ -236,9 +233,9 @@ class TestBackendEquivalence:
 
 
 class TestItemTimes:
-    @pytest.mark.parametrize("backend,workers", [("serial", 1), ("process", 2)])
-    def test_per_item_wall_times_recorded(self, backend, workers):
-        out = map_timesteps(nap, [0.01] * 4, backend=backend, workers=workers)
+    @PLACEMENTS
+    def test_per_item_wall_times_recorded(self, workers):
+        out = map_timesteps(nap, [0.01] * 4, workers=workers)
         assert len(out.item_times) == 4
         assert all(t >= 0.01 for t in out.item_times)
 
@@ -249,7 +246,7 @@ class TestMapResultHygiene:
         assert result.throughput == 0.0
 
     def test_chunked_process_map_still_correct(self):
-        out = map_timesteps(square, list(range(10)), backend="process",
-                            workers=2, retry=NO_BACKOFF, inject_faults={4: 1})
+        out = map_timesteps(square, list(range(10)), workers=2,
+                            retry=NO_BACKOFF, inject_faults={4: 1})
         assert out.results == [x * x for x in range(10)]
         assert out.retries == 1

@@ -2,9 +2,9 @@
 
 The fast path's contract is exact: at the reference's own termination
 threshold it must be *bit-identical* to ``render_volume`` /
-``render_rgba_volume`` — for any tile size, tile schedule, worker count,
-camera, and step size — because it only ever skips samples
-certified to contribute exactly zero opacity.  Lower ERT thresholds give
+``render_rgba_volume`` — for any tile size, camera, and step size, and
+wherever the per-step map renders the frame — because it only ever
+skips samples certified to contribute exactly zero opacity.  Lower ERT thresholds give
 a deviation bounded by ``1 - ert_alpha``.  The soundness tests certify
 the skip machinery itself: every octree-enumerated skip region is probed
 with fresh samples that must all carry zero opacity.
@@ -15,6 +15,7 @@ import zlib
 import numpy as np
 import pytest
 
+from repro.cache import SharedArrayCache
 from repro.core.fastclassify import TemporalCoherenceCache
 from repro.core.pipeline import frame_digest, render_sequence
 from repro.data.argon import ring_value_band
@@ -98,24 +99,15 @@ class TestBitIdentical:
         assert np.array_equal(ref.pixels, fast.pixels)
 
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_worker_count_invariance(self, workers, argon_case):
-        """Process fan-out is schedule-independent: same bits as serial."""
-        vol, tf = argon_case
-        serial = render_volume_fast(vol, tf, camera=ORTHO, tile=8, workers=1)
-        fanned = render_volume_fast(vol, tf, camera=ORTHO, tile=8,
-                                    workers=workers, backend="process")
-        assert np.array_equal(serial.pixels, fanned.pixels)
-
-    def test_fan_out_broadcasts_volume_once_per_worker(self, argon_case):
-        """Tile payloads carry broadcast refs: the field, gradient and TF
-        cross each worker pipe once per frame, not once per tile."""
-        vol, tf = argon_case
-        metrics = get_metrics()
-        metrics.reset("pool.broadcast.")
-        render_volume_fast(vol, tf, camera=ORTHO, tile=4, workers=2,
-                           backend="process")
-        sends = metrics.counter_values("pool.broadcast.")["pool.broadcast.sends"]
-        assert 0 < sends <= 2 * 3  # 56 tiles, 2 workers x (field, grad, TF)
+    def test_worker_count_invariance(self, workers, argon_small):
+        """Fast frames rendered by pool workers of the per-step map carry
+        the same bits as frames rendered in-process."""
+        tf = argon_tf(argon_small)
+        kwargs = dict(camera=ORTHO, mode="fast", fast_options={"tile": 8})
+        serial = render_sequence(argon_small, tf, **kwargs)
+        fanned = render_sequence(argon_small, tf, workers=workers, **kwargs)
+        assert all(np.array_equal(a.pixels, b.pixels)
+                   for a, b in zip(serial, fanned))
 
     @pytest.mark.parametrize("with_field", [True, False])
     def test_rgba_matches_reference(self, with_field, argon_case):
@@ -342,12 +334,13 @@ class TestRenderSequenceFast:
         assert all(np.array_equal(a.pixels, b.pixels)
                    for a, b in zip(exact, fast))
 
-    def test_frame_cache_hits_repeated_content(self, short_seq, argon_small):
+    def test_frame_cache_hits_repeated_content(self, short_seq, argon_small,
+                                               tmp_path):
         """The third step repeats the first step's voxels: one cache hit,
         bit-identical frames, misses only for unique content."""
         tf = argon_tf(argon_small)
         cam = Camera(width=20, height=20)
-        cache = TemporalCoherenceCache()
+        cache = TemporalCoherenceCache(store=SharedArrayCache(tmp_path))
         first = render_sequence(short_seq, tf, camera=cam, mode="fast", cache=cache)
         assert cache.hits == 1 and cache.misses == 2
         assert np.array_equal(first[0].pixels, first[2].pixels)
@@ -366,9 +359,12 @@ class TestRenderSequenceFast:
         assert frame_digest(vol, tf, cam, 1.0, True, "exact") == base
 
     def test_cache_rejects_process_backend(self, short_seq, argon_small):
-        with pytest.raises(ValueError, match="cache"):
-            render_sequence(short_seq, argon_tf(argon_small), cache=True,
-                            backend="process", workers=2)
+        """No in-memory cache mode remains: ``cache=True`` is rejected
+        before any frame renders, in-process or on workers."""
+        for workers in (1, 2):
+            with pytest.raises(TypeError, match="cache"):
+                render_sequence(short_seq, argon_tf(argon_small), cache=True,
+                                workers=workers)
 
     def test_fast_options_require_fast_mode(self, short_seq, argon_small):
         with pytest.raises(ValueError, match="fast_options"):

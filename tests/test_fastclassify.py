@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from repro.cache import SharedArrayCache
 from repro.core import (
     DataSpaceClassifier,
     FastVolumeClassifier,
@@ -256,10 +257,10 @@ def test_prune_is_conservative():
 # --------------------------------------------------------------------- #
 # 4. Temporal-coherence cache
 # --------------------------------------------------------------------- #
-def test_cache_replay_is_bitwise(trained_cosmology, cosmology_small):
+def test_cache_replay_is_bitwise(trained_cosmology, cosmology_small, tmp_path):
     clf = trained_cosmology
     vol = cosmology_small[0]
-    cache = TemporalCoherenceCache()
+    cache = TemporalCoherenceCache(store=SharedArrayCache(tmp_path))
     first = clf.classify(vol, mode="fast", cache=cache, block_shape=(16, 16, 16))
     assert cache.hits == 0 and cache.misses == clf.last_fast_stats["blocks_total"]
     second = clf.classify(vol, mode="fast", cache=cache, block_shape=(16, 16, 16))
@@ -269,10 +270,10 @@ def test_cache_replay_is_bitwise(trained_cosmology, cosmology_small):
     assert np.array_equal(second, clf.classify(vol, mode="fast"))
 
 
-def test_cache_misses_when_context_changes(cosmology_small):
+def test_cache_misses_when_context_changes(cosmology_small, tmp_path):
     vol = cosmology_small[0]
     clf = _train_classifier(vol)  # include_time=True by default
-    cache = TemporalCoherenceCache()
+    cache = TemporalCoherenceCache(store=SharedArrayCache(tmp_path))
     clf.classify(vol, mode="fast", cache=cache, time=130.0)
     hits_before = cache.hits
     # same voxels, different time feature: every block must miss
@@ -284,20 +285,23 @@ def test_cache_misses_when_context_changes(cosmology_small):
     assert cache.hits == hits_before
 
 
-def test_cache_lru_eviction():
-    cache = TemporalCoherenceCache(max_entries=2)
-    a, b, c = (np.zeros(1, dtype=np.float32),) * 3
-    cache.put("a", a), cache.put("b", b), cache.put("c", c)
+def test_cache_lru_eviction(tmp_path):
+    """``max_entries`` bounds the in-memory L1; an evicted block still
+    reads back through the store."""
+    store = SharedArrayCache(tmp_path)
+    cache = TemporalCoherenceCache(store=store, max_entries=2)
+    for i, key in enumerate("abc"):
+        cache.put(key, np.full(1, i, dtype=np.float32))
+    assert len(cache) == 2                  # "a" evicted from memory
+    assert cache.get("a")[0] == 0           # ... reread from the store
     assert len(cache) == 2
-    assert cache.get("a") is None           # evicted
-    assert cache.get("c") is not None
     with pytest.raises(ValueError):
-        TemporalCoherenceCache(max_entries=0)
+        TemporalCoherenceCache(store=store, max_entries=0)
 
 
 def test_classify_sequence_temporal_cache(tmp_path):
     """Replayed steady bricks across steps hit the cache, the counters
-    surface through the obs sink, and backend='process' is refused."""
+    surface through the obs sink, and a path spec gets a fresh cache."""
     rng = np.random.default_rng(6)
     base = rng.random((16, 16, 16)).astype(np.float32)
     # Steps share identical voxels (a steady region between outputs —
@@ -315,7 +319,7 @@ def test_classify_sequence_temporal_cache(tmp_path):
     sink = tmp_path / "trace.jsonl"
     metrics.configure_sink(sink)
     try:
-        cache = TemporalCoherenceCache()
+        cache = TemporalCoherenceCache(store=SharedArrayCache(tmp_path / "cache"))
         results = classify_sequence(clf, seq, mode="fast", cache=cache)
         assert cache.hits >= 1  # steps 2 and 3 replay step 1's bricks
         counters = metrics.counter_values("classify.")
@@ -333,11 +337,8 @@ def test_classify_sequence_temporal_cache(tmp_path):
         metrics.configure_sink(None)
         metrics.reset()
 
-    with pytest.raises(ValueError, match="in-process"):
-        classify_sequence(clf, seq, mode="fast", cache=cache,
-                          backend="process", workers=2)
-    # cache=True builds a fresh cache internally
-    fresh = classify_sequence(clf, seq, mode="fast", cache=True)
+    # a directory path builds a fresh store-backed cache internally
+    fresh = classify_sequence(clf, seq, mode="fast", cache=tmp_path / "fresh")
     assert all(np.array_equal(r, results[0]) for r in fresh)
 
 

@@ -1,14 +1,16 @@
-"""Differential battery: brick-parallel grow/label vs the serial scipy backend.
+"""Differential battery: label-and-select grow/label vs the scipy reference.
 
-The bricked engine (:mod:`repro.segmentation.fastgrow`) must be
+The fast engine (:mod:`repro.segmentation.fastgrow`) must be
 *voxel-identical* to the serial reference on arbitrary criteria — the
 whole point of the fast path is that it changes nothing but the clock.
 These tests sweep random criterion fields across a grid of shapes,
-densities, connectivities, and brick decompositions (including bricks
-larger than the volume, 1-wide bricks, empty bricks, and seeds sitting
-exactly on brick boundaries), asserting exact equality with
-``scipy.ndimage`` results canonicalized to a common label order.
+densities, connectivities, and sub-volume cuts (cuts larger than the
+volume, one-voxel-thick slabs, empty corners, and seeds on arbitrary
+planes), asserting exact equality with ``scipy.ndimage`` results
+canonicalized to a common label order.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -17,7 +19,6 @@ from scipy import ndimage
 from repro.segmentation.components import label_components
 from repro.segmentation.fastgrow import (
     SPARSE_FILL_MAX,
-    UnionFind,
     canonicalize_labels,
     grow_bricked,
     grow_sparse,
@@ -25,6 +26,7 @@ from repro.segmentation.fastgrow import (
     label_sparse,
     last_label_stats,
 )
+from repro.parallel.bricking import axis_chunks
 from repro.segmentation.regiongrow import _structure, grow_4d, grow_region
 
 
@@ -38,29 +40,16 @@ def reference_labels(mask, connectivity):
     return canonicalize_labels(labels), count
 
 
-class TestUnionFind:
-    def test_basic_union_and_find(self):
-        uf = UnionFind(6)
-        uf.union(1, 2)
-        uf.union(3, 4)
-        assert uf.find(1) == uf.find(2)
-        assert uf.find(3) == uf.find(4)
-        assert uf.find(1) != uf.find(3)
-        uf.union(2, 4)
-        assert uf.find(1) == uf.find(3)
+def sub_volumes(shape, bricks):
+    """The whole volume, then every box of a ``bricks`` grid over it.
 
-    def test_roots_fully_resolved(self):
-        uf = UnionFind(8)
-        for a, b in [(1, 2), (2, 3), (3, 4), (6, 7)]:
-            uf.union(a, b)
-        roots = uf.roots()
-        assert len(set(roots[1:5].tolist())) == 1
-        assert roots[5] == 5
-        assert roots[6] == roots[7]
-
-    def test_size_validated(self):
-        with pytest.raises(ValueError):
-            UnionFind(0)
+    The boxes are thin slabs, one-voxel-wide rods and mostly empty
+    corners — edge shapes for a labeler's structuring element.
+    """
+    yield tuple(slice(0, n) for n in shape)
+    if bricks is not None:
+        for box in itertools.product(*(axis_chunks(n, b) for n, b in zip(shape, bricks))):
+            yield tuple(slice(a, b) for a, b in box)
 
 
 class TestCanonicalizeLabels:
@@ -85,8 +74,8 @@ class TestCanonicalizeLabels:
         assert out.dtype == np.int32 and not out.any()
 
 
-# Shapes × brick decompositions: uneven bricks, 1-wide bricks, bricks
-# larger than the volume, per-timestep 4D slabs, and a None (single brick).
+# Shapes × sub-volume grids: uneven boxes, 1-wide slabs, a box larger
+# than the volume, per-timestep 4D slabs, and None (the whole volume only).
 GRID_3D = [
     ((9, 12, 10), (4, 5, 3)),
     ((9, 12, 10), (1, 12, 10)),
@@ -107,65 +96,53 @@ class TestLabelDifferential:
     @pytest.mark.parametrize("density", [0.35, 0.55, 0.75])
     def test_3d_matches_scipy(self, rng, shape, bricks, connectivity, density):
         mask = random_field(rng, shape, density)
-        expected, count = reference_labels(mask, connectivity)
-        got, got_count = label_bricked(mask, connectivity=connectivity,
-                                       brick_shape=bricks)
-        assert got_count == count
-        assert np.array_equal(got, expected)
+        for box in sub_volumes(shape, bricks):
+            expected, count = reference_labels(mask[box], connectivity)
+            got, got_count = label_bricked(mask[box], connectivity=connectivity)
+            assert got_count == count
+            assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("shape,bricks", GRID_4D)
     @pytest.mark.parametrize("connectivity", [1, 2, 4])
     def test_4d_matches_scipy(self, rng, shape, bricks, connectivity):
         mask = random_field(rng, shape, 0.55)
-        expected, count = reference_labels(mask, connectivity)
-        got, got_count = label_bricked(mask, connectivity=connectivity,
-                                       brick_shape=bricks)
-        assert got_count == count
-        assert np.array_equal(got, expected)
+        for box in sub_volumes(shape, bricks):
+            expected, count = reference_labels(mask[box], connectivity)
+            got, got_count = label_bricked(mask[box], connectivity=connectivity)
+            assert got_count == count
+            assert np.array_equal(got, expected)
 
     def test_matches_components_backend(self, rng):
         """Cross-check against the repo's other labeler entry point."""
         mask = random_field(rng, (10, 10, 10), 0.5)
         ref, ref_count = label_components(mask, connectivity=2)
-        got, got_count = label_bricked(mask, connectivity=2, brick_shape=(4, 4, 4))
+        got, got_count = label_bricked(mask, connectivity=2)
         assert got_count == ref_count
         assert np.array_equal(got, canonicalize_labels(ref))
 
     def test_empty_mask(self):
-        labels, count = label_bricked(np.zeros((6, 6, 6), bool), brick_shape=(2, 2, 2))
+        labels, count = label_bricked(np.zeros((6, 6, 6), bool))
         assert count == 0 and not labels.any()
 
     def test_full_mask_single_component(self):
-        labels, count = label_bricked(np.ones((6, 7, 5), bool), brick_shape=(2, 3, 2))
+        labels, count = label_bricked(np.ones((6, 7, 5), bool))
         assert count == 1
         assert (labels == 1).all()
 
     def test_empty_bricks_are_harmless(self):
-        """A mask occupying one corner leaves most bricks empty."""
+        """A mask occupying one corner leaves most of the volume empty."""
         mask = np.zeros((12, 12, 12), bool)
         mask[:3, :3, :3] = True
-        labels, count = label_bricked(mask, brick_shape=(4, 4, 4))
+        labels, count = label_bricked(mask, strategy="dense")
         assert count == 1
         assert np.array_equal(labels > 0, mask)
 
     def test_stats_recorded(self, rng):
         mask = random_field(rng, (8, 8, 8), 0.5)
-        label_bricked(mask, brick_shape=(4, 4, 4))
-        assert last_label_stats["bricks"] == 8
-        assert len(last_label_stats["brick_labels"]) == 8
-        assert last_label_stats["components"] >= 1
-
-    def test_schedule_independence(self, rng):
-        """The worker count must not change a single voxel."""
-        mask = random_field(rng, (6, 12, 12, 12), 0.55)
-        serial, count = label_bricked(mask, connectivity=2, brick_shape=(1, 6, 6, 6))
-        for workers in (2, 3):
-            par, par_count = label_bricked(
-                mask, connectivity=2, brick_shape=(1, 6, 6, 6),
-                workers=workers, backend="process",
-            )
-            assert par_count == count
-            assert np.array_equal(par, serial)
+        _, count = label_bricked(mask, connectivity=2)
+        assert last_label_stats == {"strategy": "dense", "components": count,
+                                    "connectivity": 2}
+        assert count >= 1
 
 
 class TestGrowDifferential:
@@ -174,26 +151,32 @@ class TestGrowDifferential:
     def test_3d_matches_scipy(self, rng, shape, bricks, connectivity):
         mask = random_field(rng, shape, 0.55)
         coords = np.argwhere(mask)
-        seeds = coords[rng.choice(len(coords), size=min(4, len(coords)), replace=False)]
-        expected = grow_region(mask, seeds, connectivity=connectivity, backend="scipy")
-        got = grow_bricked(mask, seeds, connectivity=connectivity, brick_shape=bricks)
-        assert np.array_equal(got, expected)
+        seeds = np.zeros(shape, bool)
+        chosen = coords[rng.choice(len(coords), size=min(4, len(coords)), replace=False)]
+        seeds[tuple(chosen.T)] = True
+        for box in sub_volumes(shape, bricks):
+            expected = grow_region(mask[box], seeds[box], connectivity=connectivity,
+                                   backend="scipy")
+            got = grow_bricked(mask[box], seeds[box], connectivity=connectivity)
+            assert np.array_equal(got, expected)
         # and via the regiongrow backend router
         routed = grow_region(mask, seeds, connectivity=connectivity, backend="bricked")
-        assert np.array_equal(routed, expected)
+        assert np.array_equal(routed, grow_region(mask, seeds, connectivity=connectivity))
 
     @pytest.mark.parametrize("shape,bricks", GRID_4D)
     @pytest.mark.parametrize("connectivity", [1, 2, 4])
     def test_4d_matches_grow_4d(self, rng, shape, bricks, connectivity):
         stack = random_field(rng, shape, 0.6)
         coords = np.argwhere(stack)
-        seed = tuple(int(c) for c in coords[rng.integers(len(coords))])
-        expected = grow_4d(stack, [seed], connectivity=connectivity)
-        got = grow_bricked(stack, [seed], connectivity=connectivity, brick_shape=bricks)
-        assert np.array_equal(got, expected)
+        seeds = np.zeros(shape, bool)
+        seeds[tuple(coords[rng.choice(len(coords), size=4, replace=False)].T)] = True
+        for box in sub_volumes(shape, bricks):
+            expected = grow_4d(stack[box], seeds[box], connectivity=connectivity)
+            got = grow_bricked(stack[box], seeds[box], connectivity=connectivity)
+            assert np.array_equal(got, expected)
 
     def test_seeds_straddling_brick_boundaries(self, rng):
-        """Seeds placed exactly on every brick boundary plane."""
+        """Seeds placed on a lattice of planes through the volume."""
         mask = random_field(rng, (12, 12, 12), 0.7)
         boundary = [3, 4, 7, 8, 11]
         seeds = [(b, b, b) for b in boundary if mask[b, b, b]]
@@ -201,27 +184,27 @@ class TestGrowDifferential:
         if not seeds:
             pytest.skip("no criterion voxels on the boundary for this draw")
         expected = grow_region(mask, seeds, connectivity=1, backend="scipy")
-        got = grow_bricked(mask, seeds, connectivity=1, brick_shape=(4, 4, 4))
+        got = grow_bricked(mask, seeds, connectivity=1, strategy="dense")
         assert np.array_equal(got, expected)
 
     def test_component_straddling_many_bricks(self):
-        """A one-voxel-thick diagonal snake crossing every brick seam."""
+        """A one-voxel-thick diagonal snake, connected only through edges."""
         mask = np.zeros((10, 10, 10), bool)
         for i in range(10):
             mask[i, i, :] = True
         expected = grow_region(mask, [(0, 0, 0)], connectivity=3, backend="scipy")
-        got = grow_bricked(mask, [(0, 0, 0)], connectivity=3, brick_shape=(3, 3, 3))
+        got = grow_bricked(mask, [(0, 0, 0)], connectivity=3, strategy="dense")
         assert np.array_equal(got, expected)
         assert got.sum() == 100
 
     def test_seed_outside_criterion_grows_nothing(self, rng):
         mask = random_field(rng, (8, 8, 8), 0.4)
         off = np.argwhere(~mask)[0]
-        got = grow_bricked(mask, [tuple(int(c) for c in off)], brick_shape=(3, 3, 3))
+        got = grow_bricked(mask, [tuple(int(c) for c in off)])
         assert not got.any()
 
     def test_empty_criterion(self):
-        got = grow_bricked(np.zeros((5, 5, 5), bool), [(2, 2, 2)], brick_shape=(2, 2, 2))
+        got = grow_bricked(np.zeros((5, 5, 5), bool), [(2, 2, 2)])
         assert not got.any()
 
     def test_boolean_seed_mask(self, rng):
@@ -229,7 +212,7 @@ class TestGrowDifferential:
         seed_mask = np.zeros_like(mask)
         seed_mask[4, :, :] = True
         expected = grow_region(mask, seed_mask, backend="scipy")
-        got = grow_bricked(mask, seed_mask, brick_shape=(4, 4, 4))
+        got = grow_bricked(mask, seed_mask)
         assert np.array_equal(got, expected)
 
     def test_frontier_cross_check(self, rng):
@@ -239,7 +222,7 @@ class TestGrowDifferential:
         seed = [tuple(int(c) for c in coords[0])]
         a = grow_region(mask, seed, backend="scipy")
         b = grow_region(mask, seed, backend="frontier")
-        c = grow_bricked(mask, seed, brick_shape=(3, 4, 3))
+        c = grow_bricked(mask, seed)
         assert np.array_equal(a, b)
         assert np.array_equal(a, c)
 
@@ -291,11 +274,6 @@ class TestSparseDifferential:
         assert sparse_mask.mean() <= SPARSE_FILL_MAX
         label_bricked(sparse_mask)
         assert last_label_stats["strategy"] == "sparse"
-        # an explicit fan-out keeps the dense brick path (bricks are the
-        # parallel unit), as does a dense mask
-        label_bricked(sparse_mask, brick_shape=(6, 6, 6), workers=2,
-                      backend="process")
-        assert last_label_stats["strategy"] == "dense"
         dense_mask = random_field(rng, (12, 12, 12), 0.5)
         label_bricked(dense_mask)
         assert last_label_stats["strategy"] == "dense"
@@ -303,7 +281,7 @@ class TestSparseDifferential:
     def test_strategies_agree_bitwise(self, rng):
         mask = random_field(rng, (10, 11, 9), 0.3)
         seeds = np.argwhere(mask)[:2]
-        a = grow_bricked(mask, seeds, strategy="dense", brick_shape=(4, 4, 4))
+        a = grow_bricked(mask, seeds, strategy="dense")
         b = grow_bricked(mask, seeds, strategy="sparse")
         c = grow_bricked(mask, seeds, strategy="auto")
         assert np.array_equal(a, b)
@@ -315,10 +293,6 @@ class TestSparseDifferential:
 
 
 class TestValidation:
-    def test_brick_shape_rank_checked(self):
-        with pytest.raises(ValueError):
-            label_bricked(np.ones((4, 4, 4), bool), brick_shape=(2, 2))
-
     def test_connectivity_checked(self):
         with pytest.raises(ValueError):
             label_bricked(np.ones((4, 4, 4), bool), connectivity=4)

@@ -56,7 +56,7 @@ class TestIATFWorkflow:
         payload = json.dumps(iatf.to_dict())
         shipped = AdaptiveTransferFunction.from_dict(json.loads(payload))
         full = load_sequence(tmp_path / "argon")
-        tfs = generate_sequence_tfs(shipped, full, backend="serial")
+        tfs = generate_sequence_tfs(shipped, full)
         for vol, tf in zip(full, tfs):
             assert feature_retention(tf.opacity_at(vol.data), vol.mask("ring")) > 0.8
 

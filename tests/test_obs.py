@@ -74,6 +74,14 @@ class TestSpans:
         record = json.loads(sink.read_text().splitlines()[0])
         assert record["error"] == "RuntimeError"
 
+    def test_sink_failure_is_counted_not_raised(self, tmp_path):
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        m = MetricsRegistry(sink=str(blocker / "trace.jsonl"))
+        with m.span("work"):
+            pass
+        assert m.counter_values("obs.sink.")["obs.sink.errors"] == 1
+
     def test_env_configures_sink(self, tmp_path, monkeypatch):
         sink = tmp_path / "env.jsonl"
         monkeypatch.setenv("REPRO_OBS_SINK", str(sink))
@@ -103,8 +111,7 @@ class TestExecutorInstrumentation:
     def test_map_populates_default_registry(self):
         metrics = get_metrics()
         metrics.reset()
-        map_timesteps(square, [1, 2, 3], backend="serial", retry=1,
-                      inject_faults={1: 1})
+        map_timesteps(square, [1, 2, 3], retry=1, inject_faults={1: 1})
         snap = metrics.snapshot()
         assert snap["counters"]["executor.tasks"] == 3
         assert snap["counters"]["executor.retries"] == 1

@@ -40,15 +40,15 @@ def tiny_classifier(sequence, seed=0):
 class TestClassifySequence:
     def test_serial_results_per_step(self, cosmology_small):
         clf = tiny_classifier(cosmology_small)
-        results = classify_sequence(clf, cosmology_small, backend="serial")
+        results = classify_sequence(clf, cosmology_small)
         assert len(results) == len(cosmology_small)
         for cert in results:
             assert cert.shape == cosmology_small.shape
 
     def test_process_matches_serial(self, cosmology_small):
         clf = tiny_classifier(cosmology_small)
-        serial = classify_sequence(clf, cosmology_small, backend="serial")
-        proc = classify_sequence(clf, cosmology_small, backend="process", workers=2)
+        serial = classify_sequence(clf, cosmology_small)
+        proc = classify_sequence(clf, cosmology_small, workers=2)
         for a, b in zip(serial, proc):
             assert np.allclose(a, b)
 
@@ -66,15 +66,15 @@ def make_iatf(swirl_small):
 class TestGenerateSequenceTFs:
     def test_one_tf_per_step(self, swirl_small):
         iatf = make_iatf(swirl_small)
-        tfs = generate_sequence_tfs(iatf, swirl_small, backend="serial")
+        tfs = generate_sequence_tfs(iatf, swirl_small)
         assert len(tfs) == len(swirl_small)
         for tf in tfs:
             assert (tf.lo, tf.hi) == swirl_small.value_range
 
     def test_parallel_matches_serial(self, swirl_small):
         iatf = make_iatf(swirl_small)
-        serial = generate_sequence_tfs(iatf, swirl_small, backend="serial")
-        proc = generate_sequence_tfs(iatf, swirl_small, backend="process", workers=2)
+        serial = generate_sequence_tfs(iatf, swirl_small)
+        proc = generate_sequence_tfs(iatf, swirl_small, workers=2)
         for a, b in zip(serial, proc):
             assert np.allclose(a.opacity, b.opacity)
 
@@ -84,7 +84,7 @@ class TestRenderSequence:
         tf = TransferFunction1D(swirl_small.value_range).add_box(0.3, 0.9, 0.6)
         images = render_sequence(
             swirl_small, tf, camera=Camera(width=24, height=24),
-            shading=False, backend="serial",
+            shading=False,
         )
         assert len(images) == len(swirl_small)
         assert images[0].shape == (24, 24)
@@ -93,13 +93,13 @@ class TestRenderSequence:
         tfs = [TransferFunction1D(swirl_small.value_range).add_box(0.2, 0.9, 0.5)
                for _ in swirl_small]
         images = render_sequence(swirl_small, tfs, camera=Camera(width=16, height=16),
-                                 shading=False, backend="serial")
+                                 shading=False)
         assert len(images) == len(swirl_small)
 
     def test_tf_count_validated(self, swirl_small):
         tfs = [TransferFunction1D(swirl_small.value_range)]
         with pytest.raises(ValueError):
-            render_sequence(swirl_small, tfs, backend="serial")
+            render_sequence(swirl_small, tfs)
 
 
 class TestExtractionMasks:
@@ -117,7 +117,7 @@ class TestExtractionMasks:
     def test_composes_with_tracker(self, cosmology_small):
         """Extraction (data space) feeds tracking: Sec. 4.3 + Sec. 5."""
         clf = tiny_classifier(cosmology_small)
-        certs = classify_sequence(clf, cosmology_small, backend="serial")
+        certs = classify_sequence(clf, cosmology_small)
         stack = extraction_masks(certs, threshold=0.5)
         vol = cosmology_small.at_time(130)
         coords = np.argwhere(stack[0] & vol.mask("large"))

@@ -5,9 +5,9 @@ spawn and reuse across maps (no respawn churn), futures with
 done-callback chaining, digest-keyed broadcast shipped to each worker
 at most once, SIGKILL crash detection + respawn flowing through the
 ordinary retry policy (on a caller's pool and on the pool a map opens
-for itself), injected faults / skip mode / timeouts matching the serial
-backend semantics, and lifecycle (close, context manager, closed-pool
-errors).
+for itself), injected faults / skip mode / timeouts matching in-process
+semantics, a passed pool running the map whatever ``workers`` says, and
+lifecycle (close, context manager, closed-pool errors).
 """
 
 import os
@@ -18,8 +18,10 @@ import sys
 import textwrap
 import time
 
+import numpy as np
 import pytest
 
+from repro.core.pipeline import classify_sequence
 from repro.obs import get_metrics
 from repro.parallel import (
     BroadcastRef,
@@ -31,6 +33,7 @@ from repro.parallel import (
     map_timesteps,
 )
 from repro.parallel.pool import resolve_broadcasts
+from repro.volume.grid import Volume, VolumeSequence
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 
@@ -48,6 +51,19 @@ def boom(x):
 def nap(seconds):
     time.sleep(seconds)
     return seconds
+
+
+def pid_of(_item):
+    return os.getpid()
+
+
+class PidClassifier:
+    """Stand-in classifier whose certainty field holds the classifying pid."""
+
+    last_fast_stats = None
+
+    def classify(self, volume, **_opts):
+        return np.full(volume.data.shape, os.getpid())
 
 
 def use_ref(payload):
@@ -162,7 +178,7 @@ class TestReuse:
         assert out.workers == 2
 
     def test_map_matches_serial(self, pool):
-        serial = map_timesteps(square, list(range(10)), backend="serial")
+        serial = map_timesteps(square, list(range(10)))
         pooled = map_timesteps(square, list(range(10)), workers=2, pool=pool)
         assert pooled.results == serial.results
 
@@ -170,9 +186,16 @@ class TestReuse:
         with pytest.raises(RuntimeError, match="boom"):
             map_timesteps(boom, [1, 2], workers=2, pool=pool)
 
-    def test_pool_ignored_for_serial_backend(self, pool):
-        out = map_timesteps(square, [1, 2], backend="serial", pool=pool)
-        assert out.backend == "serial"
+    def test_pool_runs_the_map_with_default_workers(self, pool):
+        """A passed pool always runs the map: no item runs in the parent."""
+        parent = os.getpid()
+        out = map_timesteps(pid_of, [0, 1, 2], pool=pool)
+        assert out.backend == "pool"
+        assert parent not in out.results
+        seq = VolumeSequence([Volume(np.zeros((2, 2, 2), np.float32), time=t)
+                              for t in range(3)])
+        certs = classify_sequence(PidClassifier(), seq, pool=pool)
+        assert parent not in {int(cert.flat[0]) for cert in certs}
 
 
 class TestBroadcast:
@@ -210,7 +233,7 @@ class TestCrashRespawn:
     def test_sigkill_respawn_and_retry(self, pool, tmp_path):
         sentinel = str(tmp_path / "crash")
         out = map_timesteps(
-            crash_once, [sentinel], workers=2, backend="process",
+            crash_once, [sentinel], workers=2,
             pool=pool, retry=NO_BACKOFF,
         )
         assert out.results == ["ok"]
@@ -220,7 +243,7 @@ class TestCrashRespawn:
     def test_crash_without_retry_is_structured_failure(self, pool, tmp_path):
         sentinel = str(tmp_path / "crash")
         out = map_timesteps(
-            crash_once, [sentinel], workers=2, backend="process",
+            crash_once, [sentinel], workers=2,
             pool=pool, on_error="skip",
         )
         assert out.results == [None]
@@ -228,7 +251,7 @@ class TestCrashRespawn:
 
     def test_pool_usable_after_crash(self, pool, tmp_path):
         map_timesteps(
-            crash_once, [str(tmp_path / "c")], workers=2, backend="process",
+            crash_once, [str(tmp_path / "c")], workers=2,
             pool=pool, retry=NO_BACKOFF,
         )
         out = map_timesteps(square, [5, 6], workers=2, pool=pool)
@@ -250,7 +273,7 @@ class TestCrashRespawn:
                 return x * x
 
             out = map_timesteps(crash_item_one, [0, 1, 2, 3], workers=2,
-                                backend="process", retry=1)
+                                retry=1)
             print(out.results, out.retries, out.backend)
         """)
         result = subprocess.run([sys.executable, "-c", code],
@@ -261,7 +284,7 @@ class TestCrashRespawn:
     def test_respawned_worker_rereceives_broadcasts(self, pool, tmp_path):
         ref = pool.broadcast({"scale": 3})
         map_timesteps(
-            crash_once, [str(tmp_path / "c")], workers=2, backend="process",
+            crash_once, [str(tmp_path / "c")], workers=2,
             pool=pool, retry=NO_BACKOFF,
         )
         out = map_timesteps(
@@ -288,7 +311,7 @@ class TestFaultSemantics:
 
     def test_timeout_fails_attempt(self, pool):
         out = map_timesteps(
-            nap, [1.0], workers=2, backend="process", pool=pool,
+            nap, [1.0], workers=2, pool=pool,
             on_error="skip", retry=RetryPolicy(timeout=0.1),
         )
         assert out.failures[0].error_type == "TaskTimeout"
@@ -298,8 +321,7 @@ class TestFaultSemantics:
         # its late "stale" answer (1.4 s) lands before the retry's (~1.6 s)
         # and must be dropped, not taken as the retry's result.
         out = map_timesteps(
-            slow_then_fresh, [str(tmp_path / "s")], workers=2,
-            backend="process", pool=pool,
+            slow_then_fresh, [str(tmp_path / "s")], workers=2, pool=pool,
             retry=RetryPolicy(max_retries=1, backoff=0.0, timeout=1.0),
         )
         assert out.results == ["fresh"]

@@ -222,3 +222,18 @@ class TestRunManifest:
         (tmp_path / "bad.json").write_text("{nope")
         with pytest.raises(ManifestError, match="JSON"):
             RunManifest.load(tmp_path / "bad.json")
+
+    @pytest.mark.parametrize("payload", [
+        [],
+        "manifest",
+        {"format_version": 1, "stages": []},
+        {"format_version": 1, "stages": {"tfs": "complete"}},
+        {"format_version": 1, "stages": {"tfs": {"tasks": []}}},
+        {"format_version": 1, "stages": {"tfs": {"tasks": {"step:000001": "k"}}}},
+    ], ids=["list", "string", "stages-list", "stage-not-object",
+            "tasks-list", "task-not-object"])
+    def test_malformed_manifest_is_manifest_error(self, tmp_path, payload):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ManifestError):
+            RunManifest.load(path)

@@ -404,6 +404,12 @@ class TestValidation:
             client.classify(sequence="argon", mask="ring")
         assert info.value.status == 400
 
+    @pytest.mark.parametrize("option", ["prune", "cache"])
+    def test_exact_classify_with_fast_only_option_is_400(self, client, option):
+        with pytest.raises(ServeHTTPError) as info:
+            client.classify(**{**CLASSIFY_PARAMS, "mode": "exact", option: True})
+        assert info.value.status == 400
+
     def test_bad_run_fast_options_is_400(self, client):
         config = {"sequence": "argon", "stages": ["tfs", "render"],
                   "render": {"mode": "fast", "fast_options": {"workers": 2}}}

@@ -10,10 +10,10 @@ What is on trial:
    :class:`TemporalCoherenceCache` cannot be mutated in place, so no
    consumer can poison the next hit; views are copied before freezing.
 3. **Cache × task farm composition** (the tentpole) — ``cache=<dir>``
-   with ``backend="process"``/``workers=2`` produces bit-identical
-   results to the serial cached run for both ``classify_sequence`` and
-   ``render_sequence``, warm replays hit, and the hit/miss tallies ride
-   the task results back into the *parent's* counters.
+   with ``workers=2`` produces bit-identical results to the in-process
+   cached run for both ``classify_sequence`` and ``render_sequence``,
+   warm replays hit, and the hit/miss tallies ride the task results back
+   into the *parent's* counters.  A cache without a store is rejected.
 """
 
 import numpy as np
@@ -153,11 +153,11 @@ def _write_same_key(root):
 
 
 # --------------------------------------------------------------------- #
-# 2. Read-only puts in the in-memory cache (satellite regression)
+# 2. Read-only puts in the in-memory L1 (satellite regression)
 # --------------------------------------------------------------------- #
 class TestReadOnlyPuts:
-    def test_mutating_a_returned_block_raises(self):
-        cache = TemporalCoherenceCache()
+    def test_mutating_a_returned_block_raises(self, tmp_path):
+        cache = TemporalCoherenceCache(store=SharedArrayCache(tmp_path))
         cache.put("k", np.zeros(4, dtype=np.float32))
         got = cache.get("k")
         with pytest.raises(ValueError):
@@ -165,9 +165,9 @@ class TestReadOnlyPuts:
         # the failed mutation did not poison the next hit
         assert np.array_equal(cache.get("k"), np.zeros(4, dtype=np.float32))
 
-    def test_views_are_copied_before_freezing(self):
+    def test_views_are_copied_before_freezing(self, tmp_path):
         backing = np.arange(8, dtype=np.float32)
-        cache = TemporalCoherenceCache()
+        cache = TemporalCoherenceCache(store=SharedArrayCache(tmp_path))
         cache.put("k", backing[2:6])  # a view: freezing in place would
         backing[:] = -1.0             # either fail or alias this write
         assert np.array_equal(cache.get("k"),
@@ -214,11 +214,10 @@ class TestClassifyComposition:
         return _train(seq)
 
     def test_workers_bit_identical_to_serial(self, seq, clf, tmp_path, metrics):
-        serial = classify_sequence(clf, seq, mode="fast", cache=True)
+        serial = classify_sequence(clf, seq, mode="fast", cache=tmp_path / "serial")
         metrics.reset()
         fanned = classify_sequence(clf, seq, mode="fast",
-                                   cache=tmp_path / "cache",
-                                   backend="process", workers=2)
+                                   cache=tmp_path / "cache", workers=2)
         for a, b in zip(serial, fanned):
             assert np.array_equal(a, b)
         # the ridden stats landed in the parent registry
@@ -231,11 +230,9 @@ class TestClassifyComposition:
 
     def test_warm_replay_hits(self, seq, clf, tmp_path, metrics):
         cachedir = tmp_path / "cache"
-        cold = classify_sequence(clf, seq, mode="fast", cache=cachedir,
-                                 backend="process", workers=2)
+        cold = classify_sequence(clf, seq, mode="fast", cache=cachedir, workers=2)
         metrics.reset()
-        warm = classify_sequence(clf, seq, mode="fast", cache=cachedir,
-                                 backend="process", workers=2)
+        warm = classify_sequence(clf, seq, mode="fast", cache=cachedir, workers=2)
         counters = metrics.counter_values("classify.")
         assert counters.get("classify.cache_misses", 0) == 0
         assert counters["classify.cache_hits"] == counters["classify.blocks_total"]
@@ -251,16 +248,21 @@ class TestClassifyComposition:
         by_obj = classify_sequence(clf, seq, mode="fast", workers=1,
                                    cache=SharedArrayCache(cachedir))
         wired = TemporalCoherenceCache(store=SharedArrayCache(cachedir))
-        by_cache = classify_sequence(clf, seq, mode="fast", cache=wired,
-                                     backend="process", workers=2)
+        by_cache = classify_sequence(clf, seq, mode="fast", cache=wired, workers=2)
         for a, b, c in zip(by_path, by_obj, by_cache):
             assert np.array_equal(a, b) and np.array_equal(a, c)
 
     def test_in_memory_cache_still_rejects_processes(self, seq, clf):
-        with pytest.raises(ValueError, match="in-process"):
-            classify_sequence(clf, seq, mode="fast",
-                              cache=TemporalCoherenceCache(),
-                              backend="process", workers=2)
+        """No in-memory mode remains: ``cache=True`` and a cache without a
+        store are rejected, in-process and on workers alike."""
+        for workers in (1, 2):
+            with pytest.raises(TypeError, match="cache"):
+                classify_sequence(clf, seq, mode="fast", cache=True,
+                                  workers=workers)
+        with pytest.raises(TypeError):
+            TemporalCoherenceCache()
+        with pytest.raises(TypeError, match="store"):
+            TemporalCoherenceCache(store=None)
 
 
 class TestRenderComposition:
@@ -275,11 +277,11 @@ class TestRenderComposition:
 
     def test_workers_bit_identical_to_serial(self, seq, tf, tmp_path, metrics):
         cam = Camera(width=20, height=20)
-        serial = render_sequence(seq, tf, camera=cam, mode="fast", cache=True)
+        serial = render_sequence(seq, tf, camera=cam, mode="fast",
+                                 cache=tmp_path / "serial")
         metrics.reset()
         fanned = render_sequence(seq, tf, camera=cam, mode="fast",
-                                 cache=tmp_path / "cache",
-                                 backend="process", workers=2)
+                                 cache=tmp_path / "cache", workers=2)
         for a, b in zip(serial, fanned):
             assert np.array_equal(a.pixels, b.pixels)
         counters = metrics.counter_values("render.frame_cache.")
@@ -296,18 +298,18 @@ class TestRenderComposition:
                                workers=1)
         metrics.reset()
         warm = render_sequence(seq, tf, camera=cam, mode="fast", cache=cachedir,
-                               backend="process", workers=2)
+                               workers=2)
         counters = metrics.counter_values("render.frame_cache.")
         assert counters["render.frame_cache.hits"] == len(seq)
         assert counters.get("render.frame_cache.misses", 0) == 0
         for a, b in zip(cold, warm):
             assert np.array_equal(a.pixels, b.pixels)
 
-    def test_serial_parent_counters_still_total(self, seq, tf, metrics):
-        """Serial cached renders count through the same parent-side
+    def test_serial_parent_counters_still_total(self, seq, tf, tmp_path, metrics):
+        """In-process cached renders count through the same parent-side
         aggregation path (workers never touch the counters)."""
         cam = Camera(width=20, height=20)
-        render_sequence(seq, tf, camera=cam, mode="fast", cache=True)
+        render_sequence(seq, tf, camera=cam, mode="fast", cache=tmp_path / "cache")
         counters = metrics.counter_values("render.frame_cache.")
         assert counters["render.frame_cache.hits"] \
             + counters["render.frame_cache.misses"] == len(seq)

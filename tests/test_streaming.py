@@ -60,19 +60,19 @@ class TestStreamMapParallel:
         directory, _ = saved_sequence
         serial = dict(stream_map(mean_value, directory))
         parallel = dict(stream_map_parallel(mean_value, directory,
-                                            workers=2, backend="process"))
+                                            workers=2))
         assert serial.keys() == parallel.keys()
         for t in serial:
             assert serial[t] == pytest.approx(parallel[t])
 
     def test_order_preserved(self, saved_sequence):
         directory, sequence = saved_sequence
-        out = stream_map_parallel(mean_value, directory, workers=2, backend="process")
+        out = stream_map_parallel(mean_value, directory, workers=2)
         assert [t for t, _ in out] == sequence.times
 
     def test_time_filter(self, saved_sequence):
         directory, _ = saved_sequence
-        out = stream_map_parallel(mean_value, directory, times=[215], backend="serial")
+        out = stream_map_parallel(mean_value, directory, times=[215])
         assert [t for t, _ in out] == [215]
 
     def test_manifest_read_exactly_once(self, saved_sequence, monkeypatch):
@@ -89,7 +89,7 @@ class TestStreamMapParallel:
 
         directory, sequence = saved_sequence
         monkeypatch.setattr(streaming, "sequence_step_stems", counting)
-        out = stream_map_parallel(mean_value, directory, backend="serial")
+        out = stream_map_parallel(mean_value, directory)
         assert len(calls) == 1
         assert [t for t, _ in out] == sequence.times
 
@@ -100,7 +100,7 @@ class TestStreamMapParallel:
 
         directory, sequence = saved_sequence
         monkeypatch.setenv(FAULT_ENV, "1:99")
-        out = stream_map_parallel(mean_value, directory, backend="serial",
+        out = stream_map_parallel(mean_value, directory,
                                   on_error="skip")
         assert [t for t, _ in out] == sequence.times
         results = [r for _, r in out]
@@ -122,7 +122,7 @@ class TestStreamMapParallel:
             iatf.add_key_frame(sequence.at_time(t), tf)
         iatf.train(epochs=100)
 
-        out = stream_map_parallel(iatf.generate, directory, workers=2, backend="process")
-        in_core = generate_sequence_tfs(iatf, sequence, backend="serial")
+        out = stream_map_parallel(iatf.generate, directory, workers=2)
+        in_core = generate_sequence_tfs(iatf, sequence)
         for (t, tf_streamed), tf_ref in zip(out, in_core):
             assert np.allclose(tf_streamed.opacity, tf_ref.opacity)
