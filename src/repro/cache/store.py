@@ -12,14 +12,18 @@ so it lives here and both consumers plug in:
   counters).
 
 Every artifact is a payload file plus a small metadata sidecar.  The
-store key is **input-addressed** (a blake2b digest over the stage
+store key is **input-addressed** (a SHA-256/128 digest over the stage
 parameters and every upstream dependency's key/digest, built with
 :func:`derive_key`), which is what makes resume — and a cache probe — a
 pure lookup: the key derives from inputs the caller already has.
 
 Integrity is **output-addressed**: the sidecar records the payload's own
-blake2b digest, and every read re-hashes the payload against it.  A
-truncated, corrupted, or torn artifact therefore reads as *absent*
+SHA-256/128 digest and size, and every read re-hashes the payload
+against them.  The sidecar's own fields are checked too: an unknown
+``kind``, an array ``dtype`` that does not parse (or is ``object``), a
+``shape`` that is not a list of non-negative ints, or a ``size`` that
+disagrees with the shape or the payload all mark the artifact corrupt.
+A truncated, corrupted, or torn artifact therefore reads as *absent*
 (:meth:`ArtifactStore.has` returns False) or, when explicitly loaded,
 raises :class:`IntegrityError` — it can never be silently served.  This
 is what makes the store safe for many concurrent writer processes with
@@ -35,6 +39,7 @@ next run ignores and overwrites; never a readable half-artifact.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -42,10 +47,12 @@ import numpy as np
 from repro.obs import get_metrics
 from repro.parallel.bricking import content_digest
 from repro.utils.atomic import atomic_write_bytes, atomic_write_text
+from repro.utils.validation import is_count, is_shape
 
 
 class IntegrityError(RuntimeError):
-    """An artifact's payload does not match its recorded digest."""
+    """An artifact's payload does not match its recorded digest, or its
+    sidecar's fields do not hold together."""
 
 
 def derive_key(*parts) -> str:
@@ -53,8 +60,9 @@ def derive_key(*parts) -> str:
 
     ``parts`` may be strings (upstream keys, labels), JSON-serializable
     values (stage parameter dicts), or numpy arrays.  Everything is
-    folded into one blake2b digest via a canonical encoding, so equal
-    inputs always derive equal keys across processes and runs.
+    folded into one :func:`~repro.parallel.bricking.content_digest`
+    (SHA-256/128) via a canonical encoding, so equal inputs always
+    derive equal keys across processes and runs.
     """
     blobs = []
     for part in parts:
@@ -69,6 +77,30 @@ def derive_key(*parts) -> str:
 
 def _payload_digest(data: bytes) -> str:
     return content_digest(np.frombuffer(data, dtype=np.uint8))
+
+
+def _sidecar_problem(meta: dict) -> str | None:
+    """What is inconsistent in a sidecar's own fields, or ``None``."""
+    kind, size = meta.get("kind"), meta.get("size")
+    if kind not in ("array", "json"):
+        return f"kind {kind!r} is neither 'array' nor 'json'"
+    if not is_count(size):
+        return f"size {size!r} is not a byte count"
+    if kind == "json":
+        return None
+    shape = meta.get("shape")
+    if not is_shape(shape):
+        return f"shape {shape!r} is not a list of non-negative ints"
+    name = meta.get("dtype")
+    try:
+        dtype = np.dtype(name) if isinstance(name, str) else None
+    except (TypeError, ValueError):
+        dtype = None
+    if dtype is None or dtype.hasobject:
+        return f"dtype {name!r} is not a plain numpy dtype"
+    if math.prod(shape) * dtype.itemsize != size:
+        return f"size {size} disagrees with shape {shape} of {dtype}"
+    return None
 
 
 class ArtifactStore:
@@ -126,13 +158,22 @@ class ArtifactStore:
     # ------------------------------------------------------------------ #
     # Reads
     # ------------------------------------------------------------------ #
+    def _corrupt(self, key: str, problem: str) -> IntegrityError:
+        get_metrics().counter(f"{self.counter_prefix}.corrupt").inc()
+        return IntegrityError(f"artifact {key}: {problem}")
+
     def _read_meta(self, key: str) -> dict | None:
+        """``key``'s sidecar, or ``None`` when there is none; a sidecar
+        whose fields do not hold together raises :class:`IntegrityError`."""
         try:
             meta = json.loads(self.meta_path(key).read_text())
         except (OSError, json.JSONDecodeError):
             return None
         if not isinstance(meta, dict) or meta.get("key") != key:
             return None
+        problem = _sidecar_problem(meta)
+        if problem is not None:
+            raise self._corrupt(key, f"sidecar {problem}")
         return meta
 
     def _verified_bytes(self, key: str, meta: dict) -> bytes:
@@ -140,21 +181,19 @@ class ArtifactStore:
             data = self.payload_path(key).read_bytes()
         except OSError as exc:
             raise IntegrityError(f"artifact {key}: payload unreadable: {exc}") from None
-        if _payload_digest(data) != meta.get("payload_digest"):
-            get_metrics().counter(f"{self.counter_prefix}.corrupt").inc()
-            raise IntegrityError(
-                f"artifact {key}: payload digest mismatch "
-                f"({self.payload_path(key)} is corrupt or torn)")
+        if len(data) != meta["size"] or _payload_digest(data) != meta.get("payload_digest"):
+            raise self._corrupt(key, f"payload digest mismatch "
+                                     f"({self.payload_path(key)} is corrupt or torn)")
         return data
 
     def has(self, key: str, verify: bool = True) -> bool:
         """Whether a complete (and by default, verified-intact) artifact exists."""
-        meta = self._read_meta(key)
-        if meta is None:
-            return False
-        if not verify:
-            return self.payload_path(key).exists()
         try:
+            meta = self._read_meta(key)
+            if meta is None:
+                return False
+            if not verify:
+                return self.payload_path(key).exists()
             self._verified_bytes(key, meta)
         except IntegrityError:
             return False
@@ -168,7 +207,7 @@ class ArtifactStore:
         if meta.get("kind") != "array":
             raise IntegrityError(f"artifact {key} holds {meta.get('kind')!r}, not an array")
         data = self._verified_bytes(key, meta)
-        return np.frombuffer(data, dtype=np.dtype(meta["dtype"])).reshape(meta["shape"]).copy()
+        return np.frombuffer(data, dtype=meta["dtype"]).reshape(meta["shape"]).copy()
 
     def get_json(self, key: str):
         """Load and integrity-check a stored JSON object."""

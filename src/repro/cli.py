@@ -69,7 +69,7 @@ from repro.run import (
     SimulatedWriter,
 )
 from repro.transfer.tf1d import TransferFunction1D
-from repro.volume.io import load_sequence, save_sequence
+from repro.volume.io import VolumeFormatError, load_sequence, save_sequence
 
 
 def _positive_int(text: str) -> int:
@@ -120,7 +120,10 @@ def cmd_generate(args) -> int:
 
 def cmd_info(args) -> int:
     """Summarize a saved sequence (steps, shape, ranges, masks)."""
-    sequence = load_sequence(args.seqdir)
+    try:
+        sequence = load_sequence(args.seqdir)
+    except VolumeFormatError as exc:
+        raise SystemExit(str(exc)) from None
     lo, hi = sequence.value_range
     print(f"sequence: {sequence.name or Path(args.seqdir).name}")
     print(f"steps: {len(sequence)} (ids {sequence.times[0]}..{sequence.times[-1]})")
@@ -355,7 +358,7 @@ def cmd_match(args) -> int:
         "descriptor-index", config.to_dict(),
         {"metric": args.metric, "lo": lo, "hi": hi,
          "min_voxels": args.min_voxels},
-        *[volume_digest(vol) for vol in sequence])
+        *[volume_digest(vol).volume for vol in sequence])
 
     def build() -> DescriptorIndex:
         index = DescriptorIndex(metric=args.metric)

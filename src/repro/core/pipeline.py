@@ -23,6 +23,7 @@ failed step's slot holds ``None``.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -224,20 +225,35 @@ def generate_sequence_tfs(iatf: AdaptiveTransferFunction, sequence: VolumeSequen
     return outcome.results
 
 
-def volume_digest(volume) -> str:
-    """Content digest of one volume's voxels (and per-voxel masks).
+class VolumeDigest(NamedTuple):
+    """The two content digests of one volume (see :func:`volume_digest`)."""
 
-    The resumable runner (:mod:`repro.run`) folds this into every
-    artifact key so a regenerated-but-identical sequence resumes cleanly
-    while any voxel change invalidates exactly the steps it touches.
+    voxels: str   # content_digest(volume.data): all a frame depends on
+    volume: str   # ``voxels`` folded with every mask's name and bits
+
+
+def _hex_blob(digest: str) -> np.ndarray:
+    return np.frombuffer(digest.encode(), dtype=np.uint8)
+
+
+def volume_digest(volume) -> VolumeDigest:
+    """Content digests of one volume, from one pass over its voxels.
+
+    ``voxels`` digests the voxels alone; :func:`frame_digest` takes it,
+    since a rendered frame ignores masks.  ``volume`` folds that digest
+    with every per-voxel mask; the resumable runner (:mod:`repro.run`)
+    folds it into every other artifact key, so a regenerated-but-identical
+    sequence resumes cleanly while any voxel or mask change invalidates
+    exactly the steps it touches.
     """
     data = volume.data if isinstance(volume, Volume) else np.asarray(volume)
-    blobs = [data]
+    voxels = content_digest(data)
+    blobs = [_hex_blob(voxels)]
     if isinstance(volume, Volume):
         for name in sorted(volume.masks):
             blobs.append(np.frombuffer(name.encode(), dtype=np.uint8))
             blobs.append(volume.mask(name))
-    return content_digest(*blobs)
+    return VolumeDigest(voxels, content_digest(*blobs))
 
 
 def _render_frame(volume, tf, camera, step, shading, mode, fast_opts):
@@ -247,23 +263,24 @@ def _render_frame(volume, tf, camera, step, shading, mode, fast_opts):
     return render_volume(volume, tf, camera=camera, step=step, shading=shading)
 
 
-def frame_digest(volume, tf: TransferFunction1D, camera: Camera, step: float,
+def frame_digest(voxels: str, tf: TransferFunction1D, camera: Camera, step: float,
                  shading: bool, renderer: str = "exact") -> str:
     """Content digest of everything one rendered frame depends on.
 
-    Covers the voxels, the TF's effective opacity *and* color tables and
-    domain, the full camera state, the sampling step, shading, and a
-    renderer signature (so exact/fast frames and different fast-path
-    parameters never alias).  Two frames with equal digests render
-    identically, which is what lets :func:`render_sequence` reuse frames
-    across steps whose volumes repeat (steady regions, periodic flows).
+    Covers the voxels (through ``voxels``, their digest
+    ``content_digest(volume.data)``, so no voxel is hashed twice), the
+    TF's effective opacity *and* color tables and domain, the full camera
+    state, the sampling step, shading, and a renderer signature (so
+    exact/fast frames and different fast-path parameters never alias).
+    Two frames with equal digests render identically, which is what lets
+    :func:`render_sequence` reuse frames across steps whose volumes
+    repeat (steady regions, periodic flows).
     """
-    data = volume.data if isinstance(volume, Volume) else np.asarray(volume)
     params = repr((camera.azimuth, camera.elevation, camera.width, camera.height,
                    camera.zoom, camera.projection, camera.eye_distance,
                    float(step), bool(shading), renderer)).encode()
     return content_digest(
-        data,
+        _hex_blob(voxels),
         np.asarray(tf.opacity),
         np.asarray(tf.color_at(tf.entry_values()), dtype=np.float32),
         np.asarray((tf.lo, tf.hi), dtype=np.float64),
@@ -280,7 +297,8 @@ def _render_cached(volume, tf, camera, step, shading, mode, fast_opts,
     when this ran in a worker process whose own registry dies with it.
     """
     if cache is not None:
-        key = frame_digest(volume, tf, camera, step, shading, sig)
+        key = frame_digest(content_digest(volume.data), tf, camera, step,
+                           shading, sig)
         pixels = cache.get(key)
         if pixels is not None:
             return Image.from_array(pixels), {"hits": 1, "misses": 0}

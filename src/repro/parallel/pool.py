@@ -45,7 +45,6 @@ an in-process map.
 from __future__ import annotations
 
 import concurrent.futures
-import hashlib
 import heapq
 import multiprocessing as mp
 import os
@@ -59,7 +58,10 @@ from dataclasses import dataclass
 from multiprocessing import connection
 from typing import Any
 
+import numpy as np
+
 from repro.obs import get_metrics
+from repro.parallel.bricking import content_digest
 from repro.parallel.executor import (
     RetryPolicy,
     TaskError,
@@ -321,7 +323,7 @@ class WorkerPool:
         if self._closed:
             raise PoolError("cannot broadcast on a closed pool")
         blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-        digest = hashlib.blake2b(blob, digest_size=16).hexdigest()
+        digest = content_digest(np.frombuffer(blob, dtype=np.uint8))
         if digest not in self._broadcasts:
             self._broadcasts[digest] = blob
         return BroadcastRef(digest)

@@ -247,6 +247,6 @@ class RunConfig:
         return payload
 
     def fingerprint(self) -> str:
-        """blake2b digest of the canonical identity form."""
+        """SHA-256/128 :func:`content_digest` of the canonical identity form."""
         encoded = canonical_json(self.identity_dict()).encode()
         return content_digest(np.frombuffer(encoded, dtype=np.uint8))

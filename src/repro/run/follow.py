@@ -317,7 +317,7 @@ class FollowRunner(PipelineRunner):
     # ------------------------------------------------------------------ #
     def _ingest_volume(self, volume) -> None:
         step_time = int(volume.time)
-        digest = volume_digest(volume)
+        voxels, digest = volume_digest(volume)
         known = self._digest_of.get(step_time)
         if known == digest and self._step_complete(step_time):
             self._metrics.counter("follow.duplicates").inc()
@@ -335,9 +335,10 @@ class FollowRunner(PipelineRunner):
             self._step_keys.pop(step_time, None)
             self._invalidate_training(step_time)
         with self._metrics.span("follow.step", time=step_time):
-            self._process_step(volume, digest, rewritten)
+            self._process_step(volume, digest, voxels, rewritten)
 
-    def _process_step(self, volume, digest: str, rewritten: bool) -> None:
+    def _process_step(self, volume, digest: str, voxels: str,
+                      rewritten: bool) -> None:
         step_time = int(volume.time)
         if "classify" in self._stage_set:
             if self._trained is None:
@@ -356,7 +357,7 @@ class FollowRunner(PipelineRunner):
             self._push_track(step_time, criterion, rewritten)
         if "tfs" in self._stage_set:
             task = self._tf_task(volume, digest)
-            render = ((lambda tf_dict: self._render_step(volume, tf_dict))
+            render = ((lambda tf_dict: self._render_step(volume, voxels, tf_dict))
                       if "render" in self._stage_set else None)
             self._wave([task], then=render)
             self._step_keys.setdefault(step_time, {})["tfs"] = task.key
@@ -417,9 +418,9 @@ class FollowRunner(PipelineRunner):
         self._stream.push(step_time, np.asarray(criterion, dtype=bool))
         self._track_pushed.add(step_time)
 
-    def _render_step(self, volume, tf_dict: dict) -> None:
+    def _render_step(self, volume, voxels: str, tf_dict: dict) -> None:
         step_time = int(volume.time)
-        task = self._render_task(volume, tf_dict)
+        task = self._render_task(volume, voxels, tf_dict)
         self._wave([task])
         self._step_keys.setdefault(step_time, {})["render"] = task.key
         self._export_frames([step_time])

@@ -26,7 +26,10 @@ from pathlib import Path
 
 from repro.utils.atomic import atomic_write_text
 
-FORMAT_VERSION = 1
+#: Version 2: keys and fingerprints are SHA-256/128 digests.  A version-1
+#: run directory (blake2b) fails to load with its version named, instead
+#: of failing the fingerprint check as if its config had changed.
+FORMAT_VERSION = 2
 
 #: Stage status values, in lifecycle order.
 STATUS_PENDING = "pending"

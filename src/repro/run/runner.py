@@ -74,7 +74,7 @@ from repro.run.manifest import (
 )
 from repro.run.store import ArtifactStore, derive_key
 from repro.transfer.tf1d import TransferFunction1D
-from repro.volume.io import load_sequence
+from repro.volume.io import VolumeFormatError, load_sequence
 from repro.utils.atomic import atomic_write_text
 
 
@@ -294,9 +294,16 @@ class PipelineRunner:
         # every artifact key — then depend on voxels alone, which is the
         # same rule the follow-mode loader applies to a still-growing
         # directory.
-        sequence = load_sequence(config.sequence,
-                                 masks="classify" in config.stages)
-        digests = [volume_digest(vol) for vol in sequence]
+        try:
+            sequence = load_sequence(config.sequence,
+                                     masks="classify" in config.stages)
+        except VolumeFormatError as exc:
+            raise RunError(f"cannot load sequence {config.sequence}: {exc}") from None
+        # One hash pass per step: the voxel digest keys the frames, the
+        # volume digest (voxels folded with masks) every other artifact.
+        step_digests = [volume_digest(vol) for vol in sequence]
+        voxels = [d.voxels for d in step_digests]
+        digests = [d.volume for d in step_digests]
         self._resolve(self._tf_domain(sequence) if "tfs" in config.stages else None,
                       sequence)
         self.manifest = RunManifest(
@@ -314,9 +321,9 @@ class PipelineRunner:
             with self._metrics.span("run.total", stages=len(config.stages),
                                     pipelined=self.pipelined):
                 if self.pipelined:
-                    self._walk_steps(sequence, digests)
+                    self._walk_steps(sequence, digests, voxels)
                 else:
-                    self._walk_stages(sequence, digests)
+                    self._walk_stages(sequence, digests, voxels)
         finally:
             if self._pool is not None and self._pool is not self._external_pool:
                 self._pool.close()
@@ -331,23 +338,23 @@ class PipelineRunner:
             artifacts=len(self.store.keys()),
         )
 
-    def _walk_stages(self, sequence, digests) -> None:
+    def _walk_stages(self, sequence, digests, voxels) -> None:
         """Stage order: one wave per stage, drained before the next."""
-        steps = list(zip(sequence, digests))
+        steps = list(zip(sequence, digests, voxels))
         for stage in self.config.stages:
             self.manifest.set_status(stage, STATUS_RUNNING)
             self._save_manifest()
             with self._metrics.span(f"run.stage.{stage}"):
                 if stage == "classify":
                     trained = self._train(sequence.times, digests, sequence.at_time)
-                    tasks = [self._classify_task(vol, d, trained) for vol, d in steps]
+                    tasks = [self._classify_task(vol, d, trained) for vol, d, _ in steps]
                 elif stage == "track":
                     tasks = [self._grow_task(sequence, digests)]
                 elif stage == "tfs":
-                    tasks = [self._tf_task(vol, d) for vol, d in steps]
+                    tasks = [self._tf_task(vol, d) for vol, d, _ in steps]
                 else:
-                    tasks = [self._render_task(vol, self.store.get_json(self._tf_key(d)))
-                             for vol, d in steps]
+                    tasks = [self._render_task(vol, v, self.store.get_json(self._tf_key(d)))
+                             for vol, d, v in steps]
                 self._wave(tasks)
                 self._drain()
                 if stage == "render":
@@ -356,7 +363,7 @@ class PipelineRunner:
             self._save_manifest()
             self._metrics.counter("run.stages.completed").inc()
 
-    def _walk_steps(self, sequence, digests) -> None:
+    def _walk_steps(self, sequence, digests, voxels) -> None:
         """Step order: every task its own wave, each render chained off
         its TF; track after the chains drain, frame export last."""
         stages = self.config.stages
@@ -367,12 +374,12 @@ class PipelineRunner:
                                 workers=self.exec_workers):
             if "classify" in stages:
                 trained = self._train(sequence.times, digests, sequence.at_time)
-            for vol, digest in zip(sequence, digests):
+            for vol, digest, vox in zip(sequence, digests, voxels):
                 if "classify" in stages:
                     self._wave([self._classify_task(vol, digest, trained)])
                 if "tfs" in stages:
-                    render = ((lambda tf_dict, vol=vol:
-                               self._wave([self._render_task(vol, tf_dict)]))
+                    render = ((lambda tf_dict, vol=vol, vox=vox:
+                               self._wave([self._render_task(vol, vox, tf_dict)]))
                               if "render" in stages else None)
                     self._wave([self._tf_task(vol, digest)], then=render)
             self._drain()
@@ -599,11 +606,12 @@ class PipelineRunner:
                      _task_tf_step, (params["kind"], params, self._domain,
                                      self._iatf_dict, volume))
 
-    def _render_task(self, volume, tf_dict: dict) -> _Task:
+    def _render_task(self, volume, voxels: str, tf_dict: dict) -> _Task:
+        """``voxels`` is the step's voxel digest (:func:`volume_digest`)."""
         params = self.config.render
         # The render key *is* the frame digest — the same content key
         # render_sequence's frame cache uses, reused verbatim here.
-        key = frame_digest(volume, TransferFunction1D.from_dict(tf_dict),
+        key = frame_digest(voxels, TransferFunction1D.from_dict(tf_dict),
                            self._camera, params["step"], params["shading"],
                            self._renderer)
         return _Task("render", ((_label(volume.time), key),), "array",

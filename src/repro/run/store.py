@@ -2,7 +2,7 @@
 
 The store implementation was promoted to :mod:`repro.cache.store` so the
 shared cross-process cache backend (:mod:`repro.cache.shared`) could
-build on the same primitives — input-addressed blake2b keys, atomic
+build on the same primitives — input-addressed SHA-256/128 keys, atomic
 payload-then-sidecar writes, integrity-checked reads.  This module keeps
 the runner's historical import surface; the default ``counter_prefix``
 of :class:`~repro.cache.store.ArtifactStore` preserves the

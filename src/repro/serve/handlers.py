@@ -144,6 +144,7 @@ class ServeState:
         self.pool = pool  # resident WorkerPool; None runs every map in-process
         self.max_frames = int(max_frames)
         self._sequences: dict[str, object] = {}
+        self._voxel_digests: dict[str, list[str]] = {}
         self._classifiers: dict[str, tuple] = {}
         self._frames: OrderedDict[str, bytes] = OrderedDict()
         self._shared_cache: SharedArrayCache | None = None
@@ -180,7 +181,11 @@ class ServeState:
         return statuses
 
     def sequence(self, name: str):
-        """Load (once) and return the named stored sequence."""
+        """Load (once) and return the named stored sequence.
+
+        Each step's voxels are hashed once, here, for
+        :meth:`voxel_digests`.
+        """
         if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
             raise BadRequest(f"invalid sequence name {name!r}")
         cached = self._sequences.get(name)
@@ -190,8 +195,14 @@ class ServeState:
         if not (seq_dir / "sequence.json").exists():
             raise NotFound(f"no stored sequence named {name!r} under {self.root}")
         sequence = load_sequence(seq_dir)
+        self._voxel_digests[name] = [content_digest(vol.data) for vol in sequence]
         self._sequences[name] = sequence
         return sequence
+
+    def voxel_digests(self, name: str) -> list[str]:
+        """Per-step voxel digests of a loaded sequence (frame-key input)."""
+        self.sequence(name)
+        return self._voxel_digests[name]
 
     def sequence_dir(self, name: str) -> Path:
         """The on-disk directory of a stored sequence (streaming track)."""
@@ -374,8 +385,9 @@ def compute_render(state: ServeState, params: dict) -> dict:
     # frame cache, so served digests align with stored cache entries.
     sig = "exact" if mode == "exact" else f"fast:{sorted((fast_options or {}).items())!r}"
     frames = []
-    for vol, tf, image in zip(sequence, tfs, images):
-        digest = frame_digest(vol, tf, camera, 1.0, bool(params["shading"]), sig)
+    voxels = state.voxel_digests(params["sequence"])
+    for vol, vox, tf, image in zip(sequence, voxels, tfs, images):
+        digest = frame_digest(vox, tf, camera, 1.0, bool(params["shading"]), sig)
         state.put_frame(digest, image.png_bytes())
         frames.append({
             "time": int(vol.time),

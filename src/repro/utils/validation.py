@@ -31,6 +31,16 @@ def check_probability(name: str, value: float) -> float:
     return value
 
 
+def is_count(value) -> bool:
+    """Whether ``value`` is a non-negative ``int`` (``bool`` excluded)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def is_shape(value) -> bool:
+    """Whether ``value``, parsed from JSON, is a list of non-negative ints."""
+    return isinstance(value, list) and all(is_count(n) for n in value)
+
+
 def check_shape3d(name: str, shape) -> tuple[int, int, int]:
     """Require a length-3 tuple of positive integers; return it normalized."""
     shape = tuple(int(s) for s in shape)

@@ -17,20 +17,28 @@ All writes are crash-safe: bricks and manifests land under a temporary
 name and are moved into place with ``os.replace``
 (:mod:`repro.utils.atomic`), so a process killed mid-save never leaves a
 truncated ``.raw`` that a later ``load_*`` would silently reshape into
-corrupt voxels.
+corrupt voxels.  A brick truncated by other means is caught on load: its
+byte size is checked against the sidecar's shape before it is read, and
+a mismatch raises :class:`VolumeFormatError`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
 from repro.utils.atomic import atomic_write_array, atomic_write_text
+from repro.utils.validation import is_shape
 from repro.volume.grid import Volume, VolumeSequence
 
 _FORMAT_VERSION = 1
+
+
+class VolumeFormatError(ValueError):
+    """A step's files on disk do not form a readable volume."""
 
 
 def save_volume(volume: Volume, stem) -> Path:
@@ -67,19 +75,28 @@ def load_volume(stem, mmap: bool = False, masks: bool = True) -> Volume:
     stem = Path(stem)
     meta = json.loads(stem.with_suffix(".json").read_text())
     if meta.get("format_version") != _FORMAT_VERSION:
-        raise ValueError(f"unsupported volume format version: {meta.get('format_version')}")
-    shape = tuple(meta["shape"])
+        raise VolumeFormatError(
+            f"unsupported volume format version: {meta.get('format_version')}")
+    shape = meta.get("shape")
+    if not is_shape(shape):
+        raise VolumeFormatError(
+            f"{stem.with_suffix('.json')}: shape {shape!r} is not a list of "
+            "non-negative ints")
+    shape = tuple(shape)
     raw_path = stem.with_suffix(".raw")
+    mask_names = meta.get("masks", []) if masks else []
+    _check_brick(raw_path, shape, 4)
+    for mask_name in mask_names:
+        _check_brick(_mask_path(stem, mask_name), shape, 1)
     if mmap:
         data = np.memmap(raw_path, dtype=np.float32, mode="r", shape=shape)
         data = np.asarray(data)
     else:
         data = np.fromfile(raw_path, dtype=np.float32).reshape(shape)
     loaded = {}
-    if masks:
-        for mask_name in meta.get("masks", []):
-            mask = np.fromfile(_mask_path(stem, mask_name), dtype=np.uint8).reshape(shape)
-            loaded[mask_name] = mask.astype(bool)
+    for mask_name in mask_names:
+        mask = np.fromfile(_mask_path(stem, mask_name), dtype=np.uint8).reshape(shape)
+        loaded[mask_name] = mask.astype(bool)
     return Volume(data, time=int(meta["time"]), name=meta.get("name", ""), masks=loaded)
 
 
@@ -133,6 +150,17 @@ def load_sequence(directory, times=None, mmap: bool = False,
         have = {v.time for v in volumes}
         raise KeyError(f"missing time steps {sorted(wanted - have)} in {directory}")
     return VolumeSequence(volumes, name=manifest.get("name", ""))
+
+
+def _check_brick(path: Path, shape: tuple, itemsize: int) -> None:
+    """Raise :class:`VolumeFormatError` unless ``path`` holds exactly the
+    bytes a ``shape`` brick of ``itemsize``-byte voxels needs."""
+    want = math.prod(shape) * itemsize
+    have = path.stat().st_size
+    if have != want:
+        raise VolumeFormatError(
+            f"{path} holds {have} bytes; its sidecar shape {list(shape)} "
+            f"needs {want}")
 
 
 def _mask_path(stem: Path, mask_name: str) -> Path:

@@ -1,6 +1,7 @@
 """Tests for repro.cli: the batch workflow end to end."""
 
 import json
+import shutil
 import subprocess
 import sys
 
@@ -36,6 +37,21 @@ def iatf_path(seqdir, tmp_path_factory):
     return out
 
 
+@pytest.fixture
+def truncated_seqdir(seqdir, tmp_path):
+    """A copy of the CLI sequence whose first voxel brick is cut to 100 bytes."""
+    copy = tmp_path / "truncated"
+    shutil.copytree(seqdir, copy)
+    raw = copy / "step_000195.raw"
+    raw.write_bytes(raw.read_bytes()[:100])
+    return copy
+
+
+def _cli(*argv):
+    return subprocess.run([sys.executable, "-m", "repro.cli", *argv],
+                          capture_output=True, text=True, timeout=120)
+
+
 class TestGenerateInfo:
     def test_generate_writes_sequence(self, seqdir):
         assert (seqdir / "sequence.json").exists()
@@ -47,6 +63,12 @@ class TestGenerateInfo:
         out = capsys.readouterr().out
         assert "steps: 5" in out
         assert "ring" in out
+
+    def test_info_truncated_brick_exits_one_without_traceback(self, truncated_seqdir):
+        result = _cli("info", str(truncated_seqdir))
+        assert result.returncode == 1
+        assert "step_000195.raw holds 100 bytes" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_generate_all_datasets(self, tmp_path):
         for name in ("vortex", "swirl"):
@@ -302,6 +324,17 @@ class TestRunCommand:
              "--out", str(tmp_path / "r")],
             capture_output=True, text=True, timeout=120)
         assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        assert not list((tmp_path / "r").glob("store/*"))
+
+    def test_truncated_brick_exits_one_without_traceback(self, truncated_seqdir,
+                                                         tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"sequence": str(truncated_seqdir),
+                                      "stages": ["tfs", "render"]}))
+        result = _cli("run", str(config), "--out", str(tmp_path / "r"))
+        assert result.returncode == 1
+        assert "step_000195.raw holds 100 bytes" in result.stderr
         assert "Traceback" not in result.stderr
         assert not list((tmp_path / "r").glob("store/*"))
 

@@ -21,6 +21,7 @@ from repro.core.pipeline import frame_digest, render_sequence
 from repro.data.argon import ring_value_band
 from repro.data.swirl import feature_peak_at
 from repro.obs import get_metrics
+from repro.parallel.bricking import content_digest
 from repro.render import Camera, render_rgba_volume, render_tracked, render_volume
 from repro.render.fastcast import (
     build_alpha_skip_grid,
@@ -352,11 +353,11 @@ class TestRenderSequenceFast:
     def test_frame_digest_separates_renderers(self, argon_small):
         tf = argon_tf(argon_small)
         cam = Camera(width=20, height=20)
-        vol = argon_small[0]
-        base = frame_digest(vol, tf, cam, 1.0, True, "exact")
-        assert frame_digest(vol, tf, cam, 1.0, True, "fast:[]") != base
-        assert frame_digest(vol, tf, cam, 0.5, True, "exact") != base
-        assert frame_digest(vol, tf, cam, 1.0, True, "exact") == base
+        voxels = content_digest(argon_small[0].data)
+        base = frame_digest(voxels, tf, cam, 1.0, True, "exact")
+        assert frame_digest(voxels, tf, cam, 1.0, True, "fast:[]") != base
+        assert frame_digest(voxels, tf, cam, 0.5, True, "exact") != base
+        assert frame_digest(voxels, tf, cam, 1.0, True, "exact") == base
 
     def test_cache_rejects_process_backend(self, short_seq, argon_small):
         """No in-memory cache mode remains: ``cache=True`` is rejected

@@ -5,6 +5,7 @@ import pytest
 
 from repro.parallel import (
     assemble_bricks,
+    content_digest,
     iter_bricks,
     map_timesteps,
     split_bricks,
@@ -84,6 +85,14 @@ class TestMapTimesteps:
 
 
 class TestBricking:
+    def test_content_digest_known_answer(self):
+        """SHA-256 over ``repr((shape, dtype.str))`` then the bytes, cut to
+        128 bits: pinned so a change of hash is a deliberate one."""
+        arr = np.arange(12, dtype="<f4").reshape(3, 4)
+        assert content_digest(arr) == "8c4c13e9e95f464d47154b46ebaf8ac0"
+        assert content_digest(arr, np.array([True, False])) == (
+            "f0caba542621385c0a8af67feae96428")
+
     def test_bricks_tile_exactly(self):
         vol = np.arange(6 * 7 * 8, dtype=np.float32).reshape(6, 7, 8)
         bricks = split_bricks(vol, (4, 4, 4))

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.obs import get_metrics
 from repro.run import (
     ArtifactStore,
     ConfigError,
@@ -14,6 +15,7 @@ from repro.run import (
     RunManifest,
     derive_key,
 )
+from repro.run.manifest import FORMAT_VERSION
 
 
 class TestDeriveKey:
@@ -73,6 +75,35 @@ class TestArtifactStore:
         payload = store.payload_path("k")
         payload.write_bytes(payload.read_bytes()[:10])
         assert not store.has("k")
+
+    @pytest.mark.parametrize("fields", [
+        {"kind": "pickle"},
+        {"dtype": "nonsense"},
+        {"dtype": "object"},
+        {"dtype": None},
+        {"shape": "x"},
+        {"shape": [2, -4]},
+        {"shape": [2.0, 4]},
+        {"shape": [4, 4]},
+        {"size": "32"},
+        {"shape": [1, 4], "size": 16},
+    ], ids=["kind", "dtype-unparsable", "dtype-object", "dtype-missing",
+            "shape-string", "shape-negative", "shape-float",
+            "size-vs-shape", "size-not-int", "size-vs-payload"])
+    def test_inconsistent_sidecar_reads_as_corrupt(self, tmp_path, fields):
+        """A sidecar is checked, not trusted: with the payload intact, a
+        field that does not hold together still makes the artifact
+        absent to ``has()``, counted, and an ``IntegrityError`` to read."""
+        store = ArtifactStore(tmp_path)
+        store.put_array("k", np.arange(8, dtype=np.float32).reshape(2, 4))
+        meta = json.loads(store.meta_path("k").read_text())
+        store.meta_path("k").write_text(json.dumps({**meta, **fields}))
+        corrupt = get_metrics().counter("run.store.corrupt")
+        before = corrupt.value
+        assert not store.has("k")
+        assert corrupt.value == before + 1
+        with pytest.raises(IntegrityError):
+            store.get_array("k")
 
     def test_payload_without_sidecar_is_absent(self, tmp_path):
         """The sidecar is written last, so an orphan payload (crash between
@@ -226,10 +257,11 @@ class TestRunManifest:
     @pytest.mark.parametrize("payload", [
         [],
         "manifest",
-        {"format_version": 1, "stages": []},
-        {"format_version": 1, "stages": {"tfs": "complete"}},
-        {"format_version": 1, "stages": {"tfs": {"tasks": []}}},
-        {"format_version": 1, "stages": {"tfs": {"tasks": {"step:000001": "k"}}}},
+        {"format_version": FORMAT_VERSION, "stages": []},
+        {"format_version": FORMAT_VERSION, "stages": {"tfs": "complete"}},
+        {"format_version": FORMAT_VERSION, "stages": {"tfs": {"tasks": []}}},
+        {"format_version": FORMAT_VERSION,
+         "stages": {"tfs": {"tasks": {"step:000001": "k"}}}},
     ], ids=["list", "string", "stages-list", "stage-not-object",
             "tasks-list", "task-not-object"])
     def test_malformed_manifest_is_manifest_error(self, tmp_path, payload):

@@ -1,14 +1,21 @@
 """Tests for repro.run.runner: the memoized resumable stage walk."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from repro.cache import SharedArrayCache
+from repro.core.pipeline import render_sequence
 from repro.data import make_argon_sequence
 from repro.obs import get_metrics
-from repro.run import PipelineRunner, RunConfig, RunError
-from repro.volume.io import save_sequence
+from repro.parallel import bricking
+from repro.render.camera import Camera
+from repro.run import ArtifactStore, PipelineRunner, RunConfig, RunError
+from repro.serve.handlers import ServeState, compute_render, normalize
+from repro.transfer.tf1d import TransferFunction1D
+from repro.volume.io import load_sequence, save_sequence
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +115,17 @@ class TestRunLifecycle:
         report = PipelineRunner.resume(tmp_path / "run").run()
         assert report.stages["render"] == "complete"
 
+    def test_version_one_run_dir_names_its_format_version(self, seqdir, tmp_path):
+        """A run directory from before the SHA-256 keys is refused by its
+        manifest version, not as a fingerprint (config) mismatch."""
+        PipelineRunner.create(fast_config(seqdir), tmp_path / "run")
+        (tmp_path / "run" / "manifest.json").write_text(json.dumps({
+            "format_version": 1, "config_fingerprint": "0" * 32,
+            "sequence_digest": "0" * 32, "stages": {}}))
+        with pytest.raises(RunError, match="format version 1; this build reads "
+                                           "version 2"):
+            PipelineRunner.resume(tmp_path / "run")
+
     def test_stats_are_volatile_not_manifest(self, seqdir, tmp_path):
         PipelineRunner.create(fast_config(seqdir), tmp_path / "run").run()
         stats = json.loads((tmp_path / "run" / "stats.json").read_text())
@@ -149,6 +167,22 @@ class TestDeterminism:
         assert report.executed >= 1
         final = PipelineRunner.resume(tmp_path / "run").run()
         assert final.executed == 0
+
+
+    def test_inconsistent_sidecar_recomputes_exactly_that_task(self, seqdir,
+                                                               tmp_path):
+        """A frame sidecar whose dtype no longer parses is not trusted:
+        the resume re-renders that one frame and converges to the bytes
+        of an uninterrupted run."""
+        PipelineRunner.create(fast_config(seqdir), tmp_path / "ref").run()
+        PipelineRunner.create(fast_config(seqdir), tmp_path / "run").run()
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        key = manifest["stages"]["render"]["tasks"]["step:000210"]["key"]
+        meta_path = tmp_path / "run" / "store" / f"{key}.meta.json"
+        meta_path.write_text(meta_path.read_text().replace('"float32"', '"nonsense"'))
+        report = PipelineRunner.resume(tmp_path / "run").run()
+        assert (report.executed, report.skipped) == (1, 5)
+        assert _run_bytes(tmp_path / "run") == _run_bytes(tmp_path / "ref")
 
 
 class TestFullDag:
@@ -329,3 +363,93 @@ class TestCrashGuards:
                                        tmp_path / "run")
         with pytest.raises(RunError, match="workers=1"):
             runner.run()
+
+
+class _CountingHash:
+    def __init__(self, counter, inner):
+        self._counter, self._inner = counter, inner
+
+    def update(self, data):
+        self._counter.bytes += memoryview(data).nbytes
+        self._inner.update(data)
+
+    def hexdigest(self):
+        return self._inner.hexdigest()
+
+
+class _CountingHashlib:
+    """Stands in for ``hashlib`` inside the hash kernel and counts every
+    byte fed to the hashes it hands out."""
+
+    def __init__(self):
+        self.bytes = 0
+
+    def __getattr__(self, name):
+        make = getattr(hashlib, name)
+
+        def counted(data=b"", **kwargs):
+            digest = _CountingHash(self, make(**kwargs))
+            digest.update(data)
+            return digest
+        return counted
+
+
+@pytest.fixture(scope="module")
+def hash_seqdir(tmp_path_factory):
+    # Large enough that one extra pass over the voxels dwarfs the slack
+    # the hash-once bound allows for keys and small JSON artifacts.
+    directory = tmp_path_factory.mktemp("hash_once") / "argon"
+    save_sequence(make_argon_sequence(shape=(24, 32, 32), times=[195, 210, 225]),
+                  directory)
+    return directory
+
+
+class TestHashOnce:
+    def test_resume_hashes_each_byte_once(self, hash_seqdir, tmp_path, monkeypatch):
+        """Resuming an unchanged 4-stage run hashes each step's voxels and
+        masks once and each stored payload once, plus under 64 KiB of
+        keys and re-read JSON artifacts."""
+        sequence = load_sequence(hash_seqdir)
+        z, y, x = (int(v) for v in np.argwhere(sequence[0].mask("ring"))[0])
+        config = RunConfig.from_dict({
+            "sequence": str(hash_seqdir),
+            "stages": ["classify", "track", "tfs", "render"],
+            "classify": {"mask": "ring", "train_steps": [195], "samples": 20,
+                         "epochs": 10, "hidden": 4, "mode": "fast"},
+            "track": {"criterion": "classify", "seed_voxel": [0, z, y, x]},
+            "render": {"size": 16},
+        })
+        PipelineRunner.create(config, tmp_path / "run").run()
+        counter = _CountingHashlib()
+        monkeypatch.setattr(bricking, "hashlib", counter)
+        report = PipelineRunner.resume(tmp_path / "run").run()
+        assert report.executed == 0
+        inputs = sum(vol.data.nbytes + sum(m.nbytes for m in vol.masks.values())
+                     for vol in sequence)
+        stored = sum(path.stat().st_size
+                     for path in (tmp_path / "run" / "store").glob("*.bin"))
+        assert counter.bytes <= inputs + stored + 64 * 1024
+
+    def test_frame_keys_agree(self, hash_seqdir, tmp_path):
+        """One step, TF, camera and renderer give one frame key: the
+        runner's render key, the frame-cache key of render_sequence and
+        serve's response digest."""
+        config = fast_config(hash_seqdir, render={"size": 16})
+        PipelineRunner.create(config, tmp_path / "run").run()
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        keys = [info["key"] for info in manifest["stages"]["render"]["tasks"].values()]
+        assert len(set(keys)) == 3
+
+        sequence = load_sequence(hash_seqdir)
+        lo, hi = sequence.value_range
+        tf = TransferFunction1D((lo, hi)).add_box(lo + 0.3 * (hi - lo), hi, 0.8)
+        cache = SharedArrayCache(tmp_path / "cache")
+        render_sequence(sequence, tf, camera=Camera(width=16, height=16), cache=cache)
+        store = ArtifactStore(tmp_path / "run" / "store")
+        for key in keys:
+            assert np.array_equal(cache.load(key), store.get_array(key))
+
+        state = ServeState(hash_seqdir.parent)
+        served = compute_render(state, normalize("render", {
+            "sequence": hash_seqdir.name, "size": 16}))
+        assert [frame["digest"] for frame in served["frames"]] == keys

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.volume import Volume, VolumeSequence, load_sequence, load_volume, save_sequence, save_volume
+from repro.volume.io import VolumeFormatError
 
 
 def sample_volume(time=3):
@@ -54,6 +55,26 @@ class TestVolumeRoundtrip:
         meta["format_version"] = 99
         (tmp_path / "step.json").write_text(json.dumps(meta))
         with pytest.raises(ValueError, match="version"):
+            load_volume(tmp_path / "step")
+
+    @pytest.mark.parametrize("brick", ["step.raw", "step.hot.mask.raw"])
+    def test_truncated_brick_is_typed_error(self, tmp_path, brick):
+        """A brick shorter than its sidecar's shape is named before any
+        reshape, as a ``ValueError`` subclass."""
+        save_volume(sample_volume(), tmp_path / "step")
+        path = tmp_path / brick
+        path.write_bytes(path.read_bytes()[:100])
+        with pytest.raises(VolumeFormatError, match="holds 100 bytes"):
+            load_volume(tmp_path / "step")
+        with pytest.raises(VolumeFormatError):
+            load_volume(tmp_path / "step", mmap=True)
+
+    def test_non_integer_shape_is_typed_error(self, tmp_path):
+        save_volume(sample_volume(), tmp_path / "step")
+        meta = json.loads((tmp_path / "step.json").read_text())
+        meta["shape"] = "x"
+        (tmp_path / "step.json").write_text(json.dumps(meta))
+        with pytest.raises(VolumeFormatError, match="shape"):
             load_volume(tmp_path / "step")
 
     def test_creates_parent_dirs(self, tmp_path):
