@@ -66,7 +66,7 @@ def _offline_run(config, run_dir) -> float:
 
 def _follow_run(config, run_dir, source) -> tuple[float, tuple]:
     with Timer() as t:
-        report = FollowRunner.create(config, run_dir, poll=0.01).follow(source)
+        report = FollowRunner.create(config, run_dir).follow(source, poll=0.01)
     return t.elapsed, report.lag_seconds
 
 
@@ -100,8 +100,8 @@ def test_follow_overhead_and_latency(benchmark):
         p95_ms = float(np.percentile(lags, 95)) * 1e3
 
         benchmark.pedantic(
-            lambda: FollowRunner.create(config, root / "bench-run",
-                                        poll=0.01).follow(root / "argon"),
+            lambda: FollowRunner.create(config, root / "bench-run").follow(
+                root / "argon", poll=0.01),
             rounds=1, iterations=1)
 
     print(f"\ncold runs over {len(TIMES)} steps: offline {offline_s:.3f}s, "

@@ -120,10 +120,7 @@ def cmd_generate(args) -> int:
 
 def cmd_info(args) -> int:
     """Summarize a saved sequence (steps, shape, ranges, masks)."""
-    try:
-        sequence = load_sequence(args.seqdir)
-    except VolumeFormatError as exc:
-        raise SystemExit(str(exc)) from None
+    sequence = load_sequence(args.seqdir)
     lo, hi = sequence.value_range
     print(f"sequence: {sequence.name or Path(args.seqdir).name}")
     print(f"steps: {len(sequence)} (ids {sequence.times[0]}..{sequence.times[-1]})")
@@ -141,14 +138,11 @@ def cmd_info(args) -> int:
 def cmd_train_iatf(args) -> int:
     """Train an IATF from key frames; save it as JSON."""
     key_frames = load_sequence(args.seqdir, times=args.key_frames)
-    manifest = json.loads((Path(args.seqdir) / "sequence.json").read_text())
-    all_times = [int(t) for t in manifest["times"]]
-    # The shared domain must cover the whole sequence; compute it from the
-    # manifest's steps without holding them all in core.
+    # The shared domain and time span cover the whole sequence.
     full = load_sequence(args.seqdir)
     domain = full.value_range
     iatf = AdaptiveTransferFunction(
-        domain, (all_times[0], all_times[-1]), seed=args.seed,
+        domain, (full.times[0], full.times[-1]), seed=args.seed,
         committee=args.committee,
     )
     for t in args.key_frames:
@@ -409,39 +403,26 @@ def cmd_serve(args) -> int:
 def cmd_run(args) -> int:
     """Execute (or resume) a crash-safe pipeline run directory."""
     following = args.follow is not None
-    follow_options = {}
-    if following:
-        follow_options = dict(policy=args.follow_policy, poll=args.follow_poll,
-                              idle_timeout=args.follow_idle_timeout,
-                              max_steps=args.follow_max_steps)
+    runner_cls = FollowRunner if following else PipelineRunner
     try:
         if args.resume:
             if args.config or args.out:
                 raise SystemExit("--resume takes the run directory only; "
                                  "the stored config.json drives the run")
-            if following:
-                runner = FollowRunner.resume(args.resume, workers=args.workers,
-                                             **follow_options)
-            else:
-                runner = PipelineRunner.resume(args.resume, workers=args.workers,
-                                               pipelined=args.pipelined)
+            runner = runner_cls.resume(args.resume, workers=args.workers)
         else:
             if not args.config or not args.out:
                 raise SystemExit("a new run needs a config json and --out DIR "
                                  "(or --resume RUN_DIR to continue one)")
             config = RunConfig.from_json(args.config)
-            if following:
-                runner = FollowRunner.create(config, args.out,
-                                             workers=args.workers,
-                                             **follow_options)
-            else:
-                runner = PipelineRunner.create(config, args.out,
-                                               workers=args.workers,
-                                               pipelined=args.pipelined)
+            runner = runner_cls.create(config, args.out, workers=args.workers)
         if following:
             # --follow DIR watches that directory; bare --follow watches
             # the config's sequence directory as it is being written.
-            report = runner.follow(args.follow or None)
+            report = runner.follow(args.follow or None, policy=args.follow_policy,
+                                   poll=args.follow_poll,
+                                   idle_timeout=args.follow_idle_timeout,
+                                   max_steps=args.follow_max_steps)
         else:
             report = runner.run()
     except (ConfigError, RunError) as exc:
@@ -681,11 +662,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the config's worker count for this "
                         "invocation (a pure throughput knob: not written "
                         "to config.json, outputs stay byte-identical)")
-    p.add_argument("--pipelined", action="store_true",
-                   help="step order instead of stage order: each step's "
-                        "render chains off its TF, overlapping across steps "
-                        "on the run's worker pool (track still waits for "
-                        "every step); outputs are byte-identical")
     p.add_argument("--follow", nargs="?", const="", default=None,
                    metavar="DIR",
                    help="in-situ online mode: watch DIR (default: the "
@@ -693,12 +669,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "is still writing it, processing steps as they "
                         "arrive; finalized outputs are byte-identical to "
                         "an offline run over the completed sequence")
-    p.add_argument("--follow-policy", choices=["queue", "skip", "block"],
+    p.add_argument("--follow-policy", choices=["queue", "skip"],
                    default="queue",
                    help="backpressure when the writer outpaces the "
-                        "follower: process every step in order (queue/"
-                        "block) or jump to the newest and backfill the "
-                        "rest at finalize (skip)")
+                        "follower: process every step in order (queue) "
+                        "or jump to the newest and backfill the rest at "
+                        "finalize (skip)")
     p.add_argument("--follow-poll", type=float, default=0.05, metavar="S",
                    help="seconds between directory scans while idle")
     p.add_argument("--follow-idle-timeout", type=float, default=None,
@@ -729,11 +705,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Entry point; returns the process exit code."""
+    """Entry point; returns the process exit code.
+
+    A sequence directory that does not form readable volumes
+    (:class:`VolumeFormatError`) exits 1 with one line, whichever
+    subcommand read it.
+    """
     args = build_parser().parse_args(argv)
     if args.obs_sink:
         get_metrics().configure_sink(args.obs_sink)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except VolumeFormatError as exc:
+        raise SystemExit(str(exc)) from None
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.cache.store import IntegrityError
 from repro.obs import get_metrics
 
 _EPS = 1e-12
@@ -131,12 +132,28 @@ class DescriptorIndex:
 
     @classmethod
     def load(cls, store, key: str) -> "DescriptorIndex":
-        """Load a persisted index (integrity-checked reads)."""
+        """Load a persisted index (integrity-checked reads).
+
+        Raises ``ValueError`` when the stored payload is not an index
+        object, lacks a field, or its matrix artifact is missing or does
+        not match it; a payload that fails its integrity check raises
+        :class:`~repro.cache.store.IntegrityError`.
+        """
         payload = store.get_json(key)
-        if payload.get("kind") != "descriptor_index":
+        if not isinstance(payload, dict) or payload.get("kind") != "descriptor_index":
             raise ValueError(f"artifact {key} is not a descriptor index")
+        missing = sorted({"dim", "metric", "rows", "metas", "matrix_key"} - set(payload))
+        if missing:
+            raise ValueError(f"index {key} lacks field(s) {missing}")
+        if not (isinstance(payload["metas"], list)
+                and all(isinstance(m, dict) for m in payload["metas"])):
+            raise ValueError(f"index {key}: metas must be a list of objects")
         index = cls(dim=payload["dim"], metric=payload["metric"])
-        matrix = store.get_array(payload["matrix_key"]).astype(np.float32)
+        try:
+            matrix = store.get_array(payload["matrix_key"]).astype(np.float32)
+        except KeyError:
+            raise ValueError(f"index {key}: matrix artifact "
+                             f"{payload['matrix_key']!r} is missing") from None
         if matrix.shape != (payload["rows"], payload["dim"]):
             raise ValueError(
                 f"index {key}: matrix shape {matrix.shape} != recorded "
@@ -153,15 +170,17 @@ def cached_index(store, key: str, build) -> tuple[DescriptorIndex, bool]:
     Returns ``(index, hit)`` and maintains the ``track.match.index.hits``
     / ``track.match.index.misses`` counters — the CI warm-replay leg
     asserts a hit on the second ``repro match`` over an unchanged run.
-    A corrupt or torn artifact reads as absent (store integrity check)
-    and rebuilds.
+    A stored index that fails to load (:class:`IntegrityError` or
+    ``ValueError`` from :meth:`DescriptorIndex.load`) counts in
+    ``track.match.index.corrupt`` and rebuilds; any other error
+    propagates.
     """
     metrics = get_metrics()
     if store.has(key):
         try:
             index = DescriptorIndex.load(store, key)
-        except Exception:
-            pass
+        except (IntegrityError, ValueError):
+            metrics.counter("track.match.index.corrupt").inc()
         else:
             metrics.counter("track.match.index.hits").inc()
             return index, True

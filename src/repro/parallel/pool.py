@@ -25,8 +25,9 @@ and pays the spawn cost once per run, not per map:
   transparently re-receive the blobs they need);
 - **futures**: :meth:`WorkerPool.submit` returns a :class:`PoolFuture`
   with done-callbacks, which is how the runner's dispatcher persists
-  each artifact in the parent and, in step order, overlaps ``render(t)``
-  of early steps with ``classify(t')`` of late ones.
+  each artifact in the parent and submits each step's render from its
+  TF's callback, overlapping ``render(t)`` of early steps with ``tf(t')``
+  of late ones.
 
 Completion is event-driven — the scheduler sleeps in
 ``multiprocessing.connection.wait`` on the worker pipes and process

@@ -27,7 +27,7 @@ from pathlib import Path
 
 from repro.obs import get_metrics
 from repro.parallel.executor import map_timesteps
-from repro.volume.io import load_volume
+from repro.volume.io import check_sequence_manifest, load_volume, read_sequence_manifest
 
 
 def sequence_step_stems(directory, times=None) -> list[tuple[int, Path]]:
@@ -35,19 +35,14 @@ def sequence_step_stems(directory, times=None) -> list[tuple[int, Path]]:
 
     ``times`` optionally restricts (and validates) the selection: a
     requested step id missing from the manifest raises ``KeyError``
-    instead of being silently dropped.  The manifest's format version is
-    checked here, so every streaming consumer rejects an incompatible
-    directory up front rather than mid-run.
+    instead of being silently dropped.  The manifest is checked here
+    (:func:`repro.volume.io.read_sequence_manifest`), so every streaming
+    consumer rejects a malformed directory up front rather than mid-run.
     """
     directory = Path(directory)
-    manifest = json.loads((directory / "sequence.json").read_text())
-    version = manifest.get("format_version")
-    if version is not None and version != 1:
-        raise ValueError(f"unsupported sequence format version: {version}")
-    stems = [
-        (int(time), directory / stem)
-        for stem, time in zip(manifest["steps"], manifest["times"])
-    ]
+    manifest = read_sequence_manifest(directory)
+    stems = [(time, directory / stem)
+             for stem, time in zip(manifest["steps"], manifest["times"])]
     if times is None:
         return stems
     wanted = set(int(t) for t in times)
@@ -224,14 +219,12 @@ class SequenceWatcher:
 
     def manifest_times(self) -> list[int] | None:
         """Step ids of the completed sequence, or ``None`` while the
-        writer has not yet published ``sequence.json``."""
+        writer has not yet published ``sequence.json`` (absent, or not yet
+        parseable).  A published file that is not a manifest raises
+        :class:`~repro.volume.io.VolumeFormatError`."""
+        path = self.directory / "sequence.json"
         try:
-            manifest = json.loads((self.directory / "sequence.json").read_text())
+            manifest = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError):
             return None
-        if not isinstance(manifest, dict):
-            return None
-        version = manifest.get("format_version")
-        if version is not None and version != 1:
-            raise ValueError(f"unsupported sequence format version: {version}")
-        return [int(t) for t in manifest.get("times", [])]
+        return check_sequence_manifest(manifest, path)["times"]

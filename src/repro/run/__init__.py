@@ -7,11 +7,11 @@ Public surface:
   — input-addressed, integrity-verified artifact persistence;
 - :class:`~repro.run.manifest.RunManifest` — deterministic progress record;
 - :class:`~repro.run.runner.PipelineRunner` — the memoized walk (one
-  dispatcher, stage or step order) behind ``repro run`` /
-  ``repro run --resume``;
+  dispatcher, config stage order, each render chained off its TF)
+  behind ``repro run`` / ``repro run --resume``;
 - :class:`~repro.run.follow.FollowRunner` / :func:`~repro.run.follow.follow_sequence`
   — the same tasks and dispatcher fed per arrival, behind
-  ``repro run --follow``;
+  ``repro run --follow`` (follow options are keywords of ``follow()``);
 - :class:`~repro.run.simwriter.SimulatedWriter` — cadence-paced sequence
   replay (with torn-write fault injection) for exercising follow mode.
 """

@@ -14,7 +14,8 @@ the run to end.  Steps are consumed from either
 Everything downstream is the offline runner's own machinery: each
 arriving step's tasks come from the same per-stage task builders and go
 through the same memoized dispatcher (``_wave``: record, skip what is
-stored, run, persist), one task per wave.  Every artifact key derives
+stored, run, persist, continue), one step's task per wave, with the
+step's render as its TF's continuation.  Every artifact key derives
 from stage parameters and volume digests alone — never from arrival
 order — so a follower that processed steps as they trickled in, was
 SIGKILLed, resumed, and finalized ends up with a run directory
@@ -36,13 +37,13 @@ pre-training volume, which with the conventional "train on the first
 step" setup is just the first volume).
 
 Backpressure when the writer outpaces the follower is explicit
-(``policy``): ``queue`` (default) processes every step in time order,
-``skip`` jumps to the newest ready step and defers the rest to finalize
-(counted in ``follow.dropped``), ``block`` is ``queue`` for directories
-and natural pull-rate backpressure for iterables.  Per-step
-arrival-to-artifact latency lands in the ``follow.lag`` timer and the
-volatile ``follow_status.json`` the serve daemon's
-``GET /v1/follow/status`` reports.
+(``policy``, a keyword of :meth:`FollowRunner.follow`): ``queue``
+(default) processes every step in time order, ``skip`` jumps to the
+newest ready step and defers the rest to finalize (counted in
+``follow.dropped``).  An iterable source is pulled only as fast as the
+follower consumes it.  Per-step arrival-to-artifact latency lands in the
+``follow.lag`` timer and the volatile ``follow_status.json`` the serve
+daemon's ``GET /v1/follow/status`` reports.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from __future__ import annotations
 import bisect
 import json
 import time as _time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -61,13 +62,12 @@ from repro.obs import get_metrics
 from repro.parallel.faults import as_injector
 from repro.parallel.streaming import SequenceWatcher
 from repro.run.config import RunConfig
-from repro.run.manifest import STATUS_COMPLETE, STATUS_RUNNING, RunManifest
-from repro.run.runner import PipelineRunner, RunError, _sequence_digest
+from repro.run.runner import PipelineRunner, RunError, _label, _sequence_digest
 from repro.utils.atomic import atomic_write_text
 from repro.volume.io import load_volume
 
 #: Backpressure policies for a writer that outpaces the follower.
-POLICIES = ("queue", "skip", "block")
+POLICIES = ("queue", "skip")
 
 
 @dataclass(frozen=True)
@@ -96,91 +96,26 @@ def _task_finalize_stream(stream):
 
 
 class FollowRunner(PipelineRunner):
-    """Online (in-situ) variant of :class:`PipelineRunner`.
+    """Online (in-situ) variant of :class:`PipelineRunner`: built the same
+    way (:meth:`create` / :meth:`resume`), driven by :meth:`follow`.
 
-    Parameters beyond the base runner's:
-
-    policy:
-        Backpressure policy (:data:`POLICIES`) when several steps are
-        ready at once.
-    poll:
-        Seconds between directory scans while nothing is ready.
-    quiescence:
-        Seconds a step's files must sit unmodified before they count as
-        arrived (default: ``poll``) — the torn-write guard for foreign
-        writers that stream bytes into the final name.
-    idle_timeout:
-        Raise :class:`RunError` (leaving the run directory resumable) if
-        no step arrives and no completion manifest appears for this many
-        seconds.  ``None`` waits forever.
-    max_steps:
-        Stop following and finalize after this many distinct steps —
-        for bounded smoke tests against endless writers.
-
-    Follow-specific config requirements, checked up front: with ``tfs``
-    or ``render`` staged, ``tfs.domain`` must be pinned (the sequence
+    Follow-specific requirements, checked when :meth:`follow` starts:
+    one worker (arrival order, not fan-out, is the schedule); with
+    ``tfs`` or ``render`` staged, a pinned ``tfs.domain`` (the sequence
     value range is unknowable mid-simulation); with ``classify`` staged,
-    ``classify.train_steps`` must be explicit (the offline default —
-    the first sequence step — is equally unknowable).
+    explicit ``classify.train_steps`` (the offline default — the first
+    sequence step — is equally unknowable).
     """
 
     _stat_prefixes = ("run.", "follow.")
 
-    def __init__(self, config: RunConfig, run_dir, workers: int | None = None,
-                 pipelined: bool = False, store=None, pool=None,
-                 policy: str = "queue", poll: float = 0.05,
-                 quiescence: float | None = None,
-                 idle_timeout: float | None = None,
-                 max_steps: int | None = None) -> None:
-        if pipelined:
-            raise RunError(
-                "follow mode schedules work per arrival; --pipelined does not apply")
-        effective = workers if workers is not None else config.workers
-        if effective > 1:
-            raise RunError(
-                "follow mode executes arriving steps serially (workers=1): "
-                "arrival order, not fan-out, is the schedule")
-        super().__init__(config, run_dir, workers=1, store=store, pool=pool)
-        # A run-private store may be garbage-collected at finalize (orphans
-        # from re-written steps); a shared store is never pruned.
-        self._private_store = store is None
-        self._apply_follow(policy=policy, poll=poll, quiescence=quiescence,
-                           idle_timeout=idle_timeout, max_steps=max_steps)
-
-    def _apply_follow(self, policy: str = "queue", poll: float = 0.05,
-                      quiescence: float | None = None,
-                      idle_timeout: float | None = None,
-                      max_steps: int | None = None) -> None:
-        if policy not in POLICIES:
-            raise RunError(f"unknown follow policy {policy!r}; known: {POLICIES}")
-        self.policy = policy
-        self.poll = float(poll)
-        self.quiescence = self.poll if quiescence is None else float(quiescence)
-        self.idle_timeout = None if idle_timeout is None else float(idle_timeout)
-        self.max_steps = None if max_steps is None else int(max_steps)
-
-    @classmethod
-    def create(cls, config: RunConfig, run_dir, workers: int | None = None,
-               pipelined: bool = False, store=None, pool=None,
-               **follow_options) -> "FollowRunner":
-        runner = super().create(config, run_dir, workers=workers,
-                                pipelined=pipelined, store=store, pool=pool)
-        runner._apply_follow(**follow_options)
-        return runner
-
-    @classmethod
-    def resume(cls, run_dir, workers: int | None = None,
-               pipelined: bool = False, store=None, pool=None,
-               **follow_options) -> "FollowRunner":
-        runner = super().resume(run_dir, workers=workers,
-                                pipelined=pipelined, store=store, pool=pool)
-        runner._apply_follow(**follow_options)
-        return runner
-
     # ------------------------------------------------------------------ #
     # The follow loop
     # ------------------------------------------------------------------ #
-    def follow(self, source=None) -> FollowReport:
+    def follow(self, source=None, *, policy: str = "queue", poll: float = 0.05,
+               quiescence: float | None = None,
+               idle_timeout: float | None = None,
+               max_steps: int | None = None) -> FollowReport:
         """Consume ``source`` until complete; finalize; return a report.
 
         ``source`` is a sequence directory (default: the config's
@@ -188,7 +123,31 @@ class FollowRunner(PipelineRunner):
         is the same call on :meth:`resume`'s runner: completed artifacts
         are skipped by key, the track stream is rebuilt by re-pushing
         criteria, and the finalized bytes are identical.
+
+        policy:
+            Backpressure policy (:data:`POLICIES`) when several steps are
+            ready at once.
+        poll:
+            Seconds between directory scans while nothing is ready.
+        quiescence:
+            Seconds a step's files must sit unmodified before they count
+            as arrived (default: ``poll``) — the torn-write guard for
+            foreign writers that stream bytes into the final name.
+        idle_timeout:
+            Raise :class:`RunError` (leaving the run directory resumable)
+            if no step arrives and no completion manifest appears for
+            this many seconds.  ``None`` waits forever.
+        max_steps:
+            Stop following and finalize after this many distinct steps —
+            for bounded smoke tests against endless writers.
         """
+        if policy not in POLICIES:
+            raise RunError(f"unknown follow policy {policy!r}; known: {POLICIES}")
+        self.policy = policy
+        self.poll = float(poll)
+        self.quiescence = self.poll if quiescence is None else float(quiescence)
+        self.idle_timeout = None if idle_timeout is None else float(idle_timeout)
+        self.max_steps = None if max_steps is None else int(max_steps)
         config = self.config
         self._metrics.reset("run.")
         self._metrics.reset("follow.")
@@ -209,17 +168,10 @@ class FollowRunner(PipelineRunner):
         self._lags: list[float] = []
         self._dropped = 0
         # The manifest starts with an empty sequence digest (the sequence
-        # is not known yet) and RUNNING stages; finalize fills the digest
-        # and flips statuses, after which the sorted-keys serialization is
-        # byte-identical to the offline runner's.
-        self.manifest = RunManifest(
-            config_fingerprint=config.fingerprint(),
-            sequence_digest="",
-            stage_names=config.stages,
-        )
-        for stage in config.stages:
-            self.manifest.set_status(stage, STATUS_RUNNING)
-        self._save_manifest()
+        # is not known yet); finalize fills the digest and flips statuses,
+        # after which the sorted-keys serialization is byte-identical to
+        # the offline runner's.
+        self._start_manifest("")
         if source is None:
             source = config.sequence
         with self._metrics.span("follow.total", stages=len(config.stages),
@@ -356,11 +308,15 @@ class FollowRunner(PipelineRunner):
                          & (volume.data <= params["hi"]))
             self._push_track(step_time, criterion, rewritten)
         if "tfs" in self._stage_set:
-            task = self._tf_task(volume, digest)
-            render = ((lambda tf_dict: self._render_step(volume, voxels, tf_dict))
-                      if "render" in self._stage_set else None)
-            self._wave([task], then=render)
-            self._step_keys.setdefault(step_time, {})["tfs"] = task.key
+            # One worker: the TF's continuation (the step's render) has
+            # run by the time its wave returns.
+            task = self._tf_task(volume, digest, voxels)
+            self._wave([task])
+            keys = self._step_keys.setdefault(step_time, {})
+            keys["tfs"] = task.key
+            if "render" in self._stage_set:
+                keys["render"] = self.manifest.task_key("render", _label(step_time))
+                self._export_frames([step_time])
 
     def _maybe_train(self) -> None:
         """Train once every ``classify.train_steps`` volume has arrived,
@@ -398,13 +354,12 @@ class FollowRunner(PipelineRunner):
                        rewritten: bool = False) -> None:
         step_time = int(volume.time)
         task = self._classify_task(volume, digest, self._trained)
-        push = None
         if ("track" in self._stage_set
                 and self.config.track["criterion"] == "classify"):
             threshold = self.config.classify["threshold"]
-            push = lambda certainty: self._push_track(
-                step_time, certainty > threshold, rewritten)
-        self._wave([task], then=push)
+            task = replace(task, then=lambda certainty: self._push_track(
+                step_time, certainty > threshold, rewritten))
+        self._wave([task])
         self._step_keys.setdefault(step_time, {})["classify"] = task.key
 
     def _push_track(self, step_time: int, criterion, rewritten: bool) -> None:
@@ -417,13 +372,6 @@ class FollowRunner(PipelineRunner):
             return
         self._stream.push(step_time, np.asarray(criterion, dtype=bool))
         self._track_pushed.add(step_time)
-
-    def _render_step(self, volume, voxels: str, tf_dict: dict) -> None:
-        step_time = int(volume.time)
-        task = self._render_task(volume, voxels, tf_dict)
-        self._wave([task])
-        self._step_keys.setdefault(step_time, {})["render"] = task.key
-        self._export_frames([step_time])
 
     # ------------------------------------------------------------------ #
     # Finalize: reconcile to the offline run's exact bytes
@@ -450,10 +398,10 @@ class FollowRunner(PipelineRunner):
             self._finalize_track()
         self.manifest.sequence_digest = _sequence_digest(
             self._times, [self._digest_of[t] for t in self._times])
-        for stage in self.config.stages:
-            self.manifest.set_status(stage, STATUS_COMPLETE)
-        self._save_manifest()
-        if self._private_store:
+        self._complete_manifest()
+        # A run-private store is garbage-collected (orphans from
+        # re-written steps); a shared store is never pruned.
+        if self.store.root == self.run_dir / "store":
             referenced = {info["key"]
                           for record in self.manifest.stages.values()
                           for info in record.tasks.values()}
@@ -492,6 +440,10 @@ class FollowRunner(PipelineRunner):
         """Check what follow mode needs pinned, then resolve stage
         parameters through the offline runner's resolve step."""
         config = self.config
+        if self.exec_workers > 1:
+            raise RunError(
+                "follow mode executes arriving steps serially (workers=1): "
+                "arrival order, not fan-out, is the schedule")
         self._stage_set = set(config.stages)
         self._need_masks = "classify" in self._stage_set
         if "classify" in self._stage_set and not config.classify["train_steps"]:
@@ -559,14 +511,14 @@ def follow_sequence(source, config, run_dir, *, resume: bool = False,
 
     ``source`` is a sequence directory being written, or an iterable of
     volumes; ``config`` is a :class:`~repro.run.config.RunConfig` or a
-    plain config dict.  Keyword options forward to :class:`FollowRunner`
-    (``policy``, ``poll``, ``quiescence``, ``idle_timeout``, ``max_steps``).
+    plain config dict.  Keyword options forward to
+    :meth:`FollowRunner.follow` (``policy``, ``poll``, ``quiescence``,
+    ``idle_timeout``, ``max_steps``).
     """
     if isinstance(config, dict):
         config = RunConfig.from_dict(config)
     if resume:
-        runner = FollowRunner.resume(run_dir, store=store, **follow_options)
+        runner = FollowRunner.resume(run_dir, store=store)
     else:
-        runner = FollowRunner.create(config, run_dir, store=store,
-                                     **follow_options)
-    return runner.follow(source)
+        runner = FollowRunner.create(config, run_dir, store=store)
+    return runner.follow(source, **follow_options)

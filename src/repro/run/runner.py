@@ -21,19 +21,21 @@ rest.  ``repro run --resume`` is nothing but running the same walk
 again — completed work is skipped, interrupted work re-executes, and the
 final bytes (manifest + store) are identical to an uninterrupted run's.
 
-One walk hands the tasks to the dispatcher in one of two orders:
-
-- **stage order** (default): the train task as its own wave, then each
-  stage as one wave over every step, drained before the next stage;
-- **step order** (``pipelined=True``): every task is its own wave and a
-  step's render is chained off its TF, so on a pool rendering of early
-  steps overlaps classification of late ones; track, which needs every
-  step, runs once the chains have drained, and frame export runs last.
+One walk hands the tasks to the dispatcher, in config stage order: the
+train task as its own wave, then one wave per stage over every step.  It
+drains the pool only where a stage needs every step — after training,
+before track, and at the end, before frame export.  Each step's render is
+chained off its TF: a task carries its own continuation (``_Task.then``),
+which maps its artifact to the tasks it feeds, and a continuation runs
+once every task of its wave has started.  Tasks settled in the parent
+(run with one worker, or skipped) continue after the wave's loop, as one
+wave: with one worker the walk is plain stage order.  A pool task
+continues from its done-callback, so rendering of early steps overlaps
+TF generation of late ones.
 
 The wave is the whole skip rule.  A stage wave checks every step before
 running any, so tasks sharing one key (the static box TF) each run once
-per step; a one-task wave sees the key the previous step just stored
-and skips it.
+per step.
 
 Crash semantics: with one worker each task runs in the parent through
 :func:`repro.parallel.executor.map_timesteps` under a run-global task
@@ -42,7 +44,7 @@ SIGKILLs the process the moment the run's N-th *executed* task starts,
 and every artifact lands (atomic rename) before the next task starts —
 the kill loses at most the in-flight task.  On a pool, a done-callback
 persists each artifact in the parent, and a failed task raises only
-once its wave has drained, so the rest of the wave's work is kept.
+once the pool has drained, so the rest of the run's work is kept.
 """
 
 from __future__ import annotations
@@ -175,7 +177,9 @@ class _Task:
 
     ``records`` holds a ``(label, key)`` pair per artifact the task
     persists: one for a per-step task, one per step for the track task,
-    whose result is then the per-step sequence of masks.
+    whose result is then the per-step sequence of masks.  ``then`` is the
+    task's continuation: it maps the task's artifact (computed or stored)
+    to the tasks it feeds, or to nothing.
     """
 
     stage: str
@@ -183,6 +187,7 @@ class _Task:
     kind: str             # "array" | "json": how the artifacts are stored
     fn: Callable
     payload: Any
+    then: Callable | None = None
 
     @property
     def key(self) -> str:
@@ -199,15 +204,11 @@ class PipelineRunner:
     only* — it is a pure throughput knob (excluded from the config
     fingerprint and never written to ``config.json``), so a run started
     with one fan-out can be resumed with another and still reach
-    byte-identical outputs.  ``pipelined=True`` hands the tasks to the
-    dispatcher in step order instead of stage order (see the module
-    docstring); outputs are byte-identical because every artifact key
-    and every recorded manifest entry is the same — only the execution
-    order differs.
+    byte-identical outputs.
     """
 
     def __init__(self, config: RunConfig, run_dir, workers: int | None = None,
-                 pipelined: bool = False, store: ArtifactStore | None = None,
+                 store: ArtifactStore | None = None,
                  pool: WorkerPool | None = None) -> None:
         self.config = config
         self.run_dir = Path(run_dir)
@@ -218,7 +219,6 @@ class PipelineRunner:
         self.exec_workers = workers if workers is not None else config.workers
         if self.exec_workers < 1:
             raise RunError(f"workers must be >= 1, got {self.exec_workers}")
-        self.pipelined = pipelined
         self._pool: WorkerPool | None = None
         # ``pool`` likewise reuses resident workers across runs; an
         # external pool is never closed by the runner.
@@ -234,9 +234,16 @@ class PipelineRunner:
     # ------------------------------------------------------------------ #
     @classmethod
     def create(cls, config: RunConfig, run_dir, workers: int | None = None,
-               pipelined: bool = False, store: ArtifactStore | None = None,
-               pool: WorkerPool | None = None) -> "PipelineRunner":
-        """Start a fresh run directory (refuses to clobber an existing run)."""
+               store: ArtifactStore | None = None,
+               pool: WorkerPool | None = None,
+               pipelined: bool = False) -> "PipelineRunner":
+        """Start a fresh run directory (refuses to clobber an existing run).
+
+        ``pipelined`` is accepted and ignored: the combustion-pooled
+        workload of the e2e benchmark still passes ``pipelined=True``
+        (``benchmarks/e2e/workloads.py``, ``CombustionPooled._cold_run``).
+        Delete it once that call no longer does.
+        """
         run_dir = Path(run_dir)
         if (run_dir / "manifest.json").exists() or (run_dir / "config.json").exists():
             raise RunError(
@@ -246,12 +253,11 @@ class PipelineRunner:
         # rewritten, and sufficient on its own to resume.
         atomic_write_text(run_dir / "config.json",
                           json.dumps(config.to_dict(), sort_keys=True, indent=2) + "\n")
-        return cls(config, run_dir, workers=workers, pipelined=pipelined,
-                   store=store, pool=pool)
+        return cls(config, run_dir, workers=workers, store=store, pool=pool)
 
     @classmethod
     def resume(cls, run_dir, workers: int | None = None,
-               pipelined: bool = False, store: ArtifactStore | None = None,
+               store: ArtifactStore | None = None,
                pool: WorkerPool | None = None) -> "PipelineRunner":
         """Reopen an interrupted run directory from its stored config."""
         run_dir = Path(run_dir)
@@ -273,8 +279,7 @@ class PipelineRunner:
                     f"{run_dir}: manifest was produced by a different config "
                     f"(fingerprint {manifest.config_fingerprint} != "
                     f"{config.fingerprint()})")
-        return cls(config, run_dir, workers=workers, pipelined=pipelined,
-                   store=store, pool=pool)
+        return cls(config, run_dir, workers=workers, store=store, pool=pool)
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -306,12 +311,7 @@ class PipelineRunner:
         digests = [d.volume for d in step_digests]
         self._resolve(self._tf_domain(sequence) if "tfs" in config.stages else None,
                       sequence)
-        self.manifest = RunManifest(
-            config_fingerprint=config.fingerprint(),
-            sequence_digest=_sequence_digest(sequence.times, digests),
-            stage_names=config.stages,
-        )
-        self._save_manifest()
+        self._start_manifest(_sequence_digest(sequence.times, digests))
         try:
             if self.exec_workers > 1:
                 # One resident pool for the entire run: every wave reuses
@@ -319,15 +319,13 @@ class PipelineRunner:
                 # pool (the serve daemon's) is reused as-is.
                 self._pool = self._external_pool or WorkerPool(workers=self.exec_workers)
             with self._metrics.span("run.total", stages=len(config.stages),
-                                    pipelined=self.pipelined):
-                if self.pipelined:
-                    self._walk_steps(sequence, digests, voxels)
-                else:
-                    self._walk_stages(sequence, digests, voxels)
+                                    workers=self.exec_workers):
+                self._walk(sequence, digests, voxels)
         finally:
             if self._pool is not None and self._pool is not self._external_pool:
                 self._pool.close()
             self._pool = None
+        self._complete_manifest()
         self._write_stats()
         return RunReport(
             run_dir=self.run_dir,
@@ -338,74 +336,38 @@ class PipelineRunner:
             artifacts=len(self.store.keys()),
         )
 
-    def _walk_stages(self, sequence, digests, voxels) -> None:
-        """Stage order: one wave per stage, drained before the next."""
-        steps = list(zip(sequence, digests, voxels))
-        for stage in self.config.stages:
-            self.manifest.set_status(stage, STATUS_RUNNING)
-            self._save_manifest()
-            with self._metrics.span(f"run.stage.{stage}"):
-                if stage == "classify":
-                    trained = self._train(sequence.times, digests, sequence.at_time)
-                    tasks = [self._classify_task(vol, d, trained) for vol, d, _ in steps]
-                elif stage == "track":
-                    tasks = [self._grow_task(sequence, digests)]
-                elif stage == "tfs":
-                    tasks = [self._tf_task(vol, d) for vol, d, _ in steps]
-                else:
-                    tasks = [self._render_task(vol, v, self.store.get_json(self._tf_key(d)))
-                             for vol, d, v in steps]
-                self._wave(tasks)
-                self._drain()
-                if stage == "render":
-                    self._export_frames(sequence.times)
-            self.manifest.set_status(stage, STATUS_COMPLETE)
-            self._save_manifest()
-            self._metrics.counter("run.stages.completed").inc()
-
-    def _walk_steps(self, sequence, digests, voxels) -> None:
-        """Step order: every task its own wave, each render chained off
-        its TF; track after the chains drain, frame export last."""
+    def _walk(self, sequence, digests, voxels) -> None:
+        """Config stage order, draining only where a stage needs every
+        step; each step's render is its TF's continuation."""
         stages = self.config.stages
-        for stage in stages:
-            self.manifest.set_status(stage, STATUS_RUNNING)
-        self._save_manifest()
-        with self._metrics.span("run.dataflow", steps=len(sequence),
-                                workers=self.exec_workers):
-            if "classify" in stages:
-                trained = self._train(sequence.times, digests, sequence.at_time)
-            for vol, digest, vox in zip(sequence, digests, voxels):
-                if "classify" in stages:
-                    self._wave([self._classify_task(vol, digest, trained)])
-                if "tfs" in stages:
-                    render = ((lambda tf_dict, vol=vol, vox=vox:
-                               self._wave([self._render_task(vol, vox, tf_dict)]))
-                              if "render" in stages else None)
-                    self._wave([self._tf_task(vol, digest)], then=render)
+        steps = list(zip(sequence, digests, voxels))
+        if "classify" in stages:
+            trained = self._train(sequence.times, digests, sequence.at_time)
+            self._wave([self._classify_task(vol, d, trained) for vol, d, _ in steps])
+        if "track" in stages:
             self._drain()
-            if "track" in stages:
-                with self._metrics.span("run.stage.track"):
-                    self._wave([self._grow_task(sequence, digests)])
+            self._wave([self._grow_task(sequence, digests)])
+        if "tfs" in stages:
+            self._wave([self._tf_task(vol, d, v) for vol, d, v in steps])
+        self._drain()
         if "render" in stages:
             self._export_frames(sequence.times)
-        for stage in stages:
-            self.manifest.set_status(stage, STATUS_COMPLETE)
-            self._metrics.counter("run.stages.completed").inc()
-        self._save_manifest()
 
     # ------------------------------------------------------------------ #
     # The memoized dispatcher
     # ------------------------------------------------------------------ #
-    def _wave(self, tasks: list[_Task], then=None) -> None:
+    def _wave(self, tasks: list[_Task]) -> None:
         """Record ``tasks``, skip the stored ones, start the rest.
 
         Every key is checked before any task starts.  With one worker a
         task runs in the parent and its artifact lands before the next
         task starts; on a pool it is submitted and a done-callback
-        persists it (track always runs in the parent).  ``then(result)``
-        is called with each finished or skipped task's artifact — how a
-        render chains off its TF.  Pool failures surface from
-        :meth:`_drain`.
+        persists it (track always runs in the parent).  A task's
+        continuation runs once every task of the wave has started: for a
+        task skipped or run in the parent, after this loop, where the
+        tasks all those continuations feed form one wave; for a pool
+        task, from its done-callback, which fires only while the parent
+        waits in :meth:`_drain`.  Pool failures surface from :meth:`_drain`.
         """
         for task in tasks:
             for label, key in task.records:
@@ -413,20 +375,23 @@ class PipelineRunner:
         self._save_manifest()
         stored = [all(self.store.has(key) for _, key in task.records)
                   for task in tasks]
+        settled = []          # (task, artifact) to continue after the loop
         for task, skip in zip(tasks, stored):
             if skip:
                 self._skipped += 1
                 self._metrics.counter("run.tasks.skipped").inc()
-                if then is not None:
+                if task.then is not None:
                     get = (self.store.get_array if task.kind == "array"
                            else self.store.get_json)
-                    then(get(task.key))
+                    settled.append((task, get(task.key)))
             elif self._pool is None or task.stage == "track":
                 outcome = map_timesteps(task.fn, [task.payload],
                                         inject_faults=self._injector,
                                         fault_index_offset=self._task_no)
                 self._task_no += 1
-                self._finish(task, outcome.results[0], then)
+                self._finish(task, outcome.results[0])
+                if task.then is not None:
+                    settled.append((task, outcome.results[0]))
             else:
                 future = self._pool.submit(task.fn, task.payload, index=self._task_no,
                                            injector=self._injector,
@@ -435,21 +400,29 @@ class PipelineRunner:
 
                 def persist(fut, task=task):
                     if fut.ok:
-                        self._finish(task, fut.value, then)
+                        self._finish(task, fut.value)
+                        if task.then is not None:
+                            self._continue([(task, fut.value)])
 
                 future.add_done_callback(persist)
                 self._futures.append(future)
+        self._continue(settled)
 
-    def _finish(self, task: _Task, result, then) -> None:
-        """Persist a finished task's artifacts, count it, run ``then``."""
+    def _continue(self, settled: list) -> None:
+        """Run, as one wave, the tasks that the continuations of the
+        settled ``(task, artifact)`` pairs feed."""
+        fed = [nxt for task, artifact in settled for nxt in task.then(artifact) or ()]
+        if fed:
+            self._wave(fed)
+
+    def _finish(self, task: _Task, result) -> None:
+        """Persist a finished task's artifacts and count it."""
         artifacts = result if task.stage == "track" else [result]
         put = self.store.put_array if task.kind == "array" else self.store.put_json
         for (_, key), artifact in zip(task.records, artifacts):
             put(key, artifact)
         self._executed += 1
         self._metrics.counter("run.tasks.executed").inc()
-        if then is not None:
-            then(result)
 
     def _drain(self) -> None:
         """Wait for every submitted task — including tasks that callbacks
@@ -460,6 +433,24 @@ class PipelineRunner:
         self._futures = []
         if failures:
             raise TaskError(failures[0])
+
+    def _start_manifest(self, sequence_digest: str) -> None:
+        """A fresh manifest with every stage running, saved."""
+        self.manifest = RunManifest(
+            config_fingerprint=self.config.fingerprint(),
+            sequence_digest=sequence_digest,
+            stage_names=self.config.stages,
+        )
+        for stage in self.config.stages:
+            self.manifest.set_status(stage, STATUS_RUNNING)
+        self._save_manifest()
+
+    def _complete_manifest(self) -> None:
+        """Mark every stage complete and save: the run's final bytes."""
+        for stage in self.config.stages:
+            self.manifest.set_status(stage, STATUS_COMPLETE)
+            self._metrics.counter("run.stages.completed").inc()
+        self._save_manifest()
 
     def _save_manifest(self) -> None:
         self.manifest.save(self.run_dir / "manifest.json")
@@ -600,11 +591,15 @@ class PipelineRunner:
         return _Task("classify", ((_label(volume.time), key),), "array",
                      _task_classify_step, (artifact, self.config.classify, volume))
 
-    def _tf_task(self, volume, digest: str) -> _Task:
+    def _tf_task(self, volume, digest: str, voxels: str) -> _Task:
+        """The step's TF task; with render staged, its continuation is the
+        step's render task (``voxels`` is the step's voxel digest)."""
         params = self.config.tfs
+        then = ((lambda tf_dict: [self._render_task(volume, voxels, tf_dict)])
+                if "render" in self.config.stages else None)
         return _Task("tfs", ((_label(volume.time), self._tf_key(digest)),), "json",
                      _task_tf_step, (params["kind"], params, self._domain,
-                                     self._iatf_dict, volume))
+                                     self._iatf_dict, volume), then)
 
     def _render_task(self, volume, voxels: str, tf_dict: dict) -> _Task:
         """``voxels`` is the step's voxel digest (:func:`volume_digest`)."""

@@ -21,16 +21,19 @@ quiescence checks).
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
 import numpy as np
 
 from repro.obs import get_metrics
-from repro.utils.atomic import atomic_write_text
 from repro.volume.grid import VolumeSequence
-from repro.volume.io import _FORMAT_VERSION, load_sequence, save_volume
+from repro.volume.io import (
+    load_sequence,
+    save_volume,
+    volume_sidecar,
+    write_sequence_manifest,
+)
 
 
 class SimulatedWriter:
@@ -79,16 +82,7 @@ class SimulatedWriter:
                 save_volume(vol, stem)
                 stems.append(stem.name)
                 metrics.counter("simwriter.steps").inc()
-        manifest = {
-            "format_version": _FORMAT_VERSION,
-            "name": self.sequence.name,
-            "steps": stems,
-            "times": self.sequence.times,
-            "shape": list(self.sequence.shape),
-        }
-        manifest_path = self.out_dir / "sequence.json"
-        atomic_write_text(manifest_path, json.dumps(manifest, indent=2))
-        return manifest_path
+        return write_sequence_manifest(self.out_dir, self.sequence, stems)
 
     def _write_torn(self, stem: Path, vol) -> None:
         """Expose the step as a torn non-atomic write, then hold.
@@ -100,15 +94,7 @@ class SimulatedWriter:
         data = np.ascontiguousarray(vol.data.astype(np.float32)).tobytes()
         with open(stem.with_suffix(".raw"), "wb") as fh:
             fh.write(data[: max(1, len(data) // 2)])
-        meta = {
-            "format_version": _FORMAT_VERSION,
-            "shape": list(vol.shape),
-            "dtype": "float32",
-            "time": vol.time,
-            "name": vol.name,
-            "masks": sorted(vol.masks),
-        }
-        stem.with_suffix(".json").write_text(json.dumps(meta, indent=2))
+        stem.with_suffix(".json").write_text(volume_sidecar(vol))
         get_metrics().counter("simwriter.torn").inc()
         if self.torn_hold > 0:
             time.sleep(self.torn_hold)

@@ -8,7 +8,9 @@ We mirror that: each :class:`~repro.volume.grid.Volume` is stored as
 - ``<stem>.json``  — shape, time-step id, name, dtype, mask names,
 - ``<stem>.<mask>.mask.raw`` — one uint8 brick per ground-truth mask.
 
-Sequences are directories of those pairs plus a ``sequence.json`` manifest.
+Sequences are directories of those pairs plus a ``sequence.json`` manifest,
+written by :func:`write_sequence_manifest` and read through
+:func:`read_sequence_manifest` alone.
 Reads can be memory-mapped (``mmap=True``) so out-of-core pipelines touch
 only the bricks they stream (paper Sec. 4.2.2: "not all the data can fit in
 core").
@@ -19,7 +21,8 @@ name and are moved into place with ``os.replace``
 truncated ``.raw`` that a later ``load_*`` would silently reshape into
 corrupt voxels.  A brick truncated by other means is caught on load: its
 byte size is checked against the sidecar's shape before it is read, and
-a mismatch raises :class:`VolumeFormatError`.
+a mismatch raises :class:`VolumeFormatError`, as does a ``sequence.json``
+that is not a manifest.
 """
 
 from __future__ import annotations
@@ -49,17 +52,21 @@ def save_volume(volume: Volume, stem) -> Path:
     atomic_write_array(raw_path, volume.data.astype(np.float32))
     for mask_name, mask in volume.masks.items():
         atomic_write_array(_mask_path(stem, mask_name), mask.astype(np.uint8))
-    meta = {
+    json_path = stem.with_suffix(".json")
+    atomic_write_text(json_path, volume_sidecar(volume))
+    return json_path
+
+
+def volume_sidecar(volume: Volume) -> str:
+    """The ``<stem>.json`` text :func:`save_volume` writes for ``volume``."""
+    return json.dumps({
         "format_version": _FORMAT_VERSION,
         "shape": list(volume.shape),
         "dtype": "float32",
         "time": volume.time,
         "name": volume.name,
         "masks": sorted(volume.masks),
-    }
-    json_path = stem.with_suffix(".json")
-    atomic_write_text(json_path, json.dumps(meta, indent=2))
-    return json_path
+    }, indent=2)
 
 
 def load_volume(stem, mmap: bool = False, masks: bool = True) -> Volume:
@@ -109,16 +116,68 @@ def save_sequence(sequence: VolumeSequence, directory) -> Path:
         stem = directory / f"step_{vol.time:06d}"
         save_volume(vol, stem)
         stems.append(stem.name)
+    return write_sequence_manifest(directory, sequence, stems)
+
+
+def write_sequence_manifest(directory, sequence: VolumeSequence, stems) -> Path:
+    """Atomically write ``sequence.json`` for ``sequence`` saved under the
+    stem names ``stems``; returns its path.  Writers publish it last: its
+    presence marks the sequence complete."""
     manifest = {
         "format_version": _FORMAT_VERSION,
         "name": sequence.name,
-        "steps": stems,
+        "steps": list(stems),
         "times": sequence.times,
         "shape": list(sequence.shape),
     }
-    manifest_path = directory / "sequence.json"
-    atomic_write_text(manifest_path, json.dumps(manifest, indent=2))
-    return manifest_path
+    return atomic_write_text(Path(directory) / "sequence.json",
+                             json.dumps(manifest, indent=2))
+
+
+def read_sequence_manifest(directory) -> dict:
+    """Read and check ``<directory>/sequence.json``.
+
+    Returns the manifest, whose ``steps`` (stem names) and ``times``
+    (integer step ids) are lists of one length.  Raises
+    :class:`VolumeFormatError` when the file is not JSON or
+    :func:`check_sequence_manifest` rejects it; a missing file raises
+    ``FileNotFoundError``.
+    """
+    path = Path(directory) / "sequence.json"
+    try:
+        manifest = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise VolumeFormatError(f"{path} is not valid JSON: {exc}") from None
+    return check_sequence_manifest(manifest, path)
+
+
+def check_sequence_manifest(manifest, path) -> dict:
+    """Return the decoded ``sequence.json`` at ``path`` if it is a manifest.
+
+    Raises :class:`VolumeFormatError` when it is not an object, its
+    ``format_version`` is not 1, ``steps`` or ``times`` is missing or not
+    a non-empty list, their lengths differ, a step is not a name, or a
+    time is not an integer.
+    """
+    if not isinstance(manifest, dict):
+        raise VolumeFormatError(f"{path} holds {type(manifest).__name__}, "
+                                "not a sequence manifest object")
+    version = manifest.get("format_version")
+    if version != _FORMAT_VERSION:
+        raise VolumeFormatError(f"{path}: unsupported sequence format version: {version}")
+    steps, times = manifest.get("steps"), manifest.get("times")
+    for field, value in (("steps", steps), ("times", times)):
+        if not isinstance(value, list) or not value:
+            raise VolumeFormatError(
+                f"{path}: {field!r} must be a non-empty list, got {value!r}")
+    if len(steps) != len(times):
+        raise VolumeFormatError(f"{path} lists {len(steps)} steps but "
+                                f"{len(times)} times")
+    if not all(isinstance(stem, str) for stem in steps):
+        raise VolumeFormatError(f"{path}: every step must be a stem name, got {steps!r}")
+    if not all(type(t) is int for t in times):
+        raise VolumeFormatError(f"{path}: every time must be an integer, got {times!r}")
+    return manifest
 
 
 def load_sequence(directory, times=None, mmap: bool = False,
@@ -135,15 +194,11 @@ def load_sequence(directory, times=None, mmap: bool = False,
     artifact keys without both paying for masks nobody reads.
     """
     directory = Path(directory)
-    manifest = json.loads((directory / "sequence.json").read_text())
-    if manifest.get("format_version") != _FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported sequence format version: {manifest.get('format_version')}"
-        )
+    manifest = read_sequence_manifest(directory)
     wanted = set(int(t) for t in times) if times is not None else None
     volumes = []
     for stem_name, time in zip(manifest["steps"], manifest["times"]):
-        if wanted is not None and int(time) not in wanted:
+        if wanted is not None and time not in wanted:
             continue
         volumes.append(load_volume(directory / stem_name, mmap=mmap, masks=masks))
     if wanted is not None and len(volumes) != len(wanted):

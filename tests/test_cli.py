@@ -52,6 +52,46 @@ def _cli(*argv):
                           capture_output=True, text=True, timeout=120)
 
 
+# One argv per subcommand that reads a sequence directory ``SEQ``.
+SEQUENCE_READERS = {
+    "info": ["info", "SEQ"],
+    "render": ["render", "SEQ", "--out", "OUT", "--size", "8"],
+    "classify": ["classify", "SEQ", "--mask", "ring", "--train-steps", "195"],
+    "apply-iatf": ["apply-iatf", "SEQ", "IATF"],
+    "train-iatf": ["train-iatf", "SEQ", "--key-frames", "195", "255",
+                   "--mask", "ring", "--out", "OUT"],
+    "match": ["match", "SEQ", "--range", "0", "1"],
+    "track": ["track", "SEQ", "--seed-voxel", "0", "1", "1", "1",
+              "--range", "0", "1", "--streaming"],
+    "run": ["run", "CFG", "--out", "OUT"],
+}
+
+
+class TestUnreadableSequence:
+    """Every subcommand that reads a sequence exits 1 with one line, never
+    a traceback, when its bricks or its ``sequence.json`` are unreadable."""
+
+    @pytest.mark.parametrize("command", sorted(SEQUENCE_READERS))
+    @pytest.mark.parametrize("defect", ["truncated-raw", "manifest-list"])
+    def test_exits_one_without_traceback(self, seqdir, iatf_path, tmp_path,
+                                         command, defect):
+        bad = tmp_path / "seq"
+        shutil.copytree(seqdir, bad)
+        if defect == "truncated-raw":
+            raw = bad / "step_000195.raw"
+            raw.write_bytes(raw.read_bytes()[:100])
+        else:
+            (bad / "sequence.json").write_text("[]")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"sequence": str(bad), "stages": ["tfs"]}))
+        names = {"SEQ": str(bad), "OUT": str(tmp_path / "out"),
+                 "IATF": str(iatf_path), "CFG": str(config)}
+        result = _cli(*[names.get(arg, arg) for arg in SEQUENCE_READERS[command]])
+        assert result.returncode == 1, result.stderr
+        assert "Traceback" not in result.stderr
+        assert len(result.stderr.strip().splitlines()) == 1, result.stderr
+
+
 class TestGenerateInfo:
     def test_generate_writes_sequence(self, seqdir):
         assert (seqdir / "sequence.json").exists()

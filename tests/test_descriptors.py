@@ -432,6 +432,39 @@ class TestDescriptorIndex:
             "track.match.index.hits", 0)
         assert (misses, hits) == (1, 1)
 
+    @pytest.mark.parametrize("damage", ["payload-list", "no-metas", "matrix-deleted"])
+    def test_unloadable_index_rebuilds_and_counts(self, tmp_path, damage):
+        index, _ = self._populated()
+        store = ArtifactStore(tmp_path)
+        cached_index(store, "k", lambda: index)
+        if damage == "payload-list":
+            store.put_json("k", [])
+        elif damage == "no-metas":
+            payload = store.get_json("k")
+            del payload["metas"]
+            store.put_json("k", payload)
+        else:
+            store.remove("k.mat")
+        corrupt = get_metrics().counter("track.match.index.corrupt")
+        before = corrupt.value
+        rebuilt, hit = cached_index(store, "k", lambda: index)
+        assert not hit and len(rebuilt) == len(index)
+        assert corrupt.value == before + 1
+        # The rebuild stored a loadable index again.
+        assert cached_index(store, "k", lambda: index)[1]
+
+    def test_unrelated_load_error_propagates(self, tmp_path, monkeypatch):
+        index, _ = self._populated()
+        store = ArtifactStore(tmp_path)
+        cached_index(store, "k", lambda: index)
+
+        def broken(store, key):
+            raise RuntimeError("not a storage problem")
+
+        monkeypatch.setattr(DescriptorIndex, "load", broken)
+        with pytest.raises(RuntimeError, match="not a storage problem"):
+            cached_index(store, "k", lambda: index)
+
 
 # --------------------------------------------------------------------- #
 # CI hypothesis profile

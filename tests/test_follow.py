@@ -39,7 +39,7 @@ from repro.run import (
     follow_sequence,
 )
 from repro.serve import ServeApp, ServeClient, ServerHandle
-from repro.volume.io import save_sequence, save_volume
+from repro.volume.io import VolumeFormatError, save_sequence, save_volume
 
 SHAPE = (12, 14, 14)
 TIMES = [195, 210, 225]
@@ -330,6 +330,19 @@ def test_follow_idle_timeout_leaves_run_resumable(workload, tmp_path):
     _assert_bit_identical(run_dir, reference)
 
 
+def test_follow_rejects_malformed_completion_manifest(workload, tmp_path):
+    """A published ``sequence.json`` that is not a manifest is a typed
+    error at once, not "not published yet" until the idle timeout."""
+    _root, _sequence, config, _reference = workload
+    live = tmp_path / "live"
+    live.mkdir()
+    (live / "sequence.json").write_text("[]")
+    start = time.monotonic()
+    with pytest.raises(VolumeFormatError, match="not a sequence manifest"):
+        follow_sequence(live, config, tmp_path / "run", poll=0.02, idle_timeout=5.0)
+    assert time.monotonic() - start < 5.0
+
+
 # --------------------------------------------------------------------- #
 # SIGKILL crash/resume battery (subprocess, like the offline battery)
 # --------------------------------------------------------------------- #
@@ -397,14 +410,13 @@ def test_follow_requires_pinned_tf_domain(workload, tmp_path):
 
 
 def test_follow_rejects_parallel_scheduling(workload, tmp_path):
-    _root, _sequence, config, _reference = workload
+    root, _sequence, config, _reference = workload
     config_obj = RunConfig.from_dict(config)
     with pytest.raises(RunError, match="workers"):
-        FollowRunner.create(config_obj, tmp_path / "w", workers=2)
-    with pytest.raises(RunError, match="pipelined"):
-        FollowRunner.create(config_obj, tmp_path / "p", pipelined=True)
+        FollowRunner.create(config_obj, tmp_path / "w", workers=2).follow(root / "argon")
     with pytest.raises(RunError, match="policy"):
-        FollowRunner.create(config_obj, tmp_path / "b", policy="bogus")
+        FollowRunner.create(config_obj, tmp_path / "b").follow(root / "argon",
+                                                               policy="bogus")
 
 
 # --------------------------------------------------------------------- #

@@ -10,9 +10,10 @@ from repro.cache import SharedArrayCache
 from repro.core.pipeline import render_sequence
 from repro.data import make_argon_sequence
 from repro.obs import get_metrics
-from repro.parallel import bricking
+from repro.parallel import WorkerPool, bricking
 from repro.render.camera import Camera
 from repro.run import ArtifactStore, PipelineRunner, RunConfig, RunError
+from repro.run.runner import _task_render_step, _task_tf_step
 from repro.serve.handlers import ServeState, compute_render, normalize
 from repro.transfer.tf1d import TransferFunction1D
 from repro.volume.io import load_sequence, save_sequence
@@ -301,15 +302,13 @@ class TestPoolFailure:
 
 
 # --------------------------------------------------------------------- #
-# One count rule: the wave, in both orders, on one worker and on a pool
+# One count rule: the stage wave, on one worker and on a pool
 # --------------------------------------------------------------------- #
-# (order, workers) -> (executed, skipped) of a cold run of the crash
-# battery's 3-step full DAG.  A stage wave checks every step's key before
-# running any, so the shared box-TF key runs once per step; a one-task
-# wave skips the key the previous step just stored, except on a pool,
-# where every step's TF is submitted before the first one lands.
-COUNT_TABLE = {("stage", 1): (11, 0), ("stage", 2): (11, 0),
-               ("step", 1): (9, 2), ("step", 2): (11, 0)}
+# workers -> (executed, skipped) of a cold run of the crash battery's
+# 3-step full DAG.  A stage wave checks every step's key before running
+# any, so the shared box-TF key runs once per step, and a render wave
+# fed by TF continuations has one distinct key per step.
+COUNT_TABLE = {1: (11, 0), 2: (11, 0)}
 
 
 @pytest.fixture(scope="module")
@@ -343,14 +342,43 @@ def count_table_reference(crash_battery_config, tmp_path_factory):
     return _run_bytes(run_dir)
 
 
-@pytest.mark.parametrize("order,workers", sorted(COUNT_TABLE))
+@pytest.mark.parametrize("workers", sorted(COUNT_TABLE), ids=lambda w: f"stage-{w}")
 def test_count_table(crash_battery_config, count_table_reference, tmp_path,
-                     order, workers):
+                     workers):
     runner = PipelineRunner.create(crash_battery_config, tmp_path / "run",
-                                   workers=workers, pipelined=order == "step")
+                                   workers=workers)
     report = runner.run()
-    assert (report.executed, report.skipped) == COUNT_TABLE[order, workers]
+    assert (report.executed, report.skipped) == COUNT_TABLE[workers]
     assert _run_bytes(tmp_path / "run") == count_table_reference
+
+
+def test_render_chains_off_its_tf_on_a_pool(seqdir, tmp_path):
+    """On a pool each render is its TF's continuation, submitted from the
+    TF's done-callback while TFs of its wave are still pending.  With 3
+    steps on 2 workers the third TF is dispatched only once the first
+    one's worker frees, so the first render's submission always sees it
+    pending."""
+    pool = WorkerPool(workers=2)
+    submit = pool.submit
+    tf_futures, pending_at_render = [], []
+
+    def recording_submit(fn, item, **kwargs):
+        if fn is _task_render_step:
+            pending_at_render.append(sum(not f.done() for f in tf_futures))
+        future = submit(fn, item, **kwargs)
+        if fn is _task_tf_step:
+            tf_futures.append(future)
+        return future
+
+    pool.submit = recording_submit
+    try:
+        report = PipelineRunner.create(fast_config(seqdir), tmp_path / "run",
+                                       workers=2, pool=pool).run()
+    finally:
+        pool.close()
+    assert (report.executed, report.skipped) == (6, 0)
+    assert len(tf_futures) == 3 and len(pending_at_render) == 3
+    assert pending_at_render[0] >= 1
 
 
 class TestCrashGuards:

@@ -18,15 +18,8 @@ render step) for the 3-step full-DAG task layout:
 
     0 train · 1-3 classify · 4 track · 5-7 tfs · 8-10 render
 
-A second battery repeats the exercise for ``--pipelined`` dataflow
-scheduling, where the execution order interleaves stages per step:
-
-    0 train · 1 c0 · 2 tf0 · 3 r0 · 4 c1 · 5 r1 · 6 c2 · 7 r2 · 8 track
-
-(tf1/tf2 never execute in a cold pipelined run: the static box TF is
-one shared content-addressed artifact, already stored by tf0 before
-the later tf tasks are even considered).  Crashed pipelined runs must
-resume bit-identically under either scheduler and with a worker pool.
+A run crashed on one worker must also resume bit-identically on a
+worker pool, where each render is chained off its TF's done-callback.
 """
 
 import json
@@ -138,75 +131,22 @@ def test_double_crash_then_resume(workload, tmp_path):
     _assert_bit_identical(run_dir, reference)
 
 
-# Pipelined serial execution order: 0 train, 1 c0, 2 tf0, 3 r0, 4 c1,
-# 5 r1, 6 c2, 7 r2, 8 track (9 executed, 2 skipped cold).  Crash point
-# (an execution index) -> tasks a pipelined resume must skip: the crash
-# index itself, plus tf1/tf2 once tf0's shared box-TF artifact exists.
-PIPELINED_EXPECTED_SKIPS = {0: 2, 2: 4, 3: 5, 5: 7, 8: 10}
-
-
-def test_pipelined_cold_run_matches_barrier(workload, tmp_path):
-    """Dataflow scheduling changes the execution order and the executed
-    count (shared TF artifacts are skipped lazily), not one output byte."""
-    root, reference = workload
-    run_dir = tmp_path / "pipelined"
-    result = _run_cli(["run", str(root / "config.json"), "--out", str(run_dir),
-                       "--pipelined"])
-    assert result.returncode == 0, result.stderr
-    _assert_bit_identical(run_dir, reference)
-    stats = json.loads((run_dir / "stats.json").read_text())
-    assert stats["executed"] == 9 and stats["skipped"] == 2
-
-
-@pytest.mark.parametrize("crash_at", sorted(PIPELINED_EXPECTED_SKIPS))
-def test_pipelined_sigkill_then_resume(workload, tmp_path, crash_at):
-    root, reference = workload
-    run_dir = tmp_path / f"pcrash{crash_at}"
-
-    crashed = _run_cli(["run", str(root / "config.json"), "--out", str(run_dir),
-                        "--pipelined"], fault_spec=f"{crash_at}:crash")
-    assert crashed.returncode == -9, (
-        f"expected SIGKILL death, got rc={crashed.returncode}: {crashed.stderr}")
-    assert not (run_dir / "stats.json").exists()
-
-    resumed = _run_cli(["run", "--resume", str(run_dir), "--pipelined"])
-    assert resumed.returncode == 0, resumed.stderr
-
-    _assert_bit_identical(run_dir, reference)
-    stats = json.loads((run_dir / "stats.json").read_text())
-    assert stats["skipped"] == PIPELINED_EXPECTED_SKIPS[crash_at]
-    assert stats["executed"] == TOTAL_TASKS - PIPELINED_EXPECTED_SKIPS[crash_at]
-
-
-def test_pipelined_crash_resumes_with_worker_pool(workload, tmp_path):
-    """A crashed pipelined run resumes onto a persistent 2-worker pool."""
+def test_crash_resumes_with_worker_pool(workload, tmp_path):
+    """A one-worker run crashed at its first tf task resumes onto a
+    persistent 2-worker pool, whose renders chain off their TFs."""
     root, reference = workload
     run_dir = tmp_path / "pool_resume"
-    crashed = _run_cli(["run", str(root / "config.json"), "--out", str(run_dir),
-                        "--pipelined"], fault_spec="3:crash")
+    crashed = _run_cli(["run", str(root / "config.json"), "--out", str(run_dir)],
+                       fault_spec="5:crash")
     assert crashed.returncode == -9
-    resumed = _run_cli(["run", "--resume", str(run_dir), "--pipelined",
-                        "--workers", "2"])
+    resumed = _run_cli(["run", "--resume", str(run_dir), "--workers", "2"])
     assert resumed.returncode == 0, resumed.stderr
     _assert_bit_identical(run_dir, reference)
     # Skip decisions happen at submission time in the parent, so the
     # counts stay deterministic even with two workers racing.
     stats = json.loads((run_dir / "stats.json").read_text())
-    assert stats["skipped"] == 5 and stats["executed"] == 6
-
-
-def test_barrier_resume_of_pipelined_crash(workload, tmp_path):
-    """Schedulers are interchangeable across a crash: a run started
-    pipelined can resume under barrier scheduling (and vice versa) —
-    the store only sees content-addressed artifacts."""
-    root, reference = workload
-    run_dir = tmp_path / "cross"
-    crashed = _run_cli(["run", str(root / "config.json"), "--out", str(run_dir),
-                        "--pipelined"], fault_spec="5:crash")
-    assert crashed.returncode == -9
-    resumed = _run_cli(["run", "--resume", str(run_dir)])
-    assert resumed.returncode == 0, resumed.stderr
-    _assert_bit_identical(run_dir, reference)
+    assert stats["skipped"] == EXPECTED_SKIPS[5]
+    assert stats["executed"] == TOTAL_TASKS - EXPECTED_SKIPS[5]
 
 
 def test_crash_spec_is_inert_for_completed_run(workload, tmp_path):

@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+from repro.parallel.streaming import SequenceWatcher, sequence_step_stems
+from repro.run.simwriter import SimulatedWriter
 from repro.volume import Volume, VolumeSequence, load_sequence, load_volume, save_sequence, save_volume
 from repro.volume.io import VolumeFormatError
 
@@ -111,6 +113,59 @@ class TestSequenceRoundtrip:
         manifest = json.loads((tmp_path / "run" / "sequence.json").read_text())
         assert manifest["times"] == [5, 7]
         assert len(manifest["steps"]) == 2
+
+
+STEPS = ["step_000001", "step_000002", "step_000003"]
+
+# sequence.json documents that are not manifests, by the defect each has.
+BAD_MANIFESTS = {
+    "list": [],
+    "no-times": {"format_version": 1, "steps": STEPS},
+    "steps-not-list": {"format_version": 1, "steps": 7, "times": [1, 2, 3]},
+    "steps-shorter": {"format_version": 1, "steps": STEPS[:1], "times": [1, 2, 3]},
+    "time-not-int": {"format_version": 1, "steps": STEPS, "times": [1, 2.5, 3]},
+    "version-2": {"format_version": 2, "steps": STEPS, "times": [1, 2, 3]},
+    "empty": {"format_version": 1, "steps": [], "times": []},
+}
+
+
+def _read_with(reader, directory):
+    if reader == "load_sequence":
+        return load_sequence(directory)
+    if reader == "sequence_step_stems":
+        return sequence_step_stems(directory)
+    return SequenceWatcher(directory).manifest_times()
+
+
+class TestSequenceManifest:
+    """Every reader of ``sequence.json`` goes through one parser."""
+
+    READERS = ("load_sequence", "sequence_step_stems", "manifest_times")
+
+    @pytest.fixture
+    def seqdir(self, tmp_path):
+        seq = VolumeSequence([sample_volume(t) for t in (1, 2, 3)], name="seq")
+        save_sequence(seq, tmp_path / "run")
+        return tmp_path / "run"
+
+    @pytest.mark.parametrize("reader", READERS)
+    @pytest.mark.parametrize("defect", sorted(BAD_MANIFESTS))
+    def test_bad_manifest_is_typed_error(self, seqdir, reader, defect):
+        (seqdir / "sequence.json").write_text(json.dumps(BAD_MANIFESTS[defect]))
+        with pytest.raises(VolumeFormatError):
+            _read_with(reader, seqdir)
+
+    def test_watcher_reads_partly_written_manifest_as_none(self, seqdir):
+        """A non-atomic writer's half-written manifest is not published yet."""
+        (seqdir / "sequence.json").write_text('{"format_version": 1, "ste')
+        assert _read_with("manifest_times", seqdir) is None
+
+    def test_writers_share_one_manifest_form(self, tmp_path):
+        seq = VolumeSequence([sample_volume(t) for t in (1, 2)], name="seq")
+        save_sequence(seq, tmp_path / "saved")
+        SimulatedWriter(seq, tmp_path / "live", cadence=0).run()
+        assert ((tmp_path / "saved" / "sequence.json").read_bytes()
+                == (tmp_path / "live" / "sequence.json").read_bytes())
 
 
 class TestAtomicWrites:
