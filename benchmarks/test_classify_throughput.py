@@ -6,7 +6,8 @@ per-voxel cost dominates the pipeline.  This benchmark measures the
 single-host half of that story on one 96^3 cosmology step:
 
 - ``gather``      — the reference float64 path (chunked ``features_at``);
-- ``fused``       — edge-padded strided views + fused float32 inference;
+- ``fused``       — edge-padded strided views + plane-major fused float32
+  inference;
 - ``fused+prune`` — interval-certified block skipping on top of fused;
 - ``fused+cache`` — warm temporal-coherence brick cache (replayed step);
 - ``shared cold``/``shared warm`` — the cross-process shared cache
@@ -15,7 +16,7 @@ single-host half of that story on one 96^3 cosmology step:
   a fresh worker process takes against a store another worker warmed.
 
 The fused path must clear 3x over gather (the acceptance bar; measured
-~8x at 96^3 on the development host).  Results land in
+~13x at 96^3 on a 2-vCPU container with one BLAS thread).  Results land in
 ``BENCH_classify.json`` — ``benchmarks/check_perf_regression.py``
 compares its machine-relative speedups against the committed baseline in
 CI.  The per-shell RGBA sampler fusion of :mod:`repro.render.raycast` is

@@ -68,12 +68,25 @@ def derive_shell_radius(selected_mask: np.ndarray, factor: float = 1.0,
     huge while its body is thin — which is why the inscribed distance is
     used instead.  This implements the paper's "data dependent … derived
     according to the characteristics of the selected features so far".
+
+    The transform runs on the mask's bounding box grown by one voxel on
+    every side not at the grid edge, which gives the whole grid's answer:
+    every component lies inside the box, and a mask voxel's nearest
+    background voxel outside it is never nearer than the margin voxel
+    straight across the box face (clamping a point onto the box moves it
+    no farther from a voxel inside).
     """
     from scipy import ndimage
 
     selected_mask = np.asarray(selected_mask, dtype=bool)
     if not selected_mask.any():
         raise ValueError("selected mask is empty; paint some voxels first")
+    box = []
+    for axis in range(selected_mask.ndim):
+        others = tuple(a for a in range(selected_mask.ndim) if a != axis)
+        hit = np.flatnonzero(selected_mask.any(axis=others))
+        box.append(slice(max(int(hit[0]) - 1, 0), int(hit[-1]) + 2))
+    selected_mask = selected_mask[tuple(box)]
     labels, n = label_components(selected_mask)
     dist = ndimage.distance_transform_edt(selected_mask)
     thickness = ndimage.maximum(dist, labels=labels, index=np.arange(1, n + 1))
@@ -336,12 +349,16 @@ class DataSpaceClassifier:
 
         ``mode`` selects the implementation:
 
-        - ``"exact"`` (default) — the float64 reference: chunked
-          coordinate gathers, standardization, float64 forward pass.
+        - ``"exact"`` (default) — the float64 reference: coordinate
+          gathers in chunks of ``chunk`` voxels, standardization, float64
+          forward pass.
         - ``"fast"`` — edge-padded strided views + fused float32 GEMMs
-          (:class:`~repro.core.fastclassify.FastVolumeClassifier`); agrees
-          with exact to |Δcertainty| ≤ 1e-3.  Raises when unsupported
-          (see :meth:`supports_fast_path`).
+          over plane-major batches of
+          :data:`~repro.core.fastclassify.BATCH_VOXELS` voxels
+          (:class:`~repro.core.fastclassify.FastVolumeClassifier`;
+          ``chunk`` does not apply); agrees with exact to
+          |Δcertainty| ≤ 1e-3.  Raises when unsupported (see
+          :meth:`supports_fast_path`).
         - ``"auto"`` — fast when supported, else the exact fallback.
 
         ``prune`` (fast path only) skips blocks whose interval-certified
@@ -370,8 +387,7 @@ class DataSpaceClassifier:
                           prune=bool(prune), cached=cache is not None) as span:
             if use_fast:
                 engine = FastVolumeClassifier(
-                    self.extractor, self.engine.net,
-                    block_shape=block_shape, chunk=chunk,
+                    self.extractor, self.engine.net, block_shape=block_shape,
                 )
                 out = engine.classify(volume, time=t, prune=prune,
                                       threshold=prune_threshold, cache=cache)

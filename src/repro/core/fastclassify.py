@@ -15,15 +15,22 @@ allows, four ideas deep:
    arithmetic, no clipping.  Edge padding replicates the boundary exactly
    as the reference path's ``np.clip`` does, so results match to float32
    rounding everywhere including edges and corners.
-2. **Fused float32 inference.**  Features fill a preallocated
-   ``(dz, ny, nx, d)`` slab buffer (value, shell, position, time written
-   as strided copies straight from the views), the shell block is sorted
-   *in place ascending* (the folded first-layer weight columns are
-   reversed once so the network still sees its descending training
-   order), and inference is one float32 GEMM per layer with in-place
-   activations.  Standardization is folded into the first layer
-   (:meth:`NeuralNetwork.fused_layers`), so no per-chunk scaling
-   temporaries exist at all.
+2. **Plane-major fused float32 inference.**  A batch of about
+   :data:`BATCH_VOXELS` voxels fills a contiguous float32 ``(d, n)``
+   buffer, one row per feature (value, each shell offset, z/y/x
+   position, time), so every feature write is a contiguous copy from its
+   view and one batch's planes (~2.4 MB at 19 features) stay near a
+   2 MB L2 cache.  A fixed compare-exchange network
+   (:func:`sort_planes`, Batcher's odd-even merge: 53 pairs for 14 shell
+   samples, 12 for 6) sorts the shell rows *ascending* with elementwise
+   ``np.minimum``/``np.maximum``; the folded first-layer weight columns
+   are reversed once so the network still sees its descending training
+   order.  The first GEMM reads the planes through their transpose, so
+   BLAS multiplies the same ``(n, d) @ (d, h)`` product a row-major
+   layout would and the certainties do not depend on the layout or the
+   batch cut.  Standardization is folded into the first layer
+   (:meth:`NeuralNetwork.fused_layers`), activations run in place, and
+   the slab walk and the block walk below feed the same kernel.
 3. **Interval-bound block pruning.**  Per block, a per-feature bounding
    box (value/shell bounds from block and shell-dilated min/max, exact
    position/time bounds) is pushed through the network with interval
@@ -52,6 +59,7 @@ agreement on pruned blocks; see ``tests/test_fastclassify.py`` and
 
 from __future__ import annotations
 
+import functools
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -61,6 +69,51 @@ from repro.core.mlp import NeuralNetwork
 from repro.parallel.bricking import axis_chunks, content_digest
 
 _SIGMOID_CLIP = 40.0
+
+BATCH_VOXELS = 1 << 15
+"""Voxels per inference batch (a slab of whole z-slices, or packed blocks).
+
+At 19 features the ``(d, n)`` float32 planes take ~2.4 MB and the hidden
+layer 2 MB, so a batch is sorted and multiplied while it is still in
+cache.  A single z-slice or block larger than this is one batch."""
+
+
+@functools.cache
+def _merge_pairs(n: int) -> tuple:
+    """Compare-exchange pairs ``(i, j)``, ``i < j``, of Batcher's odd-even
+    merge sort for ``n`` keys (the power-of-two network with every pair
+    that touches a key ``>= n`` dropped)."""
+    pairs = []
+    p = 1
+    while p < n:
+        k = p
+        while k >= 1:
+            for j in range(k % p, n - k, 2 * k):
+                for i in range(min(k, n - j - k)):
+                    if (i + j) // (2 * p) == (i + j + k) // (2 * p):
+                        pairs.append((i + j, i + j + k))
+            k //= 2
+        p *= 2
+    return tuple(pairs)
+
+
+def sort_planes(planes: np.ndarray, spare: np.ndarray | None = None) -> None:
+    """Sort every column of the ``(S, n)`` array ``planes`` ascending, in place.
+
+    Runs Batcher's odd-even merge network over whole rows: each
+    compare-exchange is one ``np.minimum`` and one ``np.maximum`` over
+    ``n`` contiguous values, so the cost is a fixed number of vector
+    passes instead of ``n`` tiny per-row sorts.  For non-NaN input each
+    column ends up holding the values ``np.sort(planes, axis=0)`` would.
+    ``spare`` is an optional ``(n,)`` scratch row of the same dtype.
+    """
+    if spare is None:
+        spare = np.empty(planes.shape[1], dtype=planes.dtype)
+    for i, j in _merge_pairs(len(planes)):
+        lo, hi = planes[i], planes[j]
+        np.minimum(lo, hi, out=spare)
+        np.maximum(lo, hi, out=hi)
+        lo[...] = spare
 
 
 class TemporalCoherenceCache:
@@ -160,8 +213,8 @@ class _Layout:
     views: list           # per field: list of shifted slab views (one per offset)
     n_shell: int
     sort_shell: bool
-    pos_col: int | None   # column of pos_z, or None
-    time_col: int | None  # column of the time feature, or None
+    pos_col: int | None   # feature row of pos_z, or None
+    time_col: int | None  # feature row of the time feature, or None
     n_features: int
     pad: int              # padding width (max |offset| component)
     znorm: np.ndarray = field(default=None)  # type: ignore[assignment]
@@ -170,40 +223,64 @@ class _Layout:
 
     @property
     def block_width(self) -> int:
-        """Feature columns per field: value + shell samples."""
+        """Feature rows per field: value + shell samples."""
         return 1 + self.n_shell
+
+    def shell_rows(self) -> list:
+        """Row slices of each field's shell samples (empty if unsorted)."""
+        if not self.sort_shell:
+            return []
+        return [slice(c0, c0 + self.n_shell)
+                for c0 in range(1, len(self.fields) * self.block_width,
+                                self.block_width)]
 
 
 class _FusedNet:
-    """Float32 inference kernel: folded weights, one GEMM per layer."""
+    """Float32 inference kernel over plane-major batches.
 
-    def __init__(self, net: NeuralNetwork, layout: _Layout) -> None:
+    Holds the folded weights and the scratch of one batch of up to
+    ``capacity`` voxels: the ``(d, capacity)`` feature planes, the hidden
+    layer and a spare row for the sorting network.
+    """
+
+    def __init__(self, net: NeuralNetwork, layout: _Layout, capacity: int) -> None:
         w1, b1, w2, b2 = net.fused_layers(dtype=np.float32)
-        if layout.sort_shell:
-            # The slab buffer sorts shells *ascending* in place; reversing
-            # the corresponding weight columns feeds the network the
+        self.shell_rows = layout.shell_rows()
+        for rows in self.shell_rows:
+            # The planes hold shells sorted *ascending*; reversing the
+            # corresponding weight columns feeds the network the
             # descending order it was trained with, for free.
-            for f in range(len(layout.fields)):
-                c0 = f * layout.block_width + 1
-                w1[:, c0 : c0 + layout.n_shell] = (
-                    w1[:, c0 : c0 + layout.n_shell][:, ::-1]
-                )
+            w1[:, rows] = w1[:, rows][:, ::-1]
         self.w1t = np.ascontiguousarray(w1.T)
         self.b1 = b1
         self.w2t = np.ascontiguousarray(w2.T)
         self.b2 = b2
         self.n_hidden = w1.shape[0]
+        self.n_features = layout.n_features
+        self._planes = np.empty(self.n_features * capacity, dtype=np.float32)
+        self._hidden = np.empty((capacity, self.n_hidden), dtype=np.float32)
+        self._spare = np.empty(capacity, dtype=np.float32)
 
-    def predict_into(self, X: np.ndarray, hidden: np.ndarray, out: np.ndarray) -> None:
-        """Certainties for feature rows ``X`` into ``out`` (all float32).
+    def planes(self, n: int) -> np.ndarray:
+        """The contiguous ``(d, n)`` feature planes of an ``n``-voxel batch.
 
-        ``hidden`` is the caller's preallocated ``(>=n, h)`` scratch; the
-        tanh and sigmoid run in place, so the only allocation per call is
-        the tiny ``(n, 1)`` output-layer product.
+        Always a prefix of one buffer, never a column slice of it: a
+        transposed view with a longer row stride would slow the GEMM.
         """
-        n = len(X)
-        h = hidden[:n]
-        np.dot(X, self.w1t, out=h)
+        return self._planes[: self.n_features * n].reshape(self.n_features, n)
+
+    def predict_into(self, X: np.ndarray, out: np.ndarray) -> None:
+        """Certainties for the ``(d, n)`` planes ``X`` into ``out`` (float32).
+
+        Sorts the shell rows in place, then runs both layers; tanh and
+        sigmoid run in place, so the only allocation per call is the
+        tiny ``(n, 1)`` output-layer product.
+        """
+        n = X.shape[1]
+        for rows in self.shell_rows:
+            sort_planes(X[rows], self._spare[:n])
+        h = self._hidden[:n]
+        np.dot(X.T, self.w1t, out=h)
         h += self.b1
         np.tanh(h, out=h)
         z = h @ self.w2t
@@ -233,12 +310,10 @@ class FastVolumeClassifier:
         folded into the first layer, so they must exist).
     block_shape:
         Block granularity for interval pruning and the temporal cache.
-    chunk:
-        Target voxels per slab in the unblocked path (memory bound).
     """
 
     def __init__(self, extractor, net: NeuralNetwork,
-                 block_shape=(32, 32, 32), chunk: int = 1 << 18) -> None:
+                 block_shape=(32, 32, 32)) -> None:
         if net.n_inputs != extractor.n_features:
             raise ValueError(
                 f"network expects {net.n_inputs} inputs but the extractor "
@@ -252,17 +327,16 @@ class FastVolumeClassifier:
         self.block_shape = tuple(int(b) for b in block_shape)
         if any(b < 1 for b in self.block_shape) or len(self.block_shape) != 3:
             raise ValueError(f"block_shape must be 3 positive ints, got {block_shape}")
-        self.chunk = int(chunk)
         self.last_stats: dict = {}
 
     # ------------------------------------------------------------------ #
     # Layout
     # ------------------------------------------------------------------ #
-    def _layout(self, volume) -> _Layout:
+    @staticmethod
+    def _layout(ex, volume) -> _Layout:
         from repro.core.dataspace import MultivariateShellExtractor
         from repro.volume.grid import Volume
 
-        ex = self.extractor
         if isinstance(ex, MultivariateShellExtractor):
             fields = [volume.field(name) for name in ex.field_names_used]
         else:
@@ -298,24 +372,35 @@ class FastVolumeClassifier:
         layout.xnorm = (np.arange(nx) / max(nx - 1, 1)).astype(np.float32)
         return layout
 
-    def _fill(self, layout: _Layout, buf: np.ndarray,
-              zsl: slice, ysl: slice, xsl: slice, time: float) -> None:
-        """Write the feature block for one box into ``buf`` (strided copies
-        from the padded views; shell sorted ascending in place)."""
-        col = 0
+    @staticmethod
+    def _fill(layout: _Layout, X: np.ndarray, col: int, box, time: float) -> int:
+        """Write one box's features into columns ``col:`` of the planes ``X``.
+
+        Each feature is a contiguous copy from its padded view into its
+        own row; shells stay unsorted (the kernel sorts whole batches).
+        Returns the box's voxel count.
+        """
+        z0, z1, y0, y1, x0, x1 = box
+        shape = (z1 - z0, y1 - y0, x1 - x0)
+        n = shape[0] * shape[1] * shape[2]
+        planes = X[:, col : col + n]
+
+        def plane(row: int) -> np.ndarray:
+            return planes[row].reshape(shape)
+
+        row = 0
         for data, views in zip(layout.fields, layout.views):
-            buf[..., col] = data[zsl, ysl, xsl]
+            plane(row)[...] = data[z0:z1, y0:y1, x0:x1]
             for k, v in enumerate(views):
-                buf[..., col + 1 + k] = v[zsl, ysl, xsl]
-            if layout.sort_shell:
-                buf[..., col + 1 : col + 1 + layout.n_shell].sort(axis=-1)
-            col += layout.block_width
+                plane(row + 1 + k)[...] = v[z0:z1, y0:y1, x0:x1]
+            row += layout.block_width
         if layout.pos_col is not None:
-            buf[..., layout.pos_col] = layout.znorm[zsl][:, None, None]
-            buf[..., layout.pos_col + 1] = layout.ynorm[ysl][None, :, None]
-            buf[..., layout.pos_col + 2] = layout.xnorm[xsl][None, None, :]
+            plane(layout.pos_col)[...] = layout.znorm[z0:z1, None, None]
+            plane(layout.pos_col + 1)[...] = layout.ynorm[y0:y1, None]
+            plane(layout.pos_col + 2)[...] = layout.xnorm[x0:x1]
         if layout.time_col is not None:
-            buf[..., layout.time_col] = np.float32(time)
+            planes[layout.time_col] = np.float32(time)
+        return n
 
     # ------------------------------------------------------------------ #
     # Interval bounds
@@ -368,57 +453,71 @@ class FastVolumeClassifier:
             raise ValueError(f"threshold must be in (0, 1), got {threshold}")
         if margin < 0.0:
             raise ValueError(f"margin must be >= 0, got {margin}")
-        layout = self._layout(volume)
+        layout = self._layout(self.extractor, volume)
         nz, ny, nx = layout.fields[0].shape
-        fused = _FusedNet(self.net, layout)
         out = np.empty((nz, ny, nx), dtype=np.float32)
         stats = {"voxels": nz * ny * nx, "blocks_total": 0, "blocks_pruned": 0,
                  "cache_hits": 0, "cache_misses": 0, "pruned_blocks": []}
         if prune or cache is not None:
-            self._classify_blocks(layout, fused, out, time, prune, threshold,
+            self._classify_blocks(layout, out, time, prune, threshold,
                                   margin, cache, stats)
         else:
-            self._classify_slabs(layout, fused, out, time)
+            self._classify_slabs(layout, out, time)
         self.last_stats = stats
         return out
 
-    def _classify_slabs(self, layout: _Layout, fused: _FusedNet,
-                        out: np.ndarray, time: float) -> None:
+    def _classify_slabs(self, layout: _Layout, out: np.ndarray,
+                        time: float) -> None:
+        """Classify z-slabs of about :data:`BATCH_VOXELS` (at least one slice)."""
         nz, ny, nx = out.shape
-        d = layout.n_features
-        tz = max(1, min(nz, self.chunk // (ny * nx) or 1))
-        buf = np.empty((tz, ny, nx, d), dtype=np.float32)
-        hidden = np.empty((tz * ny * nx, fused.n_hidden), dtype=np.float32)
+        tz = max(1, min(nz, BATCH_VOXELS // (ny * nx)))
+        fused = _FusedNet(self.net, layout, tz * ny * nx)
         flat = out.reshape(-1)
-        full = slice(None)
         for z0 in range(0, nz, tz):
             z1 = min(z0 + tz, nz)
-            b = buf[: z1 - z0]
-            self._fill(layout, b, slice(z0, z1), full, full, time)
-            fused.predict_into(b.reshape(-1, d), hidden,
-                               flat[z0 * ny * nx : z1 * ny * nx])
+            X = fused.planes((z1 - z0) * ny * nx)
+            self._fill(layout, X, 0, (z0, z1, 0, ny, 0, nx), time)
+            fused.predict_into(X, flat[z0 * ny * nx : z1 * ny * nx])
 
-    def _classify_blocks(self, layout: _Layout, fused: _FusedNet,
-                         out: np.ndarray, time: float, prune: bool,
-                         threshold: float, margin: float,
+    def _classify_blocks(self, layout: _Layout, out: np.ndarray, time: float,
+                         prune: bool, threshold: float, margin: float,
                          cache: TemporalCoherenceCache | None,
                          stats: dict) -> None:
+        """Replay cached blocks, fill pruned ones, and pack the rest into
+        batches of about :data:`BATCH_VOXELS` for the kernel."""
         nz, ny, nx = out.shape
-        d = layout.n_features
         bz, by, bx = self.block_shape
-        buf = np.empty((min(bz, nz), min(by, ny), min(bx, nx), d), dtype=np.float32)
-        hidden = np.empty((buf.shape[0] * buf.shape[1] * buf.shape[2],
-                           fused.n_hidden), dtype=np.float32)
-        scratch = np.empty(hidden.shape[0], dtype=np.float32)
+        capacity = max(BATCH_VOXELS, min(bz, nz) * min(by, ny) * min(bx, nx))
+        fused = _FusedNet(self.net, layout, capacity)
+        certs = np.empty(capacity, dtype=np.float32)
         p = layout.pad
         wdigest = fused.weights_digest() if cache is not None else None
         signature = self._cache_signature()
         tkey = float(time) if layout.time_col is not None else None
+        batch: list = []      # (box, cache key) of blocks awaiting inference
+        batched = 0           # their voxel count
+
+        def infer() -> None:
+            X = fused.planes(batched)
+            col = 0
+            for box, _ in batch:
+                col += self._fill(layout, X, col, box, time)
+            fused.predict_into(X, certs[:batched])
+            col = 0
+            for (z0, z1, y0, y1, x0, x1), key in batch:
+                shape = (z1 - z0, y1 - y0, x1 - x0)
+                n = shape[0] * shape[1] * shape[2]
+                block = certs[col : col + n].reshape(shape)
+                out[z0:z1, y0:y1, x0:x1] = block
+                if cache is not None:
+                    cache.put(key, block)
+                col += n
+
         for z0, z1 in axis_chunks(nz, bz):
             for y0, y1 in axis_chunks(ny, by):
                 for x0, x1 in axis_chunks(nx, bx):
                     stats["blocks_total"] += 1
-                    zsl, ysl, xsl = slice(z0, z1), slice(y0, y1), slice(x0, x1)
+                    box = (z0, z1, y0, y1, x0, x1)
                     key = None
                     if cache is not None:
                         digest = content_digest(*[
@@ -429,29 +528,28 @@ class FastVolumeClassifier:
                                tkey, wdigest, digest)
                         hit = cache.get(key)
                         if hit is not None:
-                            out[zsl, ysl, xsl] = hit
+                            out[z0:z1, y0:y1, x0:x1] = hit
                             stats["cache_hits"] += 1
                             continue
                         stats["cache_misses"] += 1
                     if prune:
-                        lo, hi = self._block_bounds(
-                            layout, (z0, z1, y0, y1, x0, x1), time)
+                        lo, hi = self._block_bounds(layout, box, time)
                         _, cert_hi = self.net.certainty_bounds(lo, hi)
                         if cert_hi < threshold - margin:
-                            out[zsl, ysl, xsl] = np.float32(cert_hi)
+                            out[z0:z1, y0:y1, x0:x1] = np.float32(cert_hi)
                             stats["blocks_pruned"] += 1
-                            stats["pruned_blocks"].append((z0, z1, y0, y1, x0, x1))
+                            stats["pruned_blocks"].append(box)
                             # Pruned fills are NOT cached: the cache must
                             # only ever return what inference would compute.
                             continue
-                    b = buf[: z1 - z0, : y1 - y0, : x1 - x0]
-                    n = b.shape[0] * b.shape[1] * b.shape[2]
-                    self._fill(layout, b, zsl, ysl, xsl, time)
-                    fused.predict_into(b.reshape(-1, d), hidden, scratch[:n])
-                    block = scratch[:n].reshape(b.shape[:3]).copy()
-                    out[zsl, ysl, xsl] = block
-                    if cache is not None:
-                        cache.put(key, block)
+                    n = (z1 - z0) * (y1 - y0) * (x1 - x0)
+                    if batched + n > capacity:
+                        infer()
+                        batch, batched = [], 0
+                    batch.append((box, key))
+                    batched += n
+        if batch:
+            infer()
 
     def _cache_signature(self) -> tuple:
         ex = self.extractor
@@ -469,22 +567,19 @@ class FastVolumeClassifier:
 def fast_feature_matrix(extractor, volume, time: float = 0.0) -> np.ndarray:
     """Whole-volume feature rows via padded views, in canonical order.
 
-    Returns the float32 ``(n_voxels, n_features)`` matrix the fused path
-    feeds its first GEMM, but with shell columns in the extractor's
-    canonical *descending* order — element-for-element what
+    Returns the float32 ``(n_voxels, n_features)`` matrix whose transpose
+    is the planes the kernel multiplies (filled and network-sorted the
+    same way), but with shell columns in the extractor's canonical
+    *descending* order — element-for-element what
     ``extractor.features_at`` produces (cast to float32) for every voxel,
     including edges and corners.  Exists for the boundary-correctness
     property tests; the classifier itself never materializes this.
     """
-    engine = FastVolumeClassifier.__new__(FastVolumeClassifier)
-    engine.extractor = extractor
-    layout = engine._layout(volume)
+    layout = FastVolumeClassifier._layout(extractor, volume)
     nz, ny, nx = layout.fields[0].shape
-    buf = np.empty((nz, ny, nx, layout.n_features), dtype=np.float32)
-    engine._fill(layout, buf, slice(None), slice(None), slice(None), time)
-    if layout.sort_shell:
-        for f in range(len(layout.fields)):
-            c0 = f * layout.block_width + 1
-            shell = buf[..., c0 : c0 + layout.n_shell]
-            buf[..., c0 : c0 + layout.n_shell] = shell[..., ::-1]
-    return buf.reshape(-1, layout.n_features)
+    X = np.empty((layout.n_features, nz * ny * nx), dtype=np.float32)
+    FastVolumeClassifier._fill(layout, X, 0, (0, nz, 0, ny, 0, nx), time)
+    for rows in layout.shell_rows():
+        sort_planes(X[rows])
+        X[rows] = X[rows][::-1]
+    return np.ascontiguousarray(X.T)

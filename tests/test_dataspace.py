@@ -2,9 +2,19 @@
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from repro.core import DataSpaceClassifier, ShellFeatureExtractor, derive_shell_radius
+from repro.data import (
+    make_argon_sequence,
+    make_combustion_sequence,
+    make_cosmology_sequence,
+    make_fast_vortex_sequence,
+    make_swirl_sequence,
+    make_vortex_sequence,
+)
 from repro.metrics import feature_retention, noise_suppression
+from repro.segmentation.components import label_components
 from repro.volume import Volume
 
 
@@ -35,6 +45,43 @@ class TestDeriveShellRadius:
     def test_empty_mask_raises(self):
         with pytest.raises(ValueError):
             derive_shell_radius(np.zeros((4, 4, 4), dtype=bool))
+
+    @staticmethod
+    def _whole_grid_radius(mask, factor=1.0, min_radius=1, max_radius=8):
+        """The uncropped formula: the transform over the whole grid."""
+        labels, n = label_components(mask)
+        dist = ndimage.distance_transform_edt(mask)
+        thickness = ndimage.maximum(dist, labels=labels, index=np.arange(1, n + 1))
+        radius = int(round(factor * float(np.median(np.atleast_1d(thickness)))))
+        return int(np.clip(radius, min_radius, max_radius))
+
+    @pytest.mark.parametrize("make", [
+        make_argon_sequence, make_combustion_sequence, make_cosmology_sequence,
+        make_fast_vortex_sequence, make_swirl_sequence, make_vortex_sequence,
+    ])
+    def test_bounding_box_crop_matches_whole_grid(self, make):
+        """Every mask of every step of each generator at its default size."""
+        for vol in make():
+            for name, mask in vol.masks.items():
+                if mask.any():
+                    assert derive_shell_radius(mask) == self._whole_grid_radius(mask), name
+
+    def test_crop_at_grid_edges_and_across_components(self):
+        rng = np.random.default_rng(4)
+        edge = np.zeros((18, 20, 22), dtype=bool)
+        edge[:7, 3:15, 12:] = True        # touches z = 0 and the last x
+        edge[10:, :, :5] = True           # touches z, y and x edges
+        several = np.zeros((30, 30, 30), dtype=bool)
+        several[2:5, 2:5, 2:5] = True
+        several[10:20, 12:22, 8:26] = True
+        several[25:29, 3:9, 20:27] = True
+        several[14, 2, 2] = True
+        noisy = ndimage.binary_opening(rng.random((24, 26, 28)) > 0.45)
+        for mask in (edge, several, noisy, np.ones((9, 9, 9), dtype=bool)):
+            for factor, max_radius in ((1.0, 8), (2.5, 20), (0.5, 8)):
+                assert (derive_shell_radius(mask, factor=factor, max_radius=max_radius)
+                        == self._whole_grid_radius(mask, factor, 1, max_radius))
+        assert derive_shell_radius(several, factor=2.5, max_radius=20) > 1
 
 
 class TestShellFeatureExtractor:

@@ -1,6 +1,6 @@
 """The fast classification path: correctness against the float64 reference.
 
-Four properties are on trial:
+Five properties are on trial:
 
 1. **Padded-view extraction is exact** — the edge-padded strided views
    must reproduce ``features_at``'s clipped gathers element-for-element,
@@ -15,6 +15,10 @@ Four properties are on trial:
 4. **The temporal cache only returns what inference would compute** —
    hits replay bit-for-bit, context changes (weights, time feature) miss,
    and hit/miss counts surface through the obs layer.
+5. **The plane-major kernel is the row-major formula, bit for bit** —
+   the sorting network sorts like ``np.sort``, and whatever the walk,
+   block size or batch cut, every certainty equals one row-major GEMM
+   over the whole volume's feature rows.
 
 The per-shell fused RGBA sampler of :mod:`repro.render.raycast` is
 verified against ``map_coordinates`` here too (same PR, same
@@ -37,14 +41,21 @@ from repro.core import (
     classify_sequence,
     fast_feature_matrix,
 )
+from repro.core.fastclassify import (
+    BATCH_VOXELS,
+    _FusedNet,
+    _merge_pairs,
+    sort_planes,
+)
 from repro.core.mlp import NeuralNetwork, interval_forward
 from repro.obs import get_metrics
+from repro.parallel.bricking import content_digest
 from repro.render.raycast import _sample_channels
 from repro.volume.grid import Volume, VolumeSequence
 from repro.volume.multivariate import MultiVolume
 
 GENERATOR_FIXTURES = ["argon_small", "combustion_small", "cosmology_small",
-                      "vortex_small", "swirl_small"]
+                      "vortex_small", "fast_vortex_small", "swirl_small"]
 
 
 def _all_coords(shape):
@@ -132,12 +143,14 @@ def test_features_at_shell_is_descending():
 @pytest.mark.parametrize("fixture", GENERATOR_FIXTURES)
 def test_fast_matches_exact_on_generators(fixture, request):
     sequence = request.getfixturevalue(fixture)
-    vol = sequence[0]
-    clf = _train_classifier(vol, epochs=80)
-    exact = clf.classify(vol, mode="exact")
-    fast = clf.classify(vol, mode="fast")
-    assert fast.dtype == np.float32
-    assert float(np.abs(fast - exact).max()) <= 1e-3
+    clf = _train_classifier(sequence[0], epochs=80)
+    for step, vol in enumerate(sequence):
+        exact = clf.classify(vol, mode="exact")
+        fast = clf.classify(vol, mode="fast")
+        assert fast.dtype == np.float32
+        if step == 0:
+            assert float(np.abs(fast - exact).max()) <= 1e-3
+        assert np.array_equal(fast > 0.5, exact > 0.5), f"step {vol.time}"
 
 
 def test_multivariate_composes_with_fast_path():
@@ -340,6 +353,118 @@ def test_classify_sequence_temporal_cache(tmp_path):
     # a directory path builds a fresh store-backed cache internally
     fresh = classify_sequence(clf, seq, mode="fast", cache=tmp_path / "fresh")
     assert all(np.array_equal(r, results[0]) for r in fresh)
+
+
+# --------------------------------------------------------------------- #
+# 5. Plane-major kernel == row-major formula
+# --------------------------------------------------------------------- #
+@pytest.mark.parametrize("n_keys,n_pairs", [(6, 12), (14, 53)])
+def test_network_sorts_every_binary_vector(n_keys, n_pairs):
+    """The 0-1 principle: a comparator network that sorts every 0/1
+    input sorts every input."""
+    assert len(_merge_pairs(n_keys)) == n_pairs
+    codes = np.arange(1 << n_keys)
+    planes = ((codes >> np.arange(n_keys)[:, None]) & 1).astype(np.float32)
+    expected = np.sort(planes, axis=0)
+    sort_planes(planes)
+    assert np.array_equal(planes, expected)
+
+
+@pytest.mark.parametrize("n_keys", [1, 2, 3, 6, 14])
+def test_network_matches_np_sort_on_ties_zeros_and_infs(n_keys):
+    rng = np.random.default_rng(n_keys)
+    pool = np.array([-np.inf, -2.5, -1.0, -0.0, 0.0, 1e-30, 1.0, 3.25, np.inf],
+                    dtype=np.float32)
+    planes = pool[rng.integers(0, len(pool), size=(n_keys, 4000))]
+    planes[:, :50] = rng.random((n_keys, 50), dtype=np.float32)
+    expected = np.sort(planes, axis=0)
+    sort_planes(planes)
+    assert np.array_equal(planes, expected)
+
+
+def _row_major_oracle(clf, vol, time):
+    """Certainties by the row-major formula: feature rows with ascending
+    shells times the folded ``w1t`` with reversed shell columns, tanh,
+    times ``w2t``, then the clipped sigmoid, in one GEMM per layer."""
+    ex = clf.extractor
+    X = fast_feature_matrix(ex, vol, time=time)
+    w1, b1, w2, b2 = clf.engine.net.fused_layers(dtype=np.float32)
+    if ex.sort_shell:
+        n_fields = len(getattr(ex, "field_names_used", None) or [None])
+        for f in range(n_fields):
+            shell = slice(f * (1 + ex.n_shell) + 1, (f + 1) * (1 + ex.n_shell))
+            X[:, shell] = X[:, shell][:, ::-1]
+            w1[:, shell] = w1[:, shell][:, ::-1]
+    h = np.dot(X, np.ascontiguousarray(w1.T))
+    h += b1
+    np.tanh(h, out=h)
+    z = h @ np.ascontiguousarray(w2.T)
+    z += b2
+    np.clip(z, -40.0, 40.0, out=z)
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    np.reciprocal(z, out=z)
+    return z[:, 0].reshape(vol.shape)
+
+
+def _assert_walks_match_oracle(clf, vol, tmp_path, block_sizes=(12, 16, 32)):
+    """Slab walk, pruned block walk and cached block walk (cold and warm)
+    against the oracle; pruned blocks hold their bound, not inference."""
+    t = float(vol.time)
+    oracle = _row_major_oracle(clf, vol, t)
+    assert np.array_equal(clf.classify(vol, mode="fast"), oracle)
+    for b in block_sizes:
+        pruned = clf.classify(vol, mode="fast", prune=True, block_shape=(b, b, b))
+        inferred = np.ones(vol.shape, dtype=bool)
+        for z0, z1, y0, y1, x0, x1 in clf.last_fast_stats["pruned_blocks"]:
+            inferred[z0:z1, y0:y1, x0:x1] = False
+        assert np.array_equal(pruned[inferred], oracle[inferred])
+        cache = TemporalCoherenceCache(store=SharedArrayCache(tmp_path / f"c{b}"))
+        for _ in range(2):
+            cached = clf.classify(vol, mode="fast", cache=cache, block_shape=(b, b, b))
+            assert np.array_equal(cached, oracle)
+        assert cache.hits == clf.last_fast_stats["blocks_total"]
+
+
+@pytest.mark.parametrize("fixture", GENERATOR_FIXTURES)
+def test_kernel_matches_row_major_oracle_on_generators(fixture, request, tmp_path):
+    """Bit for bit, which relies on BLAS computing each row of a product
+    in the same order whatever the operand layout and row count (true of
+    OpenBLAS)."""
+    sequence = request.getfixturevalue(fixture)
+    clf = _train_classifier(sequence[0], epochs=40)
+    _assert_walks_match_oracle(clf, sequence[-1], tmp_path)
+
+
+@pytest.mark.parametrize("shape,blocks,wide", [
+    ((9, 8, 7), (2, 3, 4), False),
+    # One z-slice holds more voxels than a batch: slabs of one slice,
+    # many blocks to a batch, blocks larger than a batch, one whole block.
+    ((3, 190, 180), (16, 128, 190), True),
+])
+def test_kernel_matches_row_major_oracle_on_odd_grids(shape, blocks, wide, tmp_path):
+    assert (shape[1] * shape[2] > BATCH_VOXELS) == wide
+    rng = np.random.default_rng(17)
+    vol = Volume(rng.random(shape, dtype=np.float32), time=5)
+    clf = _train_classifier(vol, epochs=20)
+    _assert_walks_match_oracle(clf, vol, tmp_path, block_sizes=blocks)
+
+
+def test_weights_digest_is_unchanged():
+    """Cache keys carry the folded weights' digest: it stays the digest of
+    the row-major ``w1t``, so warm shared caches keep hitting."""
+    ex = ShellFeatureExtractor(radius=2)
+    net = NeuralNetwork(ex.n_features, n_hidden=16, seed=3)
+    net._mean = np.zeros(ex.n_features)
+    net._std = 2.0 ** np.arange(ex.n_features) / 64
+    vol = Volume(np.zeros((4, 4, 4), dtype=np.float32))
+    fused = _FusedNet(net, FastVolumeClassifier._layout(ex, vol), 64)
+    assert fused.weights_digest() == "30087e6f9067dee657d6553eac98a471"
+    w1, b1, w2, b2 = net.fused_layers(dtype=np.float32)
+    w1[:, 1:15] = w1[:, 1:15][:, ::-1]
+    assert fused.weights_digest() == content_digest(
+        np.ascontiguousarray(w1.T), b1, np.ascontiguousarray(w2.T), b2)
 
 
 # --------------------------------------------------------------------- #
