@@ -69,6 +69,7 @@ from repro.core.mlp import NeuralNetwork
 from repro.parallel.bricking import axis_chunks, content_digest
 
 _SIGMOID_CLIP = 40.0
+_BIAS_ROW = 1024   # elements per row of the hidden layer's bias add
 
 BATCH_VOXELS = 1 << 15
 """Voxels per inference batch (a slab of whole z-slices, or packed blocks).
@@ -253,6 +254,10 @@ class _FusedNet:
             w1[:, rows] = w1[:, rows][:, ::-1]
         self.w1t = np.ascontiguousarray(w1.T)
         self.b1 = b1
+        # b1 repeated across one long row: the bias add then runs over
+        # the flat hidden layer in rows of _BIAS_ROW elements, not in
+        # numpy's n_hidden-long broadcast inner loop.
+        self._b1_row = np.tile(b1, max(1, _BIAS_ROW // b1.size))
         self.w2t = np.ascontiguousarray(w2.T)
         self.b2 = b2
         self.n_hidden = w1.shape[0]
@@ -281,7 +286,11 @@ class _FusedNet:
             sort_planes(X[rows], self._spare[:n])
         h = self._hidden[:n]
         np.dot(X.T, self.w1t, out=h)
-        h += self.b1
+        width = self._b1_row.size
+        full = h.size // width
+        rows = h.reshape(-1)[: full * width].reshape(full, width)
+        rows += self._b1_row
+        h[full * width // self.n_hidden :] += self.b1
         np.tanh(h, out=h)
         z = h @ self.w2t
         z += self.b2

@@ -4,7 +4,7 @@ The paper renders classification results with fragment programs on a
 GeForce 6800 and scales frames across a PC cluster (Secs. 7–8); the
 software reference in :mod:`repro.render.raycast` reproduces the
 *semantics* of that renderer but marches every ray through every sample
-shell.  This module is the fast path, three ideas deep:
+shell.  This module is the fast path, four ideas deep:
 
 1. **Tile decomposition.**  The image plane splits into square tiles,
    each marched independently in a plain loop (the default tile is the
@@ -24,16 +24,29 @@ shell.  This module is the fast path, three ideas deep:
    are enumerable — the soundness tests re-certify every skipped leaf.
 3. **Early ray termination.**  Configurable ``ert_alpha``; at the
    reference's own cutoff (:data:`repro.render.raycast.ALPHA_CUTOFF`,
-   the default) termination is identical to the reference.
+   the default) termination is identical to the reference.  Rays join a
+   compact active set at their entry shell and leave it once terminated
+   or past the box.
+4. **Opacity-first samples and the outside constant.**  A sampled point's
+   opacity comes first; only nonzero-opacity samples are colored, get
+   the gradient gather and Phong shading, and composite.  Every point off
+   the grid reads the same value 0.0, so when the transfer function
+   makes it visible the frame shades it once and tabulates a ray's state
+   after ``k`` such samples: each ray starts at its box entry from that
+   table (rays it terminates, or that miss the box, never march), and
+   after the box exit the constant composites without sampling.
 
 Equivalence is the load-bearing property: a skipped sample provably
-contributes *exactly zero* opacity, and front-to-back compositing is
-elementwise per ray, so at the default ``ert_alpha`` the fast path is
+contributes *exactly zero* opacity, the outside table is built by the
+kernel's own float32 ops, and front-to-back compositing is elementwise
+per ray, so at the default ``ert_alpha`` the fast path is
 **bit-identical** to :func:`repro.render.raycast.render_volume` /
 ``render_rgba_volume`` — and bit-identical to itself across any tile
 size.  Lower ``ert_alpha`` trades a bounded tail of the compositing sum
-(|Δ| ≤ 1 − ert_alpha per channel) for speed.  ``tests/test_fastcast.py``
-pins all of this differentially.
+(|Δ| ≤ 1 − ert_alpha per channel) for speed.  None of these certificates
+holds for a NaN or infinite voxel, so such a frame renders through the
+reference caster.  ``tests/test_fastcast.py`` pins all of this
+differentially.
 """
 
 from __future__ import annotations
@@ -46,7 +59,13 @@ from scipy import ndimage
 from repro.obs import get_metrics
 from repro.render.camera import Camera
 from repro.render.image import Image
-from repro.render.raycast import ALPHA_CUTOFF, _sample, _sample_channels
+from repro.render.raycast import (
+    ALPHA_CUTOFF,
+    _sample,
+    _sample_channels,
+    render_rgba_volume,
+    render_volume,
+)
 from repro.render.shading import phong_shade
 from repro.segmentation.octree import OctreeMask
 from repro.transfer.tf1d import TransferFunction1D
@@ -184,78 +203,162 @@ def _ray_sample_ranges(origins: np.ndarray, directions: np.ndarray, shape3,
     return s_min, s_max
 
 
+def _composite(accum_rgb, accum_a, rays, rgb, alpha) -> None:
+    """One front-to-back compositing step of the rays ``rays``.
+
+    The float32 ops of :func:`repro.render.raycast._composite_shells`,
+    shared by the shell loop, the outside-constant table and the
+    post-exit constant, so all three round exactly like the reference.
+    """
+    weight = (1.0 - accum_a[rays]) * alpha
+    accum_rgb[rays] += weight[:, None] * rgb
+    accum_a[rays] += weight
+
+
+@dataclass(frozen=True)
+class _Outside:
+    """The shaded sample every point off the grid yields, and the ray
+    state after ``k`` of them (``k = 0, 1, ...``, frozen at termination).
+
+    ``alpha`` is step-corrected; when it is zero the outside is
+    transparent and the table holds the zero state alone.
+    """
+
+    rgb: np.ndarray          # (1, 3) float32
+    alpha: np.ndarray        # (1,) float32
+    table_rgb: np.ndarray    # (K, 3) float32
+    table_a: np.ndarray      # (K,) float32
+
+    @property
+    def opaque(self) -> bool:
+        """Whether outside samples composite at all."""
+        return bool(self.alpha[0] != 0.0)
+
+
+def _outside_constant(sample_alpha, color_of, shade_fn, step: float, n_samples: int,
+                      ert_alpha: float) -> _Outside:
+    """Sample, shade and tabulate the constant outside the volume.
+
+    Trilinear sampling in ``constant`` mode reads exactly 0.0 (and a zero
+    gradient, Phong's flat branch) at every point off the grid, so one
+    such point, pushed through the kernel's own sampling, coloring, shading
+    functions and compositing step, stands for all of them.
+    """
+    point = np.full((1, 3), -1.0, dtype=np.float32)
+    alpha, payload = sample_alpha(point)
+    if step != 1.0:
+        alpha = 1.0 - np.power(1.0 - alpha, step)
+    rgb = color_of(payload)
+    if shade_fn is not None:
+        rgb = shade_fn(rgb, point)
+    ray = np.zeros(1, dtype=np.intp)
+    acc_rgb = np.zeros((1, 3), dtype=np.float32)
+    acc_a = np.zeros(1, dtype=np.float32)
+    rows_rgb, rows_a = [acc_rgb.copy()], [acc_a.copy()]
+    if alpha[0] != 0.0:
+        for _ in range(n_samples):
+            _composite(acc_rgb, acc_a, ray, rgb, alpha)
+            rows_rgb.append(acc_rgb.copy())
+            rows_a.append(acc_a.copy())
+            if acc_a[0] >= ert_alpha:
+                break
+    return _Outside(rgb=rgb, alpha=alpha, table_rgb=np.concatenate(rows_rgb),
+                    table_a=np.concatenate(rows_a))
+
+
 def _march_tile(origins, directions, n_samples, step, ert_alpha, occupied,
-                cell, shape3, skip_outside, sample_rgba, shade_fn):
+                cell, shape3, outside, sample_alpha, color_of, shade_fn):
     """Front-to-back composite one tile's rays with ESS + ERT.
 
     Mirrors :func:`repro.render.raycast._composite_shells` operation for
-    operation; the only difference is that samples certified to carry
-    exactly zero opacity (empty macro cell, or outside the volume when
-    the outside value is transparent) never reach ``sample_rgba`` — in
-    the reference those samples composite with weight exactly 0.0, so
-    omitting them is bitwise free.
+    operation, but each sample pays only for what can change its pixel:
+
+    - samples in certified-empty cells (and outside samples, when the
+      outside is transparent) are never sampled;
+    - a sampled point's step-corrected opacity comes first, and only
+      nonzero-opacity samples are colored, shaded and composited — a
+      zero-opacity sample adds exactly +0.0 in the reference;
+    - every sample before a ray's conservative box entry ``s_min`` is
+      the outside constant, so the ray starts from ``outside``'s table
+      (rays the table terminates, and rays missing the box, never enter
+      the shell loop), and after the box exit the constant composites per
+      shell without sampling;
+    - rays sorted by entry shell join the active set when their shell
+      arrives and leave it once terminated or past ``s_max``.
     """
-    n_pixels = len(origins)
     nz, ny, nx = shape3
-    accum_rgb = np.zeros((n_pixels, 3), dtype=np.float32)
-    accum_a = np.zeros(n_pixels, dtype=np.float32)
-    alive = np.ones(n_pixels, dtype=bool)
-    stats = {"samples_composited": 0, "samples_skipped": 0,
-             "rays_terminated_early": 0, "shells_visited": 0}
-    if skip_outside:
-        s_min, s_max = _ray_sample_ranges(origins, directions, shape3,
-                                          step, n_samples)
-        in_box = s_min <= s_max
-        if not in_box.any():
-            return accum_rgb, accum_a, stats
-        s_first = int(s_min[in_box].min())
-        s_last = int(s_max[in_box].max())
-    else:
-        s_min = np.zeros(n_pixels, dtype=np.int64)
-        s_max = np.full(n_pixels, n_samples - 1, dtype=np.int64)
-        s_first, s_last = 0, n_samples - 1
+    s_min, s_max = _ray_sample_ranges(origins, directions, shape3, step,
+                                      n_samples)
+    s_min[s_min > s_max] = n_samples   # a miss meets only the outside
+    start = np.minimum(s_min, len(outside.table_a) - 1)
+    accum_rgb = outside.table_rgb[start]
+    accum_a = outside.table_a[start]
+    enter = np.flatnonzero((s_min <= s_max) & (accum_a < ert_alpha))
+    enter = enter[np.argsort(s_min[enter], kind="stable")]
+    entry = s_min[enter]
+    skipped = 0
     occ_flat = None
     if occupied is not None:
         occ_flat = np.ascontiguousarray(occupied, dtype=bool).ravel()
         cdims = occupied.shape
-    for s in range(s_first, s_last + 1):
-        idx = np.flatnonzero(alive & (s_min <= s) & (s <= s_max))
-        if idx.size == 0:
-            if not alive.any():
+    act = np.zeros(0, dtype=np.intp)    # rays inside [s_min, s_max]
+    post = np.zeros(0, dtype=np.intp)   # rays past s_max, opaque outside
+    admitted = 0
+    s = int(entry[0]) if enter.size else n_samples
+    while s < n_samples:
+        if admitted < enter.size and entry[admitted] <= s:
+            upto = int(np.searchsorted(entry, s, side="right"))
+            act = np.concatenate((act, enter[admitted:upto]))
+            admitted = upto
+        if post.size:
+            _composite(accum_rgb, accum_a, post, outside.rgb, outside.alpha)
+            post = post[accum_a[post] < ert_alpha]
+        if act.size:
+            coords = origins[act] + (s * step) * directions[act]
+            z, y, x = coords[:, 0], coords[:, 1], coords[:, 2]
+            inside = ((z >= 0) & (z <= nz - 1) & (y >= 0) & (y <= ny - 1)
+                      & (x >= 0) & (x <= nx - 1))
+            # Outside samples read the constant 0.0: they are sampled only
+            # when the outside composites.
+            sampled = ~inside if outside.opaque else np.zeros(act.size, dtype=bool)
+            if occ_flat is not None:
+                ck = np.floor(coords[inside] * (1.0 / cell)).astype(np.intp)
+                flat = (ck[:, 0] * cdims[1] + ck[:, 1]) * cdims[2] + ck[:, 2]
+                sampled[inside] = occ_flat[flat]
+            else:
+                sampled[inside] = True
+            pos = np.flatnonzero(sampled)
+            skipped += int(act.size - pos.size)
+            dead = pos[:0]
+            if pos.size:
+                pcoords = coords[pos]
+                alpha, payload = sample_alpha(pcoords)
+                if step != 1.0:
+                    alpha = 1.0 - np.power(1.0 - alpha, step)
+                shown = np.flatnonzero(alpha)
+                if shown.size:
+                    rgb = color_of(payload[shown])
+                    if shade_fn is not None:
+                        rgb = shade_fn(rgb, pcoords[shown])
+                    pos = pos[shown]
+                    rays = act[pos]
+                    _composite(accum_rgb, accum_a, rays, rgb, alpha[shown])
+                    dead = pos[accum_a[rays] >= ert_alpha]
+            leaving = s_max[act] <= s
+            leaving[dead] = False
+            keep = ~leaving
+            keep[dead] = False
+            if outside.opaque and leaving.any():
+                post = np.concatenate((post, act[leaving]))
+            act = act[keep]
+        if not (act.size or post.size):
+            if admitted == enter.size:
                 break
+            s = int(entry[admitted])
             continue
-        stats["shells_visited"] += 1
-        coords = origins[idx] + (s * step) * directions[idx]
-        z, y, x = coords[:, 0], coords[:, 1], coords[:, 2]
-        inside = ((z >= 0) & (z <= nz - 1) & (y >= 0) & (y <= ny - 1)
-                  & (x >= 0) & (x <= nx - 1))
-        # Outside samples read the constant 0.0: they contribute only when
-        # the outside value is not certified transparent.
-        contrib = np.zeros(idx.size, dtype=bool) if skip_outside else ~inside
-        if occ_flat is not None:
-            pts = coords[inside]
-            ck = np.floor(pts * (1.0 / cell)).astype(np.intp)
-            flat = (ck[:, 0] * cdims[1] + ck[:, 1]) * cdims[2] + ck[:, 2]
-            contrib[inside] = occ_flat[flat]
-        else:
-            contrib[inside] = True
-        cidx = idx[contrib]
-        stats["samples_skipped"] += int(idx.size - cidx.size)
-        if cidx.size:
-            ccoords = coords[contrib]
-            rgb, alpha = sample_rgba(ccoords)
-            if shade_fn is not None:
-                rgb = shade_fn(rgb, ccoords)
-            if step != 1.0:
-                alpha = 1.0 - np.power(1.0 - alpha, step)
-            weight = (1.0 - accum_a[cidx]) * alpha
-            accum_rgb[cidx] += weight[:, None] * rgb
-            accum_a[cidx] += weight
-            stats["samples_composited"] += int(cidx.size)
-            dead = accum_a[cidx] >= ert_alpha
-            if dead.any():
-                alive[cidx[dead]] = False
-                stats["rays_terminated_early"] += int(dead.sum())
+        s += 1
+    stats = {"samples_skipped": skipped,
+             "rays_terminated_early": int(np.count_nonzero(accum_a >= ert_alpha))}
     return accum_rgb, accum_a, stats
 
 
@@ -271,13 +374,16 @@ def tile_boxes(height: int, width: int, tile: int) -> list[tuple[int, int, int, 
             for c0 in range(0, width, tile)]
 
 
-def _render_fast(mode: str, field: np.ndarray, grad: np.ndarray | None,
-                 tf: TransferFunction1D | None, skip: SkipGrid,
-                 skip_outside: bool, camera: Camera, step: float,
-                 background, tile: int | None, ert_alpha: float) -> Image:
-    """Shared tile loop of the two public entry points."""
+def _check_ert_alpha(ert_alpha: float) -> None:
     if not 0.0 < ert_alpha <= 1.0:
         raise ValueError(f"ert_alpha must be in (0, 1], got {ert_alpha}")
+
+
+def _render_fast(mode: str, field: np.ndarray, grad: np.ndarray | None,
+                 tf: TransferFunction1D | None, skip: SkipGrid,
+                 camera: Camera, step: float, background, tile: int | None,
+                 ert_alpha: float) -> Image:
+    """Shared tile loop of the two public entry points."""
     shape3 = field.shape[:3]
     origins, directions, n_samples = camera.ray_grid(shape3, step=step)
     height, width = camera.height, camera.width
@@ -289,17 +395,21 @@ def _render_fast(mode: str, field: np.ndarray, grad: np.ndarray | None,
 
     if tf is not None:
 
-        def sample_rgba(coords):
+        def sample_alpha(coords):
             values = _sample(field, coords)
-            rgb = tf.color_at(values).astype(np.float32)
-            alpha = tf.opacity_at(values).astype(np.float32)
-            return rgb, alpha
+            return tf.opacity_at(values).astype(np.float32), values
+
+        def color_of(values):
+            return tf.color_at(values).astype(np.float32)
 
     else:
 
-        def sample_rgba(coords):
+        def sample_alpha(coords):
             samples = _sample_channels(field, coords)
-            return samples[:, :3], np.clip(samples[:, 3], 0.0, 1.0)
+            return np.clip(samples[:, 3], 0.0, 1.0), samples
+
+        def color_of(samples):
+            return samples[:, :3]
 
     if grad is not None:
         forward, _, _ = camera.basis()
@@ -313,19 +423,20 @@ def _render_fast(mode: str, field: np.ndarray, grad: np.ndarray | None,
         shade_fn = None
 
     pixels = np.empty((height, width, 4), dtype=np.float32)
-    totals = {"samples_composited": 0, "samples_skipped": 0,
-              "rays_terminated_early": 0, "shells_visited": 0}
+    totals = {"samples_skipped": 0, "rays_terminated_early": 0}
     metrics = get_metrics()
     with metrics.span(f"render.fast.{mode}", pixels=height * width,
                       samples=n_samples, tiles=len(boxes), tile=tile,
                       ert_alpha=ert_alpha, cells_total=skip.cells_total,
                       cells_empty=skip.cells_empty):
+        outside = _outside_constant(sample_alpha, color_of, shade_fn, step,
+                                    n_samples, ert_alpha)
         for r0, r1, c0, c1 in boxes:
             rgb, alpha, tile_stats = _march_tile(
                 np.ascontiguousarray(o_grid[r0:r1, c0:c1]).reshape(-1, 3),
                 np.ascontiguousarray(d_grid[r0:r1, c0:c1]).reshape(-1, 3),
                 n_samples, step, ert_alpha, occupied, skip.cell, shape3,
-                skip_outside, sample_rgba, shade_fn)
+                outside, sample_alpha, color_of, shade_fn)
             pixels[r0:r1, c0:c1, :3] = rgb.reshape(r1 - r0, c1 - c0, 3)
             pixels[r0:r1, c0:c1, 3] = alpha.reshape(r1 - r0, c1 - c0)
             for key in totals:
@@ -363,17 +474,20 @@ def render_volume_fast(volume, tf: TransferFunction1D, camera: Camera | None = N
         volume, dtype=np.float32)
     if data.ndim != 3:
         raise ValueError(f"expected a 3D volume, got ndim={data.ndim}")
+    _check_ert_alpha(ert_alpha)
+    if not np.isfinite(data).all():
+        # No certificate holds for a non-finite voxel (its cell bounds
+        # certify nothing, and a NaN color survives a zero weight).
+        return render_volume(data, tf, camera=camera, step=step,
+                             shading=shading, background=background)
     camera = camera or Camera()
     skip = build_skip_grid(data, tf, cell)
-    # Samples outside the volume read the constant 0.0: skippable only
-    # when the transfer function keeps value 0.0 transparent.
-    skip_outside = float(np.asarray(tf.opacity_at(0.0))) == 0.0
     grad = None
     if shading:
         grad = np.ascontiguousarray(
             np.stack(np.gradient(data.astype(np.float32, copy=False)), axis=-1))
-    return _render_fast("volume", data, grad, tf, skip, skip_outside, camera,
-                        step, background, tile, ert_alpha)
+    return _render_fast("volume", data, grad, tf, skip, camera, step,
+                        background, tile, ert_alpha)
 
 
 def render_rgba_volume_fast(rgba_volume: np.ndarray, camera: Camera | None = None,
@@ -391,15 +505,22 @@ def render_rgba_volume_fast(rgba_volume: np.ndarray, camera: Camera | None = Non
     rgba_volume = np.asarray(rgba_volume, dtype=np.float32)
     if rgba_volume.ndim != 4 or rgba_volume.shape[3] != 4:
         raise ValueError(f"expected (nz, ny, nx, 4) volume, got {rgba_volume.shape}")
-    camera = camera or Camera()
+    _check_ert_alpha(ert_alpha)
     shape3 = rgba_volume.shape[:3]
-    skip = build_alpha_skip_grid(rgba_volume[..., 3], cell)
-    grad = None
+    field = None
     if shading_field is not None:
         field = np.asarray(shading_field, dtype=np.float32)
         if field.shape != shape3:
             raise ValueError("shading_field shape must match the RGBA volume grid")
+    if not (np.isfinite(rgba_volume).all()
+            and (field is None or np.isfinite(field).all())):
+        return render_rgba_volume(rgba_volume, camera=camera, step=step,
+                                  shading_field=field, background=background)
+    camera = camera or Camera()
+    skip = build_alpha_skip_grid(rgba_volume[..., 3], cell)
+    grad = None
+    if field is not None:
         grad = np.ascontiguousarray(np.stack(np.gradient(field), axis=-1))
     stack = np.ascontiguousarray(rgba_volume)
-    return _render_fast("rgba_volume", stack, grad, None, skip, True, camera,
-                        step, background, tile, ert_alpha)
+    return _render_fast("rgba_volume", stack, grad, None, skip, camera, step,
+                        background, tile, ert_alpha)

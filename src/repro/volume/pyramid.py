@@ -53,9 +53,35 @@ def minmax_pool(data: np.ndarray, cell: int) -> tuple[np.ndarray, np.ndarray]:
     pads = [(0, (-s) % cell) for s in data.shape]
     if any(p[1] for p in pads):
         data = np.pad(data, pads, mode="edge")
-    nz, ny, nx = (s // cell for s in data.shape)
-    blocks = data.reshape(nz, cell, ny, cell, nx, cell)
-    return blocks.min(axis=(1, 3, 5)), blocks.max(axis=(1, 3, 5))
+    if cell == 1:
+        return data.copy(), data.copy()
+    return _fold_cells(data, cell, np.minimum), _fold_cells(data, cell, np.maximum)
+
+
+def _fold_cells(data: np.ndarray, cell: int, op) -> np.ndarray:
+    """Reduce each ``cell``-long run along every axis with ``op``.
+
+    Folds a cell's halves together (any odd leftover into the first
+    slot) until one slot is left, outermost axis first, so each pass is
+    a few long contiguous elementwise ops and the later, strided ones
+    touch an eighth of the data or less.  Min and max are exact, so the
+    result equals the block reduction bit for bit.
+    """
+    for axis in range(data.ndim):
+        lead = (slice(None),) * (axis + 1)
+        shape = data.shape
+        blocks = data.reshape(shape[:axis] + (shape[axis] // cell, cell) + shape[axis + 1:])
+        width = cell
+        while width > 1:
+            half = width // 2
+            folded = op(blocks[lead + (slice(0, half),)],
+                        blocks[lead + (slice(half, 2 * half),)])
+            if width % 2:
+                first = folded[lead + (slice(0, 1),)]
+                op(first, blocks[lead + (slice(2 * half, width),)], out=first)
+            blocks, width = folded, half
+        data = blocks.reshape(shape[:axis] + (shape[axis] // cell,) + shape[axis + 1:])
+    return data
 
 
 class VolumePyramid:

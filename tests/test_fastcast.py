@@ -53,6 +53,24 @@ def swirl_tf(sequence, time=23):
         0.75 * peak, 0.9 * peak, 1.0)
 
 
+def _coverage_tf(vol, coverage):
+    """A TF opaque in a two-entry band around the median (``band``) or at
+    every value, the outside's 0.0 included (``everywhere``)."""
+    tf = TransferFunction1D((float(vol.data.min()), float(vol.data.max())))
+    if coverage == "everywhere":
+        tf.opacity[:] = 0.05
+    else:
+        tf.opacity[tf.indices_of(np.median(vol.data)) + np.arange(2)] = 0.9
+    return tf
+
+
+def _opaque_outside(tf, alpha=0.3):
+    """Copy of ``tf`` whose entry for the outside value 0.0 is opaque."""
+    tf = tf.copy()
+    tf.opacity[tf.indices_of(0.0)] = alpha
+    return tf
+
+
 ORTHO = Camera(width=30, height=26, azimuth=30, elevation=20)
 PERSPECTIVE = Camera(width=24, height=24, azimuth=120, elevation=-35,
                      projection="perspective")
@@ -68,6 +86,15 @@ def argon_case(argon_small):
 def swirl_case(swirl_small):
     vol = swirl_small.at_time(23)
     return vol, swirl_tf(swirl_small)
+
+
+@pytest.fixture(scope="module")
+def blob():
+    """An 18^3 Gaussian blob (values in (0, 1], 0.0 only outside)."""
+    n = 18
+    z, y, x = np.meshgrid(*(np.arange(n, dtype=np.float32),) * 3, indexing="ij")
+    r2 = (z - n / 2) ** 2 + (y - n / 2) ** 2 + (x - n / 2) ** 2
+    return Volume(np.exp(-r2 / (2 * (n / 6) ** 2)).astype(np.float32))
 
 
 # --------------------------------------------------------------------- #
@@ -145,6 +172,42 @@ class TestBitIdentical:
         fast = render_volume_fast(vol, tf, camera=cam, tile=7)
         assert np.array_equal(ref.pixels, fast.pixels)
 
+    @pytest.mark.parametrize("step", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("camera", [Camera(width=20, height=20), PERSPECTIVE],
+                             ids=["ortho", "persp"])
+    @pytest.mark.parametrize("tile", [3, 17])
+    def test_opaque_outside_constant_table(self, step, camera, tile, blob):
+        """Rays start from the table of outside-constant states at their
+        box entry, and composite the constant per shell after the box
+        exit: exact under the step correction, diverging rays and tiles."""
+        tf = TransferFunction1D((0.0, 1.0)).add_box(0.0, 1.0, 0.4)
+        ref = render_volume(blob, tf, camera=camera, step=step)
+        fast = render_volume_fast(blob, tf, camera=camera, step=step, tile=tile)
+        assert np.array_equal(ref.pixels, fast.pixels)
+
+    @pytest.mark.parametrize("coverage", ["band", "everywhere"])
+    def test_culled_and_unculled_samples(self, coverage, argon_case):
+        """Opacity-first marching colors and shades only nonzero-opacity
+        samples: a TF opaque in a narrow band (most samples culled) and
+        one opaque everywhere, outside included (none culled), on both
+        entry points and the multipass tracked volume."""
+        vol, _ = argon_case
+        tf = _coverage_tf(vol, coverage)
+        cam = Camera(width=26, height=22, azimuth=50, elevation=30)
+        ref = render_volume(vol, tf, camera=cam)
+        fast = render_volume_fast(vol, tf, camera=cam, tile=9, cell=2)
+        assert np.array_equal(ref.pixels, fast.pixels)
+        rgba = tf.apply(vol)
+        ref = render_rgba_volume(rgba, camera=cam, shading_field=vol.data)
+        fast = render_rgba_volume_fast(rgba, camera=cam, shading_field=vol.data,
+                                       cell=2)
+        assert np.array_equal(ref.pixels, fast.pixels)
+        mask = vol.data > np.percentile(vol.data, 98)
+        ref = render_tracked(vol, mask, tf, camera=cam)
+        fast = render_tracked(vol, mask, tf, camera=cam, fast=True,
+                              fast_options={"tile": 9, "cell": 2})
+        assert np.array_equal(ref.pixels, fast.pixels)
+
 
 # --------------------------------------------------------------------- #
 # Early-ray-termination deviation bound
@@ -171,11 +234,74 @@ class TestErtBound:
 
         assert terminated(ert_alpha=0.5) >= terminated(ert_alpha=ALPHA_CUTOFF)
 
+    @pytest.mark.parametrize("outside", ["transparent", "opaque"])
+    @pytest.mark.parametrize("ert", [ALPHA_CUTOFF, 0.6])
+    def test_terminated_rays_are_pixels_past_threshold(self, outside, ert,
+                                                       argon_case):
+        """``rays_terminated_early`` counts every ray whose alpha reached
+        ``ert_alpha``, rays finished inside the outside-constant table
+        included: exactly the pixels at or past the threshold."""
+        vol, tf = argon_case
+        if outside == "opaque":
+            tf = _opaque_outside(tf)
+        counter = get_metrics().counter("render.fast.rays_terminated_early")
+        before = counter.value
+        image = render_volume_fast(vol, tf, camera=ORTHO, tile=7, ert_alpha=ert)
+        expect = int(np.count_nonzero(image.pixels[..., 3] >= ert))
+        assert expect > 0
+        assert counter.value - before == expect
+
     def test_invalid_ert_rejected(self, argon_case):
         vol, tf = argon_case
         for bad in (0.0, -0.2, 1.5):
             with pytest.raises(ValueError, match="ert_alpha"):
                 render_volume_fast(vol, tf, camera=ORTHO, ert_alpha=bad)
+
+
+# --------------------------------------------------------------------- #
+# Non-finite voxels: rendered through the reference
+# --------------------------------------------------------------------- #
+PLACES = {"corner": (0, 0, 0), "edge": (0, 0, 16), "centre": (12, 16, 16),
+          "near-corner": (2, 3, 4)}
+NON_FINITE = pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                                     ids=["nan", "inf", "-inf"])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestNonFinite:
+    """No fast-path certificate holds for a NaN or infinite voxel (its
+    cell bounds certify nothing and a NaN color survives a zero weight),
+    so such frames must come out bit-identical to the reference."""
+
+    CAMERA = Camera(width=48, height=48)
+
+    @staticmethod
+    def _box_tf(sequence):
+        lo, hi = sequence.value_range
+        return TransferFunction1D((lo, hi)).add_box(lo + 0.3 * (hi - lo), hi, 0.8)
+
+    @NON_FINITE
+    @pytest.mark.parametrize("place", PLACES)
+    def test_scalar_volume(self, value, place, argon_small):
+        data = argon_small.at_time(195).data.copy()
+        data[PLACES[place]] = value
+        tf = self._box_tf(argon_small)
+        ref = render_volume(data, tf, camera=self.CAMERA)
+        fast = render_volume_fast(data, tf, camera=self.CAMERA, tile=17)
+        assert ref.pixels.tobytes() == fast.pixels.tobytes()
+
+    @NON_FINITE
+    @pytest.mark.parametrize("place", PLACES)
+    @pytest.mark.parametrize("target", ["rgba", "shading_field"])
+    def test_rgba_volume(self, value, place, target, argon_small):
+        vol = argon_small.at_time(195)
+        rgba = self._box_tf(argon_small).apply(vol)
+        field = vol.data.copy()
+        (rgba if target == "rgba" else field)[PLACES[place]] = value
+        ref = render_rgba_volume(rgba, camera=self.CAMERA, shading_field=field)
+        fast = render_rgba_volume_fast(rgba, camera=self.CAMERA,
+                                       shading_field=field, tile=17)
+        assert ref.pixels.tobytes() == fast.pixels.tobytes()
 
 
 # --------------------------------------------------------------------- #
@@ -244,16 +370,18 @@ class TestSkipSoundness:
 # --------------------------------------------------------------------- #
 class TestSupportUnits:
     def test_minmax_pool_matches_bruteforce(self, rng):
-        data = rng.random((7, 9, 5)).astype(np.float32)
-        lo, hi = minmax_pool(data, 4)
-        assert lo.shape == hi.shape == (2, 3, 2)
-        for iz in range(2):
-            for iy in range(3):
-                for ix in range(2):
-                    block = data[iz * 4:(iz + 1) * 4, iy * 4:(iy + 1) * 4,
-                                 ix * 4:(ix + 1) * 4]
-                    assert lo[iz, iy, ix] == block.min()
-                    assert hi[iz, iy, ix] == block.max()
+        cases = [((7, 9, 5), 4), ((8, 8, 16), 8), ((5, 6, 7), 1),
+                 ((7, 10, 11), 3), ((11, 5, 13), 5), ((3, 4, 2), 5)]
+        for shape, cell in cases:
+            data = rng.standard_normal(shape).astype(np.float32)
+            lo, hi = minmax_pool(data, cell)
+            cells = tuple(-(-n // cell) for n in shape)
+            assert lo.shape == hi.shape == cells
+            for iz, iy, ix in np.ndindex(cells):
+                block = data[iz * cell:(iz + 1) * cell, iy * cell:(iy + 1) * cell,
+                             ix * cell:(ix + 1) * cell]
+                assert lo[iz, iy, ix] == block.min()
+                assert hi[iz, iy, ix] == block.max()
 
     def test_minmax_pool_validation(self):
         with pytest.raises(ValueError, match="3D"):
