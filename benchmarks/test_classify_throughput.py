@@ -8,7 +8,6 @@ single-host half of that story on one 96^3 cosmology step:
 - ``gather``      — the reference float64 path (chunked ``features_at``);
 - ``fused``       — edge-padded strided views + plane-major fused float32
   inference;
-- ``fused+prune`` — interval-certified block skipping on top of fused;
 - ``fused+cache`` — warm temporal-coherence brick cache (replayed step);
 - ``shared cold``/``shared warm`` — the cross-process shared cache
   backend (:mod:`repro.cache.shared`): a cold run populating the
@@ -98,14 +97,6 @@ def test_classify_throughput(benchmark):
         exact = clf.classify(vol, mode="exact")
     with Timer() as t_fused:
         fused = clf.classify(vol, mode="fast")
-    # 12^3 blocks: tight enough intervals that the certifier actually
-    # skips background blocks on this workload (32^3 bounds are too wide
-    # — cosmology blobs land in nearly every 32^3 block).
-    with Timer() as t_prune:
-        pruned = clf.classify(vol, mode="fast", prune=True,
-                              block_shape=(12, 12, 12))
-    pruned_blocks = int(clf.last_fast_stats["blocks_pruned"])
-    blocks_total = int(clf.last_fast_stats["blocks_total"])
     # A warm cache replays from its in-memory L1; the store under it
     # (every cache has one) only takes the cold run's writes.
     with tempfile.TemporaryDirectory() as tmp:
@@ -114,6 +105,7 @@ def test_classify_throughput(benchmark):
         with Timer() as t_cache:
             cached = clf.classify(vol, mode="fast", cache=cache)
     assert cache.hits > 0
+    blocks_total = int(clf.last_fast_stats["blocks_total"])
 
     # Shared on-disk cache: a cold run populates the store, then a cache
     # with an *empty* memory tier over the same store replays it — the
@@ -131,11 +123,9 @@ def test_classify_throughput(benchmark):
     assert np.array_equal(shared_warm, fused)
 
     # Equivalence sanity (the exhaustive version lives in
-    # tests/test_fastclassify.py): fused tracks the float64 reference,
-    # pruning preserves the 0.5 decision mask, a warm cache replays the
-    # fast path bit-for-bit.
+    # tests/test_fastclassify.py): fused tracks the float64 reference
+    # and a warm cache replays the fast path bit-for-bit.
     assert float(np.abs(fused - exact).max()) <= 1e-3
-    assert ((pruned > 0.5) == (exact > 0.5)).all()
     assert np.array_equal(cached, fused)
 
     benchmark.pedantic(lambda: clf.classify(vol, mode="fast"),
@@ -144,7 +134,6 @@ def test_classify_throughput(benchmark):
     timings = {
         "gather": t_gather.elapsed,
         "fused": t_fused.elapsed,
-        "fused+prune": t_prune.elapsed,
         "fused+cache": t_cache.elapsed,
         "shared cold": t_shared_cold.elapsed,
         "shared warm": t_shared_warm.elapsed,
@@ -155,8 +144,7 @@ def test_classify_throughput(benchmark):
         print(f"{path:>12} {secs:>9.3f} {n_vox / secs / 1e6:>8.2f} "
               f"{timings['gather'] / secs:>8.2f}x")
         benchmark.extra_info[path.replace("+", "_")] = round(secs, 3)
-    print(f"blocks pruned: {pruned_blocks}/{blocks_total} (12^3 blocks), "
-          f"cache hits on replay: {cache.hits}")
+    print(f"cache hits on replay: {cache.hits}/{blocks_total} (32^3 blocks)")
 
     sampler_old, sampler_new = _time_rgba_sampler(np.random.default_rng(17))
     print(f"RGBA per-shell sampler (25600 rays, 4 channels): "
@@ -170,10 +158,8 @@ def test_classify_throughput(benchmark):
         "seconds": timings,
         "vox_per_s": {k: n_vox / v for k, v in timings.items()},
         "speedup_fused_vs_gather": timings["gather"] / timings["fused"],
-        "speedup_prune_vs_gather": timings["gather"] / timings["fused+prune"],
         "speedup_cache_vs_gather": timings["gather"] / timings["fused+cache"],
         "speedup_shared_warm_replay": timings["gather"] / timings["shared warm"],
-        "blocks_pruned": pruned_blocks,
         "blocks_total": blocks_total,
         "cache_hits_on_replay": int(cache.hits),
         "rgba_sampler": {

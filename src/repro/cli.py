@@ -14,7 +14,7 @@ Subcommands (``python -m repro.cli <cmd> -h`` for options):
 - ``apply-iatf`` — regenerate per-step TFs from a saved IATF, report
   feature retention, optionally in parallel;
 - ``classify`` — train a data-space classifier from ground-truth masks and
-  classify every step (``--fast``/``--exact``, ``--prune``, ``--cache``);
+  classify every step (``--fast``/``--exact``, ``--cache``);
 - ``render`` — render a sequence to PPM frames with a box TF or saved IATF;
 - ``track`` — fixed-range or adaptive tracking; writes per-step voxel
   counts and the event timeline;
@@ -187,8 +187,8 @@ def cmd_apply_iatf(args) -> int:
 
 def cmd_classify(args) -> int:
     """Train a data-space classifier and classify every step."""
-    if args.mode == "exact" and (args.prune or args.cache is not None):
-        raise SystemExit("--prune/--cache tune the fast path; drop --exact")
+    if args.mode == "exact" and args.cache is not None:
+        raise SystemExit("--cache tunes the fast path; drop --exact")
     sequence = load_sequence(args.seqdir)
     try:
         classifier, radius = train_sequence_classifier(
@@ -200,10 +200,9 @@ def cmd_classify(args) -> int:
     results = classify_sequence(
         classifier, sequence, workers=args.workers,
         retry=args.retries, on_error=args.on_error, mode=args.mode,
-        prune=args.prune, cache=args.cache,
+        cache=args.cache,
     )
-    print(f"shell radius: {radius}  mode: {args.mode}"
-          f"{'  prune' if args.prune else ''}{'  cache' if args.cache else ''}")
+    print(f"shell radius: {radius}  mode: {args.mode}{'  cache' if args.cache else ''}")
     print(f"{'step':>6} {'selected':>9} {'retention':>10}")
     outdir = Path(args.out) if args.out else None
     if outdir is not None:
@@ -530,9 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="padded-view fused float32 inference (default)")
     mode.add_argument("--exact", dest="mode", action="store_const", const="exact",
                       help="reference float64 gather path")
-    p.add_argument("--prune", action="store_true",
-                   help="skip blocks whose certified certainty upper bound "
-                        "is below threshold (fast path only)")
     p.add_argument("--cache", nargs="?", const="shared", default=None,
                    metavar="DIR",
                    help="temporal-coherence brick cache across steps (fast "

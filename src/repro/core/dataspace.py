@@ -253,8 +253,7 @@ class DataSpaceClassifier:
                 )
             self.engine = engine
         self.training = TrainingSet(self.extractor.n_features)
-        # Block statistics of the most recent fast-path classify() call
-        # (blocks_total/blocks_pruned/cache_hits/cache_misses/pruned_blocks).
+        # Voxel/block/cache counts of the most recent fast-path classify().
         self.last_fast_stats: dict | None = None
 
     @property
@@ -338,10 +337,7 @@ class DataSpaceClassifier:
         return True, "ok"
 
     def classify(self, volume, time: float | None = None, chunk: int = 1 << 18,
-                 mode: str = "exact", prune: bool = False,
-                 cache: TemporalCoherenceCache | None = None,
-                 block_shape=(32, 32, 32),
-                 prune_threshold: float = 0.5) -> np.ndarray:
+                 mode: str = "exact", cache: TemporalCoherenceCache | None = None) -> np.ndarray:
         """Per-voxel certainty field for a whole volume.
 
         This is the operation Sec. 7 times at 10 s for a 256³ grid; its
@@ -361,10 +357,9 @@ class DataSpaceClassifier:
           :meth:`supports_fast_path`).
         - ``"auto"`` — fast when supported, else the exact fallback.
 
-        ``prune`` (fast path only) skips blocks whose interval-certified
-        certainty upper bound stays below ``prune_threshold``; ``cache``
-        (fast path only) reuses unchanged blocks across calls by content
-        digest.  Block statistics land in the ``classify.*`` counters of
+        ``cache`` (fast path only) reuses unchanged 32³ blocks across
+        calls by content digest; uncached calls walk z-slabs.  Block
+        statistics land in the ``classify.*`` counters of
         :func:`repro.obs.get_metrics`.
         """
         if mode not in ("exact", "fast", "auto"):
@@ -378,23 +373,19 @@ class DataSpaceClassifier:
                 use_fast = True
             elif mode == "fast":
                 raise ValueError(f"fast classification path unavailable: {reason}")
-        if (prune or cache is not None) and not use_fast:
-            raise ValueError("prune/cache require the fast classification path "
+        if cache is not None and not use_fast:
+            raise ValueError("cache requires the fast classification path "
                              "(mode='fast', or 'auto' with a trained MLP)")
         metrics = get_metrics()
         with metrics.span("dataspace.classify", voxels=int(data.size),
                           mode="fast" if use_fast else "exact",
-                          prune=bool(prune), cached=cache is not None) as span:
+                          cached=cache is not None) as span:
             if use_fast:
-                engine = FastVolumeClassifier(
-                    self.extractor, self.engine.net, block_shape=block_shape,
-                )
-                out = engine.classify(volume, time=t, prune=prune,
-                                      threshold=prune_threshold, cache=cache)
+                engine = FastVolumeClassifier(self.extractor, self.engine.net)
+                out = engine.classify(volume, time=t, cache=cache)
                 stats = engine.last_stats
                 self.last_fast_stats = stats
-                for key in ("blocks_total", "blocks_pruned",
-                            "cache_hits", "cache_misses"):
+                for key in ("blocks_total", "cache_hits", "cache_misses"):
                     metrics.counter(f"classify.{key}").inc(stats[key])
                     span.attrs[key] = stats[key]
             else:

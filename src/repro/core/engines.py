@@ -31,9 +31,8 @@ class MLPEngine:
     name = "mlp"
     incremental = True
     # The perceptron is the one engine whose inference is two affine layers
-    # plus elementwise monotone activations, which is what the fused
-    # float32 kernel and the interval-bound block pruner of
-    # :mod:`repro.core.fastclassify` require.
+    # plus elementwise activations, which is what the fused float32
+    # kernel of :mod:`repro.core.fastclassify` requires.
     supports_fast = True
 
     def __init__(self, n_inputs: int, hidden: int = 16, learning_rate: float = 0.3,

@@ -7,7 +7,7 @@ sort, standardizes in float64, and forwards through the MLP with per-chunk
 temporaries.  The paper times this at 10 s for a 256³ grid; real-time and
 in-situ successors (FTK, Yan & Yan) make single-step latency the budget
 that matters.  This module makes the intra-step path as fast as numpy
-allows, four ideas deep:
+allows, three ideas deep:
 
 1. **Edge-padded strided views.**  The volume is padded once with
    ``np.pad(mode="edge")``; each shell offset then reads as a plain slab
@@ -30,17 +30,8 @@ allows, four ideas deep:
    layout would and the certainties do not depend on the layout or the
    batch cut.  Standardization is folded into the first layer
    (:meth:`NeuralNetwork.fused_layers`), activations run in place, and
-   the slab walk and the block walk below feed the same kernel.
-3. **Interval-bound block pruning.**  Per block, a per-feature bounding
-   box (value/shell bounds from block and shell-dilated min/max, exact
-   position/time bounds) is pushed through the network with interval
-   arithmetic (:func:`repro.core.mlp.interval_forward`) in float64.  A
-   block whose certified upper certainty bound falls below
-   ``threshold - margin`` is filled wholesale with that bound — provably
-   below the extraction threshold — and skips feature extraction and
-   inference entirely.  Typical post-training volumes are mostly
-   background, so most blocks prune.
-4. **Temporal-coherence caching.**  Blocks are keyed by content digest of
+   the slab walk and the cached block walk below feed the same kernel.
+3. **Temporal-coherence caching.**  Blocks are keyed by content digest of
    their shell-dilated voxels (plus position, grid shape, time feature
    when used, and a digest of the folded weights) in a
    :class:`TemporalCoherenceCache`.  Unchanged bricks across
@@ -49,11 +40,12 @@ allows, four ideas deep:
    the cache; hit/miss counts flow to the :mod:`repro.obs` metrics layer.
    The cache sits on a shared on-disk store (``store=``, see
    :mod:`repro.cache.shared`), so the reuse extends across worker
-   processes and runs.
+   processes and runs.  Uncached calls walk z-slabs; only the cache
+   walks blocks, because it keys them.
 
 The float64 gather path stays available as ``mode="exact"`` — it is the
 equivalence reference (max |Δcertainty| ≤ 1e-3, exact 0.5-threshold mask
-agreement on pruned blocks; see ``tests/test_fastclassify.py`` and
+agreement; see ``tests/test_fastclassify.py`` and
 ``benchmarks/test_classify_throughput.py``).
 """
 
@@ -318,7 +310,7 @@ class FastVolumeClassifier:
         A *trained* :class:`NeuralNetwork` (standardization statistics are
         folded into the first layer, so they must exist).
     block_shape:
-        Block granularity for interval pruning and the temporal cache.
+        Block granularity of the temporal cache.
     """
 
     def __init__(self, extractor, net: NeuralNetwork,
@@ -412,64 +404,22 @@ class FastVolumeClassifier:
         return n
 
     # ------------------------------------------------------------------ #
-    # Interval bounds
-    # ------------------------------------------------------------------ #
-    def _block_bounds(self, layout: _Layout, box, time: float):
-        """Per-feature [lo, hi] box for one block, in canonical order.
-
-        Value bounds come from the block itself; shell bounds from the
-        block dilated by the shell radius (every shell sample of every
-        block voxel lies inside that slab, sorted or not); position and
-        time bounds are exact.
-        """
-        z0, z1, y0, y1, x0, x1 = box
-        p = layout.pad
-        lo = np.empty(layout.n_features)
-        hi = np.empty(layout.n_features)
-        col = 0
-        for data, padded in zip(layout.fields, layout.padded):
-            block = data[z0:z1, y0:y1, x0:x1]
-            lo[col], hi[col] = block.min(), block.max()
-            dilated = padded[z0 : z1 + 2 * p, y0 : y1 + 2 * p, x0 : x1 + 2 * p]
-            lo[col + 1 : col + 1 + layout.n_shell] = dilated.min()
-            hi[col + 1 : col + 1 + layout.n_shell] = dilated.max()
-            col += layout.block_width
-        if layout.pos_col is not None:
-            nz, ny, nx = layout.fields[0].shape
-            c = layout.pos_col
-            lo[c], hi[c] = z0 / max(nz - 1, 1), (z1 - 1) / max(nz - 1, 1)
-            lo[c + 1], hi[c + 1] = y0 / max(ny - 1, 1), (y1 - 1) / max(ny - 1, 1)
-            lo[c + 2], hi[c + 2] = x0 / max(nx - 1, 1), (x1 - 1) / max(nx - 1, 1)
-        if layout.time_col is not None:
-            lo[layout.time_col] = hi[layout.time_col] = float(time)
-        return lo, hi
-
-    # ------------------------------------------------------------------ #
     # Classification
     # ------------------------------------------------------------------ #
-    def classify(self, volume, time: float = 0.0, prune: bool = False,
-                 threshold: float = 0.5, margin: float = 1e-3,
+    def classify(self, volume, time: float = 0.0,
                  cache: TemporalCoherenceCache | None = None) -> np.ndarray:
         """Float32 certainty field for a whole volume.
 
-        ``prune`` enables interval-bound block pruning against
-        ``threshold`` (certified conservative up to ``margin`` below the
-        threshold; pruned blocks are filled with their upper bound).
         ``cache`` enables content-keyed block reuse.  Per-call statistics
         land in :attr:`last_stats` and the :mod:`repro.obs` counters.
         """
-        if not 0.0 < threshold < 1.0:
-            raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-        if margin < 0.0:
-            raise ValueError(f"margin must be >= 0, got {margin}")
         layout = self._layout(self.extractor, volume)
         nz, ny, nx = layout.fields[0].shape
         out = np.empty((nz, ny, nx), dtype=np.float32)
-        stats = {"voxels": nz * ny * nx, "blocks_total": 0, "blocks_pruned": 0,
-                 "cache_hits": 0, "cache_misses": 0, "pruned_blocks": []}
-        if prune or cache is not None:
-            self._classify_blocks(layout, out, time, prune, threshold,
-                                  margin, cache, stats)
+        stats = {"voxels": nz * ny * nx, "blocks_total": 0,
+                 "cache_hits": 0, "cache_misses": 0}
+        if cache is not None:
+            self._classify_blocks(layout, out, time, cache, stats)
         else:
             self._classify_slabs(layout, out, time)
         self.last_stats = stats
@@ -489,18 +439,16 @@ class FastVolumeClassifier:
             fused.predict_into(X, flat[z0 * ny * nx : z1 * ny * nx])
 
     def _classify_blocks(self, layout: _Layout, out: np.ndarray, time: float,
-                         prune: bool, threshold: float, margin: float,
-                         cache: TemporalCoherenceCache | None,
-                         stats: dict) -> None:
-        """Replay cached blocks, fill pruned ones, and pack the rest into
-        batches of about :data:`BATCH_VOXELS` for the kernel."""
+                         cache: TemporalCoherenceCache, stats: dict) -> None:
+        """Replay cached blocks and pack the rest into batches of about
+        :data:`BATCH_VOXELS` for the kernel."""
         nz, ny, nx = out.shape
         bz, by, bx = self.block_shape
         capacity = max(BATCH_VOXELS, min(bz, nz) * min(by, ny) * min(bx, nx))
         fused = _FusedNet(self.net, layout, capacity)
         certs = np.empty(capacity, dtype=np.float32)
         p = layout.pad
-        wdigest = fused.weights_digest() if cache is not None else None
+        wdigest = fused.weights_digest()
         signature = self._cache_signature()
         tkey = float(time) if layout.time_col is not None else None
         batch: list = []      # (box, cache key) of blocks awaiting inference
@@ -518,44 +466,30 @@ class FastVolumeClassifier:
                 n = shape[0] * shape[1] * shape[2]
                 block = certs[col : col + n].reshape(shape)
                 out[z0:z1, y0:y1, x0:x1] = block
-                if cache is not None:
-                    cache.put(key, block)
+                cache.put(key, block)
                 col += n
 
         for z0, z1 in axis_chunks(nz, bz):
             for y0, y1 in axis_chunks(ny, by):
                 for x0, x1 in axis_chunks(nx, bx):
                     stats["blocks_total"] += 1
-                    box = (z0, z1, y0, y1, x0, x1)
-                    key = None
-                    if cache is not None:
-                        digest = content_digest(*[
-                            padded[z0 : z1 + 2 * p, y0 : y1 + 2 * p, x0 : x1 + 2 * p]
-                            for padded in layout.padded
-                        ])
-                        key = (signature, (nz, ny, nx), (z0, y0, x0),
-                               tkey, wdigest, digest)
-                        hit = cache.get(key)
-                        if hit is not None:
-                            out[z0:z1, y0:y1, x0:x1] = hit
-                            stats["cache_hits"] += 1
-                            continue
-                        stats["cache_misses"] += 1
-                    if prune:
-                        lo, hi = self._block_bounds(layout, box, time)
-                        _, cert_hi = self.net.certainty_bounds(lo, hi)
-                        if cert_hi < threshold - margin:
-                            out[z0:z1, y0:y1, x0:x1] = np.float32(cert_hi)
-                            stats["blocks_pruned"] += 1
-                            stats["pruned_blocks"].append(box)
-                            # Pruned fills are NOT cached: the cache must
-                            # only ever return what inference would compute.
-                            continue
+                    digest = content_digest(*[
+                        padded[z0 : z1 + 2 * p, y0 : y1 + 2 * p, x0 : x1 + 2 * p]
+                        for padded in layout.padded
+                    ])
+                    key = (signature, (nz, ny, nx), (z0, y0, x0),
+                           tkey, wdigest, digest)
+                    hit = cache.get(key)
+                    if hit is not None:
+                        out[z0:z1, y0:y1, x0:x1] = hit
+                        stats["cache_hits"] += 1
+                        continue
+                    stats["cache_misses"] += 1
                     n = (z1 - z0) * (y1 - y0) * (x1 - x0)
                     if batched + n > capacity:
                         infer()
                         batch, batched = [], 0
-                    batch.append((box, key))
+                    batch.append(((z0, z1, y0, y1, x0, x1), key))
                     batched += n
         if batch:
             infer()

@@ -92,34 +92,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(z, -40.0, 40.0)))
 
 
-def interval_forward(w1, b1, w2, b2, lo, hi):
-    """Propagate input intervals through a folded two-layer network.
-
-    ``lo``/``hi`` are per-feature bounds, shape ``(d,)`` or batched
-    ``(m, d)``; returns certified ``(cert_lo, cert_hi)`` output bounds of
-    matching leading shape.  Standard interval arithmetic: an affine layer
-    splits weights into positive/negative parts (positive weights carry the
-    lower input bound to the lower output bound, negative weights carry the
-    upper), and tanh/sigmoid are monotone so they map bounds elementwise.
-    The result is *conservative*: every input in the box lands inside the
-    output interval, which is what makes block pruning sound.
-    """
-    lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
-    if lo.shape != hi.shape:
-        raise ValueError(f"lo/hi shapes disagree: {lo.shape} vs {hi.shape}")
-    if np.any(hi < lo):
-        raise ValueError("interval bounds must satisfy lo <= hi")
-    w1p, w1n = np.maximum(w1, 0.0), np.minimum(w1, 0.0)
-    z1_lo = lo @ w1p.T + hi @ w1n.T + b1
-    z1_hi = hi @ w1p.T + lo @ w1n.T + b1
-    a_lo, a_hi = np.tanh(z1_lo), np.tanh(z1_hi)
-    w2p, w2n = np.maximum(w2[0], 0.0), np.minimum(w2[0], 0.0)
-    z2_lo = a_lo @ w2p + a_hi @ w2n + b2[0]
-    z2_hi = a_hi @ w2p + a_lo @ w2n + b2[0]
-    return _sigmoid(z2_lo), _sigmoid(z2_hi)
-
-
 class NeuralNetwork:
     """Three-layer perceptron: ``n_inputs`` → ``n_hidden`` (tanh) → 1 (sigmoid).
 
@@ -346,18 +318,6 @@ class NeuralNetwork:
         b1 = self.b1 - w1 @ self._mean
         return (w1.astype(dtype), b1.astype(dtype),
                 self.w2.astype(dtype), self.b2.astype(dtype))
-
-    def certainty_bounds(self, lo, hi):
-        """Certified output bounds for inputs inside the box ``[lo, hi]``.
-
-        Bounds are per raw (unstandardized) feature, shape ``(d,)`` or
-        batched ``(m, d)``.  Propagation runs in float64 on the folded
-        weights, so the returned interval brackets the exact float64
-        ``predict`` output for every point in the box — the certificate
-        the block-pruning fast path relies on.
-        """
-        w1, b1, w2, b2 = self.fused_layers(dtype=np.float64)
-        return interval_forward(w1, b1, w2, b2, lo, hi)
 
     def predict(self, X, chunk: int = 262144) -> np.ndarray:
         """Certainty in [0, 1] for each input row; ``(n,)`` output.

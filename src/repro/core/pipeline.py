@@ -131,8 +131,7 @@ def _classify_one(payload) -> tuple:
     return result, classifier.last_fast_stats
 
 
-_CLASSIFY_STAT_KEYS = ("voxels", "blocks_total", "blocks_pruned",
-                       "cache_hits", "cache_misses")
+_CLASSIFY_STAT_KEYS = ("voxels", "blocks_total", "cache_hits", "cache_misses")
 
 
 def _unwrap_classify(outcome) -> list:
@@ -164,7 +163,7 @@ def _unwrap_classify(outcome) -> list:
 
 def classify_sequence(classifier: DataSpaceClassifier, sequence: VolumeSequence,
                       workers: int = 1, retry=None, on_error: str = "raise",
-                      mode: str = "exact", prune: bool = False, cache=None,
+                      mode: str = "exact", cache=None,
                       pool: WorkerPool | None = None) -> list[np.ndarray]:
     """Classify every step of a sequence, optionally in parallel.
 
@@ -172,7 +171,7 @@ def classify_sequence(classifier: DataSpaceClassifier, sequence: VolumeSequence,
     own step, the cluster deployment pattern of Sec. 8) and the
     classifier, a few kilobytes of weights.
 
-    ``mode``/``prune`` forward to :meth:`DataSpaceClassifier.classify`.
+    ``mode`` forwards to :meth:`DataSpaceClassifier.classify`.
     ``cache`` enables temporal-coherence reuse across steps: ``"shared"``,
     a cache directory path, a :class:`~repro.cache.shared.SharedArrayCache`
     or a store-backed
@@ -190,11 +189,10 @@ def classify_sequence(classifier: DataSpaceClassifier, sequence: VolumeSequence,
     cache = _resolve_cache(cache)
     caches = _task_caches(cache, fans_out(workers, len(sequence), pool),
                           len(sequence))
-    opts = [{"mode": mode, "prune": prune, "cache": c} for c in caches]
+    opts = [{"mode": mode, "cache": c} for c in caches]
     task_classifier = classifier if pool is None else pool.broadcast(classifier)
     with get_metrics().span("pipeline.classify_sequence", steps=len(sequence),
-                            mode=mode, prune=bool(prune),
-                            cached=cache is not None):
+                            mode=mode, cached=cache is not None):
         payloads = [(task_classifier, vol, o) for vol, o in zip(sequence, opts)]
         outcome = map_timesteps(_classify_one, payloads, workers=workers,
                                 retry=retry, on_error=on_error, pool=pool)

@@ -201,7 +201,7 @@ class MetricsRegistry:
         """Current value of every counter whose name starts with ``prefix``.
 
         Convenience for call sites that report one subsystem's counters
-        (e.g. ``classify.*`` cache-hit and block-prune counts) without
+        (e.g. ``classify.*`` cache-hit and cache-miss counts) without
         walking the full :meth:`snapshot`.
         """
         with self._lock:

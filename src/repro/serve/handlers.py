@@ -21,6 +21,7 @@ worker pool never respawns.
 from __future__ import annotations
 
 import json
+import math
 import re
 from collections import OrderedDict
 from pathlib import Path
@@ -49,49 +50,76 @@ _NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
 _REQUIRED = object()
 
-# Parameter schemas: one dict per endpoint, value = default (or _REQUIRED).
-# Normalization merges defaults in, so an omitted parameter and an
-# explicitly-passed default produce the *same* canonical dict — and hence
-# the same coalescing key.
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):      # a string or list, a huge int
+        return False
+
+
+# JSON type -> (check, what a 400 asks for).
+_TYPES = {
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "int": (_is_int, "an integer"),
+    "count": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "number": (_is_number, "a finite number"),
+    "string": (lambda v: isinstance(v, str), "a string"),
+    "object": (lambda v: isinstance(v, dict), "an object"),
+    "ints": (lambda v: isinstance(v, list) and v != [] and all(map(_is_int, v)),
+             "a non-empty list of integers"),
+    "pair": (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)),
+             "two numbers [lo, hi]"),
+    "voxel": (lambda v: isinstance(v, list) and len(v) == 4 and all(map(_is_int, v)),
+              "four integers [step, z, y, x]"),
+}
+
+# Parameter schemas: one dict per endpoint, value = (default or _REQUIRED,
+# JSON type; a null default also admits null).  Normalization merges
+# defaults in, so an omitted parameter and an explicitly-passed default
+# produce the *same* canonical dict — and hence the same coalescing key.
 _SCHEMAS: dict[str, dict] = {
     "classify": {
-        "sequence": _REQUIRED,
-        "mask": _REQUIRED,
-        "train_steps": _REQUIRED,
-        "samples": 150,
-        "radius": 0,
-        "epochs": 300,
-        "seed": 11,
-        "mode": "fast",
-        "prune": False,
-        "cache": False,
+        "sequence": (_REQUIRED, "string"),
+        "mask": (_REQUIRED, "string"),
+        "train_steps": (_REQUIRED, "ints"),
+        "samples": (150, "int"),
+        "radius": (0, "int"),
+        "epochs": (300, "int"),
+        "seed": (11, "int"),
+        "mode": ("fast", "string"),
+        "cache": (False, "bool"),
     },
     "track": {
-        "sequence": _REQUIRED,
-        "seed_voxel": _REQUIRED,
-        "range": None,
-        "iatf": None,
-        "opacity_threshold": 0.1,
-        "streaming": False,
-        "refine": True,
+        "sequence": (_REQUIRED, "string"),
+        "seed_voxel": (_REQUIRED, "voxel"),
+        "range": (None, "pair"),
+        "iatf": (None, "object"),
+        "opacity_threshold": (0.1, "number"),
+        "streaming": (False, "bool"),
+        "refine": (True, "bool"),
     },
     "render": {
-        "sequence": _REQUIRED,
-        "size": 160,
-        "azimuth": 30.0,
-        "elevation": 20.0,
-        "box": None,
-        "opacity": 0.8,
-        "iatf": None,
-        "shading": True,
-        "fast": False,
-        "tiles": None,
-        "ert_alpha": None,
-        "cell": 8,
-        "cache": False,
+        "sequence": (_REQUIRED, "string"),
+        "size": (160, "count"),
+        "azimuth": (30.0, "number"),
+        "elevation": (20.0, "number"),
+        "box": (None, "pair"),
+        "opacity": (0.8, "number"),
+        "iatf": (None, "object"),
+        "shading": (True, "bool"),
+        "fast": (False, "bool"),
+        "tiles": (None, "count"),
+        "ert_alpha": (None, "number"),
+        "cell": (8, "count"),
+        "cache": (False, "bool"),
     },
     "run": {
-        "config": _REQUIRED,
+        "config": (_REQUIRED, "object"),
     },
 }
 
@@ -99,9 +127,10 @@ _SCHEMAS: dict[str, dict] = {
 def normalize(endpoint: str, raw: dict) -> dict:
     """Merge an endpoint's defaults into a request body; reject junk.
 
-    Raises :class:`BadRequest` for unknown or missing-required keys.  The
-    result is the canonical parameter dict both the coalescing key and
-    the compute function consume.
+    Raises :class:`BadRequest` for unknown or missing-required keys and
+    for a value of the wrong JSON type.  The result is the canonical
+    parameter dict both the coalescing key and the compute function
+    consume (numbers as floats, so ``30`` and ``30.0`` are one request).
     """
     schema = _SCHEMAS.get(endpoint)
     if schema is None:
@@ -112,13 +141,20 @@ def normalize(endpoint: str, raw: dict) -> dict:
     if unknown:
         raise BadRequest(f"unknown parameter(s) for {endpoint}: {unknown}")
     params = {}
-    for key, default in schema.items():
-        if key in raw:
-            params[key] = raw[key]
-        elif default is _REQUIRED:
+    for key, (default, kind) in schema.items():
+        value = raw.get(key, default)
+        if value is _REQUIRED:
             raise BadRequest(f"missing required parameter {key!r}")
-        else:
-            params[key] = default
+        if key in raw and not (value is None and default is None):
+            check, wanted = _TYPES[kind]
+            if not check(value):
+                raise BadRequest(f"parameter {key!r} must be {wanted}, "
+                                 f"got {value!r:.60}")
+            if kind == "number":
+                value = float(value)
+            elif kind == "pair":
+                value = [float(v) for v in value]
+        params[key] = value
     return params
 
 
@@ -226,7 +262,7 @@ class ServeState:
         get_metrics().counter("serve.classifier_cache.misses").inc()
         try:
             classifier, radius = train_sequence_classifier(
-                [sequence.at_time(int(t)) for t in params["train_steps"]],
+                [sequence.at_time(t) for t in params["train_steps"]],
                 mask=params["mask"], samples=params["samples"],
                 radius=params["radius"], epochs=params["epochs"],
                 seed=params["seed"])
@@ -282,13 +318,12 @@ def compute_classify(state: ServeState, params: dict) -> dict:
     """Train-once classify-every-step; mirrors ``repro classify``."""
     if params["mode"] not in ("fast", "exact"):
         raise BadRequest(f"unknown classify mode {params['mode']!r}")
-    if params["mode"] == "exact" and (params["prune"] or params["cache"]):
-        raise BadRequest("'prune'/'cache' tune the fast path; use mode 'fast'")
+    if params["mode"] == "exact" and params["cache"]:
+        raise BadRequest("'cache' tunes the fast path; use mode 'fast'")
     sequence = state.sequence(params["sequence"])
     classifier, radius = state.classifier(params, sequence)
     results = classify_sequence(
         classifier, sequence, workers=state.workers, mode=params["mode"],
-        prune=bool(params["prune"]),
         cache=state.shared_cache if params["cache"] else None,
         pool=state.pool)
     steps = []
@@ -307,24 +342,19 @@ def compute_track(state: ServeState, params: dict) -> dict:
     """Fixed-range or adaptive tracking; mirrors ``repro track``."""
     if params["iatf"] is None and params["range"] is None:
         raise BadRequest("either 'iatf' or 'range' [lo, hi] is required")
-    seed_voxel = params["seed_voxel"]
-    if not (isinstance(seed_voxel, (list, tuple)) and len(seed_voxel) == 4):
-        raise BadRequest("seed_voxel must be [step, z, y, x]")
     try:
-        seed = tuple(int(v) for v in seed_voxel)
-        tracker = FeatureTracker(opacity_threshold=float(params["opacity_threshold"]))
+        tracker = FeatureTracker(opacity_threshold=params["opacity_threshold"])
         iatf = lo = hi = None
         if params["iatf"] is not None:
             iatf = AdaptiveTransferFunction.from_dict(params["iatf"])
         else:
-            lo, hi = (float(v) for v in params["range"])
+            lo, hi = params["range"]
         if params["streaming"]:
-            source = state.sequence_dir(params["sequence"])
-            refine = bool(params["refine"])
+            source, refine = state.sequence_dir(params["sequence"]), params["refine"]
         else:
             source, refine = state.sequence(params["sequence"]), True
-        result = tracker.track_streaming(source, seed, lo=lo, hi=hi, iatf=iatf,
-                                         refine=refine)
+        result = tracker.track_streaming(source, tuple(params["seed_voxel"]),
+                                         lo=lo, hi=hi, iatf=iatf, refine=refine)
     except KeyError as exc:
         raise BadRequest(f"missing field {exc}") from None
     except (ValueError, TypeError, IndexError) as exc:
@@ -351,33 +381,28 @@ def compute_render(state: ServeState, params: dict) -> dict:
     """
     sequence = state.sequence(params["sequence"])
     domain = sequence.value_range
-    size = int(params["size"])
-    if size < 1:
-        raise BadRequest(f"size must be >= 1, got {params['size']!r}")
-    camera = Camera(azimuth=float(params["azimuth"]),
-                    elevation=float(params["elevation"]),
-                    width=size, height=size)
+    camera = Camera(azimuth=params["azimuth"], elevation=params["elevation"],
+                    width=params["size"], height=params["size"])
     if params["iatf"] is not None:
         iatf = AdaptiveTransferFunction.from_dict(params["iatf"])
         tfs = [iatf.generate(vol) for vol in sequence]
     else:
-        box = params["box"]
-        lo = float(box[0]) if box else domain[0] + 0.3 * (domain[1] - domain[0])
-        hi = float(box[1]) if box else domain[1]
-        tfs = [TransferFunction1D(domain).add_box(lo, hi, float(params["opacity"]))
+        lo, hi = params["box"] or (domain[0] + 0.3 * (domain[1] - domain[0]),
+                                   domain[1])
+        tfs = [TransferFunction1D(domain).add_box(lo, hi, params["opacity"])
                ] * len(sequence)
     mode = "fast" if params["fast"] else "exact"
     fast_options = None
     if mode == "fast":
         fast_options = {"ert_alpha": (ALPHA_CUTOFF if params["ert_alpha"] is None
-                                      else float(params["ert_alpha"])),
-                        "cell": int(params["cell"])}
+                                      else params["ert_alpha"]),
+                        "cell": params["cell"]}
         if params["tiles"] is not None:
-            fast_options["tile"] = int(params["tiles"])
+            fast_options["tile"] = params["tiles"]
     elif params["tiles"] is not None or params["ert_alpha"] is not None:
         raise BadRequest("'tiles'/'ert_alpha' tune the fast path; set fast=true")
     images = render_sequence(
-        sequence, tfs, camera=camera, shading=bool(params["shading"]),
+        sequence, tfs, camera=camera, shading=params["shading"],
         workers=state.workers, mode=mode, fast_options=fast_options,
         cache=state.shared_cache if params["cache"] else None,
         pool=state.pool)
@@ -387,7 +412,7 @@ def compute_render(state: ServeState, params: dict) -> dict:
     frames = []
     voxels = state.voxel_digests(params["sequence"])
     for vol, vox, tf, image in zip(sequence, voxels, tfs, images):
-        digest = frame_digest(vox, tf, camera, 1.0, bool(params["shading"]), sig)
+        digest = frame_digest(vox, tf, camera, 1.0, params["shading"], sig)
         state.put_frame(digest, image.png_bytes())
         frames.append({
             "time": int(vol.time),
@@ -396,7 +421,7 @@ def compute_render(state: ServeState, params: dict) -> dict:
             "path": f"/v1/frames/{digest}",
         })
     return {"sequence": params["sequence"], "mode": mode,
-            "size": size, "frames": frames}
+            "size": params["size"], "frames": frames}
 
 
 def compute_run(state: ServeState, params: dict) -> dict:
@@ -407,10 +432,7 @@ def compute_run(state: ServeState, params: dict) -> dict:
     keyed by config fingerprint: re-posting a config resumes its run, so
     a completed run replays as all-skipped in milliseconds.
     """
-    cfg_dict = params["config"]
-    if not isinstance(cfg_dict, dict):
-        raise BadRequest("'config' must be a run-config JSON object")
-    cfg_dict = dict(cfg_dict)
+    cfg_dict = dict(params["config"])
     name = cfg_dict.get("sequence")
     seq_dir = state.sequence_dir(str(name))
     cfg_dict["sequence"] = str(seq_dir)

@@ -228,8 +228,7 @@ class TestClassify:
         with pytest.raises(SystemExit, match=match):
             main(["classify", str(seqdir), *argv])
 
-    @pytest.mark.parametrize("flags", [["--prune"], ["--cache", "DIR"]],
-                             ids=["prune", "cache"])
+    @pytest.mark.parametrize("flags", [["--cache", "DIR"]], ids=["cache"])
     def test_exact_with_fast_only_option_exits_one(self, seqdir, tmp_path, flags):
         flags = [str(tmp_path / "cache") if f == "DIR" else f for f in flags]
         result = subprocess.run(

@@ -1,6 +1,6 @@
 """The fast classification path: correctness against the float64 reference.
 
-Five properties are on trial:
+Four properties are on trial:
 
 1. **Padded-view extraction is exact** — the edge-padded strided views
    must reproduce ``features_at``'s clipped gathers element-for-element,
@@ -8,14 +8,10 @@ Five properties are on trial:
    set, for both extractor families.
 2. **Fused float32 inference tracks the exact path** — |Δcertainty| stays
    ≤ 1e-3 across every synthetic generator.
-3. **Interval pruning is conservative** — a pruned block's *exact*
-   certainties are provably below the extraction threshold, so the
-   0.5-mask agrees exactly; ``interval_forward`` itself must bracket the
-   network output for arbitrary (adversarial) boxes.
-4. **The temporal cache only returns what inference would compute** —
+3. **The temporal cache only returns what inference would compute** —
    hits replay bit-for-bit, context changes (weights, time feature) miss,
    and hit/miss counts surface through the obs layer.
-5. **The plane-major kernel is the row-major formula, bit for bit** —
+4. **The plane-major kernel is the row-major formula, bit for bit** —
    the sorting network sorts like ``np.sort``, and whatever the walk,
    block size or batch cut, every certainty equals one row-major GEMM
    over the whole volume's feature rows.
@@ -47,7 +43,7 @@ from repro.core.fastclassify import (
     _merge_pairs,
     sort_planes,
 )
-from repro.core.mlp import NeuralNetwork, interval_forward
+from repro.core.mlp import NeuralNetwork
 from repro.obs import get_metrics
 from repro.parallel.bricking import content_digest
 from repro.render.raycast import _sample_channels
@@ -169,7 +165,7 @@ def test_multivariate_composes_with_fast_path():
     assert float(np.abs(fast - exact).max()) <= 1e-3
 
 
-def test_auto_mode_and_gating():
+def test_auto_mode_and_gating(tmp_path):
     rng = np.random.default_rng(2)
     vol = Volume(rng.random((12, 12, 12)).astype(np.float32))
     clf = DataSpaceClassifier(ShellFeatureExtractor(radius=1), engine="svm")
@@ -190,94 +186,25 @@ def test_auto_mode_and_gating():
         untrained.classify(vol, mode="fast")
 
     trained = _train_classifier(vol, radius=1, epochs=30)
-    with pytest.raises(ValueError, match="require the fast"):
-        trained.classify(vol, mode="exact", prune=True)
+    cache = TemporalCoherenceCache(store=SharedArrayCache(tmp_path))
+    with pytest.raises(ValueError, match="requires the fast"):
+        trained.classify(vol, mode="exact", cache=cache)
     with pytest.raises(ValueError, match="unknown mode"):
         trained.classify(vol, mode="warp")
 
 
 # --------------------------------------------------------------------- #
-# 3. Interval pruning is conservative
-# --------------------------------------------------------------------- #
-def test_interval_forward_brackets_network_adversarially():
-    """For random (adversarial) weights and boxes, every point inside the
-    box must score inside the certified interval."""
-    rng = np.random.default_rng(7)
-    for trial in range(20):
-        d, h = int(rng.integers(2, 9)), int(rng.integers(2, 12))
-        w1 = rng.normal(scale=2.0, size=(h, d))
-        b1 = rng.normal(scale=1.0, size=h)
-        w2 = rng.normal(scale=2.0, size=(1, h))
-        b2 = rng.normal(scale=1.0, size=1)
-        lo = rng.normal(scale=3.0, size=d)
-        hi = lo + rng.exponential(scale=2.0, size=d)
-        c_lo, c_hi = interval_forward(w1, b1, w2, b2, lo, hi)
-        pts = rng.uniform(lo, hi, size=(200, d))
-        z = np.tanh(pts @ w1.T + b1) @ w2[0] + b2[0]
-        cert = 1.0 / (1.0 + np.exp(-z))
-        assert (cert >= c_lo - 1e-12).all() and (cert <= c_hi + 1e-12).all()
-    # degenerate box (lo == hi) collapses to a point evaluation
-    x = rng.normal(size=4)
-    w1 = rng.normal(size=(3, 4)); b1 = rng.normal(size=3)
-    w2 = rng.normal(size=(1, 3)); b2 = rng.normal(size=1)
-    c_lo, c_hi = interval_forward(w1, b1, w2, b2, x, x)
-    assert np.isclose(c_lo, c_hi)
-    with pytest.raises(ValueError):
-        interval_forward(w1, b1, w2, b2, x, x - 1.0)
-
-
-def test_certainty_bounds_bracket_exact_predictions(trained_cosmology,
-                                                    cosmology_small):
-    clf = trained_cosmology
-    vol = cosmology_small[0]
-    feats = fast_feature_matrix(clf.extractor, vol,
-                                time=float(vol.time)).astype(np.float64)
-    rng = np.random.default_rng(1)
-    rows = feats[rng.choice(len(feats), size=512, replace=False)]
-    lo, hi = rows.min(axis=0), rows.max(axis=0)
-    c_lo, c_hi = clf.engine.net.certainty_bounds(lo, hi)
-    cert = clf.engine.net.predict(rows)
-    assert (cert >= c_lo - 1e-9).all() and (cert <= c_hi + 1e-9).all()
-
-
-def test_prune_is_conservative():
-    """Every pruned block's exact certainties sit below the threshold, the
-    0.5 decision mask agrees exactly, and the workload genuinely
-    exercises both branches (some blocks pruned, some classified).
-
-    The volume is one bright blob over a quiet background: background
-    blocks have tight value/shell intervals (certifiably cold), blob
-    blocks do not."""
-    rng = np.random.default_rng(13)
-    data = rng.uniform(0.02, 0.08, size=(32, 32, 32)).astype(np.float32)
-    zz, yy, xx = np.mgrid[0:32, 0:32, 0:32]
-    blob = np.exp(-((zz - 8) ** 2 + (yy - 8) ** 2 + (xx - 8) ** 2) / 18.0)
-    data += blob.astype(np.float32)
-    vol = Volume(data, time=1)
-    clf = _train_classifier(vol, epochs=150)
-    exact = clf.classify(vol, mode="exact")
-    pruned = clf.classify(vol, mode="fast", prune=True, block_shape=(8, 8, 8))
-    stats = clf.last_fast_stats
-    assert 0 < stats["blocks_pruned"] < stats["blocks_total"]
-    assert len(stats["pruned_blocks"]) == stats["blocks_pruned"]
-    for z0, z1, y0, y1, x0, x1 in stats["pruned_blocks"]:
-        assert float(exact[z0:z1, y0:y1, x0:x1].max()) < 0.5
-        # the fill value is the certified upper bound, itself sub-threshold
-        assert float(pruned[z0:z1, y0:y1, x0:x1].max()) < 0.5
-    assert ((pruned > 0.5) == (exact > 0.5)).all()
-
-
-# --------------------------------------------------------------------- #
-# 4. Temporal-coherence cache
+# 3. Temporal-coherence cache
 # --------------------------------------------------------------------- #
 def test_cache_replay_is_bitwise(trained_cosmology, cosmology_small, tmp_path):
     clf = trained_cosmology
     vol = cosmology_small[0]
+    fast = FastVolumeClassifier(clf.extractor, clf.engine.net, block_shape=(16, 16, 16))
     cache = TemporalCoherenceCache(store=SharedArrayCache(tmp_path))
-    first = clf.classify(vol, mode="fast", cache=cache, block_shape=(16, 16, 16))
-    assert cache.hits == 0 and cache.misses == clf.last_fast_stats["blocks_total"]
-    second = clf.classify(vol, mode="fast", cache=cache, block_shape=(16, 16, 16))
-    assert cache.hits == clf.last_fast_stats["blocks_total"]
+    first = fast.classify(vol, time=float(vol.time), cache=cache)
+    assert cache.hits == 0 and cache.misses == fast.last_stats["blocks_total"]
+    second = fast.classify(vol, time=float(vol.time), cache=cache)
+    assert cache.hits == fast.last_stats["blocks_total"]
     assert np.array_equal(first, second)
     # and the cache replay equals a cacheless fast run bit-for-bit
     assert np.array_equal(second, clf.classify(vol, mode="fast"))
@@ -356,7 +283,7 @@ def test_classify_sequence_temporal_cache(tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# 5. Plane-major kernel == row-major formula
+# 4. Plane-major kernel == row-major formula
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("n_keys,n_pairs", [(6, 12), (14, 53)])
 def test_network_sorts_every_binary_vector(n_keys, n_pairs):
@@ -409,22 +336,16 @@ def _row_major_oracle(clf, vol, time):
 
 
 def _assert_walks_match_oracle(clf, vol, tmp_path, block_sizes=(12, 16, 32)):
-    """Slab walk, pruned block walk and cached block walk (cold and warm)
-    against the oracle; pruned blocks hold their bound, not inference."""
+    """Slab walk and cached block walk (cold and warm) against the oracle."""
     t = float(vol.time)
     oracle = _row_major_oracle(clf, vol, t)
     assert np.array_equal(clf.classify(vol, mode="fast"), oracle)
     for b in block_sizes:
-        pruned = clf.classify(vol, mode="fast", prune=True, block_shape=(b, b, b))
-        inferred = np.ones(vol.shape, dtype=bool)
-        for z0, z1, y0, y1, x0, x1 in clf.last_fast_stats["pruned_blocks"]:
-            inferred[z0:z1, y0:y1, x0:x1] = False
-        assert np.array_equal(pruned[inferred], oracle[inferred])
+        fast = FastVolumeClassifier(clf.extractor, clf.engine.net, block_shape=(b, b, b))
         cache = TemporalCoherenceCache(store=SharedArrayCache(tmp_path / f"c{b}"))
         for _ in range(2):
-            cached = clf.classify(vol, mode="fast", cache=cache, block_shape=(b, b, b))
-            assert np.array_equal(cached, oracle)
-        assert cache.hits == clf.last_fast_stats["blocks_total"]
+            assert np.array_equal(fast.classify(vol, time=t, cache=cache), oracle)
+        assert cache.hits == fast.last_stats["blocks_total"]
 
 
 @pytest.mark.parametrize("fixture", GENERATOR_FIXTURES)

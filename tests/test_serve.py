@@ -393,22 +393,70 @@ class TestResidency:
                    for line in text.splitlines())
 
 
+# Minimal valid track and render bodies, for the type battery.
+TRACK_PARAMS = {"sequence": "argon", "seed_voxel": [0, 6, 7, 7], "range": [0.0, 1.0]}
+RENDER_PARAMS = {"sequence": "argon", "size": 16}
+BODIES = {"classify": CLASSIFY_PARAMS, "track": TRACK_PARAMS, "render": RENDER_PARAMS}
+
+
 class TestValidation:
     def test_unknown_parameter_is_400(self, client):
-        with pytest.raises(ServeHTTPError) as info:
-            client.classify(**CLASSIFY_PARAMS, bogus=1)
-        assert info.value.status == 400
+        # prune names an option the fast classifier no longer has.
+        for name in ("bogus", "prune"):
+            with pytest.raises(ServeHTTPError) as info:
+                client.classify(**CLASSIFY_PARAMS, **{name: True})
+            assert info.value.status == 400
+            assert f"'{name}'" in str(info.value)
 
     def test_missing_required_parameter_is_400(self, client):
         with pytest.raises(ServeHTTPError) as info:
             client.classify(sequence="argon", mask="ring")
         assert info.value.status == 400
 
-    @pytest.mark.parametrize("option", ["prune", "cache"])
+    @pytest.mark.parametrize("option", ["cache"])
     def test_exact_classify_with_fast_only_option_is_400(self, client, option):
         with pytest.raises(ServeHTTPError) as info:
             client.classify(**{**CLASSIFY_PARAMS, "mode": "exact", option: True})
         assert info.value.status == 400
+
+    @pytest.mark.parametrize("endpoint,field,value", [
+        # A flag read by truthiness would run "false" as true.
+        ("classify", "cache", "false"),
+        ("track", "streaming", "false"),
+        ("track", "refine", "no"),
+        ("render", "shading", "false"),
+        ("render", "fast", "false"),
+        ("render", "cache", "false"),
+        # A wrong-typed number must not reach a compute (500) or be
+        # truncated (size 16.7 rendering at 16).
+        ("classify", "train_steps", 195),
+        ("classify", "train_steps", []),
+        ("classify", "samples", "30"),
+        ("classify", "radius", "x"),
+        ("classify", "seed", 1.5),
+        ("render", "azimuth", "x"),
+        ("render", "opacity", "x"),
+        ("render", "box", 5),
+        ("render", "cell", 0),
+        ("render", "tiles", 0),
+        ("render", "size", 16.7),
+        ("render", "iatf", "x"),
+    ])
+    def test_wrong_typed_value_is_400_naming_it(self, client, endpoint, field, value):
+        body = {**BODIES[endpoint], field: value}
+        if field == "refine":
+            body["streaming"] = True    # refine applies to streaming only
+        if field in ("cell", "tiles"):
+            body["fast"] = True         # both tune the fast caster only
+        with pytest.raises(ServeHTTPError) as info:
+            getattr(client, endpoint)(**body)
+        assert info.value.status == 400
+        assert f"'{field}'" in str(info.value)
+
+    def test_int_and_float_numbers_are_one_request(self, client):
+        a = client.render(**RENDER_PARAMS, azimuth=30, opacity=1)
+        b = client.render(**RENDER_PARAMS, azimuth=30.0, opacity=1.0)
+        assert a == b
 
     def test_bad_run_fast_options_is_400(self, client):
         config = {"sequence": "argon", "stages": ["tfs", "render"],
