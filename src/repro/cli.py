@@ -59,6 +59,7 @@ from repro.features import (
 )
 from repro.metrics import feature_retention
 from repro.render.camera import Camera
+from repro.render.fastcast import check_ert_alpha
 from repro.render.raycast import ALPHA_CUTOFF
 from repro.run import (
     ConfigError,
@@ -70,6 +71,17 @@ from repro.run import (
 )
 from repro.transfer.tf1d import TransferFunction1D
 from repro.volume.io import VolumeFormatError, load_sequence, save_sequence
+
+
+def _ert_alpha(text: str) -> float:
+    """argparse type for ``--ert-alpha``: a number in (0, 1]."""
+    try:
+        value = float(text)
+        check_ert_alpha(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"must be a number in (0, 1], got {text!r}") from exc
+    return value
 
 
 def _positive_int(text: str) -> int:
@@ -557,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "reference at the default --ert-alpha)")
     p.add_argument("--tiles", type=_positive_int, metavar="EDGE",
                    help="fast-path tile edge in pixels (default: whole image)")
-    p.add_argument("--ert-alpha", type=float, default=ALPHA_CUTOFF,
+    p.add_argument("--ert-alpha", type=_ert_alpha, default=ALPHA_CUTOFF,
                    help="fast-path early-termination opacity threshold; "
                         "below the default it trades a bounded compositing "
                         "tail for speed")

@@ -4,7 +4,7 @@ The paper renders classification results with fragment programs on a
 GeForce 6800 and scales frames across a PC cluster (Secs. 7–8); the
 software reference in :mod:`repro.render.raycast` reproduces the
 *semantics* of that renderer but marches every ray through every sample
-shell.  This module is the fast path, four ideas deep:
+shell.  This module is the fast path, five ideas deep:
 
 1. **Tile decomposition.**  The image plane splits into square tiles,
    each marched independently in a plain loop (the default tile is the
@@ -19,7 +19,7 @@ shell.  This module is the fast path, four ideas deep:
    interval, for the RGBA path directly from the alpha channel.  Samples
    in certified-empty cells are skipped; rays additionally march only
    the sample range where they intersect the volume's bounding box.  The
-   empty-cell set is octree-encoded
+   empty-cell set is octree-encoded on demand
    (:class:`repro.segmentation.octree.OctreeMask`) so the skip regions
    are enumerable — the soundness tests re-certify every skipped leaf.
 3. **Early ray termination.**  Configurable ``ert_alpha``; at the
@@ -35,11 +35,21 @@ shell.  This module is the fast path, four ideas deep:
    after ``k`` such samples: each ray starts at its box entry from that
    table (rays it terminates, or that miss the box, never march), and
    after the box exit the constant composites without sampling.
+5. **Build only what a frame shades.**  The shading gradient is a
+   zero-filled buffer whose z-slices are built, by the reference's own
+   float32 difference operations, the first time a shaded in-volume
+   sample's trilinear corners reach them; a frame whose feature sits in
+   a few slices, or whose rays die in the outside fog, builds few or
+   none.  A view's rays and box sample ranges are computed once per
+   process (a small memo keyed by camera, grid shape and step) and
+   every frame and tile of that view slices the same read-only arrays.
 
 Equivalence is the load-bearing property: a skipped sample provably
 contributes *exactly zero* opacity, the outside table is built by the
-kernel's own float32 ops, and front-to-back compositing is elementwise
-per ray, so at the default ``ert_alpha`` the fast path is
+kernel's own float32 ops, front-to-back compositing is elementwise per
+ray, and a shaded in-volume sample gathers the bytes the reference's
+whole-volume gradient holds (an outside sample gathers zero either way),
+so at the default ``ert_alpha`` the fast path is
 **bit-identical** to :func:`repro.render.raycast.render_volume` /
 ``render_rgba_volume`` — and bit-identical to itself across any tile
 size.  Lower ``ert_alpha`` trades a bounded tail of the compositing sum
@@ -52,6 +62,7 @@ differentially.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import ndimage
@@ -85,15 +96,20 @@ class SkipGrid:
     ``False`` cells are certified skippable.  ``lo``/``hi`` are the
     dilated per-cell value bounds the certificate was derived from
     (``None`` for the RGBA path, which certifies on the alpha channel
-    directly).  The empty-cell set is kept octree-encoded so skip
-    regions can be enumerated and audited.
+    directly).  The empty-cell set is octree-encoded on first access
+    (:attr:`empty_octree`) so skip regions can be enumerated and audited;
+    marching reads ``occupied`` alone.
     """
 
     cell: int
     occupied: np.ndarray
-    empty_octree: OctreeMask
     lo: np.ndarray | None = None
     hi: np.ndarray | None = None
+
+    @cached_property
+    def empty_octree(self) -> OctreeMask:
+        """The certified-empty cells, octree-encoded."""
+        return OctreeMask.from_mask(~self.occupied)
 
     @property
     def cells_total(self) -> int:
@@ -154,21 +170,18 @@ def build_skip_grid(data: np.ndarray, tf: TransferFunction1D, cell: int) -> Skip
     lo, hi = minmax_pool(data, cell)
     lo, hi = _dilate_bounds(lo, hi)
     occupied = tf_interval_occupancy(tf, lo, hi)
-    return SkipGrid(cell=cell, occupied=occupied,
-                    empty_octree=OctreeMask.from_mask(~occupied), lo=lo, hi=hi)
+    return SkipGrid(cell=cell, occupied=occupied, lo=lo, hi=hi)
 
 
 def build_alpha_skip_grid(alpha: np.ndarray, cell: int) -> SkipGrid:
     """Macro-cell certificate for a precomputed RGBA volume's alpha field."""
     lo, hi = minmax_pool(alpha, cell)
     lo, hi = _dilate_bounds(lo, hi)
-    occupied = hi > 0.0
-    return SkipGrid(cell=cell, occupied=occupied,
-                    empty_octree=OctreeMask.from_mask(~occupied))
+    return SkipGrid(cell=cell, occupied=hi > 0.0)
 
 
 # --------------------------------------------------------------------- #
-# Ray marching (one tile)
+# Rays and ray marching (one tile)
 # --------------------------------------------------------------------- #
 def _ray_sample_ranges(origins: np.ndarray, directions: np.ndarray, shape3,
                        step: float, n_samples: int):
@@ -177,7 +190,9 @@ def _ray_sample_ranges(origins: np.ndarray, directions: np.ndarray, shape3,
     Slab intersection in float64 with the range widened by one sample on
     each side, so FP error can only *add* out-of-box samples — those are
     re-tested exactly per sample and contribute nothing.  Rays missing
-    the box by more than two steps get the empty range ``(0, -1)``.
+    the box by more than two steps get the empty range ``(0, -1)``; only
+    they can carry infinite slab parameters (a ray parallel to a slab it
+    lies outside of), so they are set aside before the integer casts.
     """
     o = origins.astype(np.float64)
     d = directions.astype(np.float64)
@@ -195,12 +210,109 @@ def _ray_sample_ranges(origins: np.ndarray, directions: np.ndarray, shape3,
         far = np.where(parallel, np.where(inside_slab, np.inf, -np.inf), far)
         tlo = np.maximum(tlo, near)
         thi = np.minimum(thi, far)
-    miss = tlo > thi + 2.0 * step
-    s_min = np.clip(np.floor(tlo / step).astype(np.int64) - 1, 0, n_samples - 1)
-    s_max = np.clip(np.ceil(thi / step).astype(np.int64) + 1, -1, n_samples - 1)
-    s_min[miss] = 0
-    s_max[miss] = -1
+    hit = ~(tlo > thi + 2.0 * step)
+    s_min = np.zeros(len(o), dtype=np.int64)
+    s_max = np.full(len(o), -1, dtype=np.int64)
+    s_min[hit] = np.clip(np.floor(tlo[hit] / step).astype(np.int64) - 1,
+                         0, n_samples - 1)
+    s_max[hit] = np.clip(np.ceil(thi[hit] / step).astype(np.int64) + 1,
+                         -1, n_samples - 1)
     return s_min, s_max
+
+
+@lru_cache(maxsize=4)
+def _view_rays(camera: Camera, shape3: tuple, step: float):
+    """``(origins, directions, n_samples, s_min, s_max)`` of ``camera``'s
+    rays through a ``shape3`` grid, one row per pixel, read-only.
+
+    Computed once per process per view: a run renders all its frames
+    from one view, and the ranges are elementwise per ray, so every frame
+    and tile slices one set.
+    """
+    origins, directions, n_samples = camera.ray_grid(shape3, step=step)
+    s_min, s_max = _ray_sample_ranges(origins, directions, shape3, step,
+                                      n_samples)
+    for array in (origins, directions, s_min, s_max):
+        array.setflags(write=False)
+    return origins, directions, n_samples, s_min, s_max
+
+
+# --------------------------------------------------------------------- #
+# Shading gradient, built where shaded samples read it
+# --------------------------------------------------------------------- #
+def _gradient_rows(f: np.ndarray, axis: int, lo: int, hi: int,
+                   out: np.ndarray) -> None:
+    """Rows ``lo:hi`` along ``axis`` of :func:`numpy.gradient`, into ``out``.
+
+    Its float32 operations at unit spacing: central differences halved
+    inside, one-sided differences at the two faces (it divides those by
+    1.0, which is exact, so that division is left out).
+    """
+    f, out = np.moveaxis(f, axis, 0), np.moveaxis(out, axis, 0)
+    n = len(f)
+    i0, i1 = max(lo, 1), min(hi, n - 1)
+    if i0 < i1:
+        dst = out[i0 - lo:i1 - lo]
+        np.subtract(f[i0 + 1:i1 + 1], f[i0 - 1:i1 - 1], out=dst)
+        dst /= 2.0
+    if lo == 0:
+        np.subtract(f[1], f[0], out=out[0])
+    if hi == n:
+        np.subtract(f[n - 1], f[n - 2], out=out[hi - lo - 1])
+
+
+class _GradientSlices:
+    """The reference casters' whole-volume gradient stack, built z-slices
+    at a time.
+
+    The channels-last float32 buffer (one :func:`numpy.gradient`
+    component per channel) starts as zeros.  Before each gather,
+    the z-slices the trilinear corners of the in-volume samples reach,
+    ``[floor(z_min), floor(z_max) + 2)``, are built in whole blocks of
+    ``block`` slices (:func:`_gradient_rows`: the y and x components from
+    the slice itself, the z component from the slices either side).  A
+    sample off the grid builds nothing: :func:`_sample_channels` zeroes it
+    whatever its corners hold, and unbuilt slices hold finite zeros.
+    """
+
+    def __init__(self, field: np.ndarray, block: int):
+        if min(field.shape) < 2:
+            raise ValueError("shading needs a gradient, which needs every axis "
+                             f"at least 2 voxels long; got shape {field.shape}")
+        self.field = field
+        self.block = block
+        self.grad = np.zeros(field.shape + (3,), dtype=np.float32)
+        self.built = np.zeros(-(-field.shape[0] // block), dtype=bool)
+        self.complete = False
+
+    def sample(self, coords: np.ndarray) -> np.ndarray:
+        """Trilinear gradient at ``coords``, as from the whole-volume stack."""
+        if not self.complete:
+            self._build_for(coords)
+        return _sample_channels(self.grad, coords)
+
+    def _build_for(self, coords: np.ndarray) -> None:
+        nz, ny, nx = self.field.shape
+        z, y, x = coords[:, 0], coords[:, 1], coords[:, 2]
+        inside = ((z >= 0) & (z <= nz - 1) & (y >= 0) & (y <= ny - 1)
+                  & (x >= 0) & (x <= nx - 1))
+        if not inside.any():
+            return
+        z = z[inside]
+        first = int(np.floor(z.min())) // self.block
+        last = min(int(np.floor(z.max())) + 1, nz - 1) // self.block
+        todo = np.flatnonzero(~self.built[first:last + 1]) + first
+        for b in todo.tolist():
+            self._build(b * self.block, min((b + 1) * self.block, nz))
+        self.built[todo] = True
+        self.complete = bool(self.built.all())
+
+    def _build(self, lo: int, hi: int) -> None:
+        f, slab = self.field, self.grad[lo:hi]
+        _gradient_rows(f, 0, lo, hi, slab[..., 0])
+        _gradient_rows(f[lo:hi], 1, 0, f.shape[1], slab[..., 1])
+        _gradient_rows(f[lo:hi], 2, 0, f.shape[2], slab[..., 2])
+        get_metrics().counter("render.fast.gradient_slices").inc(hi - lo)
 
 
 def _composite(accum_rgb, accum_a, rays, rgb, alpha) -> None:
@@ -266,8 +378,9 @@ def _outside_constant(sample_alpha, color_of, shade_fn, step: float, n_samples: 
                     table_a=np.concatenate(rows_a))
 
 
-def _march_tile(origins, directions, n_samples, step, ert_alpha, occupied,
-                cell, shape3, outside, sample_alpha, color_of, shade_fn):
+def _march_tile(origins, directions, s_min, s_max, n_samples, step, ert_alpha,
+                occupied, cell, shape3, outside, sample_alpha, color_of,
+                shade_fn):
     """Front-to-back composite one tile's rays with ESS + ERT.
 
     Mirrors :func:`repro.render.raycast._composite_shells` operation for
@@ -278,18 +391,16 @@ def _march_tile(origins, directions, n_samples, step, ert_alpha, occupied,
     - a sampled point's step-corrected opacity comes first, and only
       nonzero-opacity samples are colored, shaded and composited — a
       zero-opacity sample adds exactly +0.0 in the reference;
-    - every sample before a ray's conservative box entry ``s_min`` is
-      the outside constant, so the ray starts from ``outside``'s table
-      (rays the table terminates, and rays missing the box, never enter
-      the shell loop), and after the box exit the constant composites per
-      shell without sampling;
+    - every sample before a ray's conservative box entry ``s_min`` (from
+      :func:`_ray_sample_ranges`, read-only) is the outside constant, so
+      the ray starts from ``outside``'s table (rays the table terminates,
+      and rays missing the box, never enter the shell loop), and after
+      the box exit the constant composites per shell without sampling;
     - rays sorted by entry shell join the active set when their shell
       arrives and leave it once terminated or past ``s_max``.
     """
     nz, ny, nx = shape3
-    s_min, s_max = _ray_sample_ranges(origins, directions, shape3, step,
-                                      n_samples)
-    s_min[s_min > s_max] = n_samples   # a miss meets only the outside
+    s_min = np.where(s_min > s_max, n_samples, s_min)   # a miss meets only the outside
     start = np.minimum(s_min, len(outside.table_a) - 1)
     accum_rgb = outside.table_rgb[start]
     accum_a = outside.table_a[start]
@@ -374,23 +485,31 @@ def tile_boxes(height: int, width: int, tile: int) -> list[tuple[int, int, int, 
             for c0 in range(0, width, tile)]
 
 
-def _check_ert_alpha(ert_alpha: float) -> None:
+def check_ert_alpha(ert_alpha: float) -> None:
+    """The early-ray-termination threshold must lie in (0, 1].
+
+    The fast entry points, ``repro render --ert-alpha`` and serve render
+    bodies check it with this before any work is done (a run config's
+    ``fast_options`` state the same rule).
+    """
     if not 0.0 < ert_alpha <= 1.0:
         raise ValueError(f"ert_alpha must be in (0, 1], got {ert_alpha}")
 
 
-def _render_fast(mode: str, field: np.ndarray, grad: np.ndarray | None,
+def _render_fast(mode: str, field: np.ndarray, grad: _GradientSlices | None,
                  tf: TransferFunction1D | None, skip: SkipGrid,
                  camera: Camera, step: float, background, tile: int | None,
                  ert_alpha: float) -> Image:
     """Shared tile loop of the two public entry points."""
     shape3 = field.shape[:3]
-    origins, directions, n_samples = camera.ray_grid(shape3, step=step)
+    origins, directions, n_samples, s_min, s_max = _view_rays(camera, shape3, step)
     height, width = camera.height, camera.width
     tile = max(height, width) if tile is None else int(tile)
     boxes = tile_boxes(height, width, tile)
     o_grid = origins.reshape(height, width, 3)
     d_grid = directions.reshape(height, width, 3)
+    lo_grid = s_min.reshape(height, width)
+    hi_grid = s_max.reshape(height, width)
     occupied = None if skip.occupied.all() else skip.occupied
 
     if tf is not None:
@@ -416,7 +535,7 @@ def _render_fast(mode: str, field: np.ndarray, grad: np.ndarray | None,
         to_viewer = (-forward).astype(np.float32)
 
         def shade_fn(rgb, coords):
-            g = _sample_channels(grad, coords)
+            g = grad.sample(coords)
             return phong_shade(rgb, g, light_dir=to_viewer, view_dir=to_viewer)
 
     else:
@@ -435,6 +554,7 @@ def _render_fast(mode: str, field: np.ndarray, grad: np.ndarray | None,
             rgb, alpha, tile_stats = _march_tile(
                 np.ascontiguousarray(o_grid[r0:r1, c0:c1]).reshape(-1, 3),
                 np.ascontiguousarray(d_grid[r0:r1, c0:c1]).reshape(-1, 3),
+                lo_grid[r0:r1, c0:c1].ravel(), hi_grid[r0:r1, c0:c1].ravel(),
                 n_samples, step, ert_alpha, occupied, skip.cell, shape3,
                 outside, sample_alpha, color_of, shade_fn)
             pixels[r0:r1, c0:c1, :3] = rgb.reshape(r1 - r0, c1 - c0, 3)
@@ -474,7 +594,7 @@ def render_volume_fast(volume, tf: TransferFunction1D, camera: Camera | None = N
         volume, dtype=np.float32)
     if data.ndim != 3:
         raise ValueError(f"expected a 3D volume, got ndim={data.ndim}")
-    _check_ert_alpha(ert_alpha)
+    check_ert_alpha(ert_alpha)
     if not np.isfinite(data).all():
         # No certificate holds for a non-finite voxel (its cell bounds
         # certify nothing, and a NaN color survives a zero weight).
@@ -484,8 +604,7 @@ def render_volume_fast(volume, tf: TransferFunction1D, camera: Camera | None = N
     skip = build_skip_grid(data, tf, cell)
     grad = None
     if shading:
-        grad = np.ascontiguousarray(
-            np.stack(np.gradient(data.astype(np.float32, copy=False)), axis=-1))
+        grad = _GradientSlices(data.astype(np.float32, copy=False), cell)
     return _render_fast("volume", data, grad, tf, skip, camera, step,
                         background, tile, ert_alpha)
 
@@ -505,7 +624,7 @@ def render_rgba_volume_fast(rgba_volume: np.ndarray, camera: Camera | None = Non
     rgba_volume = np.asarray(rgba_volume, dtype=np.float32)
     if rgba_volume.ndim != 4 or rgba_volume.shape[3] != 4:
         raise ValueError(f"expected (nz, ny, nx, 4) volume, got {rgba_volume.shape}")
-    _check_ert_alpha(ert_alpha)
+    check_ert_alpha(ert_alpha)
     shape3 = rgba_volume.shape[:3]
     field = None
     if shading_field is not None:
@@ -518,9 +637,7 @@ def render_rgba_volume_fast(rgba_volume: np.ndarray, camera: Camera | None = Non
                                   shading_field=field, background=background)
     camera = camera or Camera()
     skip = build_alpha_skip_grid(rgba_volume[..., 3], cell)
-    grad = None
-    if field is not None:
-        grad = np.ascontiguousarray(np.stack(np.gradient(field), axis=-1))
+    grad = None if field is None else _GradientSlices(field, cell)
     stack = np.ascontiguousarray(rgba_volume)
     return _render_fast("rgba_volume", stack, grad, None, skip, camera, step,
                         background, tile, ert_alpha)

@@ -40,6 +40,7 @@ from repro.metrics import feature_retention
 from repro.obs import get_metrics
 from repro.parallel.bricking import content_digest
 from repro.render.camera import Camera
+from repro.render.fastcast import check_ert_alpha
 from repro.render.raycast import ALPHA_CUTOFF
 from repro.run import ConfigError, PipelineRunner, RunConfig, RunError
 from repro.serve.errors import BadRequest, NotFound
@@ -379,28 +380,37 @@ def compute_render(state: ServeState, params: dict) -> dict:
     ``/v1/frames/`` where the PNG bytes stream from the resident frame
     store — the same bytes ``repro render --format png`` writes.
     """
-    sequence = state.sequence(params["sequence"])
-    domain = sequence.value_range
-    camera = Camera(azimuth=params["azimuth"], elevation=params["elevation"],
-                    width=params["size"], height=params["size"])
-    if params["iatf"] is not None:
-        iatf = AdaptiveTransferFunction.from_dict(params["iatf"])
-        tfs = [iatf.generate(vol) for vol in sequence]
-    else:
-        lo, hi = params["box"] or (domain[0] + 0.3 * (domain[1] - domain[0]),
-                                   domain[1])
-        tfs = [TransferFunction1D(domain).add_box(lo, hi, params["opacity"])
-               ] * len(sequence)
     mode = "fast" if params["fast"] else "exact"
     fast_options = None
     if mode == "fast":
         fast_options = {"ert_alpha": (ALPHA_CUTOFF if params["ert_alpha"] is None
                                       else params["ert_alpha"]),
                         "cell": params["cell"]}
+        try:
+            check_ert_alpha(fast_options["ert_alpha"])
+        except ValueError as exc:
+            raise BadRequest(f"parameter 'ert_alpha': {exc}") from None
         if params["tiles"] is not None:
             fast_options["tile"] = params["tiles"]
     elif params["tiles"] is not None or params["ert_alpha"] is not None:
         raise BadRequest("'tiles'/'ert_alpha' tune the fast path; set fast=true")
+    sequence = state.sequence(params["sequence"])
+    domain = sequence.value_range
+    camera = Camera(azimuth=params["azimuth"], elevation=params["elevation"],
+                    width=params["size"], height=params["size"])
+    if params["iatf"] is not None:
+        try:
+            iatf = AdaptiveTransferFunction.from_dict(params["iatf"])
+            tfs = [iatf.generate(vol) for vol in sequence]
+        except KeyError as exc:
+            raise BadRequest(f"parameter 'iatf': missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise BadRequest(f"parameter 'iatf': {exc}") from None
+    else:
+        lo, hi = params["box"] or (domain[0] + 0.3 * (domain[1] - domain[0]),
+                                   domain[1])
+        tfs = [TransferFunction1D(domain).add_box(lo, hi, params["opacity"])
+               ] * len(sequence)
     images = render_sequence(
         sequence, tfs, camera=camera, shading=params["shading"],
         workers=state.workers, mode=mode, fast_options=fast_options,

@@ -123,7 +123,9 @@ class TransferFunction1D:
         """Table entry index for each scalar value (clipped to the domain)."""
         values = np.asarray(values, dtype=np.float64)
         scaled = (values - self.lo) / (self.hi - self.lo) * self.entries
-        return np.clip(scaled.astype(np.int64), 0, self.entries - 1)
+        # np.minimum/np.maximum rather than np.clip: the same integers
+        # without np.clip's per-call overhead (one call per ray shell).
+        return np.minimum(np.maximum(scaled.astype(np.int64), 0), self.entries - 1)
 
     def opacity_at(self, values) -> np.ndarray:
         """Opacity for arbitrary scalar values (nearest-entry lookup)."""

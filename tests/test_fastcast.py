@@ -10,10 +10,13 @@ the skip machinery itself: every octree-enumerated skip region is probed
 with fresh samples that must all carry zero opacity.
 """
 
+import warnings
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache import SharedArrayCache
 from repro.core.fastclassify import TemporalCoherenceCache
@@ -24,6 +27,9 @@ from repro.obs import get_metrics
 from repro.parallel.bricking import content_digest
 from repro.render import Camera, render_rgba_volume, render_tracked, render_volume
 from repro.render.fastcast import (
+    _GradientSlices,
+    _ray_sample_ranges,
+    _view_rays,
     build_alpha_skip_grid,
     build_skip_grid,
     render_rgba_volume_fast,
@@ -32,7 +38,7 @@ from repro.render.fastcast import (
     tile_boxes,
 )
 from repro.render.image import Image, encode_png_rgb
-from repro.render.raycast import ALPHA_CUTOFF, _sample
+from repro.render.raycast import ALPHA_CUTOFF, _sample, _sample_channels
 from repro.segmentation.octree import OctreeMask
 from repro.transfer import TransferFunction1D
 from repro.volume import Volume, VolumeSequence
@@ -207,6 +213,147 @@ class TestBitIdentical:
         fast = render_tracked(vol, mask, tf, camera=cam, fast=True,
                               fast_options={"tile": 9, "cell": 2})
         assert np.array_equal(ref.pixels, fast.pixels)
+
+
+# --------------------------------------------------------------------- #
+# What a frame builds: gradient slices on first use, one ray set per view
+# --------------------------------------------------------------------- #
+@st.composite
+def gradient_cases(draw):
+    """A random field (every axis 2..9 long), a block size, batches of
+    coordinates for partial builds, and the final batch to gather.
+    Coordinates fall inside, exactly on the faces 0 and n-1, or outside."""
+    shape = tuple(draw(st.integers(2, 9)) for _ in range(3))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    field = np.random.default_rng(seed).standard_normal(shape).astype(np.float32)
+
+    def coordinate(n):
+        return st.one_of(st.floats(0.0, n - 1.0, width=32),
+                         st.sampled_from([0.0, float(n - 1)]),
+                         st.floats(-3.0, n + 2.0, width=32))
+
+    batch = st.lists(st.tuples(*(coordinate(n) for n in shape)),
+                     min_size=1, max_size=12)
+    return (field, draw(st.integers(1, 4)), draw(st.lists(batch, max_size=4)),
+            draw(batch))
+
+
+class TestGradientSlices:
+    @given(case=gradient_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_gather_matches_whole_volume_gradient(self, case):
+        """After any sequence of partial builds, the slice buffer gathers
+        what the reference casters' whole-volume stack gathers: the same
+        bytes inside the volume, and zeros (sign aside) outside it.  Built
+        slices hold the stack's bytes; unbuilt ones hold zeros."""
+        field, block, partial, final = case
+        slices = _GradientSlices(field, block)
+        for batch in partial:
+            slices.sample(np.array(batch, dtype=np.float32))
+        coords = np.array(final, dtype=np.float32)
+        got = slices.sample(coords)
+        stack = np.stack(np.gradient(field), axis=-1)
+        want = _sample_channels(stack, coords)
+        inside = ((coords >= 0) & (coords <= np.array(field.shape) - 1)).all(axis=1)
+        assert got[inside].tobytes() == want[inside].tobytes()
+        assert np.array_equal(got[~inside], want[~inside])
+        built = np.repeat(slices.built, block)[:field.shape[0]]
+        assert slices.grad[built].tobytes() == stack[built].tobytes()
+        assert not slices.grad[~built].any()
+
+    @pytest.mark.parametrize("outside", ["transparent", "opaque"])
+    def test_frame_builds_only_the_slices_it_shades(self, outside):
+        """A feature in the first z-slices, as on combustion frames: the
+        frame equals the reference and leaves the far slices unbuilt."""
+        n = 18
+        z, y, x = np.meshgrid(*(np.arange(n, dtype=np.float32),) * 3, indexing="ij")
+        bump = np.exp(-(z ** 2 + (y - n / 2) ** 2 + (x - n / 2) ** 2) / 8.0)
+        data = (0.5 + 0.5 * bump).astype(np.float32)
+        tf = TransferFunction1D((0.0, 1.0)).add_box(0.75, 1.0, 0.8)
+        if outside == "opaque":
+            tf = _opaque_outside(tf)
+        cam = Camera(width=24, height=24, azimuth=30, elevation=20)
+        counter = get_metrics().counter("render.fast.gradient_slices")
+        before = counter.value
+        fast = render_volume_fast(data, tf, camera=cam, cell=2)
+        built = counter.value - before
+        assert render_volume(data, tf, camera=cam).pixels.tobytes() == fast.pixels.tobytes()
+        assert 0 < built < n
+
+    @pytest.mark.parametrize("shape", [(1, 6, 6), (6, 1, 6), (6, 6, 1)])
+    def test_axis_shorter_than_two_cannot_shade(self, shape, rng):
+        """Shading needs a gradient, which needs every axis >= 2 voxels:
+        both casters raise ``ValueError``; unshaded, both render alike."""
+        data = rng.random(shape).astype(np.float32)
+        tf = TransferFunction1D((0.0, 1.0)).add_box(0.3, 1.0, 0.6)
+        rgba = tf.apply(data)
+        cam = Camera(width=10, height=10)
+        for caster in (render_volume, render_volume_fast):
+            with pytest.raises(ValueError, match="gradient"):
+                caster(data, tf, camera=cam)
+        for caster in (render_rgba_volume, render_rgba_volume_fast):
+            with pytest.raises(ValueError, match="gradient"):
+                caster(rgba, camera=cam, shading_field=data)
+        ref = render_volume(data, tf, camera=cam, shading=False)
+        fast = render_volume_fast(data, tf, camera=cam, shading=False)
+        assert ref.pixels.tobytes() == fast.pixels.tobytes()
+        ref = render_rgba_volume(rgba, camera=cam)
+        fast = render_rgba_volume_fast(rgba, camera=cam)
+        assert ref.pixels.tobytes() == fast.pixels.tobytes()
+
+
+class TestViewRays:
+    def test_two_renders_of_one_view_are_equal(self, argon_case):
+        vol, tf = argon_case
+        cam = Camera(width=21, height=19, azimuth=75, elevation=10)
+        _view_rays.cache_clear()
+        first = render_volume_fast(vol, tf, camera=cam, tile=8)
+        second = render_volume_fast(vol, tf, camera=cam, tile=8)
+        assert _view_rays.cache_info().hits == 1
+        assert first.pixels.tobytes() == second.pixels.tobytes()
+        assert render_volume(vol, tf, camera=cam).pixels.tobytes() == first.pixels.tobytes()
+
+    def test_cached_arrays_are_read_only(self):
+        origins, directions, _, s_min, s_max = _view_rays(ORTHO, (12, 16, 16), 1.0)
+        for array in (origins, directions, s_min, s_max):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    @pytest.mark.parametrize("camera,shape,step", [
+        (PERSPECTIVE, (12, 16, 16), 1.0),
+        (Camera(width=30, height=26, azimuth=31, elevation=20), (12, 16, 16), 1.0),
+        (ORTHO, (12, 16, 17), 1.0),
+        (ORTHO, (12, 16, 16), 0.65),
+    ], ids=["projection", "azimuth", "shape", "step"])
+    def test_each_view_gets_its_own_rays(self, camera, shape, step):
+        base = _view_rays(ORTHO, (12, 16, 16), 1.0)
+        assert _view_rays(ORTHO, (12, 16, 16), 1.0) is base
+        rays = _view_rays(camera, shape, step)
+        assert rays is not base
+        origins, directions, n_samples = camera.ray_grid(shape, step=step)
+        s_min, s_max = _ray_sample_ranges(origins, directions, shape, step, n_samples)
+        assert rays[2] == n_samples
+        for got, want in zip(rays[:2] + rays[3:], (origins, directions, s_min, s_max)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("azimuth,elevation", [(0, 20), (90, 0), (0, 0)])
+    def test_axis_aligned_views_raise_no_warning(self, azimuth, elevation,
+                                                 argon_case):
+        """Rays parallel to a slab they lie outside of carry infinite slab
+        parameters; they are misses, set aside before the integer casts."""
+        vol, tf = argon_case
+        cam = Camera(width=20, height=18, azimuth=azimuth, elevation=elevation)
+        rgba = tf.apply(vol)
+        _view_rays.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fast = render_volume_fast(vol, tf, camera=cam, tile=7)
+            fast_rgba = render_rgba_volume_fast(rgba, camera=cam,
+                                                shading_field=vol.data)
+        assert render_volume(vol, tf, camera=cam).pixels.tobytes() == fast.pixels.tobytes()
+        ref_rgba = render_rgba_volume(rgba, camera=cam, shading_field=vol.data)
+        assert ref_rgba.pixels.tobytes() == fast_rgba.pixels.tobytes()
 
 
 # --------------------------------------------------------------------- #
@@ -544,6 +691,23 @@ class TestCliFastPath:
         with pytest.raises(SystemExit) as err:
             main(["render", str(seqdir), "--out", str(tmp_path / "x")] + flags)
         assert err.value.code != 0
+
+    @pytest.mark.parametrize("value", ["2", "0", "-0.2"])
+    def test_ert_alpha_out_of_range_rejected_by_argparse(self, seqdir, tmp_path,
+                                                         value, capsys):
+        """``--ert-alpha`` outside (0, 1] is refused like ``--cell 0``:
+        argparse's exit 2 and one error line, before any frame renders."""
+        from repro.cli import main
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as err:
+            main(["render", str(seqdir), "--out", str(out), "--fast",
+                  "--ert-alpha", value])
+        assert err.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if "error:" in line]
+        assert errors == [f"repro render: error: argument --ert-alpha: "
+                          f"must be a number in (0, 1], got {value!r}"]
+        assert not out.exists()
 
     def test_fast_flags_require_fast(self, seqdir, tmp_path):
         from repro.cli import main

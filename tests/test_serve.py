@@ -453,6 +453,22 @@ class TestValidation:
         assert info.value.status == 400
         assert f"'{field}'" in str(info.value)
 
+    @pytest.mark.parametrize("field,override", [
+        ("ert_alpha", {"fast": True, "ert_alpha": 2}),
+        ("ert_alpha", {"fast": True, "ert_alpha": 0}),
+        ("ert_alpha", {"fast": True, "ert_alpha": -0.2}),
+        ("iatf", {"iatf": {"x": 1}}),
+    ], ids=["ert-alpha-2", "ert-alpha-0", "ert-alpha-negative", "iatf-no-domain"])
+    def test_bad_render_value_is_400_naming_it(self, client, field, override):
+        """A value of the right type that the render cannot take answers
+        400 naming its field, before any frame renders (not a 500 carrying
+        a worker's traceback or a ``KeyError``)."""
+        with pytest.raises(ServeHTTPError) as info:
+            client.render(**RENDER_PARAMS, **override)
+        assert info.value.status == 400
+        assert f"'{field}'" in str(info.value)
+        assert "Traceback" not in str(info.value)
+
     def test_int_and_float_numbers_are_one_request(self, client):
         a = client.render(**RENDER_PARAMS, azimuth=30, opacity=1)
         b = client.render(**RENDER_PARAMS, azimuth=30.0, opacity=1.0)
