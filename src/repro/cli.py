@@ -61,6 +61,7 @@ from repro.metrics import feature_retention
 from repro.render.camera import Camera
 from repro.render.fastcast import check_ert_alpha
 from repro.render.raycast import ALPHA_CUTOFF
+from repro.render.shading import check_shading_shape
 from repro.run import (
     ConfigError,
     FollowRunner,
@@ -239,6 +240,11 @@ def cmd_classify(args) -> int:
 def cmd_render(args) -> int:
     """Render every step to PPM frames (box TF or saved IATF)."""
     sequence = load_sequence(args.seqdir)
+    if not args.no_shading:
+        try:
+            check_shading_shape(sequence.shape)
+        except ValueError as exc:
+            raise SystemExit(f"{exc} (render it with --no-shading)") from None
     domain = sequence.value_range
     camera = Camera(azimuth=args.azimuth, elevation=args.elevation,
                     width=args.size, height=args.size)

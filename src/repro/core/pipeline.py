@@ -15,13 +15,15 @@ runs it, otherwise ``workers > 1`` opens a pool for the map, otherwise
 it runs in-process.  Each task pickles its own step's ``Volume`` into
 the worker pipe; the invariants every task shares (a classifier, an
 IATF, the camera) are broadcast once per worker when the caller passes
-a resident pool.  Retry/timeout/degraded-mode behaviour forwards to the
-task farm (``retry=`` / ``on_error=``) — with ``on_error="skip"`` a
-failed step's slot holds ``None``.
+a resident pool, and released when the map ends.  Retry/timeout/
+degraded-mode behaviour forwards to the task farm (``retry=`` /
+``on_error=``) — with ``on_error="skip"`` a failed step's slot holds
+``None``.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from pathlib import Path
 from typing import NamedTuple
 
@@ -74,6 +76,20 @@ def _task_caches(cache, fan_out: bool, n_items: int) -> list:
     if cache is not None and fan_out:
         return [cache.worker_clone() for _ in range(n_items)]
     return [cache] * n_items
+
+
+@contextmanager
+def _shared(pool: WorkerPool | None, *objs):
+    """The objects as a map's tasks carry them: broadcast refs on a pool,
+    released when the map ends; the objects themselves in-process."""
+    if pool is None:
+        yield objs
+        return
+    refs = [pool.broadcast(obj) for obj in objs]
+    try:
+        yield refs
+    finally:
+        pool.release(refs)
 
 
 def _sample_training_mask(mask, n: int, rng) -> np.ndarray:
@@ -190,9 +206,9 @@ def classify_sequence(classifier: DataSpaceClassifier, sequence: VolumeSequence,
     caches = _task_caches(cache, fans_out(workers, len(sequence), pool),
                           len(sequence))
     opts = [{"mode": mode, "cache": c} for c in caches]
-    task_classifier = classifier if pool is None else pool.broadcast(classifier)
-    with get_metrics().span("pipeline.classify_sequence", steps=len(sequence),
-                            mode=mode, cached=cache is not None):
+    with (_shared(pool, classifier) as (task_classifier,),
+          get_metrics().span("pipeline.classify_sequence", steps=len(sequence),
+                             mode=mode, cached=cache is not None)):
         payloads = [(task_classifier, vol, o) for vol, o in zip(sequence, opts)]
         outcome = map_timesteps(_classify_one, payloads, workers=workers,
                                 retry=retry, on_error=on_error, pool=pool)
@@ -215,8 +231,8 @@ def generate_sequence_tfs(iatf: AdaptiveTransferFunction, sequence: VolumeSequen
     runs the map on a resident worker pool and broadcasts the IATF once
     per worker.
     """
-    task_iatf = iatf if pool is None else pool.broadcast(iatf)
-    with get_metrics().span("pipeline.generate_sequence_tfs", steps=len(sequence)):
+    with (_shared(pool, iatf) as (task_iatf,),
+          get_metrics().span("pipeline.generate_sequence_tfs", steps=len(sequence))):
         payloads = [(task_iatf, vol) for vol in sequence]
         outcome = map_timesteps(_generate_tf_one, payloads, workers=workers,
                                 retry=retry, on_error=on_error, pool=pool)
@@ -385,15 +401,12 @@ def render_sequence(sequence: VolumeSequence, tfs, camera: Camera | None = None,
     fast_opts = dict(fast_options or {})
     caches = _task_caches(cache, fans_out(workers, len(sequence), pool),
                           len(sequence))
-    task_camera = camera
-    task_tfs = tfs
-    if pool is not None:
-        task_camera = pool.broadcast(camera)
-        if len({id(tf) for tf in tfs}) == 1:
-            task_tfs = [pool.broadcast(tfs[0])] * len(tfs)
+    one_tf = tfs[:1] if len({id(tf) for tf in tfs}) == 1 else []
     sig = "exact" if mode == "exact" else f"fast:{sorted(fast_opts.items())!r}"
-    with get_metrics().span("pipeline.render_sequence", steps=len(sequence),
-                            mode=mode, cached=cache is not None):
+    with (_shared(pool, camera, *one_tf) as (task_camera, *task_tf),
+          get_metrics().span("pipeline.render_sequence", steps=len(sequence),
+                             mode=mode, cached=cache is not None)):
+        task_tfs = task_tf * len(tfs) if task_tf else tfs
         payloads = [(vol, tf, task_camera, step, shading, mode, fast_opts, c, sig)
                     for vol, tf, c in zip(sequence, task_tfs, caches)]
         outcome = map_timesteps(_render_one, payloads, workers=workers,

@@ -17,12 +17,16 @@ and pays the spawn cost once per run, not per map:
   its process sentinel, the attempt it carried fails as a structured
   ``WorkerCrash`` error that flows through the *existing* retry policy,
   and a fresh worker takes its slot;
-- **digest-keyed broadcast**: :meth:`WorkerPool.broadcast` pickles a
-  heavy invariant (a trained network, a camera, the volume every tile of
-  a frame samples) exactly once and ships the blob to each worker at
-  most once; task payloads carry a ~50-byte :class:`BroadcastRef`
-  instead of re-pickling the object per task (respawned workers
-  transparently re-receive the blobs they need);
+- **broadcast registry**: :meth:`WorkerPool.broadcast` registers an
+  object a run's tasks share (a trained network, an IATF, a camera, a
+  step's volume) and task payloads carry a ~50-byte
+  :class:`BroadcastRef` in its place.  The registry is handed to each
+  worker at fork, so a worker forked after a registration starts with
+  the object and nothing crosses its pipe (a respawned worker inherits
+  the live registry).  A worker forked before it receives the pickled
+  blob once, the first time one of its tasks references it.
+  :meth:`WorkerPool.release` ends a registration (counted per key) in
+  the parent and in every worker that holds it;
 - **futures**: :meth:`WorkerPool.submit` returns a :class:`PoolFuture`
   with done-callbacks, which is how the runner's dispatcher persists
   each artifact in the parent and submits each step's render from its
@@ -54,7 +58,7 @@ import queue
 import threading
 import time
 import traceback
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from multiprocessing import connection
 from typing import Any
@@ -88,6 +92,46 @@ class BroadcastRef:
         return f"BroadcastRef({self.digest[:12]}...)"
 
 
+class _Registration:
+    """One registered broadcast and the number of registrations holding it.
+
+    A content-keyed registration holds the pickled ``blob`` taken at
+    registration, so every worker sees the object as it was then.  A
+    caller-keyed one holds the object itself (``blob`` is ``None``) and
+    reaches only workers forked after it, which share its pages; its
+    caller must not mutate it while it is registered.
+    """
+
+    __slots__ = ("obj", "blob", "count")
+
+    def __init__(self, obj, blob: bytes | None) -> None:
+        self.obj = obj
+        self.blob = blob
+        self.count = 0
+
+    def load(self):
+        """The object, as a worker that inherited this registration sees it."""
+        return self.obj if self.blob is None else pickle.loads(self.blob)
+
+
+class _WorkerRegistry(dict):
+    """A worker's resolved broadcasts: shipped ones land here, inherited
+    ones are loaded from the registry the worker forked with on first use."""
+
+    def __init__(self, inherited: dict) -> None:
+        super().__init__()
+        self.inherited = inherited
+
+    def __missing__(self, key: str):
+        obj = self[key] = self.inherited[key].load()
+        return obj
+
+    def drop(self, keys) -> None:
+        for key in keys:
+            self.pop(key, None)
+            self.inherited.pop(key, None)
+
+
 def resolve_broadcasts(obj, registry: dict):
     """Replace every :class:`BroadcastRef` in a payload with its object.
 
@@ -119,12 +163,16 @@ def _collect_refs(obj, out: set) -> None:
             _collect_refs(v, out)
 
 
-def _worker_main(conn) -> None:
-    """Resident worker loop: broadcasts cached per process, one task at a
-    time, outcomes sent back on the same duplex pipe.  Never raises —
-    task exceptions travel back as ``(type, message, traceback)`` text.
+def _worker_main(conn, inherited: dict) -> None:
+    """Resident worker loop: one task at a time, outcomes sent back on
+    the same duplex pipe.  Never raises — task exceptions travel back as
+    ``(type, message, traceback)`` text.
+
+    ``inherited`` is the parent's broadcast registry as it stood when
+    this worker forked; blobs registered later arrive as ``broadcast``
+    messages, and ``drop`` messages end released ones.
     """
-    broadcasts: dict = {}
+    broadcasts = _WorkerRegistry(inherited)
     while True:
         try:
             message = conn.recv()
@@ -136,6 +184,9 @@ def _worker_main(conn) -> None:
         if kind == "broadcast":
             _, digest, blob = message
             broadcasts[digest] = pickle.loads(blob)
+            continue
+        if kind == "drop":
+            broadcasts.drop(message[1])
             continue
         # ("task", task_id, fn, item, attempt, injector, fault_index)
         _, task_id, fn, item, attempt, injector, fault_index = message
@@ -230,23 +281,26 @@ class _Task:
 
 
 class _WorkerSlot:
-    """One resident worker process plus its duplex pipe and send ledger.
+    """One resident worker process plus its duplex pipe and broadcast ledger.
 
     ``abandoned`` marks the attempt running in ``busy`` as one the parent
     stopped waiting for (timed out or cancelled): its result is dropped
     when it arrives, and :meth:`WorkerPool.close` kills the worker instead
     of joining it.  The flag lives on the slot, not the task,
     because a timed-out task may already be retrying on another worker.
+
+    ``held`` is the ledger of broadcast keys the worker holds: those
+    registered when it forked, plus those shipped to it since.
     """
 
-    __slots__ = ("process", "conn", "busy", "abandoned", "sent_digests")
+    __slots__ = ("process", "conn", "busy", "abandoned", "held")
 
-    def __init__(self, process, conn):
+    def __init__(self, process, conn, held: set):
         self.process = process
         self.conn = conn
         self.busy: _Task | None = None
         self.abandoned = False
-        self.sent_digests: set = set()
+        self.held = held
 
 
 class WorkerPool:
@@ -266,6 +320,7 @@ class WorkerPool:
             clf_ref = pool.broadcast(classifier)
             out = map_timesteps(fn, payloads, pool=pool)      # map 1
             out = map_timesteps(fn2, payloads2, pool=pool)    # map 2: no respawn
+            pool.release([clf_ref])
     """
 
     def __init__(self, workers: int = 1) -> None:
@@ -276,7 +331,7 @@ class WorkerPool:
         self._slots: list[_WorkerSlot] = []
         self._ready: deque[_Task] = deque()
         self._delayed: list = []            # heap of (eligible_at, seq, task)
-        self._broadcasts: dict[str, bytes] = {}
+        self._broadcasts: dict[str, _Registration] = {}
         self._seq = 0
         self._next_task_id = 0
         self._closed = False
@@ -313,21 +368,66 @@ class WorkerPool:
     # ------------------------------------------------------------------ #
     # Broadcast registry
     # ------------------------------------------------------------------ #
-    def broadcast(self, obj) -> BroadcastRef:
-        """Register a heavy invariant; returns the ref to embed in payloads.
+    def broadcast(self, obj, key: str | None = None) -> BroadcastRef:
+        """Register an object tasks share; returns the ref to embed in payloads.
 
-        The object is pickled exactly once, here.  The blob ships to each
-        worker at most once (re-shipped only to respawned workers), so a
-        classifier that used to ride in every task payload now crosses
-        each worker pipe a single time per run.
+        Without ``key`` the object is pickled once, here, and keyed by the
+        blob's digest, so workers see it as it is now.  Workers forked
+        after this call start with it; the others receive the blob once.
+        ``key`` names the object's content instead (the runner passes a
+        volume's digest folded with its time and name, so no voxel is
+        hashed twice): the object is registered as it is, must not be
+        mutated until released, and is never pickled, so it needs a pool
+        whose workers have not forked yet.  Each call is one
+        registration, ended by :meth:`release`.
         """
         if self._closed:
             raise PoolError("cannot broadcast on a closed pool")
-        blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-        digest = content_digest(np.frombuffer(blob, dtype=np.uint8))
-        if digest not in self._broadcasts:
-            self._broadcasts[digest] = blob
-        return BroadcastRef(digest)
+        if key is not None and self._slots:
+            raise PoolError("a keyed broadcast reaches only workers forked after "
+                            "it; this pool's workers are running")
+        blob = None
+        if key is None:
+            blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+            key = content_digest(np.frombuffer(blob, dtype=np.uint8))
+            obj = None          # the blob is the snapshot workers see
+        entry = self._broadcasts.get(key)
+        if entry is None:
+            entry = self._broadcasts[key] = _Registration(obj, blob)
+        entry.count += 1
+        return BroadcastRef(key)
+
+    def release(self, refs) -> None:
+        """End one registration per ref.  A key whose last registration
+        ends leaves the registry and every worker that holds it; releasing
+        the last registration of a key a pending task references raises
+        :class:`PoolError`, as does releasing a key not registered."""
+        counts = Counter(ref.digest for ref in refs)
+        for key, n in counts.items():
+            entry = self._broadcasts.get(key)
+            if entry is None or entry.count < n:
+                raise PoolError(f"broadcast {key[:12]}... is not registered")
+        ended = {key for key, n in counts.items() if self._broadcasts[key].count == n}
+        held = ended & self._pending_refs()
+        if held:
+            raise PoolError(f"cannot release broadcast(s) {[k[:12] for k in held]}: "
+                            f"a pending task references them")
+        for key, n in counts.items():
+            self._broadcasts[key].count -= n
+        for key in ended:
+            del self._broadcasts[key]
+        for slot in self._slots:
+            dropped = ended & slot.held
+            if dropped:
+                slot.held -= dropped
+                self._send_quietly(slot, ("drop", sorted(dropped)))
+
+    def _pending_refs(self) -> set:
+        """Keys referenced by tasks queued, backing off or running."""
+        tasks = [*self._ready, *(entry[2] for entry in self._delayed),
+                 *(slot.busy for slot in self._slots if slot.busy is not None)]
+        return {key for task in tasks if not task.cancelled and not task.future.done()
+                for key in task.refs}
 
     # ------------------------------------------------------------------ #
     # Submission
@@ -434,13 +534,15 @@ class WorkerPool:
     # ------------------------------------------------------------------ #
     def _spawn_slot(self) -> _WorkerSlot:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        process = self._ctx.Process(target=_worker_main, args=(child_conn,),
-                                    daemon=True)
+        # Forked, the worker starts with the live registry; nothing of it
+        # crosses the pipe.
+        process = self._ctx.Process(target=_worker_main,
+                                    args=(child_conn, self._broadcasts), daemon=True)
         process.start()
         child_conn.close()
         self.spawned += 1
         get_metrics().counter("pool.spawns").inc()
-        return _WorkerSlot(process, parent_conn)
+        return _WorkerSlot(process, parent_conn, set(self._broadcasts))
 
     def _dispatch(self) -> None:
         """Hand queued tasks to idle workers, spawning lazily up to the cap."""
@@ -476,10 +578,12 @@ class WorkerPool:
 
     def _send_task(self, slot: _WorkerSlot, task: _Task) -> None:
         try:
-            for digest in task.refs - slot.sent_digests:
-                slot.conn.send(("broadcast", digest, self._broadcasts[digest]))
-                slot.sent_digests.add(digest)
+            for key in sorted(task.refs - slot.held):
+                blob = self._broadcasts[key].blob
+                slot.conn.send(("broadcast", key, blob))
+                slot.held.add(key)
                 get_metrics().counter("pool.broadcast.sends").inc()
+                get_metrics().counter("pool.broadcast.bytes").inc(len(blob))
             slot.conn.send(("task", task.task_id, task.fn, task.item,
                             task.attempt, task.injector, task.fault_index))
         except (BrokenPipeError, OSError):
@@ -490,6 +594,15 @@ class WorkerPool:
         slot.busy = task
         task.deadline = (None if task.policy.timeout is None
                          else time.monotonic() + task.policy.timeout)
+
+    @staticmethod
+    def _send_quietly(slot: _WorkerSlot, message) -> None:
+        """Send a message a dead worker may miss: its death is handled
+        where the pump sees its sentinel."""
+        try:
+            slot.conn.send(message)
+        except (BrokenPipeError, OSError):
+            pass
 
     def _pump(self, satisfied) -> None:
         """Run the event loop until ``satisfied()`` — the only wait point."""
@@ -617,10 +730,7 @@ class WorkerPool:
             if slot.abandoned:
                 slot.process.kill()
                 continue
-            try:
-                slot.conn.send(("stop",))
-            except (BrokenPipeError, OSError):
-                pass
+            self._send_quietly(slot, ("stop",))
         deadline = time.monotonic() + timeout
         for slot in self._slots:
             slot.process.join(max(0.0, deadline - time.monotonic()))

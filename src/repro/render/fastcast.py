@@ -77,7 +77,7 @@ from repro.render.raycast import (
     render_rgba_volume,
     render_volume,
 )
-from repro.render.shading import phong_shade
+from repro.render.shading import check_shading_shape, phong_shade
 from repro.segmentation.octree import OctreeMask
 from repro.transfer.tf1d import TransferFunction1D
 from repro.volume.grid import Volume
@@ -276,9 +276,7 @@ class _GradientSlices:
     """
 
     def __init__(self, field: np.ndarray, block: int):
-        if min(field.shape) < 2:
-            raise ValueError("shading needs a gradient, which needs every axis "
-                             f"at least 2 voxels long; got shape {field.shape}")
+        check_shading_shape(field.shape)
         self.field = field
         self.block = block
         self.grad = np.zeros(field.shape + (3,), dtype=np.float32)

@@ -25,7 +25,7 @@ from scipy import ndimage
 from repro.obs import get_metrics
 from repro.render.camera import Camera
 from repro.render.image import Image
-from repro.render.shading import phong_shade
+from repro.render.shading import check_shading_shape, phong_shade
 from repro.transfer.tf1d import TransferFunction1D
 from repro.volume.grid import Volume
 
@@ -165,6 +165,7 @@ def render_volume(
     n_pixels = camera.height * camera.width
 
     if shading:
+        check_shading_shape(data.shape)
         grad_stack = np.ascontiguousarray(
             np.stack(np.gradient(data.astype(np.float32, copy=False)), axis=-1)
         )
@@ -226,6 +227,7 @@ def render_rgba_volume(
         field = np.asarray(shading_field, dtype=np.float32)
         if field.shape != shape3:
             raise ValueError("shading_field shape must match the RGBA volume grid")
+        check_shading_shape(shape3)
         grad_stack = np.ascontiguousarray(np.stack(np.gradient(field), axis=-1))
         forward, _, _ = camera.basis()
         to_viewer = (-forward).astype(np.float32)

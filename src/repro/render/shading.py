@@ -12,6 +12,18 @@ from __future__ import annotations
 import numpy as np
 
 
+def check_shading_shape(shape) -> None:
+    """Raise ``ValueError`` unless a field of ``shape`` can be shaded.
+
+    Shading lights samples along the field's gradient, and a gradient
+    needs every axis at least 2 voxels long.  Both casters, ``repro
+    render``, a run's render stage and serve's render apply this check.
+    """
+    if min(shape) < 2:
+        raise ValueError("shading needs a gradient, which needs every axis "
+                         f"at least 2 voxels long; got shape {tuple(shape)}")
+
+
 def phong_shade(
     colors: np.ndarray,
     gradients: np.ndarray,

@@ -268,6 +268,7 @@ class FollowRunner(PipelineRunner):
     # Per-step ingestion (the incremental memoized walk)
     # ------------------------------------------------------------------ #
     def _ingest_volume(self, volume) -> None:
+        self._check_shading(volume.shape)
         step_time = int(volume.time)
         voxels, digest = volume_digest(volume)
         known = self._digest_of.get(step_time)

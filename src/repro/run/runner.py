@@ -37,6 +37,18 @@ The wave is the whole skip rule.  A stage wave checks every step before
 running any, so tasks sharing one key (the static box TF) each run once
 per step.
 
+On a pool, a run's inputs reach its workers through the pool's
+broadcast registry.  Before the first submit the run registers the
+built IATF and, on a pool it opened itself, each step's volume (keyed by
+the volume digest it already computed, folded with the step's time and
+name); every classify, TF and render payload carries their refs.  That
+pool's workers fork after the registration, so they start with every
+volume and nothing of it crosses a pipe.  A resident pool's workers
+(the serve daemon's) forked earlier: there the volumes ride the
+payloads and the IATF crosses each pipe once.  The run releases its
+registrations when it ends.  With one worker, payloads hold the objects
+themselves.
+
 Crash semantics: with one worker each task runs in the parent through
 :func:`repro.parallel.executor.map_timesteps` under a run-global task
 number (``fault_index_offset``), so ``REPRO_FAULT_INJECT="N:crash"``
@@ -67,6 +79,7 @@ from repro.parallel.faults import as_injector
 from repro.parallel.pool import WorkerPool
 from repro.render.camera import Camera
 from repro.render.image import Image
+from repro.render.shading import check_shading_shape
 from repro.run.config import ConfigError, RunConfig
 from repro.run.manifest import (
     STATUS_COMPLETE,
@@ -143,9 +156,8 @@ def _box_band(params: dict, domain) -> tuple[float, float]:
 
 def _task_tf_step(payload):
     """Per-step transfer function (static box or IATF-generated)."""
-    kind, params, domain, iatf_dict, volume = payload
+    kind, params, domain, iatf, volume = payload
     if kind == "iatf":
-        iatf = AdaptiveTransferFunction.from_dict(iatf_dict)
         return iatf.generate(volume).to_dict()
     lo, hi = _box_band(params, domain)
     return TransferFunction1D(domain).add_box(lo, hi, params["opacity"]).to_dict()
@@ -228,6 +240,7 @@ class PipelineRunner:
         self._executed = 0
         self._skipped = 0
         self._futures: list = []
+        self._refs: dict = {}  # id(registered object) -> its BroadcastRef
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -318,13 +331,18 @@ class PipelineRunner:
                 # the same workers — one spawn cost per run.  An external
                 # pool (the serve daemon's) is reused as-is.
                 self._pool = self._external_pool or WorkerPool(workers=self.exec_workers)
+                self._register(sequence, digests)
             with self._metrics.span("run.total", stages=len(config.stages),
                                     workers=self.exec_workers):
                 self._walk(sequence, digests, voxels)
         finally:
-            if self._pool is not None and self._pool is not self._external_pool:
+            if self._pool is not None and self._pool is self._external_pool:
+                # A failed walk may leave tasks queued on the resident pool.
+                self._pool.cancel(self._futures)
+                self._pool.release(self._refs.values())
+            elif self._pool is not None:
                 self._pool.close()
-            self._pool = None
+            self._pool, self._refs, self._futures = None, {}, []
         self._complete_manifest()
         self._write_stats()
         return RunReport(
@@ -335,6 +353,22 @@ class PipelineRunner:
             skipped=self._skipped,
             artifacts=len(self.store.keys()),
         )
+
+    def _register(self, sequence, digests) -> None:
+        """Register the built IATF with the pool before the first submit,
+        and every step's volume when the run opened the pool: its workers
+        fork on that submit, so they start with them."""
+        if self._external_pool is None:
+            for vol, digest in zip(sequence, digests):
+                key = derive_key("volume", digest, vol.time, vol.name)
+                self._refs[id(vol)] = self._pool.broadcast(vol, key=key)
+        if self._iatf is not None:
+            self._refs[id(self._iatf)] = self._pool.broadcast(self._iatf)
+
+    def _shipped(self, obj):
+        """``obj`` as a task payload carries it: its broadcast ref when the
+        run registered it with the pool, else the object itself."""
+        return self._refs.get(id(obj), obj)
 
     def _walk(self, sequence, digests, voxels) -> None:
         """Config stage order, draining only where a stage needs every
@@ -500,12 +534,12 @@ class PipelineRunner:
                 raise RunError(f"track seed voxel {voxel} outside the grid "
                                f"{list(sequence.shape)}")
         self._domain = domain
-        self._iatf_text = self._iatf_dict = None
+        self._iatf_text = self._iatf = None
         if "tfs" in stages and config.tfs["kind"] == "iatf":
             try:
                 self._iatf_text = Path(config.tfs["iatf"]).read_text()
-                self._iatf_dict = json.loads(self._iatf_text)
-            except (OSError, ValueError) as exc:
+                self._iatf = AdaptiveTransferFunction.from_dict(json.loads(self._iatf_text))
+            except (OSError, ValueError, KeyError, TypeError) as exc:
                 raise RunError(f"cannot read IATF {config.tfs['iatf']}: {exc}") from None
         elif "tfs" in stages:
             lo, hi = _box_band(config.tfs, domain)
@@ -514,11 +548,21 @@ class PipelineRunner:
                                f"domain {list(domain)}")
         if "render" in stages:
             params = config.render
+            if sequence is not None:
+                self._check_shading(sequence.shape)
             self._camera = Camera(azimuth=params["azimuth"],
                                   elevation=params["elevation"],
                                   width=params["size"], height=params["size"])
             self._renderer = ("exact" if params["mode"] == "exact"
                               else f"fast:{sorted(params['fast_options'].items())!r}")
+
+    def _check_shading(self, shape) -> None:
+        """A shaded render needs a gradient: every axis at least 2 voxels."""
+        if "render" in self.config.stages and self.config.render["shading"]:
+            try:
+                check_shading_shape(shape)
+            except ValueError as exc:
+                raise RunError(f"render: {exc}") from None
 
     def _tf_domain(self, sequence) -> tuple[float, float]:
         """TF domain: the config's pinned ``tfs.domain`` when set, else the
@@ -578,7 +622,7 @@ class PipelineRunner:
         for the classify tasks.  ``load(t)`` returns the volume of step ``t``."""
         options = {k: v for k, v in self._train_params().items()
                    if k != "train_steps"}
-        volumes = [load(t) for t in self._train_times(times)]
+        volumes = [self._shipped(load(t)) for t in self._train_times(times)]
         task = _Task("classify", (("train", self._train_key(times, digests)),),
                      "json", _task_train_classifier, (volumes, options))
         self._wave([task])
@@ -589,7 +633,8 @@ class PipelineRunner:
         train_key, artifact = trained
         key = self._classify_key(train_key, digest)
         return _Task("classify", ((_label(volume.time), key),), "array",
-                     _task_classify_step, (artifact, self.config.classify, volume))
+                     _task_classify_step,
+                     (artifact, self.config.classify, self._shipped(volume)))
 
     def _tf_task(self, volume, digest: str, voxels: str) -> _Task:
         """The step's TF task; with render staged, its continuation is the
@@ -599,7 +644,8 @@ class PipelineRunner:
                 if "render" in self.config.stages else None)
         return _Task("tfs", ((_label(volume.time), self._tf_key(digest)),), "json",
                      _task_tf_step, (params["kind"], params, self._domain,
-                                     self._iatf_dict, volume), then)
+                                     self._shipped(self._iatf), self._shipped(volume)),
+                     then)
 
     def _render_task(self, volume, voxels: str, tf_dict: dict) -> _Task:
         """``voxels`` is the step's voxel digest (:func:`volume_digest`)."""
@@ -610,7 +656,8 @@ class PipelineRunner:
                            self._camera, params["step"], params["shading"],
                            self._renderer)
         return _Task("render", ((_label(volume.time), key),), "array",
-                     _task_render_step, (volume, tf_dict, self._camera, params))
+                     _task_render_step,
+                     (self._shipped(volume), tf_dict, self._camera, params))
 
     def _track_task(self, times, digests, fn, payload) -> _Task:
         """The one track task: a key per step; it skips only when every

@@ -42,6 +42,7 @@ from repro.parallel.bricking import content_digest
 from repro.render.camera import Camera
 from repro.render.fastcast import check_ert_alpha
 from repro.render.raycast import ALPHA_CUTOFF
+from repro.render.shading import check_shading_shape
 from repro.run import ConfigError, PipelineRunner, RunConfig, RunError
 from repro.serve.errors import BadRequest, NotFound
 from repro.transfer.tf1d import TransferFunction1D
@@ -395,6 +396,11 @@ def compute_render(state: ServeState, params: dict) -> dict:
     elif params["tiles"] is not None or params["ert_alpha"] is not None:
         raise BadRequest("'tiles'/'ert_alpha' tune the fast path; set fast=true")
     sequence = state.sequence(params["sequence"])
+    if params["shading"]:
+        try:
+            check_shading_shape(sequence.shape)
+        except ValueError as exc:
+            raise BadRequest(f"parameter 'shading': {exc}") from None
     domain = sequence.value_range
     camera = Camera(azimuth=params["azimuth"], elevation=params["elevation"],
                     width=params["size"], height=params["size"])

@@ -10,6 +10,7 @@ the skip machinery itself: every octree-enumerated skip region is probed
 with fresh samples that must all carry zero opacity.
 """
 
+import re
 import warnings
 import zlib
 
@@ -283,16 +284,18 @@ class TestGradientSlices:
     @pytest.mark.parametrize("shape", [(1, 6, 6), (6, 1, 6), (6, 6, 1)])
     def test_axis_shorter_than_two_cannot_shade(self, shape, rng):
         """Shading needs a gradient, which needs every axis >= 2 voxels:
-        both casters raise ``ValueError``; unshaded, both render alike."""
+        both casters raise one shared ``ValueError``; unshaded, both
+        render alike."""
         data = rng.random(shape).astype(np.float32)
         tf = TransferFunction1D((0.0, 1.0)).add_box(0.3, 1.0, 0.6)
         rgba = tf.apply(data)
         cam = Camera(width=10, height=10)
+        message = f"shading needs a gradient.*got shape {re.escape(str(shape))}"
         for caster in (render_volume, render_volume_fast):
-            with pytest.raises(ValueError, match="gradient"):
+            with pytest.raises(ValueError, match=message):
                 caster(data, tf, camera=cam)
         for caster in (render_rgba_volume, render_rgba_volume_fast):
-            with pytest.raises(ValueError, match="gradient"):
+            with pytest.raises(ValueError, match=message):
                 caster(rgba, camera=cam, shading_field=data)
         ref = render_volume(data, tf, camera=cam, shading=False)
         fast = render_volume_fast(data, tf, camera=cam, shading=False)
@@ -714,6 +717,25 @@ class TestCliFastPath:
         with pytest.raises(SystemExit, match="--fast"):
             main(["render", str(seqdir), "--out", str(tmp_path / "x"),
                   "--tiles", "8"])
+
+    @pytest.mark.parametrize("fast", [[], ["--fast"]], ids=["exact", "fast"])
+    def test_thin_axis_shaded_render_exits_with_one_line(self, tmp_path, fast):
+        """A volume with an axis shorter than 2 cannot be shaded: exit 1
+        with one line before any frame renders; unshaded it renders."""
+        from repro.cli import main
+        seq = tmp_path / "thin"
+        assert main(["generate", "argon", str(seq), "--shape", "1", "16", "16",
+                     "--times", "195"]) == 0
+        out = tmp_path / "frames"
+        with pytest.raises(SystemExit) as err:
+            main(["render", str(seq), "--out", str(out), "--size", "8"] + fast)
+        assert isinstance(err.value.code, str)
+        assert err.value.code.startswith("shading needs a gradient")
+        assert "\n" not in err.value.code
+        assert not out.exists()
+        assert main(["render", str(seq), "--out", str(out), "--size", "8",
+                     "--no-shading"] + fast) == 0
+        assert len(list(out.glob("frame_*.ppm"))) == 1
 
     def test_cache_composes_with_workers(self, seqdir, tmp_path):
         """--cache DIR rides the shared on-disk store, so fanning out is

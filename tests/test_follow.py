@@ -31,6 +31,7 @@ from repro.data import make_argon_sequence
 from repro.parallel.faults import FAULT_ENV
 from repro.parallel.streaming import SequenceWatcher, step_ready
 from repro.run import (
+    ArtifactStore,
     FollowRunner,
     PipelineRunner,
     RunConfig,
@@ -407,6 +408,18 @@ def test_follow_requires_pinned_tf_domain(workload, tmp_path):
     runner = FollowRunner.create(RunConfig.from_dict(loose), tmp_path / "run")
     with pytest.raises(RunError, match="tfs.domain"):
         runner.follow(root / "argon")
+
+
+def test_follow_rejects_thin_axis_shaded_render(tmp_path):
+    """A shaded render needs every axis at least 2 voxels long: the first
+    step to arrive fails the follow with a RunError, before its tasks."""
+    sequence = make_argon_sequence(shape=(1, 12, 12), times=[195, 210])
+    lo, hi = (float(v) for v in sequence.value_range)
+    config = {"sequence": str(tmp_path / "live"), "stages": ["tfs", "render"],
+              "tfs": {"domain": [lo, hi]}, "render": {"size": 8}}
+    with pytest.raises(RunError, match="shading needs a gradient"):
+        follow_sequence(iter(list(sequence)), config, tmp_path / "run")
+    assert ArtifactStore(tmp_path / "run" / "store").keys() == []
 
 
 def test_follow_rejects_parallel_scheduling(workload, tmp_path):

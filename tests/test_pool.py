@@ -2,12 +2,14 @@
 
 Covers the acceptance checklist for the resident-pool runtime: lazy
 spawn and reuse across maps (no respawn churn), futures with
-done-callback chaining, digest-keyed broadcast shipped to each worker
-at most once, SIGKILL crash detection + respawn flowing through the
-ordinary retry policy (on a caller's pool and on the pool a map opens
-for itself), injected faults / skip mode / timeouts matching in-process
-semantics, a passed pool running the map whatever ``workers`` says, and
-lifecycle (close, context manager, closed-pool errors).
+done-callback chaining, the broadcast registry (inherited at fork,
+otherwise shipped to each worker at most once, released per key, a
+snapshot of the object at registration), SIGKILL
+crash detection + respawn flowing through the ordinary retry policy (on
+a caller's pool and on the pool a map opens for itself), injected
+faults / skip mode / timeouts matching in-process semantics, a passed
+pool running the map whatever ``workers`` says, and lifecycle (close,
+context manager, closed-pool errors).
 """
 
 import os
@@ -21,7 +23,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.pipeline import classify_sequence
+from repro.core.pipeline import classify_sequence, render_sequence
 from repro.obs import get_metrics
 from repro.parallel import (
     BroadcastRef,
@@ -33,6 +35,8 @@ from repro.parallel import (
     map_timesteps,
 )
 from repro.parallel.pool import resolve_broadcasts
+from repro.render.camera import Camera
+from repro.transfer.tf1d import TransferFunction1D
 from repro.volume.grid import Volume, VolumeSequence
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
@@ -69,6 +73,11 @@ class PidClassifier:
 def use_ref(payload):
     obj, x = payload
     return (obj["scale"] * x, os.getpid())
+
+
+def ledgers(pool):
+    """What each worker holds, as the parent's per-worker ledger records it."""
+    return [set(slot.held) for slot in pool._slots]
 
 
 def crash_once(path):
@@ -208,6 +217,9 @@ class TestBroadcast:
         assert [v for v, _pid in out.results] == [10, 20, 30]
 
     def test_blob_ships_once_per_worker(self, pool):
+        # Workers forked after a broadcast inherit it; these fork first,
+        # so the blob must cross each pipe.
+        pool.prespawn()
         metrics = get_metrics()
         metrics.reset("pool.broadcast.")
         ref = pool.broadcast({"scale": 2})
@@ -227,6 +239,95 @@ class TestBroadcast:
         registry = {"d": 42}
         payload = {"a": [BroadcastRef("d"), 1], "b": (BroadcastRef("d"),)}
         assert resolve_broadcasts(payload, registry) == {"a": [42, 1], "b": (42,)}
+
+
+class TestBroadcastRegistry:
+    def test_registered_before_first_dispatch_resolves_with_zero_sends(self, pool):
+        get_metrics().reset("pool.broadcast.")
+        ref = pool.broadcast({"scale": 5})
+        out = map_timesteps(use_ref, [(ref, i) for i in range(6)], pool=pool)
+        assert [v for v, _pid in out.results] == [5 * i for i in range(6)]
+        assert pool.spawned == 2
+        assert get_metrics().counter_values("pool.broadcast.") == {}
+
+    def test_release_ends_the_registration_everywhere(self, pool):
+        inherited = pool.broadcast({"scale": 2})
+        map_timesteps(use_ref, [(inherited, i) for i in range(4)], pool=pool)
+        shipped = pool.broadcast({"scale": 3})
+        map_timesteps(use_ref, [(shipped, i) for i in range(4)], pool=pool)
+        assert all(inherited.digest in held for held in ledgers(pool))
+        assert any(shipped.digest in held for held in ledgers(pool))
+        pool.release([inherited, shipped])
+        assert pool._broadcasts == {}
+        assert ledgers(pool) == [set(), set()]
+        for ref in (inherited, shipped):
+            with pytest.raises(PoolError, match="unknown broadcast"):
+                pool.submit(use_ref, (ref, 1))
+        with pytest.raises(PoolError, match="not registered"):
+            pool.release([shipped])
+        assert map_timesteps(square, [3, 4], pool=pool).results == [9, 16]
+
+    def test_key_registered_twice_survives_first_release(self, pool):
+        ref = pool.broadcast({"scale": 4})
+        assert pool.broadcast({"scale": 4}) == ref
+        pool.release([ref])
+        assert pool.submit(use_ref, (ref, 2)).result()[0] == 8
+        pool.release([ref])
+        with pytest.raises(PoolError, match="unknown broadcast"):
+            pool.submit(use_ref, (ref, 2))
+
+    def test_releasing_a_ref_a_pending_task_holds_raises(self):
+        with WorkerPool(workers=1) as p:
+            ref = p.broadcast(0.3)
+            running = p.submit(nap, ref)
+            queued = p.submit(nap, ref)
+            with pytest.raises(PoolError, match="pending task"):
+                p.release([ref])
+            p.wait([running, queued])
+            p.release([ref])
+            assert p._broadcasts == {}
+
+    def test_keyed_broadcast_is_inherited_and_needs_unforked_workers(self, pool):
+        """A caller-keyed object is never pickled: workers forked after it
+        start with it, and once workers run a keyed broadcast is refused."""
+        get_metrics().reset("pool.broadcast.")
+        ref = pool.broadcast({"scale": 7}, key="scale-7")
+        out = map_timesteps(use_ref, [(ref, i) for i in range(4)], pool=pool)
+        assert [v for v, _pid in out.results] == [7 * i for i in range(4)]
+        assert get_metrics().counter_values("pool.broadcast.") == {}
+        with pytest.raises(PoolError, match="keyed broadcast"):
+            pool.broadcast({"scale": 8}, key="scale-8")
+        pool.release([ref])
+        assert pool._broadcasts == {} and ledgers(pool) == [set(), set()]
+
+    def test_maps_release_their_broadcasts(self, pool):
+        """Renders at distinct views (one camera each) and a classify map
+        leave the registry and every worker ledger as they found them."""
+        kept = pool.broadcast({"scale": 1})
+        seq = VolumeSequence([Volume(np.random.default_rng(t).random((4, 5, 6),
+                                                                    dtype=np.float32),
+                                     time=t) for t in range(2)])
+        tf = TransferFunction1D((0.0, 1.0)).add_box(0.5, 1.0, 0.8)
+        map_timesteps(use_ref, [(kept, i) for i in range(4)], pool=pool)
+        before = (dict(pool._broadcasts), ledgers(pool))
+        for azimuth in (0.0, 30.0, 60.0, 90.0):
+            render_sequence(seq, tf, camera=Camera(azimuth=azimuth, width=8, height=8),
+                            pool=pool)
+        classify_sequence(PidClassifier(), seq, pool=pool)
+        assert (dict(pool._broadcasts), ledgers(pool)) == before
+
+    def test_mutation_after_registration_is_invisible(self, pool):
+        """A worker sees a broadcast as it was at registration, whether it
+        inherited the registration at fork or received it later."""
+        scale = {"scale": 2}
+        ref = pool.broadcast(scale)
+        scale["scale"] = 99
+        assert pool.submit(use_ref, (ref, 1)).result()[0] == 2
+        late = {"scale": 3}
+        late_ref = pool.broadcast(late)
+        late["scale"] = 99
+        out = map_timesteps(use_ref, [(late_ref, 1)] * 4, pool=pool)
+        assert [v for v, _pid in out.results] == [3] * 4
 
 
 class TestCrashRespawn:

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from repro.cache import SharedArrayCache
-from repro.core.pipeline import render_sequence
+from repro.core.iatf import AdaptiveTransferFunction
+from repro.core.pipeline import render_sequence, volume_digest
 from repro.data import make_argon_sequence
 from repro.obs import get_metrics
 from repro.parallel import WorkerPool, bricking
 from repro.render.camera import Camera
-from repro.run import ArtifactStore, PipelineRunner, RunConfig, RunError
+from repro.run import ArtifactStore, PipelineRunner, RunConfig, RunError, derive_key
+from repro.run import runner as runner_module
 from repro.run.runner import _task_render_step, _task_tf_step
 from repro.serve.handlers import ServeState, compute_render, normalize
 from repro.transfer.tf1d import TransferFunction1D
@@ -236,6 +238,35 @@ class TestFullDag:
             runner.run()
         assert runner.store.keys() == []
 
+    def test_malformed_iatf_rejected_before_any_task(self, seqdir, tmp_path):
+        """The run builds its IATF once, while resolving, so a file that is
+        JSON but not an IATF is a RunError before any task."""
+        bad = tmp_path / "bad.json"
+        bad.write_text("{}")
+        config = fast_config(seqdir, tfs={"kind": "iatf", "iatf": str(bad)})
+        runner = PipelineRunner.create(config, tmp_path / "run")
+        with pytest.raises(RunError, match="cannot read IATF"):
+            runner.run()
+        assert runner.store.keys() == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_thin_axis_shaded_render_rejected_before_any_task(self, tmp_path, workers):
+        """A shaded render of a volume with an axis shorter than 2 is a
+        RunError from the resolve step, before any manifest or task; an
+        unshaded render of it runs."""
+        seq = tmp_path / "thin"
+        save_sequence(make_argon_sequence(shape=(1, 16, 16), times=[195, 210]), seq)
+        runner = PipelineRunner.create(fast_config(seq), tmp_path / "run",
+                                       workers=workers)
+        with pytest.raises(RunError, match="shading needs a gradient"):
+            runner.run()
+        assert not (tmp_path / "run" / "manifest.json").exists()
+        assert runner.store.keys() == []
+        unshaded = fast_config(seq, render={"size": 8, "shading": False})
+        report = PipelineRunner.create(unshaded, tmp_path / "flat",
+                                       workers=workers).run()
+        assert (report.executed, report.skipped) == (4, 0)
+
 
 class TestTrackOracle:
     """The run's stored track masks equal the ``grow_4d`` oracle over the
@@ -379,6 +410,126 @@ def test_render_chains_off_its_tf_on_a_pool(seqdir, tmp_path):
     assert (report.executed, report.skipped) == (6, 0)
     assert len(tf_futures) == 3 and len(pending_at_render) == 3
     assert pending_at_render[0] >= 1
+
+
+# --------------------------------------------------------------------- #
+# Inputs ride the pool's broadcast registry
+# --------------------------------------------------------------------- #
+@pytest.fixture(scope="module")
+def iatf_config(seqdir, tmp_path_factory):
+    """A tfs+render config whose TFs come from a small trained IATF."""
+    sequence = load_sequence(seqdir)
+    domain = sequence.value_range
+    iatf = AdaptiveTransferFunction(domain, (195, 225), seed=3, committee=2)
+    for t in (195, 225):
+        vol = sequence.at_time(t)
+        lo, hi = np.percentile(vol.data[vol.mask("ring")], [2.0, 98.0])
+        iatf.add_key_frame(vol, TransferFunction1D(domain).add_tent(
+            (lo + hi) / 2, (hi - lo) * 2.5, 1.0))
+    iatf.train(epochs=20)
+    path = tmp_path_factory.mktemp("iatf") / "iatf.json"
+    path.write_text(json.dumps(iatf.to_dict()))
+    return fast_config(seqdir, tfs={"kind": "iatf", "iatf": str(path)})
+
+
+@pytest.fixture(scope="module")
+def iatf_reference(iatf_config, tmp_path_factory):
+    run_dir = tmp_path_factory.mktemp("iatf_ref") / "run"
+    PipelineRunner.create(iatf_config, run_dir).run()
+    return _run_bytes(run_dir)
+
+
+def _holds_array(obj, depth: int = 0) -> bool:
+    """Whether an ndarray is reachable from a task payload."""
+    if isinstance(obj, np.ndarray):
+        return True
+    if depth > 4 or isinstance(obj, (str, bytes, int, float, type(None))):
+        return False
+    if isinstance(obj, dict):
+        children = obj.values()
+    elif isinstance(obj, (tuple, list)):
+        children = obj
+    elif hasattr(obj, "__dict__") and not callable(obj):
+        children = vars(obj).values()
+    else:
+        return False
+    return any(_holds_array(child, depth + 1) for child in children)
+
+
+def _ledgers(pool):
+    return [set(slot.held) for slot in pool._slots]
+
+
+class TestBroadcastInputs:
+    def test_own_pool_inherits_every_input(self, iatf_config, iatf_reference,
+                                           tmp_path, monkeypatch):
+        """The pool a run opens forks its workers after the run registers
+        its volumes and IATF, so nothing is broadcast through a pipe and
+        no payload holds an array; the registered volumes still hash to
+        their keys after the run."""
+        payloads, registered = [], []
+
+        class RecordingPool(WorkerPool):
+            def submit(self, fn, item, **kwargs):
+                payloads.append(item)
+                return super().submit(fn, item, **kwargs)
+
+            def broadcast(self, obj, key=None):
+                registered.append((obj, key))
+                return super().broadcast(obj, key=key)
+
+        monkeypatch.setattr(runner_module, "WorkerPool", RecordingPool)
+        get_metrics().reset("pool.broadcast.")
+        report = PipelineRunner.create(iatf_config, tmp_path / "run", workers=2).run()
+        assert (report.executed, report.skipped) == (6, 0)
+        assert len(payloads) == 6
+        assert not any(_holds_array(item) for item in payloads)
+        assert get_metrics().counter_values("pool.broadcast.") == {}
+        volumes = [(obj, key) for obj, key in registered if key is not None]
+        assert len(volumes) == 3 and len(registered) == 4
+        for vol, key in volumes:
+            assert key == derive_key("volume", volume_digest(vol).volume,
+                                     vol.time, vol.name)
+        assert _run_bytes(tmp_path / "run") == iatf_reference
+
+    def test_resident_pool_run_releases_its_iatf(self, iatf_config, iatf_reference,
+                                                  tmp_path):
+        """A resident pool's workers forked before the run: its volumes
+        ride the payloads, only the IATF is registered, it crosses each
+        pipe at most once, and the run leaves the registry and ledgers
+        as it found them."""
+        pool = WorkerPool(workers=2)
+        pool.prespawn()
+        kept = pool.broadcast({"resident": True})
+        before = (dict(pool._broadcasts), _ledgers(pool))
+        get_metrics().reset("pool.broadcast.")
+        try:
+            report = PipelineRunner.create(iatf_config, tmp_path / "run",
+                                           workers=2, pool=pool).run()
+            after = (dict(pool._broadcasts), _ledgers(pool))
+        finally:
+            pool.close()
+        assert (report.executed, report.skipped) == (6, 0)
+        assert after == before and kept.digest in pool._broadcasts
+        assert 1 <= get_metrics().counter_values("pool.broadcast.")[
+            "pool.broadcast.sends"] <= 2
+        assert _run_bytes(tmp_path / "run") == iatf_reference
+
+    def test_one_worker_run_builds_the_iatf_once(self, iatf_config, iatf_reference,
+                                                 tmp_path, monkeypatch):
+        from_dict = AdaptiveTransferFunction.from_dict
+        calls = []
+
+        def counting_from_dict(payload):
+            calls.append(1)
+            return from_dict(payload)
+
+        monkeypatch.setattr(AdaptiveTransferFunction, "from_dict",
+                            staticmethod(counting_from_dict))
+        report = PipelineRunner.create(iatf_config, tmp_path / "run").run()
+        assert (report.executed, report.skipped) == (6, 0)
+        assert len(calls) == 1
+        assert _run_bytes(tmp_path / "run") == iatf_reference
 
 
 class TestCrashGuards:

@@ -469,6 +469,18 @@ class TestValidation:
         assert f"'{field}'" in str(info.value)
         assert "Traceback" not in str(info.value)
 
+    def test_thin_axis_shaded_render_is_400_naming_shading(self, client, serve_root):
+        """A volume with an axis shorter than 2 cannot be shaded: 400
+        naming ``shading`` before any frame renders; unshaded it renders."""
+        save_sequence(make_argon_sequence(shape=(1, 16, 16), times=[195]),
+                      serve_root / "thin")
+        with pytest.raises(ServeHTTPError) as info:
+            client.render(sequence="thin", size=8)
+        assert info.value.status == 400
+        assert "'shading'" in str(info.value)
+        assert "Traceback" not in str(info.value)
+        assert len(client.render(sequence="thin", size=8, shading=False)["frames"]) == 1
+
     def test_int_and_float_numbers_are_one_request(self, client):
         a = client.render(**RENDER_PARAMS, azimuth=30, opacity=1)
         b = client.render(**RENDER_PARAMS, azimuth=30.0, opacity=1.0)
