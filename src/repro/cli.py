@@ -116,6 +116,20 @@ def _mask_band(volume, mask_name: str, pad: float = 0.02):
 # --------------------------------------------------------------------- #
 # Subcommand implementations
 # --------------------------------------------------------------------- #
+def _load_iatf(path) -> AdaptiveTransferFunction:
+    """Read an IATF json file (``train-iatf``'s output) for the CLI.
+
+    A file that is missing, is not JSON, or is JSON but not an IATF exits
+    1 with one line naming it.
+    """
+    try:
+        return AdaptiveTransferFunction.from_dict(json.loads(Path(path).read_text()))
+    except KeyError as exc:
+        raise SystemExit(f"cannot read IATF {path}: missing field {exc}") from None
+    except (OSError, ValueError, TypeError, IndexError) as exc:
+        raise SystemExit(f"cannot read IATF {path}: {exc}") from None
+
+
 def cmd_generate(args) -> int:
     """Build a synthetic dataset and save it as a sequence directory."""
     maker = _GENERATORS[args.dataset]
@@ -175,8 +189,8 @@ def cmd_train_iatf(args) -> int:
 
 def cmd_apply_iatf(args) -> int:
     """Regenerate per-step TFs from a saved IATF; report retention."""
+    iatf = _load_iatf(args.iatf)
     sequence = load_sequence(args.seqdir)
-    iatf = AdaptiveTransferFunction.from_dict(json.loads(Path(args.iatf).read_text()))
     tfs = generate_sequence_tfs(iatf, sequence, workers=args.workers,
                                 retry=args.retries, on_error=args.on_error)
     print(f"{'step':>6} {'max opacity':>12}" + (f" {'retention':>10}" if args.mask else ""))
@@ -249,7 +263,7 @@ def cmd_render(args) -> int:
     camera = Camera(azimuth=args.azimuth, elevation=args.elevation,
                     width=args.size, height=args.size)
     if args.iatf:
-        iatf = AdaptiveTransferFunction.from_dict(json.loads(Path(args.iatf).read_text()))
+        iatf = _load_iatf(args.iatf)
         tf_for = lambda vol: iatf.generate(vol)  # noqa: E731
     else:
         lo = args.box[0] if args.box else domain[0] + 0.3 * (domain[1] - domain[0])
@@ -310,8 +324,7 @@ def cmd_track(args) -> int:
                                  matcher=matcher)
         iatf = lo = hi = None
         if args.iatf:
-            iatf = AdaptiveTransferFunction.from_dict(
-                json.loads(Path(args.iatf).read_text()))
+            iatf = _load_iatf(args.iatf)
         else:
             lo, hi = args.range
         if args.streaming:

@@ -43,6 +43,7 @@ from scipy import ndimage
 
 from repro.core.iatf import AdaptiveTransferFunction
 from repro.obs import get_metrics
+from repro.parallel.bricking import stack_digest
 from repro.segmentation.components import label_components
 from repro.segmentation.events import TrackEvent, detect_events, merge_match_events
 from repro.segmentation.fastgrow import grow_bricked
@@ -69,8 +70,9 @@ class TrackResult:
 
     Per-step masks are held bit-packed (one byte per 8 voxels), so the
     result of a long run costs T/8 "timesteps" of memory instead of T;
-    masks, events and component counts are recomputed from the packed
-    store on demand, touching at most two unpacked steps at a time.
+    masks are unpacked on demand, and events and component counts come
+    from one lazy labeling pass that touches at most two unpacked steps
+    at a time.
 
     Attributes
     ----------
@@ -92,6 +94,7 @@ class TrackResult:
         self._packed = packed_masks
         self._voxel_counts = [int(c) for c in voxel_counts]
         self._events: list[TrackEvent] | None = None
+        self._component_counts: list[int] = []
         self.match_events = list(match_events or [])
 
     def step_mask(self, index: int) -> np.ndarray:
@@ -111,6 +114,12 @@ class TrackResult:
         """
         return np.stack([self.step_mask(i) for i in range(len(self.times))], axis=0)
 
+    def masks_digest(self) -> str:
+        """``content_digest(self.masks)``, hashed one unpacked step at a
+        time instead of over the O(T · volume) stack."""
+        return stack_digest((len(self.times), *self.shape), np.bool_,
+                            (self.step_mask(i) for i in range(len(self.times))))
+
     @property
     def voxel_counts(self) -> list[int]:
         """Tracked voxels per step — drops to 0 when tracking loses the
@@ -122,29 +131,41 @@ class TrackResult:
         """Continuation/split/merge/birth/death timeline of the tracked
         feature, in canonical ``(time, component-id)`` order.
 
-        Computed lazily and pairwise, so only two steps are ever unpacked
-        at once.  When the tracker's descriptor fallback fired, its
+        When the tracker's descriptor fallback fired, its
         ``lost``/``reacquired`` lineage events are folded in, superseding
         the spurious death/birth the overlap timeline would otherwise
         report at the gap.
         """
-        if self._events is None:
-            events: list[TrackEvent] = []
-            prev_labels = None
-            for i, time in enumerate(self.times):
-                labels = label_components(self.step_mask(i))[0]
-                if prev_labels is not None:
-                    events.extend(detect_events(prev_labels, labels,
-                                                time_a=self.times[i - 1],
-                                                time_b=time))
-                prev_labels = labels
-            self._events = merge_match_events(events, self.match_events)
+        self._label_steps()
         return self._events
 
     def component_counts(self) -> list[int]:
         """Connected-component count per step (2 after the Fig. 9 split)."""
-        return [label_components(self.step_mask(i))[1]
-                for i in range(len(self.times))]
+        self._label_steps()
+        return list(self._component_counts)
+
+    def _label_steps(self) -> None:
+        """Label every step once, for both the timeline and the counts.
+
+        Runs lazily, on the first read of :attr:`events` or
+        :meth:`component_counts`, and pairwise: only two steps (and their
+        label arrays) are unpacked at once.
+        """
+        if self._events is not None:
+            return
+        events: list[TrackEvent] = []
+        counts: list[int] = []
+        prev_labels = None
+        for i, time in enumerate(self.times):
+            labels, count = label_components(self.step_mask(i))
+            counts.append(count)
+            if prev_labels is not None:
+                events.extend(detect_events(prev_labels, labels,
+                                            time_a=self.times[i - 1],
+                                            time_b=time))
+            prev_labels = labels
+        self._component_counts = counts
+        self._events = merge_match_events(events, self.match_events)
 
 
 class FeatureTracker:

@@ -43,6 +43,21 @@ def content_digest(*arrays) -> str:
     return h.hexdigest()[:32]
 
 
+def stack_digest(shape, dtype, arrays) -> str:
+    """``content_digest(np.stack(arrays))`` without building the stack.
+
+    ``shape`` and ``dtype`` are the stacked array's, and ``arrays`` yields
+    its slices along the first axis in order.  The header
+    :func:`content_digest` writes for the stack is hashed first, then each
+    slice as it arrives, so only one slice is resident at a time.
+    """
+    h = hashlib.sha256()
+    h.update(repr((tuple(int(n) for n in shape), np.dtype(dtype).str)).encode())
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).data)
+    return h.hexdigest()[:32]
+
+
 @dataclass(frozen=True)
 class Brick:
     """One ghost-padded sub-volume.

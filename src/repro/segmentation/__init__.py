@@ -8,13 +8,15 @@ fourth dimension is time"* (Sec. 5).
 
 - :mod:`repro.segmentation.regiongrow` — seeded growth in 3D and 4D under
   arbitrary criterion masks (vectorized frontier propagation).
-- :mod:`repro.segmentation.components` — connected-component labeling and
-  per-feature attributes (volume, centroid, bounding box, mass).
+- :mod:`repro.segmentation.components` — the one connected-component
+  labeler and per-feature attributes (volume, centroid, bounding box,
+  mass).
 - :mod:`repro.segmentation.events` — step-to-step overlap graph classified
   into continuation / split / merge / birth / death events.
-- :mod:`repro.segmentation.fastgrow` — label-and-select labeling and
-  region growing: one dense labeling pass, plus a sparse voxel-graph
-  strategy for near-empty criteria (both exact).
+- :mod:`repro.segmentation.fastgrow` — label-and-select region growing
+  and the two labeling paths behind ``label_components``: one dense
+  labeling pass, plus a sparse voxel-graph strategy for near-empty
+  criteria (both exact).
 """
 
 from repro.segmentation.components import (
@@ -23,13 +25,7 @@ from repro.segmentation.components import (
     label_components,
 )
 from repro.segmentation.events import TrackEvent, detect_events, overlap_graph, track_timeline
-from repro.segmentation.fastgrow import (
-    canonicalize_labels,
-    grow_bricked,
-    grow_sparse,
-    label_bricked,
-    label_sparse,
-)
+from repro.segmentation.fastgrow import grow_bricked, grow_sparse
 from repro.segmentation.lineage import FeatureLineage, FeatureNode
 from repro.segmentation.octree import OctreeMask, encode_tracked_masks
 from repro.segmentation.prediction import PredictionTrackResult, PredictionVerificationTracker
@@ -43,7 +39,6 @@ __all__ = [
     "PredictionTrackResult",
     "PredictionVerificationTracker",
     "TrackEvent",
-    "canonicalize_labels",
     "detect_events",
     "encode_tracked_masks",
     "feature_attributes",
@@ -51,8 +46,6 @@ __all__ = [
     "grow_bricked",
     "grow_region",
     "grow_sparse",
-    "label_bricked",
-    "label_sparse",
     "label_components",
     "overlap_graph",
     "track_timeline",

@@ -6,9 +6,10 @@ summarizes each with the attributes the tracking literature (Reinders et
 al., Silver & Wang — the paper's Refs. [20, 22]) uses for correspondence:
 voxel count, centroid, bounding box, and mass.
 
-Labeling backends mirror :mod:`repro.segmentation.regiongrow`: scipy's
-C implementation for speed, an in-repo BFS built on the frontier grower for
-independent verification.
+:func:`label_components` is the one labeler.  A nearly empty mask (a
+tracked feature fills ~1% of its grid) is labeled through its set-voxel
+graph, whose cost follows the feature; any other mask takes one
+``scipy.ndimage.label`` pass.  Both paths give scipy's labels exactly.
 """
 
 from __future__ import annotations
@@ -16,40 +17,31 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
-from repro.segmentation.regiongrow import _grow_frontier, _structure
+from repro.segmentation.fastgrow import _label_dense, label_sparse
+
+#: :func:`label_components` labels the set-voxel graph when the mask's
+#: fill is at or below this, one dense pass above it.  Measured on
+#: smoothed-noise masks, one CPU (docs/reproduction_notes.md §11): the
+#: two paths cost the same at ~2% fill on 64³ and 128³ grids.  Growing
+#: crosses over later (``fastgrow.SPARSE_FILL_MAX``) because it skips the
+#: numbering.
+LABEL_SPARSE_FILL_MAX = 0.02
 
 
-def label_components(mask, connectivity: int = 1, backend: str = "scipy") -> tuple[np.ndarray, int]:
+def label_components(mask, connectivity: int = 1) -> tuple[np.ndarray, int]:
     """Label connected components of a boolean mask.
 
     Returns ``(labels, count)`` where ``labels`` is int32 with 0 background
-    and components numbered 1…count.  Works in any dimension (the 4D
-    tracking stack included).
+    and components numbered 1…count in raster-scan first-occurrence order,
+    exactly as ``scipy.ndimage.label`` numbers them.  Works in any
+    dimension (the 4D tracking stack included); ``connectivity`` runs from
+    1 (faces) to ``ndim`` (full neighbourhood).
     """
     mask = np.asarray(mask, dtype=bool)
-    if backend == "scipy":
-        structure = _structure(mask.ndim, connectivity)
-        labels, count = ndimage.label(mask, structure=structure)
-        return labels.astype(np.int32), int(count)
-    if backend == "bfs":
-        labels = np.zeros(mask.shape, dtype=np.int32)
-        remaining = mask.copy()
-        count = 0
-        while True:
-            seeds_flat = np.flatnonzero(remaining)
-            if len(seeds_flat) == 0:
-                break
-            seed = np.unravel_index(seeds_flat[0], mask.shape)
-            seed_mask = np.zeros(mask.shape, dtype=bool)
-            seed_mask[seed] = True
-            grown = _grow_frontier(remaining, seed_mask, connectivity)
-            count += 1
-            labels[grown] = count
-            remaining &= ~grown
-        return labels, count
-    raise ValueError(f"unknown backend {backend!r}; expected 'scipy' or 'bfs'")
+    if np.count_nonzero(mask) <= LABEL_SPARSE_FILL_MAX * mask.size:
+        return label_sparse(mask, connectivity)
+    return _label_dense(mask, connectivity)
 
 
 @dataclass(frozen=True)

@@ -24,11 +24,10 @@ Outputs are exact:
 - :func:`grow_bricked` is voxel-identical to
   ``scipy.ndimage.binary_propagation`` (both select the criterion
   components reachable from the seeds);
-- :func:`label_bricked` equals scipy's ``label`` up to label numbering,
-  and is made bit-deterministic by canonicalizing labels to raster-scan
-  first-occurrence order (:func:`canonicalize_labels` maps any labeling
-  onto the same canonical form, which the differential tests use to
-  compare strategies).
+- :func:`label_sparse` equals scipy's ``label`` exactly, numbering
+  included: both number components in raster-scan first-occurrence
+  order.  :func:`repro.segmentation.components.label_components`, the
+  one labeler, picks between it and one dense pass by the mask's fill.
 
 Work inside one step stays in one process: a sequence parallelizes per
 time step (paper Sec. 8), through :mod:`repro.parallel.executor`.
@@ -44,26 +43,6 @@ from scipy.sparse import csgraph
 
 from repro.obs import get_metrics
 from repro.segmentation.regiongrow import _seeds_to_mask, _structure
-
-
-def canonicalize_labels(labels: np.ndarray) -> np.ndarray:
-    """Renumber a labeling to raster-scan first-occurrence order.
-
-    Two labelings of the same mask that agree up to label permutation map
-    to the identical array, which turns "equivalent labelings" into plain
-    ``array_equal`` — the property the differential battery asserts
-    between the strategies and scipy.
-    """
-    labels = np.asarray(labels)
-    flat = labels.ravel()
-    nonzero = flat[flat != 0]
-    if nonzero.size == 0:
-        return labels.astype(np.int32, copy=True)
-    uniq, first_index = np.unique(nonzero, return_index=True)
-    order = np.argsort(first_index, kind="stable")
-    lut = np.zeros(int(uniq.max()) + 1, dtype=np.int32)
-    lut[uniq[order]] = np.arange(1, len(uniq) + 1, dtype=np.int32)
-    return lut[labels]
 
 
 # --------------------------------------------------------------------- #
@@ -137,30 +116,33 @@ def _sparse_components(mask: np.ndarray, connectivity: int):
 
 
 def label_sparse(mask, connectivity: int = 1) -> tuple[np.ndarray, int]:
-    """Sparse-graph connected-component labeling, canonical numbering.
+    """Sparse-graph connected-component labeling, in scipy's numbering.
 
-    Voxel-identical to ``scipy.ndimage.label`` after
-    :func:`canonicalize_labels` — the set voxels are visited in raster
-    order, so renumbering components by first occurrence reproduces the
-    canonical form directly.  Cost scales with the set-voxel count.
+    Equal to ``scipy.ndimage.label`` label for label: the set voxels are
+    visited in raster order, so numbering components by first occurrence
+    reproduces scipy's raster-scan numbering.  Cost scales with the
+    set-voxel count.  Records the call in :data:`last_label_stats`.
     """
     mask = np.asarray(mask, dtype=bool)
     _structure(mask.ndim, connectivity)  # validates connectivity early
-    flat, comp, n_comps = _sparse_components(mask, connectivity)
-    labels = np.zeros(mask.size, dtype=np.int32)
-    if n_comps:
-        uniq, first_index = np.unique(comp, return_index=True)
-        order = np.argsort(first_index, kind="stable")
-        lut = np.empty(n_comps, dtype=np.int32)
-        lut[uniq[order]] = np.arange(1, n_comps + 1, dtype=np.int32)
-        labels[flat] = lut[comp]
+    with get_metrics().span("fastgrow.label", strategy="sparse",
+                            connectivity=int(connectivity)):
+        flat, comp, n_comps = _sparse_components(mask, connectivity)
+        labels = np.zeros(mask.size, dtype=np.int32)
+        if n_comps:
+            uniq, first_index = np.unique(comp, return_index=True)
+            order = np.argsort(first_index, kind="stable")
+            lut = np.empty(n_comps, dtype=np.int32)
+            lut[uniq[order]] = np.arange(1, n_comps + 1, dtype=np.int32)
+            labels[flat] = lut[comp]
+    _record_stats("sparse", n_comps, connectivity)
     return labels.reshape(mask.shape), n_comps
 
 
 def grow_sparse(criterion, seeds, connectivity: int = 1) -> np.ndarray:
     """Sparse seeded region growing: select the seeded voxel-graph components.
 
-    Exact vs ``binary_propagation``; skips canonical renumbering (the
+    Exact vs ``binary_propagation``; skips numbering the components (the
     output is boolean), so it is the cheapest path on near-empty
     criteria.
     """
@@ -206,10 +188,10 @@ def _pick_strategy(strategy: str, mask: np.ndarray) -> str:
 
 
 # --------------------------------------------------------------------- #
-# Public API
+# Dense strategy and the grower
 # --------------------------------------------------------------------- #
-#: Statistics of the most recent :func:`label_bricked` call in this
-#: process (strategy and component count).  Mirrors
+#: Statistics of the most recent labeling or growing call in this process
+#: (strategy and component count).  Mirrors
 #: ``DataSpaceClassifier.last_fast_stats`` — cheap introspection for
 #: benchmarks and the CLI without threading a stats object through.
 last_label_stats: dict = {}
@@ -233,42 +215,6 @@ def _label_dense(mask: np.ndarray, connectivity: int) -> tuple[np.ndarray, int]:
     return labels.astype(np.int32, copy=False), int(count)
 
 
-def label_bricked(mask, connectivity: int = 1,
-                  strategy: str = "auto") -> tuple[np.ndarray, int]:
-    """Label connected components, canonically numbered.
-
-    Parameters
-    ----------
-    mask:
-        Boolean array of any dimension (3D volumes and 4D ``[t, z, y, x]``
-        tracking stacks are the intended shapes).
-    connectivity:
-        1 = faces … ``ndim`` = full neighbourhood, exactly as
-        :func:`repro.segmentation.components.label_components`.
-    strategy:
-        ``"auto"`` (default) uses the sparse voxel-graph path
-        (:func:`label_sparse`) when the mask fill is at most
-        :data:`SPARSE_FILL_MAX`, one dense labeling pass otherwise;
-        ``"dense"`` / ``"sparse"`` force a path.  All strategies produce
-        the identical canonical labeling.
-
-    Returns
-    -------
-    ``(labels, count)`` with int32 labels in canonical raster-scan
-    first-occurrence order and 0 background.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    _structure(mask.ndim, connectivity)  # validates early
-    if _pick_strategy(strategy, mask) == "sparse":
-        with get_metrics().span("fastgrow.label", strategy="sparse",
-                                connectivity=int(connectivity)):
-            labels, count = label_sparse(mask, connectivity=connectivity)
-        _record_stats("sparse", count, connectivity)
-        return labels, count
-    labels, count = _label_dense(mask, connectivity)
-    return canonicalize_labels(labels), count
-
-
 def grow_bricked(criterion, seeds, connectivity: int = 1,
                  strategy: str = "auto") -> np.ndarray:
     """Seeded region growing, exact vs ``binary_propagation``.
@@ -276,7 +222,7 @@ def grow_bricked(criterion, seeds, connectivity: int = 1,
     Growing from seeds through a boolean criterion selects precisely the
     criterion components containing at least one seed, so the labeling
     does the heavy lifting and selection is one lookup-table gather over
-    the labels (no canonical renumbering needed).  On near-empty
+    the labels (their numbering does not matter).  On near-empty
     criteria ``strategy="auto"`` labels only the set-voxel graph
     (:func:`grow_sparse`) — cost proportional to the feature, not the
     domain, which is where the tracking throughput benchmark's speedup
@@ -284,7 +230,10 @@ def grow_bricked(criterion, seeds, connectivity: int = 1,
     dense labeling pass.
 
     Arguments match :func:`repro.segmentation.regiongrow.grow_region`
-    plus the ``strategy`` switch of :func:`label_bricked`.
+    plus ``strategy``: ``"auto"`` (default) takes the sparse path when
+    the criterion's fill is at most :data:`SPARSE_FILL_MAX`;
+    ``"dense"`` / ``"sparse"`` force a path.  Every strategy grows the
+    identical region.
     """
     criterion = np.asarray(criterion, dtype=bool)
     seed_mask = _seeds_to_mask(seeds, criterion.shape)

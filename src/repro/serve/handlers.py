@@ -295,10 +295,17 @@ class ServeState:
     # ------------------------------------------------------------------ #
     # Frame store (bounded, in-memory, keyed by frame digest)
     # ------------------------------------------------------------------ #
-    def put_frame(self, digest: str, png: bytes) -> None:
+    def put_frame(self, digest: str, image) -> None:
+        """Make ``digest`` the most recently used frame.
+
+        ``image`` is encoded to PNG only when the digest is not resident:
+        a resident digest already holds exactly those bytes.
+        """
         frames = self._frames
-        frames[digest] = png
-        frames.move_to_end(digest)
+        if digest in frames:
+            frames.move_to_end(digest)
+            return
+        frames[digest] = image.png_bytes()
         while len(frames) > self.max_frames:
             frames.popitem(last=False)
 
@@ -370,7 +377,7 @@ def compute_track(state: ServeState, params: dict) -> dict:
         "voxel_counts": [int(n) for n in result.voxel_counts],
         "component_counts": [int(c) for c in result.component_counts()],
         "events": events,
-        "masks_digest": content_digest(result.masks),
+        "masks_digest": result.masks_digest(),
     }
 
 
@@ -429,7 +436,7 @@ def compute_render(state: ServeState, params: dict) -> dict:
     voxels = state.voxel_digests(params["sequence"])
     for vol, vox, tf, image in zip(sequence, voxels, tfs, images):
         digest = frame_digest(vox, tf, camera, 1.0, params["shading"], sig)
-        state.put_frame(digest, image.png_bytes())
+        state.put_frame(digest, image)
         frames.append({
             "time": int(vol.time),
             "digest": digest,

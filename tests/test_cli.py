@@ -92,6 +92,41 @@ class TestUnreadableSequence:
         assert len(result.stderr.strip().splitlines()) == 1, result.stderr
 
 
+# One argv per subcommand that reads an IATF file ``IATF``.
+IATF_READERS = {
+    "render": ["render", "SEQ", "--iatf", "IATF", "--out", "OUT", "--size", "8"],
+    "apply-iatf": ["apply-iatf", "SEQ", "IATF", "--mask", "ring"],
+    "track": ["track", "SEQ", "--seed-voxel", "0", "5", "5", "5", "--iatf", "IATF"],
+}
+BAD_IATF_FILES = {
+    "missing": None,
+    "not-json": "this is not json\n",
+    "not-iatf": "{}",
+    "not-an-object": "[1, 2]",
+}
+
+
+class TestBadIATFFile:
+    """Every subcommand that reads an IATF file exits 1 with one line
+    naming it, never a traceback, when the file is missing, is not JSON,
+    or is JSON but not an IATF."""
+
+    @pytest.mark.parametrize("command", sorted(IATF_READERS))
+    @pytest.mark.parametrize("defect", sorted(BAD_IATF_FILES))
+    def test_exits_one_with_one_line(self, seqdir, tmp_path, command, defect):
+        iatf = tmp_path / "iatf.json"
+        if BAD_IATF_FILES[defect] is not None:
+            iatf.write_text(BAD_IATF_FILES[defect])
+        names = {"SEQ": str(seqdir), "OUT": str(tmp_path / "out"),
+                 "IATF": str(iatf)}
+        result = _cli(*[names.get(arg, arg) for arg in IATF_READERS[command]])
+        assert result.returncode == 1, result.stderr
+        assert "Traceback" not in result.stderr
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1, result.stderr
+        assert lines[0].startswith(f"cannot read IATF {iatf}")
+
+
 class TestGenerateInfo:
     def test_generate_writes_sequence(self, seqdir):
         assert (seqdir / "sequence.json").exists()

@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from repro.segmentation import feature_attributes, label_components
+from repro.segmentation.components import LABEL_SPARSE_FILL_MAX
+from tests.label_oracles import bfs_labels
+
+# The program's labeler and the test-local BFS oracle, by name.
+LABELERS = {"scipy": label_components, "bfs": bfs_labels}
 
 
 def three_blobs():
@@ -19,28 +25,26 @@ def three_blobs():
 class TestLabelComponents:
     @pytest.mark.parametrize("backend", ["scipy", "bfs"])
     def test_counts_components(self, backend):
-        labels, n = label_components(three_blobs(), backend=backend)
+        labels, n = LABELERS[backend](three_blobs())
         assert n == 3
         assert labels.max() == 3
         assert labels[three_blobs()].min() >= 1
 
     @pytest.mark.parametrize("backend", ["scipy", "bfs"])
     def test_empty_mask(self, backend):
-        labels, n = label_components(np.zeros((4, 4, 4), dtype=bool), backend=backend)
+        labels, n = LABELERS[backend](np.zeros((4, 4, 4), dtype=bool))
         assert n == 0
         assert not labels.any()
 
     def test_backend_partition_agreement(self):
-        """Label ids may differ between backends but the partition must match."""
+        """The labeler and the BFS oracle give the same labels, numbering
+        included: both number components by raster-scan first occurrence."""
         rng = np.random.default_rng(3)
         mask = rng.random((10, 10, 10)) > 0.6
-        la, na = label_components(mask, backend="scipy")
-        lb, nb = label_components(mask, backend="bfs")
+        la, na = label_components(mask)
+        lb, nb = bfs_labels(mask)
         assert na == nb
-        # same-component in a  <=>  same-component in b
-        for lab in range(1, na + 1):
-            ids_b = np.unique(lb[la == lab])
-            assert len(ids_b) == 1
+        assert np.array_equal(la, lb)
 
     def test_connectivity_matters(self):
         mask = np.zeros((3, 3, 3), dtype=bool)
@@ -59,17 +63,54 @@ class TestLabelComponents:
         _, n = label_components(stack, connectivity=1)
         assert n == 2
 
-    def test_bad_backend(self):
-        with pytest.raises(ValueError):
-            label_components(three_blobs(), backend="quantum")
-
     @given(seed=st.integers(0, 500))
     @settings(max_examples=15, deadline=None)
     def test_label_count_matches_bfs_property(self, seed):
         mask = np.random.default_rng(seed).random((7, 7, 7)) > 0.5
-        _, na = label_components(mask, backend="scipy")
-        _, nb = label_components(mask, backend="bfs")
+        _, na = label_components(mask)
+        _, nb = bfs_labels(mask)
         assert na == nb
+
+
+def _scipy_labels(mask, connectivity):
+    structure = ndimage.generate_binary_structure(mask.ndim, connectivity)
+    return ndimage.label(mask, structure=structure)
+
+
+class TestLabelIdentity:
+    """``label_components`` returns ``ndimage.label``'s labels and count
+    exactly, with no renumbering, on both sides of its crossover."""
+
+    @given(data=st.data(), ndim=st.integers(2, 4),
+           fill=st.sampled_from([0.0, 0.004, 0.01, LABEL_SPARSE_FILL_MAX,
+                                 0.05, 0.3, 0.6, 1.0]),
+           smooth=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_equals_ndimage_label(self, data, ndim, fill, smooth, seed):
+        side = 12 if ndim == 4 else 24
+        shape = tuple(data.draw(st.lists(st.integers(1, side), min_size=ndim,
+                                         max_size=ndim), label="shape"))
+        connectivity = data.draw(st.integers(1, ndim), label="connectivity")
+        field = np.random.default_rng(seed).random(shape)
+        threshold = fill
+        if smooth and 0 < fill < 1:  # blobs instead of speckle, same fill
+            field = ndimage.uniform_filter(field, size=2)
+            threshold = np.quantile(field, fill)
+        mask = field < threshold
+        expected, count = _scipy_labels(mask, connectivity)
+        labels, n = label_components(mask, connectivity=connectivity)
+        assert n == count
+        assert labels.dtype == np.int32
+        assert np.array_equal(labels, expected)
+
+    @pytest.mark.parametrize("ndim", [2, 3, 4])
+    @pytest.mark.parametrize("fill", [0.0, 1.0], ids=["empty", "full"])
+    def test_empty_and_full(self, ndim, fill):
+        mask = np.full((5,) * ndim, fill, dtype=bool)
+        for connectivity in range(1, ndim + 1):
+            labels, n = label_components(mask, connectivity=connectivity)
+            assert n == int(fill)
+            assert np.array_equal(labels, _scipy_labels(mask, connectivity)[0])
 
 
 class TestFeatureAttributes:

@@ -24,7 +24,7 @@ from repro import (
 )
 from repro.data.argon import ring_value_band
 from repro.parallel import map_timesteps
-from repro.segmentation import grow_bricked, label_bricked
+from repro.segmentation import grow_bricked, label_components
 
 
 class TestGeneratorDeterminism:
@@ -130,10 +130,10 @@ class TestScheduleIndependence:
         rng = np.random.default_rng(seed)
         return ndimage.uniform_filter(rng.random(shape), size=2) > 0.45
 
-    def test_label_bricked_schedule_independent(self):
+    def test_label_components_schedule_independent(self):
         """Per-step labels from pool workers equal the in-process ones."""
         mask = self._field((6, 14, 14, 14), 101)
-        label = partial(label_bricked, connectivity=2)
+        label = partial(label_components, connectivity=2)
         ref = map_timesteps(label, list(mask)).results
         for workers in (2, 4):
             got = map_timesteps(label, list(mask), workers=workers).results

@@ -1,13 +1,13 @@
 """Differential battery: label-and-select grow/label vs the scipy reference.
 
-The fast engine (:mod:`repro.segmentation.fastgrow`) must be
-*voxel-identical* to the serial reference on arbitrary criteria — the
-whole point of the fast path is that it changes nothing but the clock.
-These tests sweep random criterion fields across a grid of shapes,
-densities, connectivities, and sub-volume cuts (cuts larger than the
-volume, one-voxel-thick slabs, empty corners, and seeds on arbitrary
-planes), asserting exact equality with ``scipy.ndimage`` results
-canonicalized to a common label order.
+The fast engine (:mod:`repro.segmentation.fastgrow`) and the one labeler
+built on it (``label_components``) must be *voxel-identical* to the
+serial reference on arbitrary criteria — the whole point of the fast path
+is that it changes nothing but the clock.  These tests sweep random
+criterion fields across a grid of shapes, densities, connectivities, and
+sub-volume cuts (cuts larger than the volume, one-voxel-thick slabs,
+empty corners, and seeds on arbitrary planes), asserting exact equality
+with ``scipy.ndimage`` results, label numbering included.
 """
 
 import itertools
@@ -16,18 +16,17 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from repro.segmentation.components import label_components
+from repro.segmentation.components import LABEL_SPARSE_FILL_MAX, label_components
 from repro.segmentation.fastgrow import (
     SPARSE_FILL_MAX,
-    canonicalize_labels,
     grow_bricked,
     grow_sparse,
-    label_bricked,
     label_sparse,
     last_label_stats,
 )
 from repro.parallel.bricking import axis_chunks
 from repro.segmentation.regiongrow import _structure, grow_4d, grow_region
+from tests.label_oracles import bfs_labels, canonicalize_labels
 
 
 def random_field(rng, shape, density):
@@ -36,8 +35,8 @@ def random_field(rng, shape, density):
 
 
 def reference_labels(mask, connectivity):
-    labels, count = ndimage.label(mask, structure=_structure(mask.ndim, connectivity))
-    return canonicalize_labels(labels), count
+    """scipy's labels as they come: already in first-occurrence order."""
+    return ndimage.label(mask, structure=_structure(mask.ndim, connectivity))
 
 
 def sub_volumes(shape, bricks):
@@ -53,6 +52,9 @@ def sub_volumes(shape, bricks):
 
 
 class TestCanonicalizeLabels:
+    """The test-local renumbering oracle ``test_scipy_numbering_is_canonical``
+    pins scipy's numbering with."""
+
     def test_raster_first_occurrence_order(self):
         labels = np.array([[0, 5, 5], [2, 2, 0], [0, 2, 9]])
         out = canonicalize_labels(labels)
@@ -72,6 +74,14 @@ class TestCanonicalizeLabels:
     def test_empty(self):
         out = canonicalize_labels(np.zeros((3, 3), dtype=np.int32))
         assert out.dtype == np.int32 and not out.any()
+
+    @pytest.mark.parametrize("shape", [(9, 12, 10), (4, 8, 7, 6)])
+    def test_scipy_numbering_is_canonical(self, rng, shape):
+        """So neither path of ``label_components`` needs renumbering."""
+        mask = random_field(rng, shape, 0.5)
+        for connectivity in range(1, mask.ndim + 1):
+            labels, _ = reference_labels(mask, connectivity)
+            assert np.array_equal(canonicalize_labels(labels), labels)
 
 
 # Shapes × sub-volume grids: uneven boxes, 1-wide slabs, a box larger
@@ -98,7 +108,7 @@ class TestLabelDifferential:
         mask = random_field(rng, shape, density)
         for box in sub_volumes(shape, bricks):
             expected, count = reference_labels(mask[box], connectivity)
-            got, got_count = label_bricked(mask[box], connectivity=connectivity)
+            got, got_count = label_components(mask[box], connectivity=connectivity)
             assert got_count == count
             assert np.array_equal(got, expected)
 
@@ -108,24 +118,24 @@ class TestLabelDifferential:
         mask = random_field(rng, shape, 0.55)
         for box in sub_volumes(shape, bricks):
             expected, count = reference_labels(mask[box], connectivity)
-            got, got_count = label_bricked(mask[box], connectivity=connectivity)
+            got, got_count = label_components(mask[box], connectivity=connectivity)
             assert got_count == count
             assert np.array_equal(got, expected)
 
     def test_matches_components_backend(self, rng):
-        """Cross-check against the repo's other labeler entry point."""
+        """Cross-check against the test-local BFS oracle."""
         mask = random_field(rng, (10, 10, 10), 0.5)
-        ref, ref_count = label_components(mask, connectivity=2)
-        got, got_count = label_bricked(mask, connectivity=2)
+        ref, ref_count = bfs_labels(mask, connectivity=2)
+        got, got_count = label_components(mask, connectivity=2)
         assert got_count == ref_count
-        assert np.array_equal(got, canonicalize_labels(ref))
+        assert np.array_equal(got, ref)
 
     def test_empty_mask(self):
-        labels, count = label_bricked(np.zeros((6, 6, 6), bool))
+        labels, count = label_components(np.zeros((6, 6, 6), bool))
         assert count == 0 and not labels.any()
 
     def test_full_mask_single_component(self):
-        labels, count = label_bricked(np.ones((6, 7, 5), bool))
+        labels, count = label_components(np.ones((6, 7, 5), bool))
         assert count == 1
         assert (labels == 1).all()
 
@@ -133,13 +143,13 @@ class TestLabelDifferential:
         """A mask occupying one corner leaves most of the volume empty."""
         mask = np.zeros((12, 12, 12), bool)
         mask[:3, :3, :3] = True
-        labels, count = label_bricked(mask, strategy="dense")
+        labels, count = label_components(mask)
         assert count == 1
         assert np.array_equal(labels > 0, mask)
 
     def test_stats_recorded(self, rng):
         mask = random_field(rng, (8, 8, 8), 0.5)
-        _, count = label_bricked(mask, connectivity=2)
+        _, count = label_components(mask, connectivity=2)
         assert last_label_stats == {"strategy": "dense", "components": count,
                                     "connectivity": 2}
         assert count >= 1
@@ -270,13 +280,25 @@ class TestSparseDifferential:
 
     def test_auto_strategy_selection(self, rng):
         sparse_mask = np.zeros((12, 12, 12), bool)
-        sparse_mask[2:4, 2:4, 2:4] = True  # fill well under SPARSE_FILL_MAX
-        assert sparse_mask.mean() <= SPARSE_FILL_MAX
-        label_bricked(sparse_mask)
+        sparse_mask[2:4, 2:4, 2:4] = True  # fill well under LABEL_SPARSE_FILL_MAX
+        assert sparse_mask.mean() <= LABEL_SPARSE_FILL_MAX
+        label_components(sparse_mask)
         assert last_label_stats["strategy"] == "sparse"
         dense_mask = random_field(rng, (12, 12, 12), 0.5)
-        label_bricked(dense_mask)
+        label_components(dense_mask)
         assert last_label_stats["strategy"] == "dense"
+
+    def test_labeling_crosses_over_before_growing(self):
+        """Between the two crossovers a mask is labeled densely but grown
+        sparsely: growing skips the numbering, so its sparse path pays
+        off at higher fills."""
+        mask = np.zeros((10, 10, 10), bool)
+        mask[0, :3, :10] = True  # 3% full
+        assert LABEL_SPARSE_FILL_MAX < mask.mean() <= SPARSE_FILL_MAX
+        label_components(mask)
+        assert last_label_stats["strategy"] == "dense"
+        grow_bricked(mask, [(0, 0, 0)])
+        assert last_label_stats["strategy"] == "sparse"
 
     def test_strategies_agree_bitwise(self, rng):
         mask = random_field(rng, (10, 11, 9), 0.3)
@@ -294,5 +316,6 @@ class TestSparseDifferential:
 
 class TestValidation:
     def test_connectivity_checked(self):
-        with pytest.raises(ValueError):
-            label_bricked(np.ones((4, 4, 4), bool), connectivity=4)
+        for fill in (False, True):  # the sparse path, then the dense one
+            with pytest.raises(ValueError):
+                label_components(np.full((4, 4, 4), fill), connectivity=4)

@@ -380,6 +380,35 @@ class TestResidency:
         assert second == first
         assert _count("serve.classifier_cache.hits") == base_hits + 1
 
+    def test_resident_frames_are_not_encoded_again(self, serve_root,
+                                                    monkeypatch):
+        """A repeated render encodes nothing, answers the same JSON and
+        serves the same bytes; an evicted frame is encoded again."""
+        from repro.render.image import Image
+
+        encoded = []
+        png_bytes = Image.png_bytes
+
+        def counting(image):
+            encoded.append(1)
+            return png_bytes(image)
+
+        monkeypatch.setattr(Image, "png_bytes", counting)
+        state = handlers.ServeState(serve_root, max_frames=len(TIMES))
+        params = handlers.normalize("render", {"sequence": "argon", "size": 16})
+        first = handlers.compute_render(state, params)
+        assert len(encoded) == len(TIMES)
+        frames = [state.frame(f["digest"]) for f in first["frames"]]
+        assert handlers.compute_render(state, params) == first
+        assert len(encoded) == len(TIMES)
+        assert [state.frame(f["digest"]) for f in first["frames"]] == frames
+        # A new view fills the store and evicts the first request's frames.
+        handlers.compute_render(state, dict(params, azimuth=90.0))
+        assert len(encoded) == 2 * len(TIMES)
+        assert handlers.compute_render(state, params) == first
+        assert len(encoded) == 3 * len(TIMES)
+        assert [state.frame(f["digest"]) for f in first["frames"]] == frames
+
     def test_healthz_reports_sequences_and_pool(self, client):
         health = client.healthz()
         assert health["status"] == "ok"

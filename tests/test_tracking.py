@@ -2,10 +2,16 @@
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
-from repro.core import AdaptiveTransferFunction, FeatureTracker
+from repro.core import AdaptiveTransferFunction, FeatureTracker, tracking
+from repro.core.tracking import TrackResult, _pack_mask
+from repro.data.argon import ring_value_band
 from repro.data.swirl import feature_peak_at
+from repro.features import DescriptorMatcher
 from repro.metrics import tracking_continuity
+from repro.parallel.bricking import content_digest
+from repro.segmentation.events import detect_events, merge_match_events
 from repro.transfer import TransferFunction1D
 
 
@@ -129,6 +135,89 @@ class TestTrackEventsAndSplits:
         seed = (0, *map(int, coords[0]))
         res = FeatureTracker().track_fixed(vortex_small, seed, lo=0.5, hi=10.0)
         assert res.events is res.events
+
+
+def _track_case(request, case):
+    """Track one of the label-once scenarios; ``-match`` cases track with
+    the descriptor fallback."""
+    if case.startswith("vortex"):
+        seq = request.getfixturevalue("vortex_small")
+        coords = np.argwhere(seq[0].mask("vortex"))
+        seed = (0, *map(int, coords[len(coords) // 2]))
+        lo, hi = 0.5, 10.0
+    elif case.startswith("fast-vortex"):
+        seq = request.getfixturevalue("fast_vortex_small")
+        seed = (0, *map(int, np.argwhere(seq[0].mask("vortex"))[0]))
+        lo, hi = 0.5, 1.0
+    else:
+        seq = request.getfixturevalue("argon_small")
+        lo, hi = ring_value_band(seq, seq.times[0])
+        crit = (seq[0].data >= lo) & (seq[0].data <= hi)
+        seed = (0, *map(int, np.argwhere(seq[0].mask("ring") & crit)[0]))
+    matcher = (DescriptorMatcher(threshold=0.7, max_gap=3)
+               if case.endswith("match") else None)
+    return FeatureTracker(matcher=matcher).track_fixed(seq, seed, lo=lo, hi=hi)
+
+
+LABEL_ONCE_CASES = ["vortex-split", "argon", "argon-match", "fast-vortex-match"]
+
+
+class TestLabelOnce:
+    """A track answer labels each step once, for both its event timeline
+    and its component counts, and the answers do not change."""
+
+    @pytest.mark.parametrize("case", LABEL_ONCE_CASES)
+    def test_equals_per_step_ndimage_oracle(self, request, case):
+        result = _track_case(request, case)
+        labelings = [ndimage.label(result.step_mask(i))
+                     for i in range(len(result.times))]
+        timeline = []
+        for i in range(1, len(labelings)):
+            timeline += detect_events(labelings[i - 1][0], labelings[i][0],
+                                      time_a=result.times[i - 1],
+                                      time_b=result.times[i])
+        assert result.component_counts() == [count for _, count in labelings]
+        assert result.events == merge_match_events(timeline, result.match_events)
+        assert bool(result.match_events) == case.endswith("match")
+        if case == "vortex-split":
+            assert [e.kind for e in result.events].count("split") == 1
+
+    @pytest.mark.parametrize("first", ["events", "component_counts"])
+    def test_each_step_labeled_once(self, request, monkeypatch, first):
+        result = _track_case(request, "fast-vortex-match")
+        label = tracking.label_components
+        calls = []
+
+        def counting(mask, *args, **kwargs):
+            calls.append(mask.shape)
+            return label(mask, *args, **kwargs)
+
+        monkeypatch.setattr(tracking, "label_components", counting)
+        reads = {"events": lambda: result.events,
+                 "component_counts": result.component_counts}
+        second = "events" if first == "component_counts" else "component_counts"
+        for name in (first, second, first, second):
+            reads[name]()
+        assert len(calls) == len(result.times)
+
+
+class TestMasksDigest:
+    """``masks_digest`` equals ``content_digest(masks)`` without the stack."""
+
+    @pytest.mark.parametrize("steps,shape,fill", [
+        (1, (5, 6, 7), 0.3),
+        (1, (1, 1, 1), 1.0),
+        (3, (7, 3, 9), 0.0),
+        (4, (9, 8, 10), 0.02),
+        (8, (16, 16, 16), 0.5),
+    ])
+    def test_equals_digest_of_stack(self, rng, steps, shape, fill):
+        masks = [rng.random(shape) < fill for _ in range(steps)]
+        result = TrackResult(shape, list(range(steps)), "custom",
+                             [_pack_mask(m) for m in masks],
+                             [int(m.sum()) for m in masks], sweeps=1)
+        assert result.masks_digest() == content_digest(result.masks)
+        assert result.masks_digest() == content_digest(np.stack(masks))
 
 
 class TestTrackWithCriteria:
