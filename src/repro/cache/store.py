@@ -5,8 +5,8 @@ pattern — input-addressed keys, atomic payload-then-sidecar writes,
 integrity-checked reads — is exactly what a cross-process cache needs,
 so it lives here and both consumers plug in:
 
-- :mod:`repro.run.store` re-exports it unchanged for run directories
-  (``run.store.*`` counters, the default ``counter_prefix``);
+- :mod:`repro.run` keeps run directories in it (``run.store.*``
+  counters, the default ``counter_prefix``);
 - :mod:`repro.cache.shared` wraps it as the shared on-disk cache backend
   behind ``classify_sequence``/``render_sequence`` (``cache.store.*``
   counters).

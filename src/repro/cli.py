@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.core.iatf import AdaptiveTransferFunction
 from repro.core.pipeline import (
+    box_band,
     classify_sequence,
     generate_sequence_tfs,
     render_sequence,
@@ -85,15 +86,24 @@ def _ert_alpha(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts that must be >= 1 (workers, tiles, cells)."""
+def _int_at_least(text: str, minimum: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text!r}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be >= 1 (workers, tiles, cells)."""
+    return _int_at_least(text, 1)
+
+
+def _count(text: str) -> int:
+    """argparse type for counts that may be 0 (``--retries``)."""
+    return _int_at_least(text, 0)
 
 _GENERATORS = {
     "argon": make_argon_sequence,
@@ -266,8 +276,7 @@ def cmd_render(args) -> int:
         iatf = _load_iatf(args.iatf)
         tf_for = lambda vol: iatf.generate(vol)  # noqa: E731
     else:
-        lo = args.box[0] if args.box else domain[0] + 0.3 * (domain[1] - domain[0])
-        hi = args.box[1] if args.box else domain[1]
+        lo, hi = box_band(domain, *(args.box or ()))
         static = TransferFunction1D(domain).add_box(lo, hi, args.opacity)
         tf_for = lambda vol: static  # noqa: E731
     outdir = Path(args.out)
@@ -491,8 +500,8 @@ def cmd_simulate(args) -> int:
 # --------------------------------------------------------------------- #
 def _add_farm_options(p) -> None:
     """Task-farm fault-tolerance flags shared by the fan-out subcommands."""
-    p.add_argument("--retries", type=int, default=0,
-                   help="per-step retry budget (exponential backoff)")
+    p.add_argument("--retries", type=_count, default=0,
+                   help="times a failed step runs again, at once (default 0)")
     p.add_argument("--on-error", choices=["raise", "skip"], default="raise",
                    help="'skip' degrades gracefully: failed steps are "
                         "reported and omitted instead of aborting the run")

@@ -15,8 +15,8 @@ runs it, otherwise ``workers > 1`` opens a pool for the map, otherwise
 it runs in-process.  Each task pickles its own step's ``Volume`` into
 the worker pipe; the invariants every task shares (a classifier, an
 IATF, the camera) are broadcast once per worker when the caller passes
-a resident pool, and released when the map ends.  Retry/timeout/
-degraded-mode behaviour forwards to the task farm (``retry=`` /
+a resident pool, and released when the map ends.  Retries and the
+degraded mode forward to the task farm (``retry=``, a count, and
 ``on_error=``) — with ``on_error="skip"`` a failed step's slot holds
 ``None``.
 """
@@ -178,7 +178,7 @@ def _unwrap_classify(outcome) -> list:
 
 
 def classify_sequence(classifier: DataSpaceClassifier, sequence: VolumeSequence,
-                      workers: int = 1, retry=None, on_error: str = "raise",
+                      workers: int = 1, retry: int | None = None, on_error: str = "raise",
                       mode: str = "exact", cache=None,
                       pool: WorkerPool | None = None) -> list[np.ndarray]:
     """Classify every step of a sequence, optionally in parallel.
@@ -221,8 +221,8 @@ def _generate_tf_one(payload) -> TransferFunction1D:
 
 
 def generate_sequence_tfs(iatf: AdaptiveTransferFunction, sequence: VolumeSequence,
-                          workers: int = 1, retry=None, on_error: str = "raise",
-                          pool: WorkerPool | None = None
+                          workers: int = 1, retry: int | None = None,
+                          on_error: str = "raise", pool: WorkerPool | None = None
                           ) -> list[TransferFunction1D]:
     """Generate the adaptive TF for every step of a sequence.
 
@@ -275,6 +275,21 @@ def _render_frame(volume, tf, camera, step, shading, mode, fast_opts):
         return render_volume_fast(volume, tf, camera=camera, step=step,
                                   shading=shading, **fast_opts)
     return render_volume(volume, tf, camera=camera, step=step, shading=shading)
+
+
+def box_band(domain, lo: float | None = None,
+             hi: float | None = None) -> tuple[float, float]:
+    """A static box TF's ``(lo, hi)``: each bound where given, else the
+    default band, the top 70% of ``domain``."""
+    if lo is None:
+        lo = domain[0] + 0.3 * (domain[1] - domain[0])
+    return lo, domain[1] if hi is None else hi
+
+
+def renderer_signature(mode: str, fast_options: dict | None = None) -> str:
+    """The renderer part of a frame's key (:func:`frame_digest`): ``"exact"``,
+    or the fast caster with its sorted options."""
+    return "exact" if mode == "exact" else f"fast:{sorted((fast_options or {}).items())!r}"
 
 
 def frame_digest(voxels: str, tf: TransferFunction1D, camera: Camera, step: float,
@@ -357,7 +372,7 @@ def _unwrap_render(outcome) -> list:
 
 def render_sequence(sequence: VolumeSequence, tfs, camera: Camera | None = None,
                     step: float = 1.0, shading: bool = True, workers: int = 1,
-                    retry=None, on_error: str = "raise", mode: str = "exact",
+                    retry: int | None = None, on_error: str = "raise", mode: str = "exact",
                     fast_options: dict | None = None, cache=None,
                     pool: WorkerPool | None = None) -> list:
     """Render every step with its own transfer function.
@@ -402,7 +417,7 @@ def render_sequence(sequence: VolumeSequence, tfs, camera: Camera | None = None,
     caches = _task_caches(cache, fans_out(workers, len(sequence), pool),
                           len(sequence))
     one_tf = tfs[:1] if len({id(tf) for tf in tfs}) == 1 else []
-    sig = "exact" if mode == "exact" else f"fast:{sorted(fast_opts.items())!r}"
+    sig = renderer_signature(mode, fast_opts)
     with (_shared(pool, camera, *one_tf) as (task_camera, *task_tf),
           get_metrics().span("pipeline.render_sequence", steps=len(sequence),
                              mode=mode, cached=cache is not None)):

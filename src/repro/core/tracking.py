@@ -82,15 +82,20 @@ class TrackResult:
         ``"fixed"``, ``"adaptive"``, or the caller's criterion name.
     sweeps:
         Passes the tracker made: the forward pass plus refinement sweeps.
+    connectivity:
+        The connectivity the feature was grown with; each step's
+        components are labeled with it (capped at the step's rank).
     """
 
     def __init__(self, shape, times: list[int], criterion: str,
                  packed_masks: list[np.ndarray], voxel_counts: list[int],
-                 sweeps: int, match_events: list[TrackEvent] | None = None) -> None:
+                 sweeps: int, match_events: list[TrackEvent] | None = None,
+                 connectivity: int = 1) -> None:
         self.shape = tuple(shape)
         self.times = list(times)
         self.criterion = criterion
         self.sweeps = int(sweeps)
+        self.connectivity = int(connectivity)
         self._packed = packed_masks
         self._voxel_counts = [int(c) for c in voxel_counts]
         self._events: list[TrackEvent] | None = None
@@ -156,8 +161,9 @@ class TrackResult:
         events: list[TrackEvent] = []
         counts: list[int] = []
         prev_labels = None
+        connectivity = min(self.connectivity, len(self.shape))
         for i, time in enumerate(self.times):
-            labels, count = label_components(self.step_mask(i))
+            labels, count = label_components(self.step_mask(i), connectivity)
             counts.append(count)
             if prev_labels is not None:
                 events.extend(detect_events(prev_labels, labels,
@@ -812,4 +818,5 @@ class TrackStream:
         self._tail = None
         return TrackResult(self.shape, self._times, self.criterion,
                            self._packed_mask, self._counts, sweeps,
-                           match_events=self._match_events)
+                           match_events=self._match_events,
+                           connectivity=self._tracker.connectivity)

@@ -8,8 +8,8 @@ The paper's large-data story has two halves this package reproduces:
   the one fan-out in the repository: a map runs on the caller's
   :class:`WorkerPool` of resident processes (:mod:`repro.parallel.pool`)
   when one is passed, on a pool of its own when ``workers > 1``, and
-  in-process otherwise.  It adds per-task retry with exponential backoff
-  and timeouts, structured :class:`TaskError` failures (or an
+  in-process otherwise.  It adds a per-task retry count (a failed step
+  runs again at once), structured :class:`TaskError` failures (or an
   ``on_error="skip"`` degraded mode), crash respawn, and deterministic
   fault injection for CI (:mod:`repro.parallel.faults`).  Payloads travel by pickle;
   invariants shared by every task are broadcast to each worker once.
@@ -28,7 +28,6 @@ from repro.parallel.bricking import (
 )
 from repro.parallel.executor import (
     MapResult,
-    RetryPolicy,
     TaskError,
     TaskFailure,
     map_timesteps,
@@ -45,7 +44,6 @@ __all__ = [
     "MapResult",
     "PoolError",
     "PoolFuture",
-    "RetryPolicy",
     "TaskError",
     "TaskFailure",
     "WorkerPool",

@@ -13,28 +13,27 @@ picklable function over a sequence of work items, and one rule
 - otherwise the map runs in-process, the deterministic reference.
 
 Results always come back in submission order regardless of completion
-order, and per-item wall times are recorded so the scaling benches can
-report speedup curves.
+order, and per-item wall times are recorded.
 
 Unlike a bare ``Pool.map``, the farm is fault tolerant and observable —
 the properties a real cluster deployment (paper Sec. 8) cannot live
 without:
 
-- each task runs under a :class:`RetryPolicy`: failed attempts are
-  retried with exponential backoff, and a per-attempt timeout bounds
-  stragglers (on a pool the parent abandons the attempt at the
-  deadline; in-process the clock is checked cooperatively after the
-  call returns);
+- ``retry=n`` runs a failed attempt (an exception, or on a pool a dead
+  worker) again at once, up to ``n`` more times: a step is independent
+  of every other step, so a failed step only has to run again, on a
+  fresh worker if its worker died;
 - when retries are exhausted the failure surfaces as a structured
   :class:`TaskError` carrying the item index, attempt count, and the
-  remote traceback — or, with ``on_error="skip"``, the map degrades
-  gracefully: completed results are kept (failed slots hold ``None``)
-  and each casualty is recorded as a :class:`TaskFailure`;
+  remote traceback (the lowest failed index, wherever the map runs) —
+  or, with ``on_error="skip"``, the map degrades gracefully: completed
+  results are kept (failed slots hold ``None``) and each casualty is
+  recorded as a :class:`TaskFailure`;
 - a deterministic fault-injection hook
   (:class:`repro.parallel.faults.FaultInjector`, also armable via
   ``REPRO_FAULT_INJECT``) makes every one of those paths testable in CI;
 - counters and spans land in :mod:`repro.obs` (``executor.tasks``,
-  ``executor.retries``, ``executor.timeouts``, ``executor.failures``).
+  ``executor.retries``, ``executor.failures``).
 """
 
 from __future__ import annotations
@@ -48,49 +47,6 @@ from repro.parallel.faults import FaultInjector, as_injector
 
 
 @dataclass(frozen=True)
-class RetryPolicy:
-    """How the farm treats a failing or straggling task.
-
-    Parameters
-    ----------
-    max_retries:
-        Retries *after* the first attempt (total attempts is
-        ``max_retries + 1``).
-    backoff:
-        Seconds to wait before the first retry.
-    backoff_factor:
-        Multiplier applied per further retry (exponential backoff).
-    timeout:
-        Per-attempt wall-clock budget in seconds (``None`` = unbounded).
-        On a pool the parent stops waiting at the deadline and schedules
-        the attempt as failed (the worker slot frees up when the stuck
-        call eventually returns, or when the pool closes and kills the
-        worker).  In-process it is checked after the call returns, so
-        an attempt cannot be preempted — an overlong attempt is
-        *converted* to a timeout failure for policy purposes.
-    """
-
-    max_retries: int = 0
-    backoff: float = 0.05
-    backoff_factor: float = 2.0
-    timeout: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff < 0:
-            raise ValueError(f"backoff must be >= 0, got {self.backoff}")
-        if self.backoff_factor < 1.0:
-            raise ValueError(f"backoff_factor must be >= 1, got {self.backoff_factor}")
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {self.timeout}")
-
-    def delay(self, attempt: int) -> float:
-        """Backoff seconds before the retry that follows attempt ``attempt``."""
-        return self.backoff * self.backoff_factor ** (attempt - 1)
-
-
-@dataclass(frozen=True)
 class TaskFailure:
     """One task that exhausted its retry budget.
 
@@ -99,12 +55,12 @@ class TaskFailure:
     index:
         Position of the failed item in the submitted sequence.
     attempts:
-        Attempts made (``RetryPolicy.max_retries + 1`` unless injected).
+        Attempts made (the map's ``retry`` count + 1).
     error_type, message:
         Exception class name and message of the *final* attempt.
     remote_traceback:
         The worker-side traceback, formatted where the exception was
-        raised (empty for parent-side timeouts, which have no frame).
+        raised (empty for a worker death, which has no frame).
     """
 
     index: int
@@ -155,12 +111,12 @@ class MapResult:
     item_times:
         Per-item wall seconds of the *successful* attempt, measured
         inside the worker (for a failed item: the final attempt's
-        duration; 0.0 for parent-side timeouts).
+        duration; 0.0 for a worker death).
     failures:
         :class:`TaskFailure` records, only populated under
         ``on_error="skip"`` (``on_error="raise"`` raises instead).
     retries:
-        Total retry attempts scheduled across all items.
+        Total retry attempts made across all items.
     """
 
     results: list
@@ -232,100 +188,84 @@ def _run_attempt(fn, item, attempt: int, injector, fault_index: int) -> tuple:
     return True, result, time.perf_counter() - start, None
 
 
-class _MapState:
-    """Bookkeeping shared by the in-process and pool schedulers."""
+def _check_retry(retry) -> int:
+    """``retry=`` as a count: ``None`` (no retries) or an int >= 0."""
+    if retry is None:
+        return 0
+    if isinstance(retry, bool) or not isinstance(retry, int) or retry < 0:
+        raise ValueError(f"retry must be None or an int >= 0, got {retry!r}")
+    return retry
 
-    def __init__(self, n: int, policy: RetryPolicy, on_error: str) -> None:
+
+def _retry_again(attempt: int, retries: int) -> bool:
+    """The one retry rule, in-process and on a pool: whether failed attempt
+    ``attempt`` (1-based) of a task allowed ``retries`` retries runs again.
+    Counts it in ``executor.retries``, or in ``executor.failures`` when final."""
+    again = attempt <= retries
+    get_metrics().counter("executor.retries" if again else "executor.failures").inc()
+    return again
+
+
+class _MapState:
+    """Outcomes of one map, settled in item order by either placement."""
+
+    def __init__(self, n: int, on_error: str) -> None:
         self.results: list = [None] * n
         self.item_times = [0.0] * n
         self.failures: list[TaskFailure] = []
         self.retries = 0
-        self.policy = policy
         self.on_error = on_error
 
-    def succeed(self, index: int, result, elapsed: float) -> None:
-        self.results[index] = result
+    def settle(self, index: int, result, elapsed: float, attempts: int,
+               failure: TaskFailure | None) -> None:
+        """Record item ``index``'s outcome; a failure raises under ``"raise"``."""
+        self.retries += attempts - 1
         self.item_times[index] = elapsed
-
-    def fail(self, index: int, attempt: int, elapsed: float, error) -> float | None:
-        """Record a failed attempt; return the retry delay or ``None`` if final."""
-        metrics = get_metrics()
-        if error[0] == "TaskTimeout":
-            metrics.counter("executor.timeouts").inc()
-        if attempt <= self.policy.max_retries:
-            self.retries += 1
-            metrics.counter("executor.retries").inc()
-            return self.policy.delay(attempt)
-        failure = TaskFailure(index, attempt, error[0], error[1], error[2])
-        metrics.counter("executor.failures").inc()
-        if self.on_error == "raise":
+        if failure is None:
+            self.results[index] = result
+        elif self.on_error == "raise":
             raise TaskError(failure)
-        self.item_times[index] = elapsed
-        self.failures.append(failure)
-        return None
+        else:
+            self.failures.append(failure)
 
 
-def _timeout_error(timeout: float):
-    return ("TaskTimeout", f"attempt exceeded the {timeout:g}s per-task timeout", "")
-
-
-def _map_serial(fn, items, state: _MapState, injector, fault_offset: int = 0) -> None:
-    policy = state.policy
+def _map_serial(fn, items, state: _MapState, retries: int, injector,
+                fault_offset: int = 0) -> None:
     for index, item in enumerate(items):
         attempt = 1
         while True:
             ok, result, elapsed, error = _run_attempt(
                 fn, item, attempt, injector, index + fault_offset)
-            if ok and policy.timeout is not None and elapsed > policy.timeout:
-                ok, error = False, _timeout_error(policy.timeout)
-            if ok:
-                state.succeed(index, result, elapsed)
+            if ok or not _retry_again(attempt, retries):
                 break
-            delay = state.fail(index, attempt, elapsed, error)
-            if delay is None:
-                break
-            if delay > 0:
-                time.sleep(delay)
             attempt += 1
+        state.settle(index, result, elapsed, attempt,
+                     None if ok else TaskFailure(index, attempt, *error))
 
 
-def _map_pool(fn, items, state: _MapState, injector, pool,
+def _map_pool(fn, items, state: _MapState, retries: int, injector, pool,
               fault_offset: int = 0) -> None:
     """Run a map on a :class:`~repro.parallel.pool.WorkerPool`.
 
-    The pool calls ``state.fail`` for every failed attempt, so retry
-    accounting, counters, and ``on_error`` semantics are *the same
-    object* as in-process — ``on_error="raise"`` surfaces as
-    :class:`TaskError` out of ``pool.wait`` and the ``finally`` cancels
-    the rest of the map.
+    Every item is submitted at once and the futures are read in item
+    order, so ``on_error="raise"`` raises the lowest failed index, as
+    in-process, and the ``finally`` cancels the rest of the map.
     """
     futures = [
-        pool.submit(fn, item, index=index, retry=state.policy,
-                    injector=injector, fault_index=index + fault_offset,
-                    on_attempt_fail=state.fail)
+        pool.submit(fn, item, index=index, retry=retries,
+                    injector=injector, fault_index=index + fault_offset)
         for index, item in enumerate(items)
     ]
     try:
-        pool.wait(futures)
+        for future in futures:
+            pool.wait([future])
+            state.settle(future.index, future.value, future.elapsed,
+                         future.attempts, future.failure)
     finally:
         pool.cancel(futures)
-    for future in futures:
-        if future.ok:
-            state.succeed(future.index, future.value, future.elapsed)
 
 
-def _as_policy(retry: RetryPolicy | int | None) -> RetryPolicy:
-    """Normalize a ``retry=`` argument: a policy, a bare int of retries
-    (``RetryPolicy(max_retries=n)``), or ``None`` for no retries."""
-    if retry is None:
-        return RetryPolicy()
-    if isinstance(retry, int):
-        return RetryPolicy(max_retries=retry)
-    return retry
-
-
-def map_timesteps(fn, items, workers: int = 1,
-                  retry: RetryPolicy | int | None = None,
+def map_timesteps(fn, items, workers: int = 1, retry: int | None = None,
                   on_error: str = "raise",
                   inject_faults: FaultInjector | dict | None = None,
                   fault_index_offset: int = 0, pool=None) -> MapResult:
@@ -339,12 +279,12 @@ def map_timesteps(fn, items, workers: int = 1,
         Processes for a pool the map opens for itself (clamped to the
         item count); 1, the default, runs the map in-process.
     retry:
-        A :class:`RetryPolicy`, a bare int (shorthand for
-        ``RetryPolicy(max_retries=n)``), or ``None`` for the default
-        policy (no retries, no timeout).
+        Retries per item after its first attempt: ``None`` (the
+        default, no retries) or an int >= 0.  A failed attempt runs
+        again at once.
     on_error:
-        ``"raise"`` (default) — the first task to exhaust its retries
-        raises :class:`TaskError` with the item index and remote
+        ``"raise"`` (default) — the lowest-indexed item to exhaust its
+        retries raises :class:`TaskError` with the item index and remote
         traceback, wherever the map runs.  ``"skip"`` — degraded mode:
         the map completes, failed slots hold ``None``, and
         :attr:`MapResult.failures` records each casualty.
@@ -371,12 +311,12 @@ def map_timesteps(fn, items, workers: int = 1,
     items = list(items)
     if on_error not in ("raise", "skip"):
         raise ValueError(f"on_error must be 'raise' or 'skip', got {on_error!r}")
+    retries = _check_retry(retry)
     use_process = fans_out(workers, len(items), pool)
-    policy = _as_policy(retry)
     injector = as_injector(inject_faults)
     metrics = get_metrics()
     metrics.counter("executor.tasks").inc(len(items))
-    state = _MapState(len(items), policy, on_error)
+    state = _MapState(len(items), on_error)
     used_backend = ("pool" if pool is not None
                     else "process" if use_process else "serial")
     # A 2-step map must not fork a full pool of idle processes.
@@ -386,14 +326,15 @@ def map_timesteps(fn, items, workers: int = 1,
                       items=len(items)):
         start = time.perf_counter()
         if pool is not None:
-            _map_pool(fn, items, state, injector, pool, fault_index_offset)
+            _map_pool(fn, items, state, retries, injector, pool, fault_index_offset)
         elif not use_process:
-            _map_serial(fn, items, state, injector, fault_index_offset)
+            _map_serial(fn, items, state, retries, injector, fault_index_offset)
         else:
             from repro.parallel.pool import WorkerPool  # pool imports this module
 
             with WorkerPool(workers=used_workers) as own_pool:
-                _map_pool(fn, items, state, injector, own_pool, fault_index_offset)
+                _map_pool(fn, items, state, retries, injector, own_pool,
+                          fault_index_offset)
         elapsed = time.perf_counter() - start
     return MapResult(state.results, elapsed, used_backend, used_workers,
                      item_times=state.item_times, failures=state.failures,

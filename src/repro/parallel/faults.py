@@ -1,6 +1,6 @@
 """Deterministic fault injection for the task farm.
 
-The executor's retry/timeout/skip machinery only earns its keep if the
+The executor's retry and skip machinery only earns its keep if the
 failure paths are exercised in CI, and real worker faults are not
 reproducible.  A :class:`FaultInjector` is a picklable description of
 *which attempts of which items must fail*: item index → number of leading

@@ -15,8 +15,8 @@ and pays the spawn cost once per run, not per map:
 - **crash detection + respawn**: a worker that dies mid-task (OOM kill,
   segfault, the fault injector's SIGKILL crash mode) is detected through
   its process sentinel, the attempt it carried fails as a structured
-  ``WorkerCrash`` error that flows through the *existing* retry policy,
-  and a fresh worker takes its slot;
+  ``WorkerCrash`` error that counts against the task's retries like any
+  other failure, and a fresh worker takes its slot;
 - **broadcast registry**: :meth:`WorkerPool.broadcast` registers an
   object a run's tasks share (a trained network, an IATF, a camera, a
   step's volume) and task payloads carry a ~50-byte
@@ -35,22 +35,21 @@ and pays the spawn cost once per run, not per map:
 
 Completion is event-driven — the scheduler sleeps in
 ``multiprocessing.connection.wait`` on the worker pipes and process
-sentinels, waking only for a result, a death, a retry-backoff deadline,
-or a per-attempt timeout.  There is no polling loop.
+sentinels, with no timeout, waking only for a result or a death.  There
+is no polling loop and no clock.
 
 Scheduling is parent-driven: each worker holds at most one task, so the
 parent always knows which task died with which worker (a task popped
 from a shared queue by a worker that crashes pre-acknowledgement would
-be lost silently).  Retry bookkeeping stays in the caller via the
-``on_attempt_fail`` hook — :func:`map_timesteps` passes its ``_MapState``
-so counters, backoff, and ``on_error`` semantics are byte-identical to
-an in-process map.
+be lost silently).  A failed attempt goes straight back on the ready
+queue until the task's ``retry`` count is spent, by the same rule an
+in-process map applies, and the same ``executor.retries`` /
+``executor.failures`` counters record it.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import heapq
 import multiprocessing as mp
 import os
 import pickle
@@ -68,13 +67,12 @@ import numpy as np
 from repro.obs import get_metrics
 from repro.parallel.bricking import content_digest
 from repro.parallel.executor import (
-    RetryPolicy,
     TaskError,
     TaskFailure,
-    _as_policy,
+    _check_retry,
     _check_workers,
+    _retry_again,
     _run_attempt,
-    _timeout_error,
 )
 
 
@@ -260,11 +258,10 @@ class _Task:
     """Parent-side record of one submitted task across its attempts."""
 
     __slots__ = ("task_id", "fn", "item", "index", "attempt", "injector",
-                 "fault_index", "policy", "on_fail", "future", "refs",
-                 "deadline", "cancelled")
+                 "fault_index", "retries", "future", "refs", "cancelled")
 
     def __init__(self, task_id, fn, item, index, injector, fault_index,
-                 policy, on_fail, future, refs):
+                 retries, future, refs):
         self.task_id = task_id
         self.fn = fn
         self.item = item
@@ -272,11 +269,9 @@ class _Task:
         self.attempt = 1
         self.injector = injector
         self.fault_index = fault_index
-        self.policy = policy
-        self.on_fail = on_fail
+        self.retries = retries
         self.future = future
         self.refs = refs
-        self.deadline = None      # per-attempt wall deadline while dispatched
         self.cancelled = False
 
 
@@ -284,10 +279,9 @@ class _WorkerSlot:
     """One resident worker process plus its duplex pipe and broadcast ledger.
 
     ``abandoned`` marks the attempt running in ``busy`` as one the parent
-    stopped waiting for (timed out or cancelled): its result is dropped
-    when it arrives, and :meth:`WorkerPool.close` kills the worker instead
-    of joining it.  The flag lives on the slot, not the task,
-    because a timed-out task may already be retrying on another worker.
+    stopped waiting for (cancelled): its result is dropped when it
+    arrives, and :meth:`WorkerPool.close` kills the worker instead of
+    joining it.
 
     ``held`` is the ledger of broadcast keys the worker holds: those
     registered when it forked, plus those shipped to it since.
@@ -330,9 +324,7 @@ class WorkerPool:
         self._ctx: Any = mp.get_context("fork" if hasattr(os, "fork") else "spawn")
         self._slots: list[_WorkerSlot] = []
         self._ready: deque[_Task] = deque()
-        self._delayed: list = []            # heap of (eligible_at, seq, task)
         self._broadcasts: dict[str, _Registration] = {}
-        self._seq = 0
         self._next_task_id = 0
         self._closed = False
         self.respawns = 0
@@ -423,35 +415,26 @@ class WorkerPool:
                 self._send_quietly(slot, ("drop", sorted(dropped)))
 
     def _pending_refs(self) -> set:
-        """Keys referenced by tasks queued, backing off or running."""
-        tasks = [*self._ready, *(entry[2] for entry in self._delayed),
-                 *(slot.busy for slot in self._slots if slot.busy is not None)]
+        """Keys referenced by tasks queued or running."""
+        tasks = [*self._ready, *(slot.busy for slot in self._slots if slot.busy is not None)]
         return {key for task in tasks if not task.cancelled and not task.future.done()
                 for key in task.refs}
 
     # ------------------------------------------------------------------ #
     # Submission
     # ------------------------------------------------------------------ #
-    def submit(self, fn, item, *, index: int = 0,
-               retry: RetryPolicy | int | None = None,
-               injector=None, fault_index: int | None = None,
-               on_attempt_fail=None) -> PoolFuture:
+    def submit(self, fn, item, *, index: int = 0, retry: int | None = None,
+               injector=None, fault_index: int | None = None) -> PoolFuture:
         """Schedule ``fn(item)`` on a resident worker; returns a future.
 
-        ``retry`` follows :func:`map_timesteps` semantics (a policy, a
-        bare int of retries, or ``None`` for no retries).  Each failed
-        attempt is reported to ``on_attempt_fail(index, attempt, elapsed,
-        error)``, which returns the backoff delay for a retry or ``None``
-        to finalize the failure — :func:`map_timesteps` wires its own
-        ``_MapState.fail`` here so the map semantics (counters,
-        ``on_error="raise"``/``"skip"``) are shared; bare submits get a
-        default handler with the same counter behaviour.
+        ``retry`` is :func:`map_timesteps`'s count (``None`` or an int
+        >= 0): a failed attempt, an exception or a dead worker, is queued
+        again at once until the count is spent, and the future then
+        resolves with the final attempt's :class:`TaskFailure`.
         """
         if self._closed:
             raise PoolError("cannot submit to a closed pool")
-        policy = _as_policy(retry)
-        if on_attempt_fail is None:
-            on_attempt_fail = self._default_fail_handler(policy)
+        retries = _check_retry(retry)
         refs: set = set()
         _collect_refs(item, refs)
         missing = [d for d in refs if d not in self._broadcasts]
@@ -461,26 +444,12 @@ class WorkerPool:
         future = PoolFuture(self, index)
         task = _Task(self._next_task_id, fn, item, index, injector,
                      index if fault_index is None else fault_index,
-                     policy, on_attempt_fail, future, refs)
+                     retries, future, refs)
         self._next_task_id += 1
         self._ready.append(task)
         get_metrics().counter("pool.tasks").inc()
         self._dispatch()
         return future
-
-    def _default_fail_handler(self, policy: RetryPolicy):
-        metrics = get_metrics()
-
-        def handle(index: int, attempt: int, elapsed: float, error) -> float | None:
-            if error[0] == "TaskTimeout":
-                metrics.counter("executor.timeouts").inc()
-            if attempt <= policy.max_retries:
-                metrics.counter("executor.retries").inc()
-                return policy.delay(attempt)
-            metrics.counter("executor.failures").inc()
-            return None
-
-        return handle
 
     # ------------------------------------------------------------------ #
     # Waiting
@@ -495,22 +464,12 @@ class WorkerPool:
 
         Queued attempts are discarded; an attempt already running on a
         worker is abandoned (its eventual result is ignored; the slot
-        frees when the call returns, exactly like a timed-out attempt).
+        frees when the call returns, or :meth:`close` kills the worker).
         Each cancelled future resolves with a ``Cancelled`` failure.
         """
         pending = {id(f) for f in futures if not f.done()}
         if not pending:
             return
-        kept = []
-        for entry in self._delayed:
-            if id(entry[2].future) in pending:
-                entry[2].cancelled = True
-                self._finalize_cancel(entry[2])
-            else:
-                kept.append(entry)
-        if len(kept) != len(self._delayed):
-            self._delayed = kept
-            heapq.heapify(self._delayed)
         # Cancelled entries stay queued; ``_next_ready`` discards them.
         for task in self._ready:
             if id(task.future) in pending:
@@ -588,12 +547,10 @@ class WorkerPool:
                             task.attempt, task.injector, task.fault_index))
         except (BrokenPipeError, OSError):
             # The worker died between dispatch decisions; treat it like a
-            # mid-task crash so the attempt flows through the retry policy.
+            # mid-task crash so the attempt counts against its retries.
             self._handle_dead_slot(slot, task)
             return
         slot.busy = task
-        task.deadline = (None if task.policy.timeout is None
-                         else time.monotonic() + task.policy.timeout)
 
     @staticmethod
     def _send_quietly(slot: _WorkerSlot, message) -> None:
@@ -610,19 +567,14 @@ class WorkerPool:
             self._dispatch()
             if satisfied():
                 return
-            timeout = self._next_deadline()
             waitables = []
             for slot in self._slots:
                 waitables.append(slot.conn)
                 waitables.append(slot.process.sentinel)
-            if not waitables and timeout is None:
-                if satisfied():
-                    return
-                raise PoolError("pool deadlock: nothing in flight, nothing delayed, "
-                                "and the wait condition is unsatisfied")
-            ready = connection.wait(waitables, timeout)
-            now = time.monotonic()
-            ready_set = set(ready)
+            if not waitables:
+                raise PoolError("pool deadlock: nothing in flight and the "
+                                "wait condition is unsatisfied")
+            ready_set = set(connection.wait(waitables))
             for slot in list(self._slots):
                 if slot.conn in ready_set:
                     self._drain_slot(slot)
@@ -630,20 +582,6 @@ class WorkerPool:
                 if (slot.process.sentinel in ready_set
                         and not slot.process.is_alive()):
                     self._handle_dead_slot(slot, slot.busy)
-            self._expire_timeouts(now)
-            self._promote_delayed(now)
-
-    def _next_deadline(self) -> float | None:
-        """Seconds until the next backoff-eligibility or attempt timeout."""
-        candidates = []
-        if self._delayed:
-            candidates.append(self._delayed[0][0])
-        for slot in self._slots:
-            if slot.busy is not None and slot.busy.deadline is not None:
-                candidates.append(slot.busy.deadline)
-        if not candidates:
-            return None
-        return max(0.0, min(candidates) - time.monotonic())
 
     def _drain_slot(self, slot: _WorkerSlot) -> None:
         while slot.conn.poll():
@@ -655,7 +593,7 @@ class WorkerPool:
             task, abandoned = slot.busy, slot.abandoned
             slot.busy, slot.abandoned = None, False
             if task is None or task.task_id != task_id or abandoned:
-                continue   # stale result of an abandoned/timed-out attempt
+                continue   # stale result of an abandoned attempt
             if ok:
                 task.future.attempts = task.attempt
                 task.future._resolve(result, elapsed, None)
@@ -681,36 +619,13 @@ class WorkerPool:
         self._attempt_failed(task, 0.0, error)
 
     def _attempt_failed(self, task: _Task, elapsed: float, error) -> None:
-        delay = task.on_fail(task.index, task.attempt, elapsed, error)
-        if delay is None:
-            task.future.attempts = task.attempt
-            task.future._resolve(None, elapsed, TaskFailure(
-                task.index, task.attempt, error[0], error[1], error[2]))
-            return
-        task.attempt += 1
-        task.deadline = None
-        if delay > 0:
-            self._seq += 1
-            heapq.heappush(self._delayed, (time.monotonic() + delay, self._seq, task))
-        else:
+        """Queue the task again, or resolve its future with the failure."""
+        if _retry_again(task.attempt, task.retries):
+            task.attempt += 1
             self._ready.append(task)
-
-    def _expire_timeouts(self, now: float) -> None:
-        for slot in self._slots:
-            task = slot.busy
-            if (task is None or slot.abandoned or task.deadline is None
-                    or now <= task.deadline):
-                continue
-            # Abandon the attempt; the slot frees when the stuck call
-            # eventually returns, or when close() kills the worker.
-            slot.abandoned = True
-            self._attempt_failed(task, 0.0, _timeout_error(task.policy.timeout))
-
-    def _promote_delayed(self, now: float) -> None:
-        while self._delayed and self._delayed[0][0] <= now:
-            _, _, task = heapq.heappop(self._delayed)
-            if not task.cancelled:
-                self._ready.append(task)
+            return
+        task.future.attempts = task.attempt
+        task.future._resolve(None, elapsed, TaskFailure(task.index, task.attempt, *error))
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -718,10 +633,10 @@ class WorkerPool:
     def close(self, timeout: float = 5.0) -> None:
         """Stop and reap the resident workers (idempotent).
 
-        A worker still running an abandoned attempt (timed out or
-        cancelled) is killed at once instead of joined: nothing will
-        read its result, and waiting out the stuck call would add up to
-        ``timeout`` seconds to every map that abandoned an attempt.
+        A worker still running an abandoned (cancelled) attempt is
+        killed at once instead of joined: nothing will read its result,
+        and waiting out the call would add up to ``timeout`` seconds to
+        every map that abandoned an attempt.
         """
         if self._closed:
             return

@@ -73,7 +73,7 @@ def _stream_worker(payload):
 
 
 def stream_map_parallel(fn, directory, times=None, workers: int = 1,
-                        retry=None, on_error: str = "raise"
+                        retry: int | None = None, on_error: str = "raise"
                         ) -> list[tuple[int, object]]:
     """Task-farm streaming map over a saved sequence.
 

@@ -3,7 +3,7 @@
 Public surface:
 
 - :class:`~repro.run.config.RunConfig` — validated run description;
-- :class:`~repro.run.store.ArtifactStore` / :func:`~repro.run.store.derive_key`
+- :class:`~repro.cache.store.ArtifactStore` / :func:`~repro.cache.store.derive_key`
   — input-addressed, integrity-verified artifact persistence;
 - :class:`~repro.run.manifest.RunManifest` — deterministic progress record;
 - :class:`~repro.run.runner.PipelineRunner` — the memoized walk (one
@@ -16,12 +16,12 @@ Public surface:
   replay (with torn-write fault injection) for exercising follow mode.
 """
 
+from repro.cache.store import ArtifactStore, IntegrityError, derive_key
 from repro.run.config import STAGE_ORDER, ConfigError, RunConfig
 from repro.run.follow import FollowReport, FollowRunner, follow_sequence
 from repro.run.manifest import ManifestError, RunManifest, StageRecord
 from repro.run.runner import PipelineRunner, RunError, RunReport
 from repro.run.simwriter import SimulatedWriter
-from repro.run.store import ArtifactStore, IntegrityError, derive_key
 
 __all__ = [
     "STAGE_ORDER",

@@ -7,7 +7,7 @@ into a *run directory*::
       config.json     the full config (identity of the run; written once)
       manifest.json   deterministic progress record (rewritten atomically)
       stats.json      volatile counters/timings — excluded from bit-identity
-      store/          content-addressed artifacts (repro.run.store)
+      store/          content-addressed artifacts (repro.cache.store)
       frames/         optional exported images (render.export)
 
 Every stage decomposes into tasks; every task's artifact key is derived
@@ -68,10 +68,17 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro.cache.store import ArtifactStore, derive_key
 from repro.core.dataspace import DataSpaceClassifier, ShellFeatureExtractor
 from repro.core.iatf import AdaptiveTransferFunction
 from repro.core.mlp import NeuralNetwork
-from repro.core.pipeline import frame_digest, train_sequence_classifier, volume_digest
+from repro.core.pipeline import (
+    box_band,
+    frame_digest,
+    renderer_signature,
+    train_sequence_classifier,
+    volume_digest,
+)
 from repro.core.tracking import FeatureTracker
 from repro.obs import get_metrics
 from repro.parallel.executor import TaskError, map_timesteps
@@ -87,7 +94,6 @@ from repro.run.manifest import (
     ManifestError,
     RunManifest,
 )
-from repro.run.store import ArtifactStore, derive_key
 from repro.transfer.tf1d import TransferFunction1D
 from repro.volume.io import VolumeFormatError, load_sequence
 from repro.utils.atomic import atomic_write_text
@@ -147,19 +153,12 @@ def _task_track(payload):
     return (result.step_mask(i).astype(np.uint8) for i in range(len(result.times)))
 
 
-def _box_band(params: dict, domain) -> tuple[float, float]:
-    """The static box TF's ``(lo, hi)``: the config's, else from the domain."""
-    lo = params["lo"] if params["lo"] is not None else domain[0] + 0.3 * (domain[1] - domain[0])
-    hi = params["hi"] if params["hi"] is not None else domain[1]
-    return lo, hi
-
-
 def _task_tf_step(payload):
     """Per-step transfer function (static box or IATF-generated)."""
     kind, params, domain, iatf, volume = payload
     if kind == "iatf":
         return iatf.generate(volume).to_dict()
-    lo, hi = _box_band(params, domain)
+    lo, hi = box_band(domain, params["lo"], params["hi"])
     return TransferFunction1D(domain).add_box(lo, hi, params["opacity"]).to_dict()
 
 
@@ -542,7 +541,7 @@ class PipelineRunner:
             except (OSError, ValueError, KeyError, TypeError) as exc:
                 raise RunError(f"cannot read IATF {config.tfs['iatf']}: {exc}") from None
         elif "tfs" in stages:
-            lo, hi = _box_band(config.tfs, domain)
+            lo, hi = box_band(domain, config.tfs["lo"], config.tfs["hi"])
             if not lo < hi:
                 raise RunError(f"tfs box band [{lo}, {hi}] is empty over the TF "
                                f"domain {list(domain)}")
@@ -553,8 +552,7 @@ class PipelineRunner:
             self._camera = Camera(azimuth=params["azimuth"],
                                   elevation=params["elevation"],
                                   width=params["size"], height=params["size"])
-            self._renderer = ("exact" if params["mode"] == "exact"
-                              else f"fast:{sorted(params['fast_options'].items())!r}")
+            self._renderer = renderer_signature(params["mode"], params["fast_options"])
 
     def _check_shading(self, shape) -> None:
         """A shaded render needs a gradient: every axis at least 2 voxels."""

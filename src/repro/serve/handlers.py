@@ -30,9 +30,11 @@ from repro.cache.shared import SharedArrayCache
 from repro.cache.store import ArtifactStore, derive_key
 from repro.core.iatf import AdaptiveTransferFunction
 from repro.core.pipeline import (
+    box_band,
     classify_sequence,
     frame_digest,
     render_sequence,
+    renderer_signature,
     train_sequence_classifier,
 )
 from repro.core.tracking import FeatureTracker
@@ -420,8 +422,7 @@ def compute_render(state: ServeState, params: dict) -> dict:
         except (TypeError, ValueError) as exc:
             raise BadRequest(f"parameter 'iatf': {exc}") from None
     else:
-        lo, hi = params["box"] or (domain[0] + 0.3 * (domain[1] - domain[0]),
-                                   domain[1])
+        lo, hi = box_band(domain, *(params["box"] or ()))
         tfs = [TransferFunction1D(domain).add_box(lo, hi, params["opacity"])
                ] * len(sequence)
     images = render_sequence(
@@ -429,9 +430,9 @@ def compute_render(state: ServeState, params: dict) -> dict:
         workers=state.workers, mode=mode, fast_options=fast_options,
         cache=state.shared_cache if params["cache"] else None,
         pool=state.pool)
-    # Rebuild the renderer signature exactly as render_sequence keys its
-    # frame cache, so served digests align with stored cache entries.
-    sig = "exact" if mode == "exact" else f"fast:{sorted((fast_options or {}).items())!r}"
+    # Key frames as render_sequence keys its frame cache, so served
+    # digests align with stored cache entries.
+    sig = renderer_signature(mode, fast_options)
     frames = []
     voxels = state.voxel_digests(params["sequence"])
     for vol, vox, tf, image in zip(sequence, voxels, tfs, images):

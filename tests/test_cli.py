@@ -127,6 +127,30 @@ class TestBadIATFFile:
         assert lines[0].startswith(f"cannot read IATF {iatf}")
 
 
+# The task-farm subcommands, on a sequence directory that does not exist.
+FARM_COMMANDS = {
+    "render": ["render", "SEQ", "--out", "OUT"],
+    "classify": ["classify", "SEQ", "--mask", "ring", "--train-steps", "195"],
+    "apply-iatf": ["apply-iatf", "SEQ", "IATF"],
+}
+
+
+class TestRetriesCount:
+    """``--retries`` is a count: a negative one exits 2 with one
+    ``error:`` line before anything is loaded."""
+
+    @pytest.mark.parametrize("command", sorted(FARM_COMMANDS))
+    def test_negative_count_exits_two(self, tmp_path, command):
+        names = {"SEQ": str(tmp_path / "missing"), "OUT": str(tmp_path / "out"),
+                 "IATF": str(tmp_path / "iatf.json")}
+        argv = [names.get(arg, arg) for arg in FARM_COMMANDS[command]]
+        result = _cli(*argv, "--retries", "-1")
+        assert result.returncode == 2, result.stderr
+        errors = [line for line in result.stderr.splitlines() if "error:" in line]
+        assert errors == [f"repro {command}: error: argument --retries: "
+                          f"must be an integer >= 0, got '-1'"]
+
+
 class TestGenerateInfo:
     def test_generate_writes_sequence(self, seqdir):
         assert (seqdir / "sequence.json").exists()

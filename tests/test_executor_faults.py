@@ -1,10 +1,11 @@
 """Failure-path tests for the fault-tolerant task farm.
 
-Covers the acceptance checklist: injected worker faults are retried per
-policy; exhausted retries surface as a structured ``TaskError`` naming
-the item index with the remote traceback; ``on_error="skip"`` degrades
-to partial results plus a failure list; timeouts fire; and in-process
-and pool placements behave identically under deterministic injection.
+Covers the acceptance checklist: injected worker faults are retried up
+to the ``retry`` count; exhausted retries surface as a structured
+``TaskError`` naming the item index with the remote traceback (the
+lowest failed index, wherever the map runs); ``on_error="skip"``
+degrades to partial results plus a failure list; and in-process and
+pool placements behave identically under deterministic injection.
 """
 
 import time
@@ -15,7 +16,6 @@ from repro.parallel import (
     FaultInjector,
     InjectedFault,
     MapResult,
-    RetryPolicy,
     TaskError,
     map_timesteps,
     parse_fault_spec,
@@ -32,32 +32,30 @@ def nap(seconds):
     return seconds
 
 
-NO_BACKOFF = RetryPolicy(max_retries=2, backoff=0.0)
+def fail_slow_or_fast(x):
+    """Item 1 fails after 0.5 s, item 4 at once; the rest succeed."""
+    if x == 1:
+        time.sleep(0.5)
+        raise RuntimeError("slow failure")
+    if x == 4:
+        raise RuntimeError("fast failure")
+    return x
+
 
 #: Both placements of a map: in-process, and a pool the map opens.
 PLACEMENTS = pytest.mark.parametrize("workers", [1, 2], ids=["serial-1", "process-2"])
 
 
 class TestRetryPolicy:
-    def test_defaults_no_retry_no_timeout(self):
-        policy = RetryPolicy()
-        assert policy.max_retries == 0 and policy.timeout is None
-
-    def test_exponential_backoff(self):
-        policy = RetryPolicy(max_retries=3, backoff=0.1, backoff_factor=2.0)
-        assert policy.delay(1) == pytest.approx(0.1)
-        assert policy.delay(2) == pytest.approx(0.2)
-        assert policy.delay(3) == pytest.approx(0.4)
-
     def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_retries=-1)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff=-0.1)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_factor=0.5)
-        with pytest.raises(ValueError):
-            RetryPolicy(timeout=0.0)
+        """``retry`` is None or an int >= 0; anything else is rejected,
+        in either placement, before any task starts."""
+        started = []
+        for workers in (1, 2):
+            for bad in (-1, True, 1.5):
+                with pytest.raises(ValueError, match="retry"):
+                    map_timesteps(started.append, [1, 2], workers=workers, retry=bad)
+        assert started == []
 
 
 class TestFaultInjector:
@@ -81,7 +79,7 @@ class TestFaultInjector:
 
     def test_env_arms_injection(self, monkeypatch):
         monkeypatch.setenv(FAULT_ENV, "1:1")
-        out = map_timesteps(square, [1, 2, 3], retry=NO_BACKOFF)
+        out = map_timesteps(square, [1, 2, 3], retry=2)
         assert out.results == [1, 4, 9]
         assert out.retries == 1
 
@@ -132,17 +130,17 @@ class TestFaultIndexOffset:
     def test_offset_shifts_schedule_addressing(self):
         """With offset 10, local item 2 is global task 12: only a schedule
         keyed on 12 hits it."""
-        out = map_timesteps(square, [1, 2, 3], retry=NO_BACKOFF,
+        out = map_timesteps(square, [1, 2, 3], retry=2,
                             inject_faults={2: 1}, fault_index_offset=10)
         assert out.retries == 0  # local index 2 is global 12, schedule says 2
-        out = map_timesteps(square, [1, 2, 3], retry=NO_BACKOFF,
+        out = map_timesteps(square, [1, 2, 3], retry=2,
                             inject_faults={12: 1}, fault_index_offset=10)
         assert out.retries == 1
         assert out.results == [1, 4, 9]
 
     def test_offset_in_process_backend(self):
         out = map_timesteps(square, list(range(6)), workers=2,
-                            retry=NO_BACKOFF, inject_faults={7: 1},
+                            retry=2, inject_faults={7: 1},
                             fault_index_offset=4)
         assert out.results == [x * x for x in range(6)]
         assert out.retries == 1
@@ -157,7 +155,7 @@ class TestRetries:
     @PLACEMENTS
     def test_injected_fault_retried_to_success(self, workers):
         out = map_timesteps(square, list(range(16)), workers=workers,
-                            retry=NO_BACKOFF, inject_faults={3: 2})
+                            retry=2, inject_faults={3: 2})
         assert out.results == [x * x for x in range(16)]
         assert out.retries == 2
         assert out.ok
@@ -166,14 +164,22 @@ class TestRetries:
     def test_exhausted_retries_raise_structured_error(self, workers):
         with pytest.raises(TaskError) as excinfo:
             map_timesteps(square, list(range(16)), workers=workers,
-                          retry=RetryPolicy(max_retries=1, backoff=0.0),
-                          inject_faults={5: 99})
+                          retry=1, inject_faults={5: 99})
         failure = excinfo.value.failure
         assert excinfo.value.index == 5
         assert failure.attempts == 2  # first attempt + one retry
         assert failure.error_type == "InjectedFault"
         assert "InjectedFault" in failure.remote_traceback
         assert "item 5" in str(excinfo.value)
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
+    def test_raise_reports_lowest_failed_index(self, workers):
+        """Item 4 fails first in time, item 1 first in order: both
+        placements raise item 1."""
+        with pytest.raises(TaskError) as excinfo:
+            map_timesteps(fail_slow_or_fast, list(range(6)), workers=workers)
+        assert excinfo.value.index == 1
+        assert excinfo.value.failure.message == "slow failure"
 
     def test_retry_as_bare_int(self):
         out = map_timesteps(square, [1, 2], retry=1, inject_faults={0: 1})
@@ -201,28 +207,9 @@ class TestSkipMode:
             map_timesteps(square, [1], on_error="ignore")
 
 
-class TestTimeout:
-    def test_timeout_fires_process(self):
-        with pytest.raises(TaskError) as excinfo:
-            map_timesteps(nap, [0.05, 5.0], workers=2,
-                          retry=RetryPolicy(timeout=0.3))
-        assert excinfo.value.index == 1
-        assert excinfo.value.failure.error_type == "TaskTimeout"
-
-    def test_timeout_fires_serial_cooperatively(self):
-        out = map_timesteps(nap, [0.2], on_error="skip",
-                            retry=RetryPolicy(timeout=0.05))
-        assert len(out.failures) == 1
-        assert out.failures[0].error_type == "TaskTimeout"
-
-    def test_fast_tasks_unaffected_by_timeout(self):
-        out = map_timesteps(square, [1, 2, 3], retry=RetryPolicy(timeout=30.0))
-        assert out.results == [1, 4, 9]
-
-
 class TestBackendEquivalence:
     def test_identical_outcomes_under_injection(self):
-        kwargs = dict(on_error="skip", retry=RetryPolicy(max_retries=1, backoff=0.0),
+        kwargs = dict(on_error="skip", retry=1,
                       inject_faults=FaultInjector({2: 99, 5: 1}))
         serial = map_timesteps(square, list(range(8)), **kwargs)
         proc = map_timesteps(square, list(range(8)), workers=2, **kwargs)
@@ -247,6 +234,6 @@ class TestMapResultHygiene:
 
     def test_chunked_process_map_still_correct(self):
         out = map_timesteps(square, list(range(10)), workers=2,
-                            retry=NO_BACKOFF, inject_faults={4: 1})
+                            retry=2, inject_faults={4: 1})
         assert out.results == [x * x for x in range(10)]
         assert out.retries == 1

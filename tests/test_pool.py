@@ -5,11 +5,11 @@ spawn and reuse across maps (no respawn churn), futures with
 done-callback chaining, the broadcast registry (inherited at fork,
 otherwise shipped to each worker at most once, released per key, a
 snapshot of the object at registration), SIGKILL
-crash detection + respawn flowing through the ordinary retry policy (on
+crash detection + respawn counted against the ordinary retry count (on
 a caller's pool and on the pool a map opens for itself), injected
-faults / skip mode / timeouts matching in-process semantics, a passed
-pool running the map whatever ``workers`` says, and lifecycle (close,
-context manager, closed-pool errors).
+faults / skip mode / cancelled attempts matching in-process semantics,
+a passed pool running the map whatever ``workers`` says, and lifecycle
+(close, context manager, closed-pool errors).
 """
 
 import os
@@ -29,7 +29,6 @@ from repro.parallel import (
     BroadcastRef,
     FaultInjector,
     PoolError,
-    RetryPolicy,
     TaskError,
     WorkerPool,
     map_timesteps,
@@ -40,8 +39,6 @@ from repro.transfer.tf1d import TransferFunction1D
 from repro.volume.grid import Volume, VolumeSequence
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-
-NO_BACKOFF = RetryPolicy(max_retries=2, backoff=0.0)
 
 
 def square(x):
@@ -90,14 +87,13 @@ def crash_once(path):
 
 
 def slow_then_fresh(path):
-    """First call: a slow straggler answering "stale"; later calls answer
-    "fresh" within the timeout the tests pair it with."""
+    """First call: a straggler answering "stale" after 0.5 s; later calls
+    answer "fresh" at once."""
     p = pathlib.Path(path)
     if not p.exists():
         p.write_text("x")
-        time.sleep(1.4)
+        time.sleep(0.5)
         return "stale"
-    time.sleep(0.6)
     return "fresh"
 
 
@@ -136,10 +132,16 @@ class TestSubmit:
 
     def test_retry_then_success(self, pool, tmp_path):
         future = pool.submit(
-            crash_flaky, str(tmp_path / "flaky"), retry=NO_BACKOFF
+            crash_flaky, str(tmp_path / "flaky"), retry=2
         )
         assert future.result() == "ok"
         assert future.attempts == 2
+
+    def test_retry_must_be_a_count(self, pool):
+        for bad in (-1, True, 1.5):
+            with pytest.raises(ValueError, match="retry"):
+                pool.submit(square, 2, retry=bad)
+        assert pool.spawned == 0
 
     def test_done_callback_chains_submissions(self, pool):
         chained = []
@@ -335,7 +337,7 @@ class TestCrashRespawn:
         sentinel = str(tmp_path / "crash")
         out = map_timesteps(
             crash_once, [sentinel], workers=2,
-            pool=pool, retry=NO_BACKOFF,
+            pool=pool, retry=2,
         )
         assert out.results == ["ok"]
         assert out.retries == 1
@@ -353,7 +355,7 @@ class TestCrashRespawn:
     def test_pool_usable_after_crash(self, pool, tmp_path):
         map_timesteps(
             crash_once, [str(tmp_path / "c")], workers=2,
-            pool=pool, retry=NO_BACKOFF,
+            pool=pool, retry=2,
         )
         out = map_timesteps(square, [5, 6], workers=2, pool=pool)
         assert out.results == [25, 36]
@@ -386,7 +388,7 @@ class TestCrashRespawn:
         ref = pool.broadcast({"scale": 3})
         map_timesteps(
             crash_once, [str(tmp_path / "c")], workers=2,
-            pool=pool, retry=NO_BACKOFF,
+            pool=pool, retry=2,
         )
         out = map_timesteps(
             use_ref, [(ref, i) for i in range(8)], workers=2, pool=pool
@@ -397,7 +399,7 @@ class TestCrashRespawn:
 class TestFaultSemantics:
     def test_injected_fault_retried(self, pool):
         out = map_timesteps(
-            square, [1, 2, 3], workers=2, pool=pool, retry=NO_BACKOFF,
+            square, [1, 2, 3], workers=2, pool=pool, retry=2,
             inject_faults=FaultInjector({1: 1}),
         )
         assert out.results == [1, 4, 9]
@@ -410,28 +412,24 @@ class TestFaultSemantics:
         assert out.results == [None, None, None]
         assert sorted(f.index for f in out.failures) == [0, 1, 2]
 
-    def test_timeout_fails_attempt(self, pool):
-        out = map_timesteps(
-            nap, [1.0], workers=2, pool=pool,
-            on_error="skip", retry=RetryPolicy(timeout=0.1),
-        )
-        assert out.failures[0].error_type == "TaskTimeout"
-
-    def test_stale_result_of_timed_out_attempt_ignored(self, pool, tmp_path):
-        # Attempt 1 times out at 1.0 s and is retried on the other worker;
-        # its late "stale" answer (1.4 s) lands before the retry's (~1.6 s)
-        # and must be dropped, not taken as the retry's result.
-        out = map_timesteps(
-            slow_then_fresh, [str(tmp_path / "s")], workers=2, pool=pool,
-            retry=RetryPolicy(max_retries=1, backoff=0.0, timeout=1.0),
-        )
-        assert out.results == ["fresh"]
-        assert out.retries == 1
+    def test_stale_result_of_timed_out_attempt_ignored(self, tmp_path):
+        # The running attempt is abandoned through cancel(); its late
+        # "stale" answer arrives while the next task waits for the one
+        # worker, and must be dropped, not taken as either task's result.
+        path = str(tmp_path / "s")
+        with WorkerPool(workers=1) as p:
+            stale = p.submit(slow_then_fresh, path)
+            p.cancel([stale])
+            fresh = p.submit(slow_then_fresh, path)
+            assert fresh.result() == "fresh"
+            assert stale.value is None
+            assert stale.failure.error_type == "Cancelled"
+            assert p.spawned == 1 and p.respawns == 0
 
     def test_fault_index_offset_honoured(self, pool):
         # Offset shifts injection onto global task index 3 == local item 1.
         out = map_timesteps(
-            square, [1, 2], workers=2, pool=pool, retry=NO_BACKOFF,
+            square, [1, 2], workers=2, pool=pool, retry=2,
             inject_faults=FaultInjector({3: 1}), fault_index_offset=2,
         )
         assert out.results == [1, 4]
@@ -456,9 +454,8 @@ class TestLifecycle:
 
     def test_close_terminates_worker_of_abandoned_attempt(self):
         p = WorkerPool(workers=2)
-        with pytest.raises(TaskError, match="TaskTimeout"):
-            map_timesteps(nap, [0.05, 5.0], workers=2, pool=p,
-                          retry=RetryPolicy(timeout=0.3))
+        running = p.submit(nap, 5.0)
+        p.cancel([running])
         start = time.perf_counter()
         p.close()
         assert time.perf_counter() - start < 1.0

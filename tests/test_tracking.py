@@ -13,6 +13,7 @@ from repro.metrics import tracking_continuity
 from repro.parallel.bricking import content_digest
 from repro.segmentation.events import detect_events, merge_match_events
 from repro.transfer import TransferFunction1D
+from repro.volume.grid import Volume, VolumeSequence
 
 
 def swirl_seed(sequence):
@@ -199,6 +200,18 @@ class TestLabelOnce:
         for name in (first, second, first, second):
             reads[name]()
         assert len(calls) == len(result.times)
+
+    def test_labels_with_the_growth_connectivity(self):
+        """Corner neighbours grown as one feature at connectivity 3 read
+        as one component per step and one continuation."""
+        data = np.zeros((6, 6, 6), np.float32)
+        data[2, 2, 2] = data[3, 3, 3] = 1.0
+        sequence = VolumeSequence([Volume(data.copy(), time=t) for t in (0, 1)])
+        result = FeatureTracker(connectivity=3).track_fixed(
+            sequence, (0, 2, 2, 2), lo=0.5, hi=1.5)
+        assert result.voxel_counts == [2, 2]
+        assert result.component_counts() == [1, 1]
+        assert [e.kind for e in result.events] == ["continuation"]
 
 
 class TestMasksDigest:
