@@ -1,4 +1,4 @@
-"""Rendering throughput: the tile/ESS/ERT fast path vs the reference caster.
+"""Rendering throughput: the ESS/ERT fast path vs the reference caster.
 
 Sec. 7 of the paper reports ~6 fps plain rendering and ~4 fps with the
 multi-pass tracked-feature highlight on a GeForce 6800 at 128^3; the
@@ -8,7 +8,7 @@ measures the software equivalents on one 128^3 argon step through a
 
 - ``reference``       — :func:`repro.render.raycast.render_volume`;
 - ``fast``            — :func:`repro.render.fastcast.render_volume_fast`
-  (per-ray box clipping + macro-cell ESS + ERT), serial whole-image tile;
+  (per-ray box clipping + macro-cell ESS + ERT), one march per frame;
 - ``rgba_reference`` / ``rgba_fast`` — the Sec. 7 feature-only highlight
   volume (sparse alpha), where empty-space skipping dominates;
 - ``fast+cache``      — :func:`repro.core.pipeline.render_sequence`

@@ -9,8 +9,7 @@ script exercises that pipeline end to end on local disk and processes:
 2. load *only* the key-frame steps, train the IATF;
 3. fan the trained IATF out over all steps with the task farm
    (in-process by default, a pool of 4 with ``workers=4``), comparing
-   serial vs parallel wall-clock;
-4. demonstrate ghost-zone bricking for neighborhood ops on large steps.
+   serial vs parallel wall-clock.
 
 Run:  python examples/parallel_out_of_core.py
 """
@@ -19,7 +18,6 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from repro import (
     AdaptiveTransferFunction,
@@ -31,7 +29,6 @@ from repro import (
 from repro.core import generate_sequence_tfs
 from repro.data.argon import ring_value_band
 from repro.metrics import feature_retention
-from repro.parallel import assemble_bricks, map_timesteps, split_bricks
 from repro.utils.timing import Timer
 
 
@@ -80,22 +77,6 @@ def main():
     ]
     print("Ring retention across all steps: "
           f"min={min(retention):.2f} mean={np.mean(retention):.2f}")
-
-    # --- Ghost-zone bricking -------------------------------------------
-    print("\nBricked smoothing of one step (ghost zones make seams exact):")
-    vol = full.at_time(225)
-    bricks = split_bricks(vol.data, (16, 16, 16), ghost=1)
-    processed = []
-    from dataclasses import replace
-    for brick in bricks:
-        smoothed = ndimage.uniform_filter(brick.data, size=3, mode="constant")
-        processed.append(replace(brick, data=smoothed))
-    out = assemble_bricks(processed, vol.shape)
-    reference = ndimage.uniform_filter(vol.data, size=3, mode="constant")
-    interior = (slice(2, -2),) * 3
-    max_err = float(np.abs(out[interior] - reference[interior]).max())
-    print(f"  {len(bricks)} bricks, interior max error vs whole-volume "
-          f"filter: {max_err:.2e}")
 
 
 if __name__ == "__main__":

@@ -101,16 +101,7 @@ class SharedArrayCache:
     def clear(self) -> None:
         """Drop every entry (payloads and sidecars)."""
         for key in self.store.keys():
-            self._remove(key)
-
-    def _remove(self, key: str) -> None:
-        # Sidecar first: with no sidecar the payload already reads as
-        # absent, so concurrent readers never see a half-removed entry.
-        for path in (self.store.meta_path(key), self.store.payload_path(key)):
-            try:
-                path.unlink()
-            except OSError:
-                pass
+            self.store.remove(key)
 
     def _evict(self) -> None:
         """Delete oldest entries until total payload size fits ``max_bytes``."""
@@ -119,7 +110,7 @@ class SharedArrayCache:
         for key in self.store.keys():
             try:
                 stat = self.store.payload_path(key).stat()
-            except OSError:
+            except FileNotFoundError:   # a concurrent evictor removed it
                 continue
             entries.append((stat.st_mtime, stat.st_size, key))
             total += stat.st_size
@@ -129,6 +120,6 @@ class SharedArrayCache:
         for _, size, key in sorted(entries):
             if total <= self.max_bytes:
                 break
-            self._remove(key)
+            self.store.remove(key)
             total -= size
             evictions.inc()

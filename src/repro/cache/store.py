@@ -186,14 +186,12 @@ class ArtifactStore:
                                      f"({self.payload_path(key)} is corrupt or torn)")
         return data
 
-    def has(self, key: str, verify: bool = True) -> bool:
-        """Whether a complete (and by default, verified-intact) artifact exists."""
+    def has(self, key: str) -> bool:
+        """Whether a complete, verified-intact artifact exists."""
         try:
             meta = self._read_meta(key)
             if meta is None:
                 return False
-            if not verify:
-                return self.payload_path(key).exists()
             self._verified_bytes(key, meta)
         except IntegrityError:
             return False

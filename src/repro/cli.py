@@ -97,7 +97,7 @@ def _int_at_least(text: str, minimum: int) -> int:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for counts that must be >= 1 (workers, tiles, cells)."""
+    """argparse type for counts that must be >= 1 (workers, cells)."""
     return _int_at_least(text, 1)
 
 
@@ -280,13 +280,11 @@ def cmd_render(args) -> int:
         static = TransferFunction1D(domain).add_box(lo, hi, args.opacity)
         tf_for = lambda vol: static  # noqa: E731
     outdir = Path(args.out)
-    if not args.fast and (args.tiles is not None or args.ert_alpha != ALPHA_CUTOFF):
-        raise SystemExit("--tiles/--ert-alpha tune the fast path; add --fast")
+    if not args.fast and args.ert_alpha != ALPHA_CUTOFF:
+        raise SystemExit("--ert-alpha tunes the fast path; add --fast")
     fast_options = None
     if args.fast:
         fast_options = {"ert_alpha": args.ert_alpha, "cell": args.cell}
-        if args.tiles is not None:
-            fast_options["tile"] = args.tiles
     images = render_sequence(
         sequence, [tf_for(vol) for vol in sequence], camera=camera,
         shading=not args.no_shading, workers=args.workers,
@@ -592,11 +590,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-shading", action="store_true")
     p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--fast", action="store_true",
-                   help="tile-decomposed renderer with empty-space skipping "
-                        "and early ray termination (bit-identical to the "
-                        "reference at the default --ert-alpha)")
-    p.add_argument("--tiles", type=_positive_int, metavar="EDGE",
-                   help="fast-path tile edge in pixels (default: whole image)")
+                   help="renderer with empty-space skipping and early ray "
+                        "termination (bit-identical to the reference at the "
+                        "default --ert-alpha)")
     p.add_argument("--ert-alpha", type=_ert_alpha, default=ALPHA_CUTOFF,
                    help="fast-path early-termination opacity threshold; "
                         "below the default it trades a bounded compositing "

@@ -382,9 +382,9 @@ def render_sequence(sequence: VolumeSequence, tfs, camera: Camera | None = None,
     :class:`~repro.render.image.Image` per step (``None`` for steps
     skipped under ``on_error="skip"``).
 
-    ``mode="fast"`` routes frames through the tile/ESS/ERT renderer
+    ``mode="fast"`` routes frames through the ESS/ERT renderer
     (:func:`repro.render.fastcast.render_volume_fast`) with
-    ``fast_options`` forwarded (``tile``, ``ert_alpha``, ``cell``).
+    ``fast_options`` forwarded (``ert_alpha``, ``cell``).
 
     ``cache`` enables content-keyed frame reuse.  Keys cover volume + TF
     + camera + renderer (:func:`frame_digest`), so a hit returns

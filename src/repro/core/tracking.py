@@ -340,8 +340,7 @@ class FeatureTracker:
             by_step.setdefault(step, []).append(tuple(int(c) for c in row[1:]))
         return by_step
 
-    def open_stream(self, seed, *, name: str = "custom",
-                    predict_seeds: bool = False) -> "TrackStream":
+    def open_stream(self, seed, *, name: str = "custom") -> "TrackStream":
         """Open an open-ended push-mode tracking session.
 
         Unlike :meth:`track_streaming`, which pulls a known, complete
@@ -351,26 +350,22 @@ class FeatureTracker:
         the exact offline :func:`~repro.segmentation.regiongrow.grow_4d`
         fixpoint at :meth:`TrackStream.finalize`.
         """
-        return TrackStream(self, self._normalize_seeds(seed, None), name,
-                           predict=predict_seeds)
+        return TrackStream(self, self._normalize_seeds(seed, None), name)
 
     def track_streaming(self, source, seed, *, lo: float | None = None,
                         hi: float | None = None,
                         iatf: AdaptiveTransferFunction | None = None,
                         criteria_fn=None, name: str | None = None,
-                        refine: bool = True,
-                        predict_seeds: bool = False) -> TrackResult:
+                        refine: bool = True) -> TrackResult:
         """Track while holding O(1 timestep) in memory instead of O(T).
 
         Steps are consumed one at a time — from an in-memory sequence or
         straight from a saved sequence directory — and each step's
         criterion mask is computed, pushed into a :class:`TrackStream`,
         and bit-packed away.  Step *t+1* is seeded from the tracked mask
-        at *t* (plus, with ``predict_seeds``, a motion-extrapolated copy
-        of it in the prediction–verification spirit of
-        :mod:`repro.segmentation.prediction`); forward/backward
-        refinement sweeps over the packed store then repeat until the
-        region stops changing, which makes the result voxel-identical to
+        at *t*; forward/backward refinement sweeps over the packed store
+        then repeat until the region stops changing, which makes the
+        result voxel-identical to
         :func:`repro.segmentation.regiongrow.grow_4d` on the stacked
         criteria.
 
@@ -390,18 +385,13 @@ class FeatureTracker:
             Run forward/backward sweeps to an exact fixpoint (default).
             ``False`` keeps the single forward pass — cheaper, and
             identical whenever the feature never grows backward in time.
-        predict_seeds:
-            Additionally seed each step with the previous tracked mask
-            shifted by its estimated motion — survives temporal sampling
-            too coarse for spatial overlap, at the cost of exactness
-            w.r.t. plain 4D growth.
         """
         crit_fn, crit_name = self._criterion(lo, hi, iatf, criteria_fn, name)
         # Only a custom callable may look at ground-truth masks; the
         # built-in value/IATF criteria read voxels alone.
         loaders = self._step_loaders(source, masks=criteria_fn is not None)
         stream = TrackStream(self, self._normalize_seeds(seed, len(loaders)),
-                             crit_name, predict=predict_seeds)
+                             crit_name)
         metrics = get_metrics()
         with metrics.span("track.streaming", steps=len(loaders),
                           criterion=crit_name, refine=bool(refine)):
@@ -454,20 +444,16 @@ class TrackStream:
     """
 
     def __init__(self, tracker: FeatureTracker,
-                 seeds_by_step: dict[int, list[tuple]], criterion: str,
-                 predict: bool = False) -> None:
+                 seeds_by_step: dict[int, list[tuple]], criterion: str) -> None:
         self._tracker = tracker
         self._seeds = {int(k): list(v) for k, v in seeds_by_step.items()}
         self.criterion = criterion
-        self._predict = bool(predict)
         self.shape: tuple | None = None
         self._times: list[int] = []
         self._packed_crit: list[np.ndarray] = []
         self._packed_mask: list[np.ndarray] = []
         self._counts: list[int] = []
         self._tail: np.ndarray | None = None  # unpacked mask, newest step
-        self._prev_centroid: np.ndarray | None = None
-        self._velocity = np.zeros(3)
         self._closed = False
         # Descriptor-fallback state (only maintained when the tracker has
         # a matcher): per-step candidate component descriptors — kept so
@@ -611,52 +597,28 @@ class TrackStream:
         structure = _structure(mask.ndim, min(connectivity - 1, mask.ndim))
         return ndimage.binary_dilation(mask, structure=structure)
 
-    @staticmethod
-    def _shift_mask(mask: np.ndarray, offset) -> np.ndarray:
-        """Translate a mask by an integer offset, zero-filling (no wrap)."""
-        out = np.zeros_like(mask)
-        src: list[slice] = []
-        dst: list[slice] = []
-        for n, o in zip(mask.shape, offset):
-            o = int(o)
-            if abs(o) >= n:
-                return out
-            src.append(slice(max(0, -o), min(n, n - o)))
-            dst.append(slice(max(0, o), min(n, n + o)))
-        out[tuple(dst)] = mask[tuple(src)]
-        return out
-
     def _forward(self, pos: int, crit: np.ndarray, prev: np.ndarray | None,
                  labels=None) -> np.ndarray:
         """One forward-pass step: seed step ``pos`` from its explicit
         seeds and the previous step's mask ``prev``, grow within ``crit``,
-        apply the descriptor fallback and motion update, and pack.
+        apply the descriptor fallback, and pack.
         Returns the grown (unpacked) mask."""
         seed_mask = np.zeros(self.shape, dtype=bool)
         for point in self._seeds.get(pos, ()):
             seed_mask[point] = True
         if prev is not None:
             seed_mask |= self._cross_step_seeds(prev)
-            if self._predict and self._prev_centroid is not None and prev.any():
-                seed_mask |= self._shift_mask(prev, np.rint(self._velocity))
         seed_mask &= crit
         grown = (self._grow_step(crit, seed_mask)
                  if seed_mask.any() else np.zeros(self.shape, dtype=bool))
         if self._tracker.matcher is not None:
             grown = self._apply_match(pos, self._times[pos], crit, grown, labels)
-        if self._predict and grown.any():
-            centroid = np.mean(np.nonzero(grown), axis=1)
-            if self._prev_centroid is not None:
-                self._velocity = centroid - self._prev_centroid
-            self._prev_centroid = centroid
         self._packed_mask[pos] = _pack_mask(grown)
         self._counts[pos] = int(grown.sum())
         return grown
 
     def _replay(self) -> None:
         """Forward pass over the packed criteria with current bindings."""
-        self._prev_centroid = None
-        self._velocity = np.zeros(3)
         # The descriptor thread is re-derived from scratch too — stored
         # per-step candidate descriptors make that possible without data.
         self._desc = None

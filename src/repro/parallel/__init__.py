@@ -14,18 +14,15 @@ The paper's large-data story has two halves this package reproduces:
   fault injection for CI (:mod:`repro.parallel.faults`).  Payloads travel by pickle;
   invariants shared by every task are broadcast to each worker once.
 - *"when the volume size is large … not all the data can fit in core"*
-  (Sec. 4.2.2) — :mod:`repro.parallel.bricking` decomposes volumes into
-  ghost-padded bricks for streaming.
+  (Sec. 4.2.2) — tracking and follow mode hold one step at a time:
+  :func:`sequence_step_stems` (:mod:`repro.parallel.streaming`) lists a
+  saved sequence's steps for the tracker's step-at-a-time loader,
+  :class:`~repro.parallel.streaming.SequenceWatcher` admits the steps of
+  a directory still being written, and key-frame work loads only the
+  steps it names (:func:`repro.volume.io.load_sequence` with ``times=``).
 """
 
-from repro.parallel.bricking import (
-    Brick,
-    assemble_bricks,
-    axis_chunks,
-    content_digest,
-    iter_bricks,
-    split_bricks,
-)
+from repro.parallel.bricking import axis_chunks, content_digest
 from repro.parallel.executor import (
     MapResult,
     TaskError,
@@ -34,10 +31,9 @@ from repro.parallel.executor import (
 )
 from repro.parallel.faults import FaultInjector, InjectedFault, parse_fault_spec
 from repro.parallel.pool import BroadcastRef, PoolError, PoolFuture, WorkerPool
-from repro.parallel.streaming import sequence_step_stems, stream_map, stream_map_parallel
+from repro.parallel.streaming import sequence_step_stems
 
 __all__ = [
-    "Brick",
     "BroadcastRef",
     "FaultInjector",
     "InjectedFault",
@@ -47,14 +43,9 @@ __all__ = [
     "TaskError",
     "TaskFailure",
     "WorkerPool",
-    "assemble_bricks",
     "axis_chunks",
     "content_digest",
-    "iter_bricks",
     "map_timesteps",
     "parse_fault_spec",
     "sequence_step_stems",
-    "split_bricks",
-    "stream_map",
-    "stream_map_parallel",
 ]

@@ -1,21 +1,17 @@
-"""Brick decomposition with ghost zones for out-of-core processing.
+"""Content digests and the block grid of the temporal-coherence cache.
 
-Large steps don't fit in core (Sec. 4.2.2); the standard remedy — then and
-now — is to split each volume into bricks, process bricks independently,
-and reassemble.  Ghost layers let neighborhood operations (shell feature
-vectors, gradients, smoothing) compute correct values up to the brick
-boundary: a brick carries ``ghost`` extra voxels on each side where the
-volume has them, and :func:`assemble_bricks` writes back only the interior.
+:func:`content_digest` is the program's one hash (store keys, payload
+digests, config fingerprints, broadcast ids, classifier block keys), and
+:func:`axis_chunks` is the block grid the fast classifier's cached walk
+(:meth:`repro.core.fastclassify.FastVolumeClassifier.classify`) keys its
+blocks on.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 import numpy as np
-
-from repro.utils.validation import check_shape3d
 
 
 def content_digest(*arrays) -> str:
@@ -58,103 +54,12 @@ def stack_digest(shape, dtype, arrays) -> str:
     return h.hexdigest()[:32]
 
 
-@dataclass(frozen=True)
-class Brick:
-    """One ghost-padded sub-volume.
-
-    Attributes
-    ----------
-    data:
-        The padded sub-array (a copy — bricks are shipped to workers).
-    interior:
-        Slices selecting the brick's interior *within* ``data``.
-    position:
-        Slices locating that interior within the full volume.
-    """
-
-    data: np.ndarray
-    interior: tuple
-    position: tuple
-
-    @property
-    def interior_shape(self) -> tuple[int, ...]:
-        """Shape of the interior region this brick owns."""
-        return tuple(s.stop - s.start for s in self.position)
-
-    @property
-    def digest(self) -> str:
-        """Content digest of the padded brick data (see :func:`content_digest`)."""
-        return content_digest(self.data)
-
-
 def axis_chunks(n: int, brick_size: int) -> list[tuple[int, int]]:
     """``(start, stop)`` intervals of width ``brick_size`` covering ``[0, n)``.
 
-    The last interval shrinks to fit.  Shared by the brick splitter and
-    the fast classifier's block-pruning/caching grid so both decompose a
-    volume identically.
+    The last interval shrinks to fit.  The fast classifier's cached walk
+    decomposes a volume into blocks along these intervals.
     """
     if brick_size < 1:
         raise ValueError(f"brick_size must be >= 1, got {brick_size}")
     return [(s, min(s + brick_size, n)) for s in range(0, n, brick_size)]
-
-
-def split_bricks(volume: np.ndarray, brick_shape, ghost: int = 0) -> list[Brick]:
-    """Split a 3D array into ghost-padded bricks covering it exactly once.
-
-    ``brick_shape`` is the interior size per axis; edge bricks shrink to
-    fit.  Ghost layers are clamped at the volume boundary (no padding is
-    invented — consumers see exactly the data a streaming reader would).
-    """
-    volume = np.asarray(volume)
-    if volume.ndim != 3:
-        raise ValueError(f"expected 3D volume, got ndim={volume.ndim}")
-    bz, by, bx = check_shape3d("brick_shape", brick_shape)
-    if ghost < 0:
-        raise ValueError(f"ghost must be non-negative, got {ghost}")
-    nz, ny, nx = volume.shape
-    bricks: list[Brick] = []
-    for z0, z1 in axis_chunks(nz, bz):
-        for y0, y1 in axis_chunks(ny, by):
-            for x0, x1 in axis_chunks(nx, bx):
-                gz0, gz1 = max(0, z0 - ghost), min(nz, z1 + ghost)
-                gy0, gy1 = max(0, y0 - ghost), min(ny, y1 + ghost)
-                gx0, gx1 = max(0, x0 - ghost), min(nx, x1 + ghost)
-                data = volume[gz0:gz1, gy0:gy1, gx0:gx1].copy()
-                interior = (
-                    slice(z0 - gz0, z0 - gz0 + (z1 - z0)),
-                    slice(y0 - gy0, y0 - gy0 + (y1 - y0)),
-                    slice(x0 - gx0, x0 - gx0 + (x1 - x0)),
-                )
-                position = (slice(z0, z1), slice(y0, y1), slice(x0, x1))
-                bricks.append(Brick(data=data, interior=interior, position=position))
-    return bricks
-
-
-def iter_bricks(volume: np.ndarray, brick_shape, ghost: int = 0):
-    """Generator form of :func:`split_bricks` (bricks created lazily)."""
-    for brick in split_bricks(volume, brick_shape, ghost=ghost):
-        yield brick
-
-
-def assemble_bricks(bricks, shape, dtype=None) -> np.ndarray:
-    """Reassemble processed brick interiors into a full volume.
-
-    Each brick's ``data`` must still cover its padded extent (process
-    in-place or return same-shape results); only interiors are written, so
-    ghost-zone results are discarded and seams are exact.
-    """
-    shape = check_shape3d("shape", shape)
-    bricks = list(bricks)
-    if not bricks:
-        raise ValueError("no bricks to assemble")
-    if dtype is None:
-        dtype = bricks[0].data.dtype
-    out = np.empty(shape, dtype=dtype)
-    filled = np.zeros(shape, dtype=bool)
-    for brick in bricks:
-        out[brick.position] = brick.data[brick.interior]
-        filled[brick.position] = True
-    if not filled.all():
-        raise ValueError("bricks do not cover the requested shape")
-    return out

@@ -249,14 +249,15 @@ def _map_pool(fn, items, state: _MapState, retries: int, injector, pool,
 
     Every item is submitted at once and the futures are read in item
     order, so ``on_error="raise"`` raises the lowest failed index, as
-    in-process, and the ``finally`` cancels the rest of the map.
+    in-process.  The ``finally`` cancels the rest of the map, also when a
+    later ``submit`` raises (a payload naming an unknown broadcast).
     """
-    futures = [
-        pool.submit(fn, item, index=index, retry=retries,
-                    injector=injector, fault_index=index + fault_offset)
-        for index, item in enumerate(items)
-    ]
+    futures = []
     try:
+        for index, item in enumerate(items):
+            futures.append(pool.submit(fn, item, index=index, retry=retries,
+                                       injector=injector,
+                                       fault_index=index + fault_offset))
         for future in futures:
             pool.wait([future])
             state.settle(future.index, future.value, future.elapsed,

@@ -693,19 +693,19 @@ class PoolDispatcher:
     workers, so two concurrent pool-backed jobs would only contend.  The
     serve daemon layers request coalescing and a bounded queue on top.
 
-    ``prespawn=True`` spawns the pool's workers as the dispatcher's
-    first job, so the forks happen at startup before the host process
-    grows threads (see :meth:`WorkerPool.prespawn`).
+    A multi-worker dispatcher spawns its pool's workers as its first
+    job, so the forks happen at startup before the host process grows
+    threads (see :meth:`WorkerPool.prespawn`).
     """
 
-    def __init__(self, workers: int = 1, prespawn: bool = False) -> None:
+    def __init__(self, workers: int = 1) -> None:
         self._pool = WorkerPool(workers=workers)
         self._jobs: queue.SimpleQueue = queue.SimpleQueue()
         self._closed = False
         self._thread = threading.Thread(target=self._run, daemon=True,
                                         name="repro-pool-dispatcher")
         self._thread.start()
-        if prespawn and self._pool.workers > 1:
+        if self._pool.workers > 1:
             self.submit(self._pool.prespawn)
 
     @property

@@ -1,19 +1,12 @@
-"""Streaming out-of-core sequence processing (paper Secs. 4.2.3, 8).
+"""Step-at-a-time access to a sequence on disk (paper Secs. 4.2.3, 8).
 
 The paper's deployment story for very long runs: the trained artifact is
-tiny, each time step is independent, and steps live on disk — so workers
-should *load, process, and drop* one step at a time instead of holding the
-sequence in memory.  These helpers run a per-step function over a saved
-sequence directory that way:
+tiny, each time step is independent, and steps live on disk — so a
+consumer should *load, process, and drop* one step at a time instead of
+holding the sequence in memory.
 
-- :func:`stream_map` — serial streaming map (peak memory ≈ one step);
-- :func:`stream_map_parallel` — the same map through the task farm: with
-  ``workers > 1`` each pool worker loads its own step from disk (nothing
-  but the artifact and the step path crosses the process boundary,
-  matching the cluster pattern where nodes read their own bricks).
-
-:func:`sequence_step_stems` is the manifest reader behind both, and
-behind the tracker's step-at-a-time loader
+:func:`sequence_step_stems` is the manifest reader behind the tracker's
+step-at-a-time loader
 (:meth:`repro.core.tracking.FeatureTracker.track_streaming`);
 :class:`SequenceWatcher` is follow mode's incremental scanner over a
 directory still being written.
@@ -25,9 +18,7 @@ import json
 import time as _time
 from pathlib import Path
 
-from repro.obs import get_metrics
-from repro.parallel.executor import map_timesteps
-from repro.volume.io import check_sequence_manifest, load_volume, read_sequence_manifest
+from repro.volume.io import check_sequence_manifest, read_sequence_manifest
 
 
 def sequence_step_stems(directory, times=None) -> list[tuple[int, Path]]:
@@ -36,7 +27,7 @@ def sequence_step_stems(directory, times=None) -> list[tuple[int, Path]]:
     ``times`` optionally restricts (and validates) the selection: a
     requested step id missing from the manifest raises ``KeyError``
     instead of being silently dropped.  The manifest is checked here
-    (:func:`repro.volume.io.read_sequence_manifest`), so every streaming
+    (:func:`repro.volume.io.read_sequence_manifest`), so a step-at-a-time
     consumer rejects a malformed directory up front rather than mid-run.
     """
     directory = Path(directory)
@@ -52,51 +43,6 @@ def sequence_step_stems(directory, times=None) -> list[tuple[int, Path]]:
         raise KeyError(f"missing time steps {sorted(wanted - have)} in {directory}")
     return kept
 
-
-def stream_map(fn, directory, times=None, mmap: bool = False):
-    """Serial streaming map: yield ``(time, fn(volume))`` per step.
-
-    Only one step's voxels are resident at a time; results are yielded as
-    they are produced so callers can also stream their consumption.
-    """
-    metrics = get_metrics()
-    for time, stem in sequence_step_stems(directory, times=times):
-        volume = load_volume(stem, mmap=mmap)
-        with metrics.span("stream.step", time=time):
-            result = fn(volume)
-        yield time, result
-
-
-def _stream_worker(payload):
-    fn, stem = payload
-    return fn(load_volume(stem))
-
-
-def stream_map_parallel(fn, directory, times=None, workers: int = 1,
-                        retry: int | None = None, on_error: str = "raise"
-                        ) -> list[tuple[int, object]]:
-    """Task-farm streaming map over a saved sequence.
-
-    ``fn`` must be picklable; each task loads its own step from disk, so
-    the parent never materializes the sequence.  Results return in step
-    order as ``(time, result)`` pairs.  ``workers``/``retry``/``on_error``
-    forward to :func:`repro.parallel.executor.map_timesteps`
-    (``workers > 1`` opens a pool); with ``on_error="skip"`` a failed
-    step's result slot holds ``None``.
-
-    The manifest is read exactly once, so the mapped items and the
-    returned step times cannot desync even if the directory is rewritten
-    mid-call.
-    """
-    items: list[tuple] = []
-    kept_times: list[int] = []
-    for time, stem in sequence_step_stems(directory, times=times):
-        items.append((fn, stem))
-        kept_times.append(time)
-    with get_metrics().span("stream.map_parallel", steps=len(items)):
-        outcome = map_timesteps(_stream_worker, items, workers=workers,
-                                retry=retry, on_error=on_error)
-    return list(zip(kept_times, outcome.results))
 
 # --------------------------------------------------------------------- #
 # Directory watching (in-situ follow mode)

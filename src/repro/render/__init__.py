@@ -10,7 +10,7 @@ as vectorized numpy over ray-sample batches.
 - :mod:`repro.render.image` — RGBA image buffer and PPM export.
 - :mod:`repro.render.raycast` — orthographic ray caster (scalar + TF, or a
   precomputed RGBA volume) with early ray termination.
-- :mod:`repro.render.fastcast` — tiled fast path over the same
+- :mod:`repro.render.fastcast` — fast path over the same
   semantics: macro-cell empty-space skipping, per-ray box clipping, and
   configurable early termination (bit-identical at the default cutoff).
 - :mod:`repro.render.shading` — gradient-based Phong headlight shading.

@@ -1,17 +1,15 @@
-"""Tiled fast rendering with empty-space skipping (ESS) + ERT.
+"""Fast rendering with empty-space skipping (ESS) + ERT.
 
 The paper renders classification results with fragment programs on a
 GeForce 6800 and scales frames across a PC cluster (Secs. 7–8); the
 software reference in :mod:`repro.render.raycast` reproduces the
 *semantics* of that renderer but marches every ray through every sample
-shell.  This module is the fast path, five ideas deep:
+shell.  This module is the fast path, four ideas deep.  A frame's rays
+are marched together in one batch (per-shell vector ops amortize best
+over one big batch); frames parallelize one level up, as steps of the
+per-step map in :mod:`repro.core.pipeline`.
 
-1. **Tile decomposition.**  The image plane splits into square tiles,
-   each marched independently in a plain loop (the default tile is the
-   whole image: per-shell vector ops amortize best over one big batch).
-   Frames parallelize one level up, as steps of the per-step map in
-   :mod:`repro.core.pipeline`.
-2. **Macro-cell empty-space skipping.**  A per-cell min/max summary
+1. **Macro-cell empty-space skipping.**  A per-cell min/max summary
    (:func:`repro.volume.pyramid.minmax_pool`, dilated one cell so every
    trilinear footprint is covered) certifies, per macro cell, whether
    *any* sample inside it can receive nonzero opacity — for the scalar
@@ -22,12 +20,12 @@ shell.  This module is the fast path, five ideas deep:
    empty-cell set is octree-encoded on demand
    (:class:`repro.segmentation.octree.OctreeMask`) so the skip regions
    are enumerable — the soundness tests re-certify every skipped leaf.
-3. **Early ray termination.**  Configurable ``ert_alpha``; at the
+2. **Early ray termination.**  Configurable ``ert_alpha``; at the
    reference's own cutoff (:data:`repro.render.raycast.ALPHA_CUTOFF`,
    the default) termination is identical to the reference.  Rays join a
    compact active set at their entry shell and leave it once terminated
    or past the box.
-4. **Opacity-first samples and the outside constant.**  A sampled point's
+3. **Opacity-first samples and the outside constant.**  A sampled point's
    opacity comes first; only nonzero-opacity samples are colored, get
    the gradient gather and Phong shading, and composite.  Every point off
    the grid reads the same value 0.0, so when the transfer function
@@ -35,14 +33,14 @@ shell.  This module is the fast path, five ideas deep:
    after ``k`` such samples: each ray starts at its box entry from that
    table (rays it terminates, or that miss the box, never march), and
    after the box exit the constant composites without sampling.
-5. **Build only what a frame shades.**  The shading gradient is a
+4. **Build only what a frame shades.**  The shading gradient is a
    zero-filled buffer whose z-slices are built, by the reference's own
    float32 difference operations, the first time a shaded in-volume
    sample's trilinear corners reach them; a frame whose feature sits in
    a few slices, or whose rays die in the outside fog, builds few or
    none.  A view's rays and box sample ranges are computed once per
    process (a small memo keyed by camera, grid shape and step) and
-   every frame and tile of that view slices the same read-only arrays.
+   every frame of that view reads the same read-only arrays.
 
 Equivalence is the load-bearing property: a skipped sample provably
 contributes *exactly zero* opacity, the outside table is built by the
@@ -51,12 +49,11 @@ ray, and a shaded in-volume sample gathers the bytes the reference's
 whole-volume gradient holds (an outside sample gathers zero either way),
 so at the default ``ert_alpha`` the fast path is
 **bit-identical** to :func:`repro.render.raycast.render_volume` /
-``render_rgba_volume`` — and bit-identical to itself across any tile
-size.  Lower ``ert_alpha`` trades a bounded tail of the compositing sum
-(|Δ| ≤ 1 − ert_alpha per channel) for speed.  None of these certificates
-holds for a NaN or infinite voxel, so such a frame renders through the
-reference caster.  ``tests/test_fastcast.py`` pins all of this
-differentially.
+``render_rgba_volume``.  Lower ``ert_alpha`` trades a bounded tail of
+the compositing sum (|Δ| ≤ 1 − ert_alpha per channel) for speed.  None
+of these certificates holds for a NaN or infinite voxel, so such a frame
+renders through the reference caster.  ``tests/test_fastcast.py`` pins
+all of this differentially.
 """
 
 from __future__ import annotations
@@ -181,7 +178,7 @@ def build_alpha_skip_grid(alpha: np.ndarray, cell: int) -> SkipGrid:
 
 
 # --------------------------------------------------------------------- #
-# Rays and ray marching (one tile)
+# Rays and ray marching
 # --------------------------------------------------------------------- #
 def _ray_sample_ranges(origins: np.ndarray, directions: np.ndarray, shape3,
                        step: float, n_samples: int):
@@ -226,8 +223,7 @@ def _view_rays(camera: Camera, shape3: tuple, step: float):
     rays through a ``shape3`` grid, one row per pixel, read-only.
 
     Computed once per process per view: a run renders all its frames
-    from one view, and the ranges are elementwise per ray, so every frame
-    and tile slices one set.
+    from one view, so every frame reads one set.
     """
     origins, directions, n_samples = camera.ray_grid(shape3, step=step)
     s_min, s_max = _ray_sample_ranges(origins, directions, shape3, step,
@@ -376,10 +372,9 @@ def _outside_constant(sample_alpha, color_of, shade_fn, step: float, n_samples: 
                     table_a=np.concatenate(rows_a))
 
 
-def _march_tile(origins, directions, s_min, s_max, n_samples, step, ert_alpha,
-                occupied, cell, shape3, outside, sample_alpha, color_of,
-                shade_fn):
-    """Front-to-back composite one tile's rays with ESS + ERT.
+def _march(origins, directions, s_min, s_max, n_samples, step, ert_alpha,
+           occupied, cell, shape3, outside, sample_alpha, color_of, shade_fn):
+    """Front-to-back composite a frame's rays with ESS + ERT.
 
     Mirrors :func:`repro.render.raycast._composite_shells` operation for
     operation, but each sample pays only for what can change its pixel:
@@ -474,15 +469,6 @@ def _march_tile(origins, directions, s_min, s_max, n_samples, step, ert_alpha,
 # --------------------------------------------------------------------- #
 # Dispatch
 # --------------------------------------------------------------------- #
-def tile_boxes(height: int, width: int, tile: int) -> list[tuple[int, int, int, int]]:
-    """Row-major ``(r0, r1, c0, c1)`` tile boxes covering the image."""
-    if tile < 1:
-        raise ValueError(f"tile must be >= 1, got {tile}")
-    return [(r0, min(r0 + tile, height), c0, min(c0 + tile, width))
-            for r0 in range(0, height, tile)
-            for c0 in range(0, width, tile)]
-
-
 def check_ert_alpha(ert_alpha: float) -> None:
     """The early-ray-termination threshold must lie in (0, 1].
 
@@ -496,18 +482,12 @@ def check_ert_alpha(ert_alpha: float) -> None:
 
 def _render_fast(mode: str, field: np.ndarray, grad: _GradientSlices | None,
                  tf: TransferFunction1D | None, skip: SkipGrid,
-                 camera: Camera, step: float, background, tile: int | None,
+                 camera: Camera, step: float, background,
                  ert_alpha: float) -> Image:
-    """Shared tile loop of the two public entry points."""
+    """The march shared by the two public entry points."""
     shape3 = field.shape[:3]
     origins, directions, n_samples, s_min, s_max = _view_rays(camera, shape3, step)
     height, width = camera.height, camera.width
-    tile = max(height, width) if tile is None else int(tile)
-    boxes = tile_boxes(height, width, tile)
-    o_grid = origins.reshape(height, width, 3)
-    d_grid = directions.reshape(height, width, 3)
-    lo_grid = s_min.reshape(height, width)
-    hi_grid = s_max.reshape(height, width)
     occupied = None if skip.occupied.all() else skip.occupied
 
     if tf is not None:
@@ -539,32 +519,21 @@ def _render_fast(mode: str, field: np.ndarray, grad: _GradientSlices | None,
     else:
         shade_fn = None
 
-    pixels = np.empty((height, width, 4), dtype=np.float32)
-    totals = {"samples_skipped": 0, "rays_terminated_early": 0}
     metrics = get_metrics()
     with metrics.span(f"render.fast.{mode}", pixels=height * width,
-                      samples=n_samples, tiles=len(boxes), tile=tile,
-                      ert_alpha=ert_alpha, cells_total=skip.cells_total,
-                      cells_empty=skip.cells_empty):
+                      samples=n_samples, ert_alpha=ert_alpha,
+                      cells_total=skip.cells_total, cells_empty=skip.cells_empty):
         outside = _outside_constant(sample_alpha, color_of, shade_fn, step,
                                     n_samples, ert_alpha)
-        for r0, r1, c0, c1 in boxes:
-            rgb, alpha, tile_stats = _march_tile(
-                np.ascontiguousarray(o_grid[r0:r1, c0:c1]).reshape(-1, 3),
-                np.ascontiguousarray(d_grid[r0:r1, c0:c1]).reshape(-1, 3),
-                lo_grid[r0:r1, c0:c1].ravel(), hi_grid[r0:r1, c0:c1].ravel(),
-                n_samples, step, ert_alpha, occupied, skip.cell, shape3,
-                outside, sample_alpha, color_of, shade_fn)
-            pixels[r0:r1, c0:c1, :3] = rgb.reshape(r1 - r0, c1 - c0, 3)
-            pixels[r0:r1, c0:c1, 3] = alpha.reshape(r1 - r0, c1 - c0)
-            for key in totals:
-                totals[key] += tile_stats[key]
+        rgb, alpha, stats = _march(origins, directions, s_min, s_max, n_samples,
+                                   step, ert_alpha, occupied, skip.cell, shape3,
+                                   outside, sample_alpha, color_of, shade_fn)
+    pixels = np.concatenate((rgb, alpha[:, None]), axis=1).reshape(height, width, 4)
     metrics.counter("render.fast.frames").inc()
-    metrics.counter("render.fast.tiles").inc(len(boxes))
     metrics.counter("render.fast.cells_skipped").inc(skip.cells_empty)
-    metrics.counter("render.fast.samples_skipped").inc(totals["samples_skipped"])
+    metrics.counter("render.fast.samples_skipped").inc(stats["samples_skipped"])
     metrics.counter("render.fast.rays_terminated_early").inc(
-        totals["rays_terminated_early"])
+        stats["rays_terminated_early"])
     return Image.from_array(pixels, background=background)
 
 
@@ -573,14 +542,12 @@ def _render_fast(mode: str, field: np.ndarray, grad: _GradientSlices | None,
 # --------------------------------------------------------------------- #
 def render_volume_fast(volume, tf: TransferFunction1D, camera: Camera | None = None,
                        step: float = 1.0, shading: bool = True,
-                       background=(0.0, 0.0, 0.0), tile: int | None = None,
+                       background=(0.0, 0.0, 0.0),
                        ert_alpha: float = ALPHA_CUTOFF, cell: int = 8) -> Image:
     """Fast-path equivalent of :func:`repro.render.raycast.render_volume`.
 
     Parameters beyond the reference renderer's:
 
-    tile:
-        Tile edge in pixels (``None`` = the whole image).
     ert_alpha:
         Early-ray-termination threshold.  At the default (the reference's
         own cutoff) output is bit-identical to the reference; lower
@@ -604,13 +571,13 @@ def render_volume_fast(volume, tf: TransferFunction1D, camera: Camera | None = N
     if shading:
         grad = _GradientSlices(data.astype(np.float32, copy=False), cell)
     return _render_fast("volume", data, grad, tf, skip, camera, step,
-                        background, tile, ert_alpha)
+                        background, ert_alpha)
 
 
 def render_rgba_volume_fast(rgba_volume: np.ndarray, camera: Camera | None = None,
                             step: float = 1.0,
                             shading_field: np.ndarray | None = None,
-                            background=(0.0, 0.0, 0.0), tile: int | None = None,
+                            background=(0.0, 0.0, 0.0),
                             ert_alpha: float = ALPHA_CUTOFF, cell: int = 8) -> Image:
     """Fast-path equivalent of :func:`repro.render.raycast.render_rgba_volume`.
 
@@ -638,4 +605,4 @@ def render_rgba_volume_fast(rgba_volume: np.ndarray, camera: Camera | None = Non
     grad = None if field is None else _GradientSlices(field, cell)
     stack = np.ascontiguousarray(rgba_volume)
     return _render_fast("rgba_volume", stack, grad, None, skip, camera, step,
-                        background, tile, ert_alpha)
+                        background, ert_alpha)

@@ -7,9 +7,7 @@ color and opacity looked up from the user specified 1D transfer function
 are shown."*  The GPU version does this in multiple passes over a 3D
 region-growing texture; here we bake the rule into a per-voxel RGBA volume
 and send it through :func:`repro.render.raycast.render_rgba_volume`, or
-through the tiled fast path
-(:func:`repro.render.fastcast.render_rgba_volume_fast`), which marches
-its tiles in-process.
+through the fast path (:func:`repro.render.fastcast.render_rgba_volume_fast`).
 """
 
 from __future__ import annotations
@@ -91,9 +89,9 @@ def render_tracked(
     paper's GPU versus ~6 fps for the plain pass — the multi-pass overhead
     ratio our Sec. 7 bench reproduces.
 
-    ``fast=True`` sends the baked RGBA volume through the tile/ESS/ERT
+    ``fast=True`` sends the baked RGBA volume through the ESS/ERT
     renderer (:func:`repro.render.fastcast.render_rgba_volume_fast`) with
-    ``fast_options`` forwarded (``tile``, ``ert_alpha``, ``cell``) —
+    ``fast_options`` forwarded (``ert_alpha``, ``cell``) —
     bit-identical at the default termination threshold.
     """
     if fast_options is not None and not fast:

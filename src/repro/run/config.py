@@ -62,8 +62,8 @@ _STAGE_DEFAULTS: dict[str, dict] = {
         "elevation": 20.0,
         "step": 1.0,
         "shading": True,
-        "mode": "exact",  # "exact" or "fast" (tile/ESS/ERT renderer)
-        "fast_options": {},  # fast-path tuning: tile, cell, ert_alpha
+        "mode": "exact",  # "exact" or "fast" (ESS/ERT renderer)
+        "fast_options": {},  # fast-path tuning: cell, ert_alpha
         "export": None,   # optionally also write frames: "ppm" | "png"
     },
 }
@@ -98,10 +98,10 @@ def _validate_fast_options(options) -> None:
     """
     if not isinstance(options, dict):
         raise ConfigError(f"render fast_options must be an object, got {options!r}")
-    unknown = set(options) - {"tile", "cell", "ert_alpha"}
+    unknown = set(options) - {"cell", "ert_alpha"}
     if unknown:
         raise ConfigError(f"unknown render fast_options {sorted(unknown)}; "
-                          "known: ['cell', 'ert_alpha', 'tile']")
+                          "known: ['cell', 'ert_alpha']")
     for key, value in options.items():
         if isinstance(value, bool):
             ok = False

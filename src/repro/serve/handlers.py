@@ -117,7 +117,6 @@ _SCHEMAS: dict[str, dict] = {
         "iatf": (None, "object"),
         "shading": (True, "bool"),
         "fast": (False, "bool"),
-        "tiles": (None, "count"),
         "ert_alpha": (None, "number"),
         "cell": (8, "count"),
         "cache": (False, "bool"),
@@ -400,10 +399,8 @@ def compute_render(state: ServeState, params: dict) -> dict:
             check_ert_alpha(fast_options["ert_alpha"])
         except ValueError as exc:
             raise BadRequest(f"parameter 'ert_alpha': {exc}") from None
-        if params["tiles"] is not None:
-            fast_options["tile"] = params["tiles"]
-    elif params["tiles"] is not None or params["ert_alpha"] is not None:
-        raise BadRequest("'tiles'/'ert_alpha' tune the fast path; set fast=true")
+    elif params["ert_alpha"] is not None:
+        raise BadRequest("'ert_alpha' tunes the fast path; set fast=true")
     sequence = state.sequence(params["sequence"])
     if params["shading"]:
         try:

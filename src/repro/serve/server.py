@@ -117,9 +117,9 @@ class ServeApp:
         self.workers = max(1, int(workers))
         self.max_queue = int(max_queue)
         self.request_timeout = float(request_timeout)
-        # prespawn=True: pool workers fork on the dispatcher thread at
-        # startup, before the event loop grows threads worth not copying.
-        self.dispatcher = PoolDispatcher(workers=self.workers, prespawn=True)
+        # Pool workers fork on the dispatcher thread at startup, before
+        # the event loop grows threads worth not copying.
+        self.dispatcher = PoolDispatcher(workers=self.workers)
         self.state = handlers.ServeState(
             root, workers=self.workers,
             pool=self.dispatcher.pool if self.workers > 1 else None,

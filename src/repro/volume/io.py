@@ -10,9 +10,9 @@ We mirror that: each :class:`~repro.volume.grid.Volume` is stored as
 
 Sequences are directories of those pairs plus a ``sequence.json`` manifest,
 written by :func:`write_sequence_manifest` and read through
-:func:`read_sequence_manifest` alone.
-Reads can be memory-mapped (``mmap=True``) so out-of-core pipelines touch
-only the bricks they stream (paper Sec. 4.2.2: "not all the data can fit in
+:func:`read_sequence_manifest` alone.  Steps load one at a time
+(:func:`load_volume`), and :func:`load_sequence` with ``times=`` reads
+only the steps it names (paper Sec. 4.2.2: "not all the data can fit in
 core").
 
 All writes are crash-safe: bricks and manifests land under a temporary
@@ -69,12 +69,9 @@ def volume_sidecar(volume: Volume) -> str:
     }, indent=2)
 
 
-def load_volume(stem, mmap: bool = False, masks: bool = True) -> Volume:
+def load_volume(stem, masks: bool = True) -> Volume:
     """Load a volume written by :func:`save_volume`.
 
-    With ``mmap=True`` the voxel brick is memory-mapped read-only; the
-    returned Volume still converts to float32 on construction, so mmap pays
-    off mainly for masks and for callers slicing before converting.
     ``masks=False`` skips the ground-truth mask bricks entirely — streaming
     consumers that only evaluate a value criterion save one read and two
     volume-sized allocations per step.
@@ -95,11 +92,7 @@ def load_volume(stem, mmap: bool = False, masks: bool = True) -> Volume:
     _check_brick(raw_path, shape, 4)
     for mask_name in mask_names:
         _check_brick(_mask_path(stem, mask_name), shape, 1)
-    if mmap:
-        data = np.memmap(raw_path, dtype=np.float32, mode="r", shape=shape)
-        data = np.asarray(data)
-    else:
-        data = np.fromfile(raw_path, dtype=np.float32).reshape(shape)
+    data = np.fromfile(raw_path, dtype=np.float32).reshape(shape)
     loaded = {}
     for mask_name in mask_names:
         mask = np.fromfile(_mask_path(stem, mask_name), dtype=np.uint8).reshape(shape)
@@ -180,8 +173,7 @@ def check_sequence_manifest(manifest, path) -> dict:
     return manifest
 
 
-def load_sequence(directory, times=None, mmap: bool = False,
-                  masks: bool = True) -> VolumeSequence:
+def load_sequence(directory, times=None, masks: bool = True) -> VolumeSequence:
     """Load a sequence directory; ``times`` optionally restricts the steps.
 
     Restricting by ``times`` reads only the requested bricks — the
@@ -200,7 +192,7 @@ def load_sequence(directory, times=None, mmap: bool = False,
     for stem_name, time in zip(manifest["steps"], manifest["times"]):
         if wanted is not None and time not in wanted:
             continue
-        volumes.append(load_volume(directory / stem_name, mmap=mmap, masks=masks))
+        volumes.append(load_volume(directory / stem_name, masks=masks))
     if wanted is not None and len(volumes) != len(wanted):
         have = {v.time for v in volumes}
         raise KeyError(f"missing time steps {sorted(wanted - have)} in {directory}")

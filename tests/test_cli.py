@@ -397,6 +397,30 @@ class TestRunCommand:
         assert "fast_options" in result.stderr
         assert "Traceback" not in result.stderr
 
+    def test_tile_fast_option_exits_one_with_one_line(self, seqdir, tmp_path):
+        """The fast caster has no tile knob: a config that names one, new
+        or stored in a run directory being resumed, exits 1 with one line
+        before any task runs."""
+        config = {"sequence": str(seqdir), "stages": ["tfs", "render"],
+                  "render": {"mode": "fast", "fast_options": {"tile": 8}}}
+        path = tmp_path / "tile.json"
+        path.write_text(json.dumps(config))
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "run", str(path),
+             "--out", str(tmp_path / "r")],
+            capture_output=True, text=True, timeout=120)
+        assert result.returncode == 1
+        [line] = result.stderr.splitlines()
+        assert "unknown render fast_options ['tile']" in line
+        assert not (tmp_path / "r").exists()
+        old_run = tmp_path / "old-run"
+        old_run.mkdir()
+        (old_run / "config.json").write_text(json.dumps(config))
+        with pytest.raises(SystemExit) as err:
+            main(["run", "--resume", str(old_run)])
+        assert "unknown render fast_options ['tile']" in err.value.code
+        assert "\n" not in err.value.code
+
     @pytest.mark.parametrize("stage,options", [
         ("track", {"seed_voxel": [0, 99, 0, 0]}),
         ("track", {"seed_voxel": [0, 1.5, 0, 0]}),

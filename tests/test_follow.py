@@ -297,9 +297,9 @@ def test_follow_masks_stay_unloaded_without_classify(workload, tmp_path):
     real_load = follow_mod.load_volume
     masks_args = []
 
-    def spy(stem, mmap=False, masks=True):
+    def spy(stem, masks=True):
         masks_args.append(masks)
-        return real_load(stem, mmap=mmap, masks=masks)
+        return real_load(stem, masks=masks)
 
     follow_mod.load_volume = spy
     try:

@@ -193,31 +193,6 @@ def test_synthetic_requires_backward_reachability():
     assert refined.voxel_counts[2] > forward.voxel_counts[2]
 
 
-class TestPredictSeeds:
-    """Motion-extrapolated seeding is documented as a *superset* of plain
-    4D growth: shifted seeds can only add criterion components, never
-    drop tracked voxels, and a static feature gains nothing."""
-
-    def test_static_feature_is_unchanged(self):
-        seq, criteria_fn, seed = synthetic_scenario()
-        tracker = FeatureTracker()
-        plain = tracker.track_streaming(seq, seed, criteria_fn=criteria_fn)
-        predicted = tracker.track_streaming(seq, seed, criteria_fn=criteria_fn,
-                                            predict_seeds=True)
-        assert np.array_equal(predicted.masks, plain.masks)
-        assert event_records(predicted.events) == event_records(plain.events)
-
-    def test_moving_feature_yields_superset(self):
-        seq, criteria_fn, seed = argon_scenario()
-        tracker = FeatureTracker()
-        plain = tracker.track_streaming(seq, seed, criteria_fn=criteria_fn)
-        predicted = tracker.track_streaming(seq, seed, criteria_fn=criteria_fn,
-                                            predict_seeds=True)
-        assert np.array_equal(predicted.masks & plain.masks, plain.masks)
-        assert all(p >= q for p, q in
-                   zip(predicted.voxel_counts, plain.voxel_counts))
-
-
 def test_golden_fixtures_are_committed():
     for scenario in SCENARIOS:
         assert (GOLDEN_DIR / f"{scenario}.json").is_file(), (

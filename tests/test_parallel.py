@@ -1,15 +1,9 @@
-"""Tests for repro.parallel: task farm and bricking."""
+"""Tests for repro.parallel: task farm and content digests."""
 
 import numpy as np
 import pytest
 
-from repro.parallel import (
-    assemble_bricks,
-    content_digest,
-    iter_bricks,
-    map_timesteps,
-    split_bricks,
-)
+from repro.parallel import content_digest, map_timesteps
 
 
 def square(x):
@@ -84,7 +78,7 @@ class TestMapTimesteps:
         assert out.workers == 2
 
 
-class TestBricking:
+class TestContentDigest:
     def test_content_digest_known_answer(self):
         """SHA-256 over ``repr((shape, dtype.str))`` then the bytes, cut to
         128 bits: pinned so a change of hash is a deliberate one."""
@@ -92,65 +86,3 @@ class TestBricking:
         assert content_digest(arr) == "8c4c13e9e95f464d47154b46ebaf8ac0"
         assert content_digest(arr, np.array([True, False])) == (
             "f0caba542621385c0a8af67feae96428")
-
-    def test_bricks_tile_exactly(self):
-        vol = np.arange(6 * 7 * 8, dtype=np.float32).reshape(6, 7, 8)
-        bricks = split_bricks(vol, (4, 4, 4))
-        covered = assemble_bricks(bricks, vol.shape)
-        assert np.array_equal(covered, vol)
-
-    def test_ghost_layers_present(self):
-        vol = np.arange(8**3, dtype=np.float32).reshape(8, 8, 8)
-        bricks = split_bricks(vol, (4, 4, 4), ghost=1)
-        # interior brick away from every volume edge gets ghost on all sides
-        inner = [b for b in bricks if all(s.start > 0 for s in b.position)][0]
-        assert inner.data.shape == (5, 5, 5) or inner.data.shape == (6, 6, 6)
-
-    def test_ghost_correctness_for_neighborhood_op(self):
-        """Smoothing per brick with ghost=1 equals smoothing the whole
-        volume (away from the global boundary)."""
-        from dataclasses import replace
-
-        from scipy import ndimage
-
-        rng = np.random.default_rng(0)
-        vol = rng.random((12, 12, 12)).astype(np.float32)
-        full = ndimage.uniform_filter(vol, size=3, mode="constant")
-        bricks = split_bricks(vol, (6, 6, 6), ghost=1)
-        processed = [
-            replace(b, data=ndimage.uniform_filter(b.data, size=3, mode="constant"))
-            for b in bricks
-        ]
-        out = assemble_bricks(processed, vol.shape)
-        interior = (slice(2, -2),) * 3
-        assert np.allclose(out[interior], full[interior])
-
-    def test_iter_bricks_matches_split(self):
-        vol = np.zeros((5, 5, 5), dtype=np.float32)
-        assert len(list(iter_bricks(vol, (2, 2, 2)))) == len(split_bricks(vol, (2, 2, 2)))
-
-    def test_interior_shape(self):
-        vol = np.zeros((5, 5, 5), dtype=np.float32)
-        bricks = split_bricks(vol, (4, 4, 4))
-        shapes = sorted(b.interior_shape for b in bricks)
-        assert shapes[0] == (1, 1, 1) and shapes[-1] == (4, 4, 4)
-
-    def test_assemble_requires_full_cover(self):
-        vol = np.zeros((4, 4, 4), dtype=np.float32)
-        bricks = split_bricks(vol, (2, 2, 2))
-        with pytest.raises(ValueError, match="cover"):
-            assemble_bricks(bricks[:-1], vol.shape)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            split_bricks(np.zeros((4, 4)), (2, 2, 2))
-        with pytest.raises(ValueError):
-            split_bricks(np.zeros((4, 4, 4)), (2, 2, 2), ghost=-1)
-        with pytest.raises(ValueError):
-            assemble_bricks([], (4, 4, 4))
-
-    def test_bricks_are_copies(self):
-        vol = np.zeros((4, 4, 4), dtype=np.float32)
-        bricks = split_bricks(vol, (2, 2, 2))
-        bricks[0].data[...] = 9.0
-        assert vol.max() == 0.0

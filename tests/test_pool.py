@@ -58,6 +58,14 @@ def pid_of(_item):
     return os.getpid()
 
 
+def nap_then_mark(item):
+    """Sleep, then leave a marker file: the marker says the task ran."""
+    path, seconds = item
+    time.sleep(seconds)
+    pathlib.Path(path).write_text("ran")
+    return path
+
+
 class PidClassifier:
     """Stand-in classifier whose certainty field holds the classifying pid."""
 
@@ -425,6 +433,19 @@ class TestFaultSemantics:
             assert stale.value is None
             assert stale.failure.error_type == "Cancelled"
             assert p.spawned == 1 and p.respawns == 0
+
+    def test_failed_submit_cancels_what_the_map_submitted(self, tmp_path):
+        """A payload naming an unknown broadcast fails the map at its
+        submit.  The items submitted before it are cancelled with the map:
+        only the one already running finishes, and the pool's next map
+        waits for nothing else."""
+        markers = [tmp_path / f"m{i}" for i in range(3)]
+        items = [(str(m), 0.3) for m in markers] + [BroadcastRef("dead")]
+        with WorkerPool(workers=1) as p:
+            with pytest.raises(PoolError, match="unknown broadcast"):
+                map_timesteps(nap_then_mark, items, pool=p)
+            assert map_timesteps(square, [3], pool=p).results == [9]
+        assert [m.exists() for m in markers] == [True, False, False]
 
     def test_fault_index_offset_honoured(self, pool):
         # Offset shifts injection onto global task index 3 == local item 1.

@@ -161,7 +161,7 @@ class TestRunConfig:
         ({"bogus": 1}, "unknown render fast_options"),
         ({"transport": "shm"}, "unknown render fast_options"),
         ({"workers": 2}, "unknown render fast_options"),
-        ({"tile": 0}, "tile must be an integer >= 1"),
+        ({"tile": 8}, "unknown render fast_options"),
         ({"ert_alpha": 2}, r"ert_alpha must be a number in \(0, 1\]"),
     ])
     def test_fast_options_validated(self, options, match):
@@ -170,7 +170,7 @@ class TestRunConfig:
                 render={"mode": "fast", "fast_options": options}))
 
     def test_fast_options_accepts_exposed_knobs(self):
-        options = {"tile": 8, "cell": 4, "ert_alpha": 0.9}
+        options = {"cell": 4, "ert_alpha": 0.9}
         cfg = RunConfig.from_dict(_minimal_config(
             render={"mode": "fast", "fast_options": options}))
         assert cfg.render["fast_options"] == options

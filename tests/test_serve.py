@@ -430,12 +430,17 @@ BODIES = {"classify": CLASSIFY_PARAMS, "track": TRACK_PARAMS, "render": RENDER_P
 
 class TestValidation:
     def test_unknown_parameter_is_400(self, client):
-        # prune names an option the fast classifier no longer has.
+        # prune names an option the fast classifier no longer has, and
+        # tiles one the fast caster no longer has.
         for name in ("bogus", "prune"):
             with pytest.raises(ServeHTTPError) as info:
                 client.classify(**CLASSIFY_PARAMS, **{name: True})
             assert info.value.status == 400
             assert f"'{name}'" in str(info.value)
+        with pytest.raises(ServeHTTPError) as info:
+            client.render(**RENDER_PARAMS, fast=True, tiles=8)
+        assert info.value.status == 400
+        assert "'tiles'" in str(info.value)
 
     def test_missing_required_parameter_is_400(self, client):
         with pytest.raises(ServeHTTPError) as info:
@@ -467,7 +472,6 @@ class TestValidation:
         ("render", "opacity", "x"),
         ("render", "box", 5),
         ("render", "cell", 0),
-        ("render", "tiles", 0),
         ("render", "size", 16.7),
         ("render", "iatf", "x"),
     ])
@@ -475,8 +479,8 @@ class TestValidation:
         body = {**BODIES[endpoint], field: value}
         if field == "refine":
             body["streaming"] = True    # refine applies to streaming only
-        if field in ("cell", "tiles"):
-            body["fast"] = True         # both tune the fast caster only
+        if field == "cell":
+            body["fast"] = True         # cell tunes the fast caster only
         with pytest.raises(ServeHTTPError) as info:
             getattr(client, endpoint)(**body)
         assert info.value.status == 400
@@ -516,11 +520,14 @@ class TestValidation:
         assert a == b
 
     def test_bad_run_fast_options_is_400(self, client):
-        config = {"sequence": "argon", "stages": ["tfs", "render"],
-                  "render": {"mode": "fast", "fast_options": {"workers": 2}}}
-        with pytest.raises(ServeHTTPError) as info:
-            client.run(config)
-        assert info.value.status == 400
+        # tile names an option the fast caster no longer has.
+        for option in ("workers", "tile"):
+            config = {"sequence": "argon", "stages": ["tfs", "render"],
+                      "render": {"mode": "fast", "fast_options": {option: 2}}}
+            with pytest.raises(ServeHTTPError) as info:
+                client.run(config)
+            assert info.value.status == 400
+            assert f"unknown render fast_options ['{option}']" in str(info.value)
 
     def test_bad_run_seed_is_400(self, client):
         config = {"sequence": "argon", "stages": ["track"],

@@ -28,12 +28,6 @@ class TestVolumeRoundtrip:
         assert back.name == vol.name
         assert np.array_equal(back.mask("hot"), vol.mask("hot"))
 
-    def test_mmap_load_matches(self, tmp_path):
-        vol = sample_volume()
-        save_volume(vol, tmp_path / "step")
-        back = load_volume(tmp_path / "step", mmap=True)
-        assert np.array_equal(back.data, vol.data)
-
     def test_metadata_is_json(self, tmp_path):
         save_volume(sample_volume(), tmp_path / "step")
         meta = json.loads((tmp_path / "step.json").read_text())
@@ -68,8 +62,6 @@ class TestVolumeRoundtrip:
         path.write_bytes(path.read_bytes()[:100])
         with pytest.raises(VolumeFormatError, match="holds 100 bytes"):
             load_volume(tmp_path / "step")
-        with pytest.raises(VolumeFormatError):
-            load_volume(tmp_path / "step", mmap=True)
 
     def test_non_integer_shape_is_typed_error(self, tmp_path):
         save_volume(sample_volume(), tmp_path / "step")
